@@ -1,7 +1,9 @@
 """Command-line front end: validate, eval-cov, simulate, check, spectrum.
 
 Exit codes: 0 success, 1 invalid model or failed check, 2 parse/usage
-error, 3 unsupported geometry. The default seed is the fixed constant
+error (including non-finite lags or times, distance grids outside
+[0, pi], and numerical failures such as a singular time-grid correlation
+matrix), 3 unsupported geometry. The default seed is the fixed constant
 DEFAULT_SEED (never time-derived), so default runs are reproducible.
 """
 
@@ -16,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, IsoFieldError, ModelError, ModelFormatError, UsageError
+from .errors import GeometryError, ModelError, ModelFormatError, NumericError, UsageError
 from .modelio import load_model
-from .simulate import save_realization, simulate_spatial, simulate_spatiotemporal, substream
+from .simulate import save_realization, simulate_spatiotemporal, substream
 from .spaces import (
     SpaceFamily,
     make_point,
@@ -26,15 +28,7 @@ from .spaces import (
     all_reference_spaces,
     sample_uniform,
 )
-from .spectral import (
-    SpatialModel,
-    SpatioTemporalModel,
-    angular_power_spectrum,
-    eval_cov,
-    truncation_bound,
-    validate_spatial,
-    validate_spatiotemporal,
-)
+from .spectral import ZERO_LAG, angular_power_spectrum, eval_cov, truncation_bound
 from .verify import check_space_identities, mc_funk_hecke, mc_zonal_covariance
 
 DEFAULT_SEED = 0xC0FFEE
@@ -48,9 +42,12 @@ EXIT_GEOMETRY = 3
 
 def _parse_lags(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"bad lag list {text!r}; expected comma-separated numbers") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"bad lag list {text!r}; values must be finite")
+    return values
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -61,6 +58,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise UsageError(f"bad grid {text!r}; expected 'start:stop:count'") from exc
     if n < 1:
         raise UsageError("grid count must be >= 1")
+    if not (0.0 <= a <= math.pi and 0.0 <= b <= math.pi):
+        raise UsageError(f"bad grid {text!r}; distances must lie in [0, pi]")
     return np.linspace(a, b, n)
 
 
@@ -158,13 +157,9 @@ def _limit_threads(threads: int | None) -> None:
         return
     try:
         from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=threads)
     except ImportError:
-        import os
-
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
+        return
+    threadpool_limits(limits=threads)
 
 
 # --------------------------------------------------------------------------
@@ -174,10 +169,7 @@ def _limit_threads(threads: int | None) -> None:
 
 def cmd_validate(args) -> int:
     model = load_model(args.model)
-    if isinstance(model, SpatioTemporalModel):
-        report = validate_spatiotemporal(model, _parse_lags(args.lags))
-    else:
-        report = validate_spatial(model)
+    report = model.validate(_parse_lags(args.lags))
     if args.format == "json":
         _emit_json(report.as_dict(), args.out)
     else:
@@ -221,15 +213,36 @@ def cmd_simulate(args) -> int:
     model = load_model(args.model)
     points = resolve_points(model.space, args.points, args.seed)
     trunc = args.trunc if args.trunc is not None else model.max_degree
-    if isinstance(model, SpatioTemporalModel):
-        times = _parse_times(args.times)
-        real = simulate_spatiotemporal(model, points, times, trunc, args.seed)
-    else:
-        real = simulate_spatial(model, points, trunc, args.seed)
+    real = simulate_spatiotemporal(model, points, _parse_times(args.times), trunc, args.seed)
     out = Path(args.out if args.out else "realization.csv")
     csv_path, meta_path = save_realization(real, out)
     print(f"wrote {csv_path} and {meta_path}", file=sys.stderr)
     return EXIT_OK
+
+
+FUNK_HECKE_IDENTITY = (
+    "integral of P_i(cos rho(x1,.)) P_j(cos rho(x2,.)) "
+    "= delta_ij omega/a_i^2 P_i(cos rho(x1,x2))"
+)
+ZONAL_IDENTITY = (
+    "zonal field a_n P_n(cos rho(x,U)): mean 0, "
+    "cov P_n(cos rho(x1,x2)), distinct degrees uncorrelated"
+)
+
+
+def _mc_record(space, name: str, identity: str, est) -> dict:
+    """One Monte-Carlo check as a `check` record."""
+    return {
+        "space": space.label,
+        "name": name,
+        "identity": identity,
+        "target": float(np.asarray(est.target)),
+        "estimate": float(np.asarray(est.value)),
+        "std_error": float(np.asarray(est.std_error)),
+        "z": est.z_score,
+        "pass": est.passed,
+        "tolerance": None,
+    }
 
 
 def cmd_check(args) -> int:
@@ -253,37 +266,11 @@ def cmd_check(args) -> int:
         x2 = sample_uniform(space, rng)
         for i, j in ((0, 0), (1, 1), (2, 1), (1, 3)):
             est = mc_funk_hecke(space, i, j, x1, x2, replicates=rep, seed=args.seed + i * 7 + j)
-            records.append(
-                {
-                    "space": space.label,
-                    "name": f"funk_hecke_{i}_{j}",
-                    "identity": "integral of P_i(cos rho(x1,.)) P_j(cos rho(x2,.)) "
-                    "= delta_ij omega/a_i^2 P_i(cos rho(x1,x2))",
-                    "target": float(np.asarray(est.target)),
-                    "estimate": float(np.asarray(est.value)),
-                    "std_error": float(np.asarray(est.std_error)),
-                    "z": est.z_score,
-                    "pass": est.passed,
-                    "tolerance": None,
-                }
-            )
+            records.append(_mc_record(space, f"funk_hecke_{i}_{j}", FUNK_HECKE_IDENTITY, est))
         for n in (1, 2):
             chk = mc_zonal_covariance(space, n, x1, x2, replicates=rep, seed=args.seed + 13 * n)
             for label, est in (("mean", chk.mean), ("cov", chk.covariance), ("cross", chk.cross)):
-                records.append(
-                    {
-                        "space": space.label,
-                        "name": f"zonal_{label}_{n}",
-                        "identity": "zonal field a_n P_n(cos rho(x,U)): mean 0, "
-                        "cov P_n(cos rho(x1,x2)), distinct degrees uncorrelated",
-                        "target": float(np.asarray(est.target)),
-                        "estimate": float(np.asarray(est.value)),
-                        "std_error": float(np.asarray(est.std_error)),
-                        "z": est.z_score,
-                        "pass": est.passed,
-                        "tolerance": None,
-                    }
-                )
+                records.append(_mc_record(space, f"zonal_{label}_{n}", ZONAL_IDENTITY, est))
     all_pass = all(r["pass"] for r in records)
     _emit_json({"pass": all_pass, "checks": records}, args.out)
     if not all_pass:
@@ -294,7 +281,7 @@ def cmd_check(args) -> int:
 
 def cmd_spectrum(args) -> int:
     model = load_model(args.model)
-    if not isinstance(model, SpatialModel):
+    if model.domain != ZERO_LAG:
         raise UsageError("the angular power spectrum is defined for spatial models")
     rows = []
     for n in range(model.max_degree + 1):
@@ -321,46 +308,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
-        if model:
+    def common(p, *flags):
+        """--out plus whichever of --model, --seed and --format the command reads."""
+        if "model" in flags:
             p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed (fixed default)")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                           help="master seed (fixed default)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=None, help="cap worker threads")
+        if "format" in flags:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("validate", help="check a model file against the validity conditions")
-    common(p)
+    common(p, "model", "format")
     p.add_argument("--lags", default=",".join(str(v) for v in DEFAULT_PROBE_LAGS),
                    help="probe lags for temporal models")
     p.set_defaults(func=cmd_validate, format="json")
 
     p = sub.add_parser("eval-cov", help="tabulate the covariance over a distance/lag grid")
-    common(p)
-    p.add_argument("--rho-grid", default=f"0:{math.pi}:25", help="distance grid start:stop:count")
+    common(p, "model", "format")
+    p.add_argument("--rho-grid", default=f"0:{math.pi}:25",
+                   help="distance grid start:stop:count within [0, pi]")
     p.add_argument("--lags", default="0", help="comma-separated time lags")
     p.add_argument("--trunc", type=int, default=None, help="series truncation degree")
     p.set_defaults(func=cmd_eval_cov)
 
     p = sub.add_parser("simulate", help="draw one realization and write CSV plus sidecar")
-    common(p)
+    common(p, "model", "seed")
     p.add_argument("--points", required=True,
                    help="'random:K', 'fibonacci:K' (sphere:2), or a coordinate CSV file")
-    p.add_argument("--times", default="0", help="time grid for temporal models")
+    p.add_argument("--times", default="0",
+                   help="time grid for temporal models (spatial models: 0 only)")
     p.add_argument("--trunc", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("check", help="run the identity suite and Monte-Carlo oracles")
-    common(p, model=False)
+    common(p, "seed")
+    p.add_argument("--threads", type=int, default=None,
+                   help="cap BLAS worker threads (needs threadpoolctl)")
     p.add_argument("--spaces", default=None,
                    help="comma-separated spaces for the Monte-Carlo oracles")
     p.add_argument("--replicates", type=int, default=20_000)
     p.add_argument("--inject-fault", choices=("none", "a_n"), default="none",
                    help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_check, format="json")
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("spectrum", help="emit the per-degree angular power spectrum")
-    common(p)
+    common(p, "model", "format")
     p.set_defaults(func=cmd_spectrum)
     return parser
 
@@ -403,7 +397,9 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ModelFormatError, UsageError, json.JSONDecodeError, OSError, ValueError) as exc:
+    except (
+        ModelFormatError, UsageError, NumericError, json.JSONDecodeError, OSError, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

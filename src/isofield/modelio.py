@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ModelFormatError
 from .spaces import parse_space
 from .spectral import (
+    ZERO_LAG,
     PureSpatial,
     SeparableScalar,
     SpatialModel,
@@ -41,14 +42,11 @@ def _matrix_to_rows(mat: np.ndarray) -> list[list[float]]:
 
 
 def _kernel_to_dict(kernel) -> dict:
-    if isinstance(kernel, PureSpatial):
-        return {"variant": "pure_spatial"}
-    if isinstance(kernel, SeparableScalar):
-        key = "phi" if kernel.kind == "ar1" else "theta"
-        return {"variant": kernel.kind, key: float(kernel.param)}
-    if isinstance(kernel, VectorMA1):
-        return {"variant": "ma1", "phi": _matrix_to_rows(kernel.phi)}
-    raise ModelFormatError(f"kernel {type(kernel).__name__} has no file representation")
+    variant = getattr(kernel, "kind", None)
+    if variant not in _VARIANTS:
+        raise ModelFormatError(f"kernel {type(kernel).__name__} has no file representation")
+    key, _, param = _VARIANTS[variant]
+    return {"variant": variant} if key is None else {"variant": variant, key: param(kernel)}
 
 
 def model_to_dict(model) -> dict:
@@ -59,7 +57,7 @@ def model_to_dict(model) -> dict:
     }
     if model.tail is not None:
         doc["tail"] = {"c": float(model.tail.c), "r": float(model.tail.r)}
-    if isinstance(model, SpatioTemporalModel):
+    if model.domain != ZERO_LAG:
         doc["temporal"] = _kernel_to_dict(model.kernel)
     return doc
 
@@ -81,6 +79,19 @@ def _parse_matrix(obj, m: int, what: str) -> np.ndarray:
             f"{what} entries must be numbers",
         )
     return np.asarray(obj, dtype=float)
+
+
+# The temporal variants of the file format, read in both directions:
+# variant -> (parameter field or None, build(value, m) -> kernel, kernel -> value).
+# A kernel names its row through its `kind` attribute.
+_VARIANTS = {
+    "pure_spatial": (None, lambda v, m: PureSpatial(), None),
+    "ar1": ("phi", lambda v, m: SeparableScalar("ar1", float(v)), lambda k: float(k.param)),
+    "exponential": ("theta", lambda v, m: SeparableScalar("exponential", float(v)),
+                    lambda k: float(k.param)),
+    "ma1": ("phi", lambda v, m: VectorMA1(_parse_matrix(v, m, "ma1 phi")),
+            lambda k: _matrix_to_rows(k.phi)),
+}
 
 
 def model_from_dict(doc: dict):
@@ -113,17 +124,11 @@ def model_from_dict(doc: dict):
     tdoc = doc["temporal"]
     _require(isinstance(tdoc, dict) and "variant" in tdoc, "temporal must carry a variant")
     variant = tdoc["variant"]
+    if not isinstance(variant, str) or variant not in _VARIANTS:
+        raise ModelFormatError(f"unknown temporal variant {variant!r}")
+    key, build, _ = _VARIANTS[variant]
     try:
-        if variant == "pure_spatial":
-            kernel = PureSpatial()
-        elif variant == "ar1":
-            kernel = SeparableScalar("ar1", float(tdoc["phi"]))
-        elif variant == "exponential":
-            kernel = SeparableScalar("exponential", float(tdoc["theta"]))
-        elif variant == "ma1":
-            kernel = VectorMA1(_parse_matrix(tdoc["phi"], m, "ma1 phi"))
-        else:
-            raise ModelFormatError(f"unknown temporal variant {variant!r}")
+        kernel = build(None if key is None else tdoc[key], m)
     except ModelFormatError:
         raise
     except KeyError as exc:

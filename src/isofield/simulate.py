@@ -23,20 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IndefiniteMatrixError, ModelError, NumericError, UsageError
+from .errors import IndefiniteMatrixError, ModelError, UsageError
 from .jacobi import jacobi_eval
 from .modelio import model_hash, model_to_dict
 from .spaces import Point, SpaceParams, a_constant, cos_distance, sample_uniform
-from .spectral import (
-    INTEGER_LAGS,
-    PureSpatial,
-    SeparableScalar,
-    SpatialModel,
-    SpatioTemporalModel,
-    VectorMA1,
-    validate_spatial,
-    validate_spatiotemporal,
-)
+from .spectral import INTEGER_LAGS, ZERO_LAG, SpatialModel, SpatioTemporalModel
 
 MATRIX_SQRT_TOL = 1e-10
 
@@ -105,63 +96,13 @@ def _degree_matrix(space: SpaceParams, points, u: Point, trunc: int) -> np.ndarr
 def simulate_spatial(
     model: SpatialModel, points, trunc: int | None = None, seed: int = 0
 ) -> Realization:
-    """One realization of the purely spatial series at the given points.
+    """One realization of the purely spatial series at the given points:
+    simulate_spatiotemporal on the time grid [0.0].
 
     Draws U uniform, then per degree an m-vector V_n with covariance
-    a_n^2 I, and emits sum_n B_n^(1/2) V_n P_n(cos rho(x, U)).
+    a_n^2 B_n(0), and emits sum_n V_n P_n(cos rho(x, U)).
     """
-    report = validate_spatial(model)
-    if not report.valid:
-        raise ModelError(f"cannot simulate from an invalid model: {report.summary()}")
-    trunc = model.max_degree if trunc is None else int(trunc)
-    if not (0 <= trunc <= model.max_degree):
-        raise UsageError(f"truncation {trunc} outside stored range 0..{model.max_degree}")
-    points = list(points)
-    space = model.space
-    u = sample_uniform(space, substream(seed, 0))
-    roots = [matrix_sqrt(model.coeffs[n]) for n in range(trunc + 1)]
-    latent_v = np.zeros((trunc + 1, 1, model.m))
-    for n in range(trunc + 1):
-        v = a_constant(space, n) * substream(seed, 1, n).standard_normal(model.m)
-        latent_v[n, 0] = roots[n] @ v
-    pn = _degree_matrix(space, points, u, trunc)
-    values = np.einsum("np,ntm->ptm", pn, latent_v)
-    return Realization(
-        space=space,
-        model=model,
-        points=points,
-        times=[0.0],
-        values=values,
-        latent_u=u,
-        latent_v=latent_v,
-        trunc=trunc,
-        seed=int(seed),
-    )
-
-
-def _separable_paths(kernel: SeparableScalar, times, m, rng) -> np.ndarray:
-    """(ntimes, m) matrix of m independent stationary unit-variance paths."""
-    k = len(times)
-    if kernel.kind == "ar1":
-        phi = kernel.param
-        xi = np.empty((k, m))
-        xi[0] = rng.standard_normal(m)
-        for i in range(1, k):
-            gap = int(round(times[i] - times[i - 1]))
-            rho = phi**gap
-            # exact stationary transition across integer gaps
-            xi[i] = rho * xi[i - 1] + np.sqrt(1.0 - rho * rho) * rng.standard_normal(m)
-        return xi
-    tgrid = np.asarray(times)
-    corr = np.exp(-kernel.param * np.abs(tgrid[:, None] - tgrid[None, :]))
-    try:
-        chol = np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "correlation matrix of the time grid is not positive definite "
-            "(duplicate times?)"
-        ) from exc
-    return chol @ rng.standard_normal((k, m))
+    return simulate_spatiotemporal(model, points, [0.0], trunc, seed)
 
 
 def simulate_spatiotemporal(
@@ -169,21 +110,24 @@ def simulate_spatiotemporal(
 ) -> Realization:
     """One realization of the space-time series on a points x times grid.
 
-    Per degree, an independent stationary path V_n(.) is constructed with
-    cov(V_n(t1), V_n(t2)) = a_n^2 B_n(t1 - t2): scaled stationary scalar
-    processes through B_n^(1/2) for separable kernels, a first-order
-    moving average of per-degree innovations for the vector kernel, and a
-    constant-in-time vector otherwise.
+    Per degree, the model's kernel draws an independent stationary path
+    V_n(.) with cov(V_n(t1), V_n(t2)) = a_n^2 B_n(t1 - t2) from the degree's
+    substream (see the kernels' sample_path). A purely spatial model
+    accepts the time grid [0.0] only.
     """
     times = [float(t) for t in times]
     if sorted(times) != times:
         raise UsageError("times must be sorted ascending")
     if not times:
         raise UsageError("at least one time is required")
+    if model.domain == ZERO_LAG:
+        if times != [0.0]:
+            raise UsageError("a purely spatial model is simulated on the time grid [0.0] only")
+        times = [0.0]  # also for -0.0, so the output reads 0.0
     if model.domain == INTEGER_LAGS and not all(t.is_integer() for t in times):
         raise UsageError("this model's temporal domain is Z; times must be integers")
     probe = sorted({round(t1 - t2, 12) for t1 in times for t2 in times})
-    report = validate_spatiotemporal(model, probe)
+    report = model.validate(probe)
     if not report.valid:
         raise ModelError(f"cannot simulate from an invalid model: {report.summary()}")
     trunc = model.max_degree if trunc is None else int(trunc)
@@ -191,27 +135,14 @@ def simulate_spatiotemporal(
         raise UsageError(f"truncation {trunc} outside stored range 0..{model.max_degree}")
     points = list(points)
     space = model.space
-    kernel = model.kernel
     u = sample_uniform(space, substream(seed, 0))
-    k = len(times)
-    latent_v = np.zeros((trunc + 1, k, model.m))
+    sample_path = getattr(model.kernel, "sample_path", None)
+    if sample_path is None:
+        raise UsageError(f"unsupported temporal kernel {type(model.kernel).__name__}")
+    latent_v = np.zeros((trunc + 1, len(times), model.m))
     for n in range(trunc + 1):
-        rng = substream(seed, 1, n)
-        an = a_constant(space, n)
-        if isinstance(kernel, PureSpatial):
-            w = matrix_sqrt(model.coeffs[n]) @ rng.standard_normal(model.m)
-            latent_v[n, :, :] = an * w
-        elif isinstance(kernel, SeparableScalar):
-            xi = _separable_paths(kernel, times, model.m, rng)
-            latent_v[n] = an * xi @ matrix_sqrt(model.coeffs[n]).T
-        elif isinstance(kernel, VectorMA1):
-            root = matrix_sqrt(model.coeffs[n])
-            needed = sorted({int(t) for t in times} | {int(t) - 1 for t in times})
-            eps = {s: root @ rng.standard_normal(model.m) for s in needed}
-            for i, t in enumerate(times):
-                latent_v[n, i] = an * (eps[int(t)] + kernel.phi @ eps[int(t) - 1])
-        else:
-            raise UsageError(f"unsupported temporal kernel {type(kernel).__name__}")
+        root = matrix_sqrt(model.coeffs[n])
+        latent_v[n] = sample_path(root, a_constant(space, n), times, substream(seed, 1, n))
     pn = _degree_matrix(space, points, u, trunc)
     values = np.einsum("np,ntm->ptm", pn, latent_v)
     return Realization(

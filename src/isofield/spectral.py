@@ -6,11 +6,12 @@ C(rho) = sum_n B_n P_n(cos rho) with the space's geometric parameters,
 optionally extended past degree N by a geometric envelope c*r^n that
 dominates ||B_n|| P_n(1) and keeps the tail bound computable.
 
-Spatio-temporal models attach a temporal kernel to the stored matrices so
-that each degree carries a stationary covariance matrix function B_n(t):
+Every model attaches a temporal kernel to the stored matrices so that
+each degree carries a stationary covariance matrix function B_n(t):
 a scalar correlation multiplying B_n (separable case), the lag table of a
 first-order vector moving average built from per-degree innovation
-covariances, or a constant-in-time B_n. The fixed lag convention is
+covariances, or a constant-in-time B_n. A purely spatial model is the
+constant kernel restricted to lag 0. The fixed lag convention is
 cov(Z(t1), Z(t2)) = B(t1 - t2); for the moving average
 Z(t) = e(t) + Phi e(t-1) this puts Phi*Sigma at lag +1 and Sigma*Phi^T at
 lag -1, which the brute-force process oracle in the tests pins down.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, UsageError
+from .errors import NumericError, ParameterError, UsageError
 from .jacobi import gauss_jacobi, jacobi_at_one, jacobi_eval, jacobi_norm_constant
 from .spaces import SpaceParams
 
@@ -34,6 +35,7 @@ BLOCK_PSD_TOL = 1e-9
 
 INTEGER_LAGS = "integers"
 REAL_LAGS = "reals"
+ZERO_LAG = "zero"  # a purely spatial model: lag 0 only
 
 
 @dataclass(frozen=True)
@@ -66,31 +68,11 @@ def _as_coeff_matrices(coeffs, m: int) -> list[np.ndarray]:
     return out
 
 
-@dataclass
-class SpatialModel:
-    """Jacobi-series covariance model of an m-variate isotropic field."""
-
-    space: SpaceParams
-    m: int
-    coeffs: list[np.ndarray]
-    tail: TailEnvelope | None = None
-
-    def __post_init__(self):
-        self.coeffs = _as_coeff_matrices(self.coeffs, self.m)
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff_at(self, n: int, t: float = 0.0) -> np.ndarray:
-        if t != 0.0:
-            raise UsageError("a purely spatial model is evaluated at lag 0 only")
-        return self.coeffs[n]
-
-
 # --------------------------------------------------------------------------
-# Temporal kernels. Each kernel exposes `domain` and
-# coeff_at(n, t, coeffs) -> the m x m matrix B_n(t).
+# Temporal kernels. Each kernel exposes `domain`,
+# coeff_at(n, t, coeffs) -> the m x m matrix B_n(t), and
+# sample_path(root, an, times, rng) -> the (len(times), m) degree-n path
+# V_n(.) with covariance a_n^2 B_n(t1 - t2), given root = coeffs[n]^(1/2).
 # --------------------------------------------------------------------------
 
 
@@ -98,18 +80,25 @@ def _require_lag(domain: str, t) -> float:
     t = float(t)
     if domain == INTEGER_LAGS and not t.is_integer():
         raise UsageError(f"lag {t} is not an integer but the model's temporal domain is Z")
+    if domain == ZERO_LAG and t != 0.0:
+        raise UsageError("a purely spatial model is evaluated at lag 0 only")
     return t
 
 
 @dataclass(frozen=True)
 class PureSpatial:
-    """Constant in time: B_n(t) = B_n for every lag."""
+    """Constant in time: B_n(t) = B_n for every lag in the domain."""
 
     domain: str = REAL_LAGS
+    kind = "pure_spatial"
 
     def coeff_at(self, n, t, coeffs):
         _require_lag(self.domain, t)
         return coeffs[n]
+
+    def sample_path(self, root, an, times, rng):
+        w = root @ (an * rng.standard_normal(root.shape[0]))
+        return np.broadcast_to(w, (len(times), w.size))
 
 
 @dataclass(frozen=True)
@@ -146,6 +135,31 @@ class SeparableScalar:
     def coeff_at(self, n, t, coeffs):
         return self.correlation(t) * coeffs[n]
 
+    def sample_path(self, root, an, times, rng):
+        """m independent stationary unit-variance paths mixed through root."""
+        k, m = len(times), root.shape[0]
+        if self.kind == "ar1":
+            phi = self.param
+            xi = np.empty((k, m))
+            xi[0] = rng.standard_normal(m)
+            for i in range(1, k):
+                gap = int(round(times[i] - times[i - 1]))
+                rho = phi**gap
+                # exact stationary transition across integer gaps
+                xi[i] = rho * xi[i - 1] + np.sqrt(1.0 - rho * rho) * rng.standard_normal(m)
+        else:
+            tgrid = np.asarray(times)
+            corr = np.exp(-self.param * np.abs(tgrid[:, None] - tgrid[None, :]))
+            try:
+                chol = np.linalg.cholesky(corr)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(
+                    "correlation matrix of the time grid is not positive definite "
+                    "(duplicate times?)"
+                ) from exc
+            xi = chol @ rng.standard_normal((k, m))
+        return an * xi @ root.T
+
 
 @dataclass(frozen=True)
 class VectorMA1:
@@ -159,12 +173,19 @@ class VectorMA1:
 
     phi: np.ndarray = field(repr=False)
     domain: str = INTEGER_LAGS
+    kind = "ma1"
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
         if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
             raise ParameterError(f"moving-average matrix must be square, got {phi.shape}")
         object.__setattr__(self, "phi", phi)
+
+    def check_m(self, m: int) -> None:
+        if self.phi.shape != (m, m):
+            raise ParameterError(
+                f"moving-average matrix shape {self.phi.shape} does not match m={m}"
+            )
 
     def coeff_at(self, n, t, coeffs):
         t = _require_lag(self.domain, t)
@@ -178,27 +199,31 @@ class VectorMA1:
             return sigma @ self.phi.T
         return np.zeros_like(sigma)
 
+    def sample_path(self, root, an, times, rng):
+        """Innovations root @ z at every needed integer time, then the MA(1) sum."""
+        needed = sorted({int(t) for t in times} | {int(t) - 1 for t in times})
+        eps = {s: root @ rng.standard_normal(root.shape[0]) for s in needed}
+        return np.array([an * (eps[int(t)] + self.phi @ eps[int(t) - 1]) for t in times])
 
-@dataclass
-class SpatioTemporalModel:
-    """Space-time covariance model: per-degree stationary matrix functions.
 
-    `coeffs` stores B_n for pure-spatial/separable kernels and the
-    innovation covariances Sigma_n for the moving-average kernel.
+# --------------------------------------------------------------------------
+# Models
+# --------------------------------------------------------------------------
+
+
+class SeriesModel:
+    """Per-degree stationary covariance matrix functions B_n(t) = kernel lag table.
+
+    `coeffs` stores B_n for constant and separable kernels and the
+    innovation covariances Sigma_n for the moving-average kernel. A kernel
+    may define check_m(m) to reject parameters of the wrong dimension.
     """
-
-    space: SpaceParams
-    m: int
-    coeffs: list[np.ndarray]
-    kernel: object
-    tail: TailEnvelope | None = None
 
     def __post_init__(self):
         self.coeffs = _as_coeff_matrices(self.coeffs, self.m)
-        if isinstance(self.kernel, VectorMA1) and self.kernel.phi.shape != (self.m, self.m):
-            raise ParameterError(
-                f"moving-average matrix shape {self.kernel.phi.shape} does not match m={self.m}"
-            )
+        check_m = getattr(self.kernel, "check_m", None)
+        if check_m is not None:
+            check_m(self.m)
 
     @property
     def max_degree(self) -> int:
@@ -210,6 +235,35 @@ class SpatioTemporalModel:
 
     def coeff_at(self, n: int, t: float = 0.0) -> np.ndarray:
         return self.kernel.coeff_at(n, t, self.coeffs)
+
+    def validate(self, probe_lags) -> ValidityReport:
+        """validate_spatial on the lag-0 domain, else validate_spatiotemporal."""
+        if self.domain == ZERO_LAG:
+            return validate_spatial(self)
+        return validate_spatiotemporal(self, probe_lags)
+
+
+@dataclass
+class SpatialModel(SeriesModel):
+    """Jacobi-series covariance model of an m-variate isotropic field:
+    the constant kernel restricted to lag 0."""
+
+    space: SpaceParams
+    m: int
+    coeffs: list[np.ndarray]
+    tail: TailEnvelope | None = None
+    kernel = PureSpatial(ZERO_LAG)
+
+
+@dataclass
+class SpatioTemporalModel(SeriesModel):
+    """Space-time covariance model: B_n(t) given by a temporal kernel."""
+
+    space: SpaceParams
+    m: int
+    coeffs: list[np.ndarray]
+    kernel: object
+    tail: TailEnvelope | None = None
 
 
 # --------------------------------------------------------------------------
@@ -277,8 +331,8 @@ def _check_convergence(model, violations):
     # Finite sequences always converge; the envelope must contract and the
     # summands must be finite.
     total = 0.0
-    for n, c in enumerate(model.coeffs):
-        b0 = model.coeff_at(n, 0.0) if isinstance(model, SpatioTemporalModel) else c
+    for n in range(model.max_degree + 1):
+        b0 = model.coeff_at(n, 0.0)
         if not np.all(np.isfinite(b0)):
             violations.append(Violation(n, "spatial", "divergent", float("inf")))
             return

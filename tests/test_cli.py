@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from isofield import (
+    SeparableScalar,
     SpatialModel,
     SpatioTemporalModel,
     VectorMA1,
@@ -34,6 +35,13 @@ def ma1_model_file(tmp_path):
         S2, 2, [random_psd(rng, 2), random_psd(rng, 2)], VectorMA1(0.4 * np.eye(2))
     )
     return save_model(model, tmp_path / "ma1.json"), model
+
+
+@pytest.fixture
+def exponential_model_file(tmp_path):
+    model = SpatioTemporalModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)],
+                                SeparableScalar("exponential", 1.0))
+    return save_model(model, tmp_path / "exp.json"), model
 
 
 def sha256(path):
@@ -226,3 +234,50 @@ class TestParser:
     def test_bad_grid_exits_two(self, spatial_model_file):
         path, _ = spatial_model_file
         assert main(["eval-cov", "--model", str(path), "--rho-grid", "nope"]) == 2
+
+
+class TestBoundaries:
+    def test_spatial_model_simulates_at_time_zero_only(self, spatial_model_file, tmp_path):
+        path, _ = spatial_model_file
+        assert main(["simulate", "--model", str(path), "--points", "random:3",
+                     "--times", "0,1", "--out", str(tmp_path / "s.csv")]) == 2
+
+    def test_duplicate_times_on_exponential_kernel_exit_two(
+        self, exponential_model_file, tmp_path, capsys
+    ):
+        path, _ = exponential_model_file
+        assert main(["simulate", "--model", str(path), "--points", "random:3",
+                     "--times", "0,1,1", "--out", str(tmp_path / "e.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0,-inf", "1,NaN"])
+    def test_non_finite_lags_and_times_exit_two(self, exponential_model_file, tmp_path, bad):
+        path, _ = exponential_model_file
+        out = str(tmp_path / "out")
+        assert main(["eval-cov", "--model", str(path), "--lags", bad, "--out", out]) == 2
+        assert main(["validate", "--model", str(path), "--lags", bad, "--out", out]) == 2
+        assert main(["simulate", "--model", str(path), "--points", "random:2",
+                     "--times", bad, "--out", out + ".csv"]) == 2
+
+    @pytest.mark.parametrize("grid", ["0:10:3", "-0.5:1:3", "0:nan:3", "4:3:2"])
+    def test_rho_grid_outside_zero_pi_exits_two(self, spatial_model_file, grid):
+        path, _ = spatial_model_file
+        assert main(["eval-cov", "--model", str(path), "--rho-grid", grid]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--seed", "1"],
+        ["validate", "--threads", "1"],
+        ["eval-cov", "--seed", "1"],
+        ["eval-cov", "--threads", "1"],
+        ["simulate", "--points", "random:2", "--format", "json"],
+        ["simulate", "--points", "random:2", "--threads", "1"],
+        ["spectrum", "--seed", "1"],
+        ["spectrum", "--threads", "1"],
+    ])
+    def test_unread_flags_rejected(self, spatial_model_file, tmp_path, argv):
+        path, _ = spatial_model_file
+        cmd = argv[:1] + ["--model", str(path), "--out", str(tmp_path / "x.csv")] + argv[1:]
+        assert main(cmd) == 2
+
+    def test_check_rejects_format(self):
+        assert main(["check", "--format", "json"]) == 2

@@ -14,6 +14,7 @@ from isofield import (
     UsageError,
     VectorMA1,
     distance,
+    empirical_cov,
     eval_cov,
     jacobi_eval,
     matrix_sqrt,
@@ -275,6 +276,59 @@ class TestSimulateSpatioTemporal:
                     for n in range(real.trunc + 1)
                 )
                 assert np.allclose(real.values[ip, it], want, atol=1e-12)
+
+
+class TestOneSimulationPath:
+    def test_spatial_model_on_lag_zero_grid_matches_simulate_spatial(self):
+        model = small_matrix_model()
+        pts = fixed_points(3)
+        for seed in range(4):
+            a = simulate_spatial(model, pts, seed=seed)
+            b = simulate_spatiotemporal(model, pts, [0.0], seed=seed)
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.latent_v, b.latent_v)
+            assert np.array_equal(a.latent_u.coords, b.latent_u.coords)
+
+    def test_spatial_model_rejects_other_time_grids(self):
+        model = small_matrix_model()
+        for times in ([0.0, 1.0], [1.0], [0.0, 0.0]):
+            with pytest.raises(UsageError):
+                simulate_spatiotemporal(model, fixed_points(2), times, seed=0)
+
+    def test_pure_spatial_slices_equal_spatial_realization(self):
+        coeffs = [random_psd(np.random.default_rng(41), 2) for _ in range(3)]
+        spatial = SpatialModel(S2, 2, coeffs)
+        constant = SpatioTemporalModel(S2, 2, coeffs, PureSpatial())
+        pts = fixed_points(4, seed=42)
+        for seed in range(8):
+            want = simulate_spatial(spatial, pts, seed=seed)
+            got = simulate_spatiotemporal(constant, pts, [0, 1, 2], seed=seed)
+            assert np.array_equal(got.latent_u.coords, want.latent_u.coords)
+            for i in range(3):
+                assert np.array_equal(got.values[:, i], want.values[:, 0])
+                assert np.array_equal(got.latent_v[:, i], want.latent_v[:, 0])
+
+    def test_simulate_spatial_on_ma1_model_samples_lag_zero(self):
+        # B_n(0) = Sigma_n + Phi Sigma_n Phi^T, not the innovation Sigma_n
+        rng = np.random.default_rng(43)
+        model = SpatioTemporalModel(
+            S2, 2, [random_psd(rng, 2), random_psd(rng, 2)], VectorMA1(0.8 * np.eye(2))
+        )
+        pts = fixed_points(2, seed=44)
+        ens = [simulate_spatial(model, pts, seed=s) for s in replicate_seeds(808, 4000)]
+        assert empirical_cov(ens, (0, 1), 0.0).z_score <= 5
+        assert empirical_cov(ens, (0, 0), 0.0).z_score <= 5
+
+    def test_kernel_without_sampler_rejected(self):
+        class ScaledKernel:
+            domain = "integers"
+
+            def coeff_at(self, n, t, coeffs):
+                return 0.5 ** abs(t) * coeffs[n]
+
+        model = SpatioTemporalModel(S2, 1, [np.eye(1)], ScaledKernel())
+        with pytest.raises(UsageError):
+            simulate_spatiotemporal(model, fixed_points(1), [0, 1], seed=0)
 
 
 class TestRealizationIO:
