@@ -22,6 +22,7 @@ from .jacobi import (
     JacobiParams,
     QuadratureRule,
     gauss_jacobi,
+    jacobi_all,
     jacobi_at_one,
     jacobi_eval,
     jacobi_norm_constant,

@@ -97,15 +97,17 @@ def resolve_points(space, spec: str, seed: int):
     """Point-set specifier: 'random:K', 'fibonacci:K', or a coordinate CSV."""
     if ":" in spec and not Path(spec).exists():
         kind, _, arg = spec.partition(":")
+        if kind not in ("random", "fibonacci"):
+            raise UsageError(f"unknown point specifier {spec!r}")
+        count = int(arg)
+        if count < 1:
+            raise UsageError(f"point set {spec!r} is empty; the count must be >= 1")
         if kind == "random":
-            count = int(arg)
             rng = substream(seed, 2)
             return [sample_uniform(space, rng) for _ in range(count)]
-        if kind == "fibonacci":
-            if space.family is not SpaceFamily.SPHERE or space.d != 2:
-                raise UsageError("fibonacci point sets are defined on sphere:2 only")
-            return [make_point(space, row) for row in _fibonacci_sphere(int(arg))]
-        raise UsageError(f"unknown point specifier {spec!r}")
+        if space.family is not SpaceFamily.SPHERE or space.d != 2:
+            raise UsageError("fibonacci point sets are defined on sphere:2 only")
+        return [make_point(space, row) for row in _fibonacci_sphere(count)]
     path = Path(spec)
     if not path.exists():
         raise UsageError(f"point file {spec!r} does not exist")
@@ -184,10 +186,11 @@ def cmd_eval_cov(args) -> int:
     lags = _parse_lags(args.lags)
     trunc = args.trunc if args.trunc is not None else model.max_degree
     bound = truncation_bound(model, trunc)
+    covs = [eval_cov(model, rhos, lag, trunc) for lag in lags]
     rows = []
-    for rho in rhos:
-        for lag in lags:
-            cov = eval_cov(model, float(rho), float(lag), trunc)
+    for r, rho in enumerate(rhos):
+        for lag, cov_lag in zip(lags, covs):
+            cov = cov_lag[r]
             for i in range(model.m):
                 for j in range(model.m):
                     rows.append(

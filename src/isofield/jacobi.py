@@ -3,9 +3,9 @@
 Everything here is controlled by a parameter pair (alpha, beta) with
 alpha, beta > -1, the exponents of the orthogonality weight
 (1-x)^alpha (1+x)^beta on [-1, 1]. Evaluation uses the three-term
-recurrence ascending in degree, which is stable on [-1, 1]; gamma-function
-ratios are computed in log space so that degrees up to ~100 with alpha as
-large as 7 do not overflow.
+recurrence ascending in degree, which is stable on [-1, 1], in one pass
+over all degrees (jacobi_all); gamma-function ratios are computed in log
+space so that degrees up to ~100 with alpha as large as 7 do not overflow.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, NumericError, ParameterError
 
@@ -61,32 +60,40 @@ def _check_degree(n: int) -> None:
 
 def _clamp_x(x):
     x = np.asarray(x, dtype=float)
-    if np.any(x > 1.0 + X_CLAMP_TOL) or np.any(x < -1.0 - X_CLAMP_TOL):
-        raise DomainError("argument outside [-1, 1] beyond clamp tolerance")
+    # one reduction; NaN fails the comparison and is rejected too
+    if not np.all(np.abs(x) <= 1.0 + X_CLAMP_TOL):
+        raise DomainError("argument is NaN or outside [-1, 1] beyond clamp tolerance")
     return np.clip(x, -1.0, 1.0)
 
 
-def jacobi_eval(n: int, params: JacobiParams, x):
-    """Evaluate the degree-n Jacobi polynomial at x (scalar or array).
+def jacobi_all(N: int, params: JacobiParams, x) -> np.ndarray:
+    """Every degree 0..N of the Jacobi polynomial at x, shape (N+1, *x.shape).
 
-    Three-term recurrence ascending in n. Inputs within 1e-12 of the
-    interval are clamped; anything farther out raises DomainError.
+    One pass of the three-term recurrence ascending in degree; row n is
+    P_n(x). Inputs within 1e-12 of the interval are clamped; anything
+    farther out, or NaN, raises DomainError.
     """
-    _check_degree(n)
+    _check_degree(N)
     a, b = params.alpha, params.beta
     x = _clamp_x(x)
-    scalar = x.ndim == 0
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return float(p_prev) if scalar else p_prev
-    p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-    for k in range(2, n + 1):
+    p = np.empty((N + 1,) + x.shape)
+    p[0] = 1.0
+    if N >= 1:
+        p[1] = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    for k in range(2, N + 1):
         c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
         c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
         c3 = (2.0 * k + a + b - 1.0) * (2.0 * k + a + b) * (2.0 * k + a + b - 2.0)
         c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        p, p_prev = ((c2 + c3 * x) * p - c4 * p_prev) / c1, p
-    return float(p) if scalar else p
+        p[k] = ((c2 + c3 * x) * p[k - 1] - c4 * p[k - 2]) / c1
+    return p
+
+
+def jacobi_eval(n: int, params: JacobiParams, x):
+    """Evaluate the degree-n Jacobi polynomial at x (scalar or array):
+    the last row of jacobi_all(n, params, x)."""
+    p = jacobi_all(n, params, x)[n]
+    return float(p) if p.ndim == 0 else p
 
 
 def jacobi_at_one(n: int, params: JacobiParams) -> float:
@@ -134,7 +141,7 @@ def weight_total_mass(params: JacobiParams) -> float:
 
 
 def gauss_jacobi(order: int, params: JacobiParams) -> QuadratureRule:
-    """Gauss-Jacobi rule by the symmetric-tridiagonal eigenvalue method.
+    """Gauss-Jacobi rule by the Golub-Welsch symmetric-tridiagonal eigenvalue method.
 
     Builds the Jacobi matrix from the monic recurrence coefficients; nodes
     are its eigenvalues, weights come from the first eigenvector components
@@ -157,9 +164,10 @@ def gauss_jacobi(order: int, params: JacobiParams) -> QuadratureRule:
         # j = 1 in cancelled form: (1+a+b) divides out of (s^2 - 1), which
         # avoids 0/0 when a + b == -1.
         off[0] = math.sqrt(4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + ab) ** 2 * (3.0 + ab)))
+    jacobi_matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     try:
-        nodes, vectors = eigh_tridiagonal(diag, off)
-    except Exception as exc:  # LinAlgError or LAPACK failure
+        nodes, vectors = np.linalg.eigh(jacobi_matrix)
+    except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"tridiagonal eigen solver failed for order={order}, params={params}"
         ) from exc

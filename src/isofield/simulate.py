@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IndefiniteMatrixError, ModelError, UsageError
-from .jacobi import jacobi_eval
+from .jacobi import jacobi_all
 from .modelio import model_hash, model_to_dict
 from .spaces import Point, SpaceParams, a_constant, cos_distance, sample_uniform
 from .spectral import INTEGER_LAGS, ZERO_LAG, SpatialModel, SpatioTemporalModel
@@ -87,12 +87,6 @@ class Realization:
             self.model_hash = model_hash(self.model)
 
 
-def _degree_matrix(space: SpaceParams, points, u: Point, trunc: int) -> np.ndarray:
-    """(trunc+1, npoints) array of P_n(cos rho(x_p, u))."""
-    cosr = np.array([cos_distance(space, p, u) for p in points])
-    return np.stack([jacobi_eval(n, space.geom, cosr) for n in range(trunc + 1)])
-
-
 def simulate_spatial(
     model: SpatialModel, points, trunc: int | None = None, seed: int = 0
 ) -> Realization:
@@ -143,7 +137,7 @@ def simulate_spatiotemporal(
     for n in range(trunc + 1):
         root = matrix_sqrt(model.coeffs[n])
         latent_v[n] = sample_path(root, a_constant(space, n), times, substream(seed, 1, n))
-    pn = _degree_matrix(space, points, u, trunc)
+    pn = jacobi_all(trunc, space.geom, np.array([cos_distance(space, p, u) for p in points]))
     values = np.einsum("np,ntm->ptm", pn, latent_v)
     return Realization(
         space=space,

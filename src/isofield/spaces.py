@@ -254,7 +254,22 @@ def make_point(space: SpaceParams, coords) -> Point:
     return Point(family=space.family, d=space.d, coords=coords / norm)
 
 
+# The family's inner product of a point x with stacked representatives:
+# signed on spheres, absolute on projective spaces (gauge invariant).
+_INNER = {
+    SpaceFamily.SPHERE: lambda x, reps: reps @ x,
+    SpaceFamily.REAL_PROJECTIVE: lambda x, reps: np.abs(reps @ x),
+    SpaceFamily.COMPLEX_PROJECTIVE: lambda x, reps: np.abs(reps @ np.conj(x)),
+    SpaceFamily.QUATERNION_PROJECTIVE: qdot_abs,
+}
+
+
 def _check_same_space(space: SpaceParams, *pts: Point) -> None:
+    if space.family not in _INNER:
+        raise GeometryError(
+            "the octonionic projective plane has no point-level distance; "
+            "only parameter-level operations are supported"
+        )
     for pt in pts:
         if pt.family is not space.family or pt.d != space.d:
             raise UsageError(
@@ -269,24 +284,16 @@ def _clamp_dot(t):
     return np.clip(t, -1.0, 1.0)
 
 
+def _inner(space: SpaceParams, x: Point, reps: np.ndarray):
+    """Clamped family inner product of x with each representative in reps."""
+    return _clamp_dot(_INNER[space.family](x.coords, reps))
+
+
 def _cos_rho(space: SpaceParams, x: Point, reps: np.ndarray):
-    """cos of distance between x and each representative in reps (batch-last-axes)."""
-    f = space.family
-    if f is SpaceFamily.SPHERE:
-        return _clamp_dot(reps @ x.coords)
-    if f is SpaceFamily.REAL_PROJECTIVE:
-        t = _clamp_dot(np.abs(reps @ x.coords))
-        return 2.0 * t * t - 1.0
-    if f is SpaceFamily.COMPLEX_PROJECTIVE:
-        t = _clamp_dot(np.abs(reps @ np.conj(x.coords)))
-        return 2.0 * t * t - 1.0
-    if f is SpaceFamily.QUATERNION_PROJECTIVE:
-        t = _clamp_dot(qdot_abs(x.coords, reps))
-        return 2.0 * t * t - 1.0
-    raise GeometryError(
-        "the octonionic projective plane has no point-level distance; "
-        "only parameter-level operations are supported"
-    )
+    """cos of distance between x and each representative in reps (batch-last-axes):
+    t on spheres, cos(2 arccos t) = 2t^2 - 1 on projective spaces."""
+    t = _inner(space, x, reps)
+    return t if space.family is SpaceFamily.SPHERE else 2.0 * t * t - 1.0
 
 
 def cos_distance(space: SpaceParams, x: Point, y: Point) -> float:
@@ -305,30 +312,12 @@ def distance(space: SpaceParams, x: Point, y: Point) -> float:
 
     Spheres: arccos of the dot product. Projective spaces:
     2 arccos |<x, y>| with the family's inner product, which puts the
-    antipodal manifold exactly at distance pi.
+    antipodal manifold exactly at distance pi. Taken from the inner
+    product, not from arccos of cos_distance, which loses precision near 0.
     """
-    if space.family is SpaceFamily.OCTONION_PROJECTIVE:
-        raise GeometryError(
-            "the octonionic projective plane has no point-level distance; "
-            "only parameter-level operations are supported"
-        )
     _check_same_space(space, x, y)
-    f = space.family
-    if f is SpaceFamily.SPHERE:
-        return float(np.arccos(_clamp_dot(x.coords @ y.coords)))
-    if f is SpaceFamily.REAL_PROJECTIVE:
-        t = _clamp_dot(abs(float(x.coords @ y.coords)))
-        return float(2.0 * np.arccos(t))
-    if f is SpaceFamily.COMPLEX_PROJECTIVE:
-        t = _clamp_dot(abs(complex(np.vdot(x.coords, y.coords))))
-        return float(2.0 * np.arccos(t))
-    if f is SpaceFamily.QUATERNION_PROJECTIVE:
-        t = _clamp_dot(float(qdot_abs(x.coords, y.coords)))
-        return float(2.0 * np.arccos(t))
-    raise GeometryError(
-        "the octonionic projective plane has no point-level distance; "
-        "only parameter-level operations are supported"
-    )
+    t = _inner(space, x, y.coords)
+    return float(np.arccos(t) if space.family is SpaceFamily.SPHERE else 2.0 * np.arccos(t))
 
 
 def zonal(space: SpaceParams, n: int, x: Point, y: Point) -> float:
@@ -379,10 +368,8 @@ def regauge(space: SpaceParams, x: Point, rng: np.random.Generator) -> Point:
     if f is SpaceFamily.COMPLEX_PROJECTIVE:
         phase = np.exp(2j * math.pi * rng.random())
         return Point(x.family, x.d, x.coords * phase)
-    if f is SpaceFamily.QUATERNION_PROJECTIVE:
-        lam = qrandn_unit(rng)
-        return Point(x.family, x.d, qmul(x.coords, lam))
-    raise GeometryError("no point representation for the octonionic plane")
+    lam = qrandn_unit(rng)  # quaternionic: the only family left with points
+    return Point(x.family, x.d, qmul(x.coords, lam))
 
 
 def points_equal(space: SpaceParams, x: Point, y: Point, tol: float = 1e-9) -> bool:

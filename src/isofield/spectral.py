@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ParameterError, UsageError
-from .jacobi import gauss_jacobi, jacobi_at_one, jacobi_eval, jacobi_norm_constant
+from .jacobi import gauss_jacobi, jacobi_all, jacobi_at_one, jacobi_norm_constant
 from .spaces import SpaceParams
 
 # Relative floors for symmetry / nonnegative-definiteness under rounding.
@@ -327,16 +327,21 @@ def _check_matrix(n, mat, violations, lag="spatial"):
         violations.append(Violation(n, lag, "indefinite", wmin))
 
 
-def _check_convergence(model, violations):
-    # Finite sequences always converge; the envelope must contract and the
-    # summands must be finite.
+def _norm_sum(model, b0s, first: int) -> float:
+    """sum_n ||B_n(0)||_2 P_n(1) over b0s = [B_first(0), B_first+1(0), ...], in degree order."""
     total = 0.0
-    for n in range(model.max_degree + 1):
-        b0 = model.coeff_at(n, 0.0)
-        if not np.all(np.isfinite(b0)):
-            violations.append(Violation(n, "spatial", "divergent", float("inf")))
-            return
+    for n, b0 in enumerate(b0s, first):
         total += float(np.linalg.norm(b0, 2)) * jacobi_at_one(n, model.space.geom)
+    return total
+
+
+def _check_convergence(model, violations):
+    # Finite sequences always converge; the envelope must contract. A
+    # non-finite B_n(0) is reported by the per-coefficient checks instead.
+    b0s = [model.coeff_at(n, 0.0) for n in range(model.max_degree + 1)]
+    if not all(np.all(np.isfinite(b0)) for b0 in b0s):
+        return
+    total = _norm_sum(model, b0s, 0)
     if model.tail is not None:
         total += model.tail.tail_sum(model.max_degree + 1)
     if not math.isfinite(total):
@@ -413,17 +418,21 @@ def _resolve_trunc(model, trunc) -> int:
     return int(trunc)
 
 
-def eval_cov(model, rho: float, t: float = 0.0, trunc: int | None = None) -> np.ndarray:
+def eval_cov(model, rho, t: float = 0.0, trunc: int | None = None) -> np.ndarray:
     """Partial sum of the covariance series through the given degree.
 
-    Spatial models require t = 0. The neglected degrees are bounded by
-    truncation_bound(model, trunc).
+    `rho` is one distance or an array of them; the result has shape
+    (*rho.shape, m, m), so (m, m) for a scalar. Spatial models require
+    t = 0. The neglected degrees are bounded by truncation_bound(model, trunc).
     """
     trunc = _resolve_trunc(model, trunc)
-    x = math.cos(float(rho))
-    out = np.zeros((model.m, model.m))
+    rho = np.asarray(rho, dtype=float)
+    # libm cos per distance: np.cos may round differently and shift output bytes
+    x = np.array([math.cos(r) for r in rho.ravel().tolist()]).reshape(rho.shape)
+    pn = jacobi_all(trunc, model.space.geom, x)[..., None, None]
+    out = np.zeros(rho.shape + (model.m, model.m))
     for n in range(trunc + 1):
-        out += model.coeff_at(n, t) * jacobi_eval(n, model.space.geom, x)
+        out += model.coeff_at(n, t) * pn[n]
     return out
 
 
@@ -438,11 +447,8 @@ def truncation_bound(model, N: int) -> float:
     """Upper bound sum_{n > N} ||B_n(0)|| P_n(1) on the discarded tail."""
     if N < 0:
         raise UsageError("truncation degree must be nonnegative")
-    total = 0.0
-    for n in range(N + 1, model.max_degree + 1):
-        total += float(np.linalg.norm(model.coeff_at(n, 0.0), 2)) * jacobi_at_one(
-            n, model.space.geom
-        )
+    b0s = [model.coeff_at(n, 0.0) for n in range(N + 1, model.max_degree + 1)]
+    total = _norm_sum(model, b0s, N + 1)
     if model.tail is not None:
         total += model.tail.tail_sum(max(N, model.max_degree) + 1)
     return total
@@ -481,8 +487,7 @@ def recover_coefficients(
             raise UsageError("covariance callable returned non-finite values")
         cov_values[k] = c
     coeffs = []
-    for n in range(N + 1):
-        pn = jacobi_eval(n, space.geom, rule.nodes)
+    for n, pn in enumerate(jacobi_all(N, space.geom, rule.nodes)):
         b = np.tensordot(rule.weights * pn, cov_values, axes=(0, 0))
         b /= jacobi_norm_constant(n, space.geom)
         coeffs.append(0.5 * (b + b.T))

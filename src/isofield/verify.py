@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .jacobi import jacobi_at_one, jacobi_eval
+from .jacobi import jacobi_all, jacobi_at_one, jacobi_eval
 from .simulate import Realization
 from .spaces import (
     Point,
@@ -155,9 +155,10 @@ def mc_zonal_covariance(
     reps = sample_uniform_batch(space, replicates, rng)
     c1 = cos_distance_batch(space, x1, reps)
     c2 = cos_distance_batch(space, x2, reps)
-    z1 = a_constant(space, n) * jacobi_eval(n, space.geom, c1)
-    z2 = a_constant(space, n) * jacobi_eval(n, space.geom, c2)
-    zk = a_constant(space, k) * jacobi_eval(k, space.geom, c2)
+    p = jacobi_all(max(n, k), space.geom, np.stack([c1, c2]))
+    z1 = a_constant(space, n) * p[n, 0]
+    z2 = a_constant(space, n) * p[n, 1]
+    zk = a_constant(space, k) * p[k, 1]
     mean_v, mean_se = _mean_se(z1)
     cov_v, cov_se = _mean_se(z1 * z2)  # fields are exactly centred
     cross_v, cross_se = _mean_se(z1 * zk)
@@ -247,12 +248,10 @@ def mc_recover_vn(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     reps = sample_uniform_batch(space, replicates_for_integral, rng)
     c = cos_distance_batch(space, realization.latent_u, reps)
+    p_all = jacobi_all(max(n, realization.trunc), space.geom, c)  # (max(n, trunc)+1, R)
     # Field values at the fresh abscissae, rebuilt from the latent draws.
-    p_all = np.stack(
-        [jacobi_eval(k, space.geom, c) for k in range(realization.trunc + 1)]
-    )  # (trunc+1, R)
-    z_fresh = np.einsum("kr,ktm->rtm", p_all, realization.latent_v)
-    pn = jacobi_eval(n, space.geom, c) if n > realization.trunc else p_all[n]
+    z_fresh = np.einsum("kr,ktm->rtm", p_all[: realization.trunc + 1], realization.latent_v)
+    pn = p_all[n]
     an = a_constant(space, n)
     scale = an * an / jacobi_at_one(n, space.geom)
     samples = scale * pn[:, None, None] * z_fresh  # (R, ntimes, m)

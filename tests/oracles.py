@@ -35,6 +35,27 @@ def jacobi_explicit_sum(n: int, alpha: float, beta: float, x: float) -> float:
     return total
 
 
+def jacobi_two_row_recurrence(n: int, alpha: float, beta: float, x) -> np.ndarray:
+    """Degree-n Jacobi values by the three-term recurrence keeping only two rows.
+
+    The reference for the library's one-pass degree table: the same
+    arithmetic per degree, so the two must agree bit for bit.
+    """
+    a, b = alpha, beta
+    x = np.asarray(x, dtype=float)
+    p_prev = np.ones_like(x)
+    if n == 0:
+        return p_prev
+    p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    for k in range(2, n + 1):
+        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
+        c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
+        c3 = (2.0 * k + a + b - 1.0) * (2.0 * k + a + b) * (2.0 * k + a + b - 2.0)
+        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
+        p, p_prev = ((c2 + c3 * x) * p - c4 * p_prev) / c1, p
+    return p
+
+
 def weight_mass(alpha: float, beta: float) -> float:
     """Integral of (1-x)^alpha (1+x)^beta over [-1, 1]."""
     return math.exp(

@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from isofield import (
     parse_space,
     save_model,
 )
+import isofield
 from isofield.cli import main
 from isofield.simulate import load_realization_values
 from tests.oracles import random_psd
@@ -281,3 +286,21 @@ class TestBoundaries:
 
     def test_check_rejects_format(self):
         assert main(["check", "--format", "json"]) == 2
+
+    @pytest.mark.parametrize("spec", ["random:0", "random:-3", "fibonacci:0", "fibonacci:-2"])
+    def test_empty_point_sets_exit_two(self, spatial_model_file, tmp_path, capsys, spec):
+        path, _ = spatial_model_file
+        out = tmp_path / "empty.csv"
+        assert main(["simulate", "--model", str(path), "--points", spec, "--out", str(out)]) == 2
+        assert spec in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(isofield.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, isofield, isofield.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

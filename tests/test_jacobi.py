@@ -9,12 +9,18 @@ from isofield import (
     JacobiParams,
     ParameterError,
     gauss_jacobi,
+    jacobi_all,
     jacobi_at_one,
     jacobi_eval,
     jacobi_norm_constant,
     jacobi_normalized,
 )
-from tests.oracles import jacobi_explicit_sum, shifted_monomial_integral, weight_mass
+from tests.oracles import (
+    jacobi_explicit_sum,
+    jacobi_two_row_recurrence,
+    shifted_monomial_integral,
+    weight_mass,
+)
 
 # One parameter pair per space family (geometric convention).
 GEOM_PAIRS = [
@@ -82,6 +88,10 @@ class TestEval:
             jacobi_eval(3, params, 1.0 + 1e-9)
         with pytest.raises(DomainError):
             jacobi_eval(3, params, -1.1)
+        with pytest.raises(DomainError):
+            jacobi_eval(3, params, float("nan"))
+        with pytest.raises(DomainError):
+            jacobi_all(3, params, np.array([0.0, np.nan, 0.5]))
 
     def test_bad_params_rejected(self):
         with pytest.raises(ParameterError):
@@ -90,6 +100,27 @@ class TestEval:
             JacobiParams(0.0, -2.0)
         with pytest.raises(ParameterError):
             jacobi_eval(-1, JacobiParams(0, 0), 0.0)
+
+
+class TestAll:
+    @pytest.mark.parametrize("params", GEOM_PAIRS + [JacobiParams(-0.5, -0.5)])
+    def test_rows_bit_identical_to_per_degree_recurrence(self, params):
+        xs = np.random.default_rng(8).uniform(-1.0, 1.0, 500)
+        table = jacobi_all(200, params, xs)
+        assert table.shape == (201, 500)
+        for n in range(201):
+            want = jacobi_two_row_recurrence(n, params.alpha, params.beta, xs)
+            assert np.array_equal(table[n], want), n
+            assert np.array_equal(jacobi_eval(n, params, xs), want), n
+
+    def test_shapes(self):
+        params = JacobiParams(1.0, 0.0)
+        assert jacobi_all(0, params, 0.3).shape == (1,)
+        assert jacobi_all(4, params, 0.3).shape == (5,)
+        assert jacobi_all(4, params, np.zeros((2, 3))).shape == (5, 2, 3)
+        assert isinstance(jacobi_eval(4, params, 0.3), float)
+        with pytest.raises(ParameterError):
+            jacobi_all(-1, params, 0.0)
 
 
 class TestAtOne:

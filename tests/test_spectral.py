@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isofield import (
+    DomainError,
     PureSpatial,
     SeparableScalar,
     SpatialModel,
@@ -67,6 +68,14 @@ class TestValidateSpatial:
         model.coeffs[0] = np.array([[np.inf]])
         report = validate_spatial(model)
         assert any(v.kind == "divergent" for v in report.violations)
+
+    def test_nonfinite_coefficient_reported_once(self):
+        model = scalar_model([1.0, 0.5])
+        model.coeffs[1] = np.array([[np.nan]])
+        report = validate_spatial(model)
+        assert [v.as_dict() for v in report.violations] == [
+            {"degree": 1, "lag": "spatial", "kind": "divergent", "magnitude": math.inf}
+        ]
 
     def test_bad_envelope_rejected_at_construction(self):
         with pytest.raises(ParameterError):
@@ -183,6 +192,19 @@ class TestEvalCov:
             for n in range(model.max_degree + 1)
         )
         assert np.allclose(eval_cov(model, rho, t), want, atol=1e-14)
+
+
+    def test_array_of_distances_matches_scalar_calls(self):
+        rho = np.linspace(0.0, math.pi, 12).reshape(3, 4)
+        for model, t in ((ma1_model(seed=6), 1.0), (scalar_model([1.0, 0.5, 0.25]), 0.0)):
+            got = eval_cov(model, rho, t)
+            assert got.shape == (3, 4, model.m, model.m)
+            for idx in np.ndindex(rho.shape):
+                assert np.array_equal(got[idx], eval_cov(model, float(rho[idx]), t))
+
+    def test_nan_distance_raises_domain_error(self):
+        with pytest.raises(DomainError):
+            eval_cov(scalar_model([1.0, 0.5]), float("nan"))
 
 
 class TestEvalCovSymmetrized:
