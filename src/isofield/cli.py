@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,14 @@ from .modelio import load_model
 from .simulate import save_realization, simulate_spatiotemporal, substream
 from .spaces import (
     SpaceFamily,
-    make_point,
-    parse_space,
     all_reference_spaces,
+    normalize_points,
+    parse_space,
+    points_from_reals,
     sample_uniform,
+    sample_uniform_batch,
 )
-from .spectral import ZERO_LAG, angular_power_spectrum, eval_cov, truncation_bound
+from .spectral import ZERO_LAG, angular_power_spectrum, eval_cov, require_finite, truncation_bound
 from .verify import check_space_identities, mc_funk_hecke, mc_zonal_covariance
 
 DEFAULT_SEED = 0xC0FFEE
@@ -79,22 +82,11 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
-def _coords_from_row(space, row: list[float]):
-    f = space.family
-    if f is SpaceFamily.COMPLEX_PROJECTIVE:
-        if len(row) % 2:
-            raise UsageError("complex coordinates need an even number of reals (re, im pairs)")
-        arr = np.asarray(row, dtype=float).reshape(-1, 2)
-        return arr[:, 0] + 1j * arr[:, 1]
-    if f is SpaceFamily.QUATERNION_PROJECTIVE:
-        if len(row) % 4:
-            raise UsageError("quaternion coordinates need a multiple of 4 reals")
-        return np.asarray(row, dtype=float).reshape(-1, 4)
-    return np.asarray(row, dtype=float)
+def resolve_points(space, spec: str, seed: int) -> np.ndarray:
+    """Point-set specifier: 'random:K', 'fibonacci:K', or a coordinate CSV.
 
-
-def resolve_points(space, spec: str, seed: int):
-    """Point-set specifier: 'random:K', 'fibonacci:K', or a coordinate CSV."""
+    Returns the (K, *ambient_shape) array of unit representatives.
+    """
     if ":" in spec and not Path(spec).exists():
         kind, _, arg = spec.partition(":")
         if kind not in ("random", "fibonacci"):
@@ -103,54 +95,34 @@ def resolve_points(space, spec: str, seed: int):
         if count < 1:
             raise UsageError(f"point set {spec!r} is empty; the count must be >= 1")
         if kind == "random":
-            rng = substream(seed, 2)
-            return [sample_uniform(space, rng) for _ in range(count)]
+            return sample_uniform_batch(space, count, substream(seed, 2))
         if space.family is not SpaceFamily.SPHERE or space.d != 2:
             raise UsageError("fibonacci point sets are defined on sphere:2 only")
-        return [make_point(space, row) for row in _fibonacci_sphere(count)]
+        return normalize_points(space, _fibonacci_sphere(count))
     path = Path(spec)
     if not path.exists():
         raise UsageError(f"point file {spec!r} does not exist")
-    points = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            points.append(make_point(space, _coords_from_row(space, [float(v) for v in row])))
-    if not points:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty file is reported below
+        reals = np.genfromtxt(path, delimiter=",", comments="#", ndmin=2)
+    if reals.size == 0:
         raise UsageError(f"no points found in {spec!r}")
-    return points
+    return normalize_points(space, points_from_reals(space, reals))
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
-def _emit_rows(rows: list[dict], header: list[str], fmt: str, out_path: str | None) -> None:
-    fh, close = _open_out(out_path)
+def _emit(doc, fmt: str, out_path: str | None, header=()) -> None:
+    """doc as JSON, or in csv format its rows (dicts) under header."""
+    fh = sys.stdout if out_path in (None, "-") else open(out_path, "w", newline="")
     try:
         if fmt == "json":
-            json.dump(rows, fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         else:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([row[h] for h in header])
+            writer.writerows([row[h] for h in header] for row in doc)
     finally:
-        if close:
-            fh.close()
-
-
-def _emit_json(doc, out_path: str | None) -> None:
-    fh, close = _open_out(out_path)
-    try:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    finally:
-        if close:
+        if fh is not sys.stdout:
             fh.close()
 
 
@@ -172,16 +144,14 @@ def _limit_threads(threads: int | None) -> None:
 def cmd_validate(args) -> int:
     model = load_model(args.model)
     report = model.validate(_parse_lags(args.lags))
-    if args.format == "json":
-        _emit_json(report.as_dict(), args.out)
-    else:
-        rows = [v.as_dict() for v in report.violations]
-        _emit_rows(rows, ["degree", "lag", "kind", "magnitude"], "csv", args.out)
+    doc = report.as_dict() if args.format == "json" else [v.as_dict() for v in report.violations]
+    _emit(doc, args.format, args.out, ["degree", "lag", "kind", "magnitude"])
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
 def cmd_eval_cov(args) -> int:
     model = load_model(args.model)
+    require_finite(model)
     rhos = _parse_grid(args.rho_grid)
     lags = _parse_lags(args.lags)
     trunc = args.trunc if args.trunc is not None else model.max_degree
@@ -203,11 +173,11 @@ def cmd_eval_cov(args) -> int:
                             "tail_bound": bound,
                         }
                     )
-    _emit_rows(
+    _emit(
         rows,
-        ["rho", "lag", "component_i", "component_j", "value", "tail_bound"],
         args.format,
         args.out,
+        ["rho", "lag", "component_i", "component_j", "value", "tail_bound"],
     )
     return EXIT_OK
 
@@ -275,7 +245,7 @@ def cmd_check(args) -> int:
             for label, est in (("mean", chk.mean), ("cov", chk.covariance), ("cross", chk.cross)):
                 records.append(_mc_record(space, f"zonal_{label}_{n}", ZONAL_IDENTITY, est))
     all_pass = all(r["pass"] for r in records)
-    _emit_json({"pass": all_pass, "checks": records}, args.out)
+    _emit({"pass": all_pass, "checks": records}, "json", args.out)
     if not all_pass:
         failed = [r["name"] for r in records if not r["pass"]]
         print(f"failed identities: {', '.join(failed)}", file=sys.stderr)
@@ -299,7 +269,7 @@ def cmd_spectrum(args) -> int:
                         "value": float(cn[i, j]),
                     }
                 )
-    _emit_rows(rows, ["degree", "component_i", "component_j", "value"], args.format, args.out)
+    _emit(rows, args.format, args.out, ["degree", "component_i", "component_j", "value"])
     return EXIT_OK
 
 

@@ -35,9 +35,6 @@ class JacobiParams:
                 f"Jacobi parameters must exceed -1, got alpha={self.alpha}, beta={self.beta}"
             )
 
-    def swapped(self) -> "JacobiParams":
-        return JacobiParams(self.beta, self.alpha)
-
 
 @dataclass(frozen=True)
 class QuadratureRule:

@@ -16,7 +16,7 @@ per-replicate derived seeds.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +26,15 @@ import numpy as np
 from .errors import IndefiniteMatrixError, ModelError, UsageError
 from .jacobi import jacobi_all
 from .modelio import model_hash, model_to_dict
-from .spaces import Point, SpaceParams, a_constant, cos_distance, sample_uniform
+from .spaces import (
+    Point,
+    SpaceParams,
+    a_constant,
+    cos_distance_batch,
+    point_array,
+    points_to_reals,
+    sample_uniform,
+)
 from .spectral import INTEGER_LAGS, ZERO_LAG, SpatialModel, SpatioTemporalModel
 
 MATRIX_SQRT_TOL = 1e-10
@@ -65,7 +73,8 @@ def matrix_sqrt(B: np.ndarray) -> np.ndarray:
 class Realization:
     """Simulated field values plus the latent draws that produced them.
 
-    values has shape (len(points), len(times), m). latent_v[n, i, :] is
+    points is the (K, *ambient_shape) array of unit representatives and
+    values has shape (K, len(times), m). latent_v[n, i, :] is
     the degree-n series coefficient at times[i] (the V_n(t) of the series,
     including the a_n and coefficient-matrix factors), so the field at any
     point x is sum_n latent_v[n, i] * P_n(cos rho(x, latent_u)).
@@ -73,7 +82,7 @@ class Realization:
 
     space: SpaceParams
     model: object
-    points: list[Point]
+    points: np.ndarray = field(repr=False)
     times: list[float]
     values: np.ndarray = field(repr=False)
     latent_u: Point = field(repr=False)
@@ -107,7 +116,8 @@ def simulate_spatiotemporal(
     Per degree, the model's kernel draws an independent stationary path
     V_n(.) with cov(V_n(t1), V_n(t2)) = a_n^2 B_n(t1 - t2) from the degree's
     substream (see the kernels' sample_path). A purely spatial model
-    accepts the time grid [0.0] only.
+    accepts the time grid [0.0] only. `points` is a (K, *ambient_shape)
+    array of unit representatives or a sequence of Points of the space.
     """
     times = [float(t) for t in times]
     if sorted(times) != times:
@@ -127,8 +137,8 @@ def simulate_spatiotemporal(
     trunc = model.max_degree if trunc is None else int(trunc)
     if not (0 <= trunc <= model.max_degree):
         raise UsageError(f"truncation {trunc} outside stored range 0..{model.max_degree}")
-    points = list(points)
     space = model.space
+    points = point_array(space, points)
     u = sample_uniform(space, substream(seed, 0))
     sample_path = getattr(model.kernel, "sample_path", None)
     if sample_path is None:
@@ -137,7 +147,7 @@ def simulate_spatiotemporal(
     for n in range(trunc + 1):
         root = matrix_sqrt(model.coeffs[n])
         latent_v[n] = sample_path(root, a_constant(space, n), times, substream(seed, 1, n))
-    pn = jacobi_all(trunc, space.geom, np.array([cos_distance(space, p, u) for p in points]))
+    pn = jacobi_all(trunc, space.geom, cos_distance_batch(space, u, points))
     values = np.einsum("np,ntm->ptm", pn, latent_v)
     return Realization(
         space=space,
@@ -157,15 +167,6 @@ def simulate_spatiotemporal(
 # --------------------------------------------------------------------------
 
 
-def _point_to_list(p: Point) -> list[float]:
-    c = np.asarray(p.coords)
-    if np.iscomplexobj(c):
-        flat = np.column_stack([c.real, c.imag]).ravel()
-    else:
-        flat = c.ravel()
-    return [float(v) for v in flat]
-
-
 def save_realization(real: Realization, csv_path, meta_path=None) -> tuple[Path, Path]:
     """Write values as (point_index, time, component, value) rows plus sidecar.
 
@@ -176,16 +177,13 @@ def save_realization(real: Realization, csv_path, meta_path=None) -> tuple[Path,
     if meta_path is None:
         meta_path = csv_path.with_name(csv_path.stem + ".meta.json")
     meta_path = Path(meta_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point_index", "time", "component", "value"])
-        npts, ntimes, m = real.values.shape
-        for p in range(npts):
-            for i in range(ntimes):
-                for c in range(m):
-                    writer.writerow(
-                        [p, repr(real.times[i]), c, repr(float(real.values[p, i, c]))]
-                    )
+    npts, _, m = real.values.shape
+    cells = itertools.product(range(npts), [repr(t) for t in real.times], range(m))
+    with open(csv_path, "w", newline="") as fh:  # csv.writer's dialect: CRLF, nothing quoted
+        fh.write("point_index,time,component,value\r\n")
+        fh.writelines(
+            map("{0[0]},{0[1]},{0[2]},{1!r}\r\n".format, cells, map(float, real.values.flat))
+        )
     meta = {
         "space": real.space.label,
         "m": int(real.values.shape[2]),
@@ -193,8 +191,8 @@ def save_realization(real: Realization, csv_path, meta_path=None) -> tuple[Path,
         "trunc": int(real.trunc),
         "model_hash": real.model_hash,
         "times": [float(t) for t in real.times],
-        "latent_u": _point_to_list(real.latent_u),
-        "points": [_point_to_list(p) for p in real.points],
+        "latent_u": points_to_reals(real.latent_u.coords[None])[0].tolist(),
+        "points": points_to_reals(real.points).tolist(),
     }
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -204,25 +202,12 @@ def save_realization(real: Realization, csv_path, meta_path=None) -> tuple[Path,
 
 def load_realization_values(csv_path) -> np.ndarray:
     """Read a values CSV back into its (points, times, components) array."""
-    rows = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(
-                (
-                    int(row["point_index"]),
-                    float(row["time"]),
-                    int(row["component"]),
-                    float(row["value"]),
-                )
-            )
-    if not rows:
+    table = np.genfromtxt(csv_path, delimiter=",", names=True, ndmin=1)
+    if table.size == 0:
         raise UsageError(f"no data rows in {csv_path}")
-    npts = max(r[0] for r in rows) + 1
-    times = sorted({r[1] for r in rows})
-    m = max(r[2] for r in rows) + 1
-    out = np.full((npts, len(times), m), np.nan)
-    t_index = {t: i for i, t in enumerate(times)}
-    for p, t, c, v in rows:
-        out[p, t_index[t], c] = v
+    p = table["point_index"].astype(int)
+    c = table["component"].astype(int)
+    times, t = np.unique(table["time"], return_inverse=True)
+    out = np.full((p.max() + 1, len(times), c.max() + 1), np.nan)
+    out[p, t, c] = table["value"]
     return out

@@ -11,11 +11,17 @@ Two (alpha, beta) parameter conventions coexist: the geometric pair, under
 which every zonal function is R_n(cos rho) with a single formula, and the
 Lie pair, which differs only on real projective spaces and feeds the
 Laplace-Beltrami eigenvalues. All series expansions use the geometric pair.
+
+Every decision that depends on the family (parameter pairs, dimension
+rule, point layout, inner product, sampling, gauge) is one row of the
+family table `_FAMILIES`, which every other function reads. A point set
+is one (K, *ambient_shape) array of unit representatives.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -70,13 +76,15 @@ class SpaceParams:
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """A point given by a unit-norm representative in the ambient space.
+    """A single point given by a unit-norm representative in the ambient space.
 
     Sphere: real unit vector of length d+1. Real projective: the same,
     modulo sign. Complex projective: complex unit vector of length d/2+1,
     modulo a unit-complex scalar. Quaternionic projective: array
     (d/4+1, 4) of quaternion components, modulo a unit-quaternion right
-    scalar. Gauge choices are never canonicalized; all consumers go
+    scalar. These layouts are the `ambient` and `dtype` of the family
+    table `_FAMILIES`; a point set stacks them into one array (see
+    point_array). Gauge choices are never canonicalized; all consumers go
     through gauge-invariant inner products.
     """
 
@@ -111,41 +119,65 @@ def weinstein_integer_value(alpha: float, beta: float) -> float:
     )
 
 
-_GEOM_BETA = {
-    SpaceFamily.SPHERE: lambda d: (d - 2) / 2.0,
-    SpaceFamily.REAL_PROJECTIVE: lambda d: -0.5,
-    SpaceFamily.COMPLEX_PROJECTIVE: lambda d: 0.0,
-    SpaceFamily.QUATERNION_PROJECTIVE: lambda d: 1.0,
-    SpaceFamily.OCTONION_PROJECTIVE: lambda d: 3.0,
+def _cdot(reps, u):
+    """sum_j conj(rep_j) u_j for each stacked representative, as one matmul of
+    (1, n) rows, so that every row rounds as a single-pair dot product does."""
+    return np.matmul(np.conj(reps)[..., None, :], u[:, None])[..., 0, 0]
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One row of the family table: every decision that depends on the family.
+
+    pq: geometric (p, q), p the antipodal-manifold dimension, p + q + 1 = d;
+    lie_pq and epsilon: the Lie convention where it differs. ambient(d) and
+    dtype: one point representative (None: no point-level geometry). dot:
+    inner products of stacked representatives with one representative.
+    """
+
+    pq: Callable[[int], tuple]
+    admits: Callable[[int], bool]
+    rule: str
+    projective: bool = True
+    lie_pq: Callable[[int], tuple] | None = None
+    epsilon: int = 1
+    ambient: Callable[[int], tuple] | None = None
+    dtype: type = float
+    dot: Callable = _cdot
+    regauge: Callable | None = None
+
+
+_FAMILIES = {
+    SpaceFamily.SPHERE: _Family(
+        pq=lambda d: (0, d - 1), admits=lambda d: d >= 1, rule="d >= 1", projective=False,
+        ambient=lambda d: (d + 1,), regauge=lambda reps, rng: reps,
+    ),
+    # S^d modulo sign: the root data, hence the Lie pair, are the sphere's,
+    # and the Laplace spectrum is the sphere's at even degrees.
+    SpaceFamily.REAL_PROJECTIVE: _Family(
+        pq=lambda d: (d - 1, 0), admits=lambda d: d >= 2, rule="d >= 2",
+        lie_pq=lambda d: (0, d - 1), epsilon=2, ambient=lambda d: (d + 1,),
+        regauge=lambda reps, rng: (1.0 if rng.random() < 0.5 else -1.0) * reps,
+    ),
+    SpaceFamily.COMPLEX_PROJECTIVE: _Family(
+        pq=lambda d: (d - 2, 1), admits=lambda d: d >= 4 and d % 2 == 0, rule="even d >= 4",
+        ambient=lambda d: (d // 2 + 1,), dtype=complex,
+        regauge=lambda reps, rng: reps * np.exp(2j * math.pi * rng.random()),
+    ),
+    # Quaternion components on a trailing axis, modulo a right unit scalar.
+    SpaceFamily.QUATERNION_PROJECTIVE: _Family(
+        pq=lambda d: (d - 4, 3), admits=lambda d: d >= 8 and d % 4 == 0,
+        rule="d in {8, 12, 16, ...}", ambient=lambda d: (d // 4 + 1, 4), dot=qdot_abs,
+        regauge=lambda reps, rng: qmul(reps, qrandn_unit(rng)),
+    ),
+    SpaceFamily.OCTONION_PROJECTIVE: _Family(
+        pq=lambda d: (8, 7), admits=lambda d: d == 16, rule="d == 16",
+    ),
 }
 
-# Geometric (p, q): p is the antipodal-manifold dimension, p + q + 1 = d.
-_GEOM_PQ = {
-    SpaceFamily.SPHERE: lambda d: (0, d - 1),
-    SpaceFamily.REAL_PROJECTIVE: lambda d: (d - 1, 0),
-    SpaceFamily.COMPLEX_PROJECTIVE: lambda d: (d - 2, 1),
-    SpaceFamily.QUATERNION_PROJECTIVE: lambda d: (d - 4, 3),
-    SpaceFamily.OCTONION_PROJECTIVE: lambda d: (8, 7),
-}
 
-
-def _check_family_dimension(family: SpaceFamily, d: int) -> None:
-    ok = {
-        SpaceFamily.SPHERE: d >= 1,
-        SpaceFamily.REAL_PROJECTIVE: d >= 2,
-        SpaceFamily.COMPLEX_PROJECTIVE: d >= 4 and d % 2 == 0,
-        SpaceFamily.QUATERNION_PROJECTIVE: d >= 8 and d % 4 == 0,
-        SpaceFamily.OCTONION_PROJECTIVE: d == 16,
-    }[family]
-    if not ok:
-        constraint = {
-            SpaceFamily.SPHERE: "d >= 1",
-            SpaceFamily.REAL_PROJECTIVE: "d >= 2",
-            SpaceFamily.COMPLEX_PROJECTIVE: "even d >= 4",
-            SpaceFamily.QUATERNION_PROJECTIVE: "d in {8, 12, 16, ...}",
-            SpaceFamily.OCTONION_PROJECTIVE: "d == 16",
-        }[family]
-        raise ParameterError(f"{family.value} requires {constraint}, got d={d}")
+def _jacobi_pair(p: int, q: int) -> JacobiParams:
+    return JacobiParams((p + q - 1) / 2.0, (q - 1) / 2.0)
 
 
 def make_space(family: SpaceFamily, d: int) -> SpaceParams:
@@ -153,16 +185,13 @@ def make_space(family: SpaceFamily, d: int) -> SpaceParams:
     if int(d) != d:
         raise ParameterError(f"dimension must be an integer, got {d}")
     d = int(d)
-    _check_family_dimension(family, d)
-    alpha = (d - 2) / 2.0
-    beta = _GEOM_BETA[family](d)
-    geom = JacobiParams(alpha, beta)
-    p, q = _GEOM_PQ[family](d)
-    # The Lie pair differs from the geometric one only for real projective
-    # spaces, where the root data coincide with the sphere's.
-    lie_p, lie_q = (0, d - 1) if family is SpaceFamily.REAL_PROJECTIVE else (p, q)
-    lie = JacobiParams((lie_p + lie_q - 1) / 2.0, (lie_q - 1) / 2.0)
-    epsilon = 2 if family is SpaceFamily.REAL_PROJECTIVE else 1
+    row = _FAMILIES[family]
+    if not row.admits(d):
+        raise ParameterError(f"{family.value} requires {row.rule}, got d={d}")
+    p, q = row.pq(d)
+    geom = _jacobi_pair(p, q)
+    lie = _jacobi_pair(*row.lie_pq(d)) if row.lie_pq else geom
+    alpha, beta = geom.alpha, geom.beta
     volume = _volume_from_params(alpha, beta)
     w_raw = weinstein_integer_value(alpha, beta)
     w_int = round(w_raw)
@@ -178,7 +207,7 @@ def make_space(family: SpaceFamily, d: int) -> SpaceParams:
         lie=lie,
         p=p,
         q=q,
-        epsilon=epsilon,
+        epsilon=row.epsilon,
         volume=volume,
         weinstein=int(w_int),
         e=int(e),
@@ -211,100 +240,134 @@ def all_reference_spaces() -> list[SpaceParams]:
 
 
 # ---------------------------------------------------------------------------
-# Points: construction, sampling, distances
+# Points: stacked representatives, sampling, distances
 # ---------------------------------------------------------------------------
 
 _DOT_CLAMP_TOL = 1e-12
 
 
+def _point_family(space: SpaceParams) -> _Family:
+    """The family's table row; GeometryError for a family without points."""
+    row = _FAMILIES[space.family]
+    if row.ambient is None:
+        raise GeometryError(
+            f"{space.label} is supported at parameter level only; "
+            "it has no point sampling or distances"
+        )
+    return row
+
+
 def ambient_shape(space: SpaceParams) -> tuple:
     """Shape of a single point representative in ambient coordinates."""
-    f = space.family
-    if f in (SpaceFamily.SPHERE, SpaceFamily.REAL_PROJECTIVE):
-        return (space.d + 1,)
-    if f is SpaceFamily.COMPLEX_PROJECTIVE:
-        return (space.d // 2 + 1,)
-    if f is SpaceFamily.QUATERNION_PROJECTIVE:
-        return (space.d // 4 + 1, 4)
-    raise GeometryError(
-        "the octonionic projective plane is supported at parameter level only"
-    )
+    return _point_family(space).ambient(space.d)
 
 
-def _rep_norm(space: SpaceParams, coords: np.ndarray):
-    if space.family is SpaceFamily.COMPLEX_PROJECTIVE:
-        return np.sqrt(np.sum(np.abs(coords) ** 2, axis=-1))
-    if space.family is SpaceFamily.QUATERNION_PROJECTIVE:
-        return np.sqrt(np.sum(coords * coords, axis=(-2, -1)))
-    return np.sqrt(np.sum(coords * coords, axis=-1))
+def _stack(space: SpaceParams, reps) -> np.ndarray:
+    """reps as a (K, *ambient_shape) array of the family's dtype."""
+    row = _point_family(space)
+    shape = row.ambient(space.d)
+    reps = np.asarray(reps)
+    if reps.shape[1:] != shape or not np.can_cast(reps.dtype, row.dtype):
+        raise UsageError(
+            f"coordinates of shape {reps.shape[1:]} and type {reps.dtype} do not match "
+            f"{space.label} ambient shape {shape} of type {np.dtype(row.dtype)}"
+        )
+    return reps.astype(row.dtype, copy=False)
+
+
+def _norms(reps: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each stacked representative, keeping its axes."""
+    return np.sqrt(np.sum(np.abs(reps) ** 2, axis=tuple(range(1, reps.ndim)), keepdims=True))
+
+
+def normalize_points(space: SpaceParams, reps) -> np.ndarray:
+    """Stacked coordinates (K, *ambient_shape), each row scaled to unit norm."""
+    reps = _stack(space, reps)
+    norms = _norms(reps)
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+    if bad.size:
+        raise UsageError(f"point representative {bad[0]} must be nonzero and finite")
+    return reps / norms
+
+
+def point_array(space: SpaceParams, points) -> np.ndarray:
+    """A point set as one (K, *ambient_shape) array of unit representatives.
+
+    Takes such an array, checked but never renormalized, or a sequence of
+    Points of this space, stacked once.
+    """
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+        if points and isinstance(points[0], Point):
+            _check_same_space(space, *points)
+            points = [p.coords for p in points]
+        points = np.array(points) if points else np.empty((0, *ambient_shape(space)))
+    reps = _stack(space, points)
+    bad = np.flatnonzero(~(np.abs(_norms(reps).ravel() - 1.0) <= _DOT_CLAMP_TOL))
+    if bad.size:
+        raise UsageError(f"point {bad[0]} is not a finite unit representative of {space.label}")
+    return reps
+
+
+def points_to_reals(reps: np.ndarray) -> np.ndarray:
+    """(K, r) real rows of stacked representatives, complex coordinates as
+    (re, im) pairs: the layout of point files and of the sidecar."""
+    reals = np.ascontiguousarray(reps).view(np.float64)
+    return reals.reshape(len(reals), math.prod(reals.shape[1:]))
+
+
+def points_from_reals(space: SpaceParams, reals) -> np.ndarray:
+    """Stacked representatives (not normalized) from points_to_reals rows."""
+    row = _point_family(space)
+    shape = row.ambient(space.d)
+    reals = np.ascontiguousarray(reals, dtype=float)
+    width = math.prod(shape) * (2 if row.dtype is complex else 1)
+    if reals.ndim != 2 or reals.shape[1] != width:
+        raise UsageError(
+            f"{space.label} points need {width} reals per row, got rows of shape {reals.shape[1:]}"
+        )
+    return reals.view(row.dtype).reshape(len(reals), *shape)
 
 
 def make_point(space: SpaceParams, coords) -> Point:
     """Wrap ambient coordinates as a Point, normalizing the representative."""
-    want_complex = space.family is SpaceFamily.COMPLEX_PROJECTIVE
-    coords = np.asarray(coords, dtype=complex if want_complex else float)
-    if coords.shape != ambient_shape(space):
-        raise UsageError(
-            f"coordinates of shape {coords.shape} do not match {space.label} "
-            f"ambient shape {ambient_shape(space)}"
-        )
-    norm = float(_rep_norm(space, coords))
-    if not np.isfinite(norm) or norm == 0.0:
-        raise UsageError("point representative must be nonzero and finite")
-    return Point(family=space.family, d=space.d, coords=coords / norm)
-
-
-# The family's inner product of a point x with stacked representatives:
-# signed on spheres, absolute on projective spaces (gauge invariant).
-_INNER = {
-    SpaceFamily.SPHERE: lambda x, reps: reps @ x,
-    SpaceFamily.REAL_PROJECTIVE: lambda x, reps: np.abs(reps @ x),
-    SpaceFamily.COMPLEX_PROJECTIVE: lambda x, reps: np.abs(reps @ np.conj(x)),
-    SpaceFamily.QUATERNION_PROJECTIVE: qdot_abs,
-}
+    rep = normalize_points(space, np.asarray(coords)[None])[0]
+    return Point(family=space.family, d=space.d, coords=rep)
 
 
 def _check_same_space(space: SpaceParams, *pts: Point) -> None:
-    if space.family not in _INNER:
-        raise GeometryError(
-            "the octonionic projective plane has no point-level distance; "
-            "only parameter-level operations are supported"
-        )
+    _point_family(space)
     for pt in pts:
+        if not isinstance(pt, Point):
+            raise UsageError(f"expected a Point of {space.label}, got {type(pt).__name__}")
         if pt.family is not space.family or pt.d != space.d:
             raise UsageError(
                 f"point of {pt.family.value}:{pt.d} used with space {space.label}"
             )
 
 
-def _clamp_dot(t):
-    t = np.asarray(t, dtype=float)
+def _inner(space: SpaceParams, reps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Clamped family inner product of each stacked representative with u."""
+    row = _point_family(space)
+    t = row.dot(reps, u)
+    t = np.asarray(np.abs(t) if row.projective else t, dtype=float)
     if np.any(np.abs(t) > 1.0 + _DOT_CLAMP_TOL):
         raise UsageError("inner product exceeds 1 beyond tolerance; point not normalized?")
     return np.clip(t, -1.0, 1.0)
 
 
-def _inner(space: SpaceParams, x: Point, reps: np.ndarray):
-    """Clamped family inner product of x with each representative in reps."""
-    return _clamp_dot(_INNER[space.family](x.coords, reps))
-
-
-def _cos_rho(space: SpaceParams, x: Point, reps: np.ndarray):
-    """cos of distance between x and each representative in reps (batch-last-axes):
-    t on spheres, cos(2 arccos t) = 2t^2 - 1 on projective spaces."""
-    t = _inner(space, x, reps)
-    return t if space.family is SpaceFamily.SPHERE else 2.0 * t * t - 1.0
-
-
 def cos_distance(space: SpaceParams, x: Point, y: Point) -> float:
-    _check_same_space(space, x, y)
-    return float(_cos_rho(space, x, y.coords))
+    _check_same_space(space, x)
+    return float(cos_distance_batch(space, y, x.coords[None])[0])
 
 
 def cos_distance_batch(space: SpaceParams, x: Point, reps: np.ndarray) -> np.ndarray:
-    """cos rho(x, .) against a stacked batch of representatives."""
+    """cos rho(rep, x) for each of a stacked batch of representatives, rounding
+    as cos_distance(space, rep, x) does: t on spheres, cos(2 arccos t) = 2t^2 - 1
+    on projective spaces."""
     _check_same_space(space, x)
-    return np.asarray(_cos_rho(space, x, reps))
+    t = _inner(space, np.asarray(reps), x.coords)
+    return 2.0 * t * t - 1.0 if _FAMILIES[space.family].projective else t
 
 
 def distance(space: SpaceParams, x: Point, y: Point) -> float:
@@ -316,8 +379,8 @@ def distance(space: SpaceParams, x: Point, y: Point) -> float:
     product, not from arccos of cos_distance, which loses precision near 0.
     """
     _check_same_space(space, x, y)
-    t = _inner(space, x, y.coords)
-    return float(np.arccos(t) if space.family is SpaceFamily.SPHERE else 2.0 * np.arccos(t))
+    t = _inner(space, x.coords[None], y.coords)[0]
+    return float(2.0 * np.arccos(t) if _FAMILIES[space.family].projective else np.arccos(t))
 
 
 def zonal(space: SpaceParams, n: int, x: Point, y: Point) -> float:
@@ -326,28 +389,22 @@ def zonal(space: SpaceParams, n: int, x: Point, y: Point) -> float:
 
 
 def sample_uniform_batch(space: SpaceParams, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k stacked representatives of independent uniform points.
+    """k stacked representatives of independent uniform points, equal to k
+    successive sample_uniform draws.
 
     Standard Gaussian vectors in the ambient real coordinates, normalized;
     the induced law on the quotient is invariant under the isometry group,
-    hence is the unique uniform probability measure.
+    hence is the unique uniform probability measure. Each complex point
+    draws its real parts, then its imaginary parts.
     """
-    f = space.family
-    if f in (SpaceFamily.SPHERE, SpaceFamily.REAL_PROJECTIVE):
-        g = rng.standard_normal((k, space.d + 1))
-        return g / np.linalg.norm(g, axis=-1, keepdims=True)
-    if f is SpaceFamily.COMPLEX_PROJECTIVE:
-        n = space.d // 2 + 1
-        g = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-        return g / np.sqrt(np.sum(np.abs(g) ** 2, axis=-1, keepdims=True))
-    if f is SpaceFamily.QUATERNION_PROJECTIVE:
-        n = space.d // 4 + 1
-        g = rng.standard_normal((k, n, 4))
-        return g / np.sqrt(np.sum(g * g, axis=(-2, -1)))[:, None, None]
-    raise GeometryError(
-        "the octonionic projective plane cannot be sampled; "
-        "only parameter-level operations are supported"
-    )
+    row = _point_family(space)
+    shape = row.ambient(space.d)
+    if row.dtype is complex:
+        g = rng.standard_normal((k, 2, *shape))
+        g = g[:, 0] + 1j * g[:, 1]
+    else:
+        g = rng.standard_normal((k, *shape))
+    return g / _norms(g)
 
 
 def sample_uniform(space: SpaceParams, rng: np.random.Generator) -> Point:
@@ -359,17 +416,7 @@ def sample_uniform(space: SpaceParams, rng: np.random.Generator) -> Point:
 def regauge(space: SpaceParams, x: Point, rng: np.random.Generator) -> Point:
     """Replace the representative by a random equivalent one (same point)."""
     _check_same_space(space, x)
-    f = space.family
-    if f is SpaceFamily.SPHERE:
-        return x
-    if f is SpaceFamily.REAL_PROJECTIVE:
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        return Point(x.family, x.d, sign * x.coords)
-    if f is SpaceFamily.COMPLEX_PROJECTIVE:
-        phase = np.exp(2j * math.pi * rng.random())
-        return Point(x.family, x.d, x.coords * phase)
-    lam = qrandn_unit(rng)  # quaternionic: the only family left with points
-    return Point(x.family, x.d, qmul(x.coords, lam))
+    return Point(x.family, x.d, _FAMILIES[space.family].regauge(x.coords, rng))
 
 
 def points_equal(space: SpaceParams, x: Point, y: Point, tol: float = 1e-9) -> bool:
@@ -430,8 +477,3 @@ def laplace_eigenvalue(space: SpaceParams, n: int) -> float:
     eps = space.epsilon
     return -eps * n * (eps * n + space.lie.alpha + space.lie.beta + 1.0)
 
-
-def funk_hecke_eigenvalue(space: SpaceParams, n: int) -> float:
-    """omega_d / a_n^2: the zonal-kernel integral eigenvalue at degree n."""
-    an = a_constant(space, n)
-    return space.volume / (an * an)

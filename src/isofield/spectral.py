@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, UsageError
+from .errors import DomainError, ModelError, NumericError, ParameterError, UsageError
 from .jacobi import gauss_jacobi, jacobi_all, jacobi_at_one, jacobi_norm_constant
 from .spaces import SpaceParams
 
@@ -348,6 +348,15 @@ def _check_convergence(model, violations):
         violations.append(Violation(model.max_degree, "spatial", "divergent", float("inf")))
 
 
+def require_finite(model) -> None:
+    """ModelError naming every stored degree whose coefficient is not finite."""
+    bad = [Violation(n, "spatial", "divergent", float("inf"))
+           for n, c in enumerate(model.coeffs) if not np.all(np.isfinite(c))]
+    if bad:
+        summary = ValidityReport(False, bad).summary()
+        raise ModelError(f"cannot evaluate an invalid model: {summary}")
+
+
 def validate_spatial(model: SpatialModel) -> ValidityReport:
     """Check symmetry and nonnegative definiteness of each coefficient,
     finiteness of sum ||B_n|| P_n(1), and the tail envelope."""
@@ -427,6 +436,8 @@ def eval_cov(model, rho, t: float = 0.0, trunc: int | None = None) -> np.ndarray
     """
     trunc = _resolve_trunc(model, trunc)
     rho = np.asarray(rho, dtype=float)
+    if not np.all(np.isfinite(rho)):
+        raise DomainError(f"distances must be finite, got {rho[~np.isfinite(rho)]}")
     # libm cos per distance: np.cos may round differently and shift output bytes
     x = np.array([math.cos(r) for r in rho.ravel().tolist()]).reshape(rho.shape)
     pn = jacobi_all(trunc, model.space.geom, x)[..., None, None]

@@ -10,6 +10,7 @@ through Gauss-Jacobi quadrature instead.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .spaces import (
     dim_eigenspace,
     sample_uniform_batch,
     sphere_volume,
+    weinstein_integer_value,
 )
 from .spectral import eval_cov
 
@@ -89,6 +91,15 @@ def _mean_se(samples: np.ndarray, axis=0) -> tuple[np.ndarray, np.ndarray]:
     return mean, se
 
 
+def _uniform_cosines(space: SpaceParams, x1: Point, x2: Point, replicates: int, seed: int):
+    """cos rho(x1, U) and cos rho(x2, U) over uniform U drawn from the seed."""
+    if replicates < 2:
+        raise UsageError("at least 2 replicates are required")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    reps = sample_uniform_batch(space, replicates, rng)
+    return cos_distance_batch(space, x1, reps), cos_distance_batch(space, x2, reps)
+
+
 def mc_funk_hecke(
     space: SpaceParams,
     i: int,
@@ -104,12 +115,7 @@ def mc_funk_hecke(
     integral of P_i(cos rho(x1, .)) P_j(cos rho(x2, .)) vanishes for
     distinct degrees.
     """
-    if replicates < 2:
-        raise UsageError("at least 2 replicates are required")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    reps = sample_uniform_batch(space, replicates, rng)
-    c1 = cos_distance_batch(space, x1, reps)
-    c2 = cos_distance_batch(space, x2, reps)
+    c1, c2 = _uniform_cosines(space, x1, x2, replicates, seed)
     samples = space.volume * jacobi_eval(i, space.geom, c1) * jacobi_eval(j, space.geom, c2)
     value, se = _mean_se(samples)
     if i == j:
@@ -146,15 +152,10 @@ def mc_zonal_covariance(
     """
     if n < 1:
         raise UsageError("the zonal field check needs degree n >= 1")
-    if replicates < 2:
-        raise UsageError("at least 2 replicates are required")
     k = cross_degree if cross_degree is not None else n + 1
     if k == n:
         raise UsageError("cross degree must differ from n")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    reps = sample_uniform_batch(space, replicates, rng)
-    c1 = cos_distance_batch(space, x1, reps)
-    c2 = cos_distance_batch(space, x2, reps)
+    c1, c2 = _uniform_cosines(space, x1, x2, replicates, seed)
     p = jacobi_all(max(n, k), space.geom, np.stack([c1, c2]))
     z1 = a_constant(space, n) * p[n, 0]
     z2 = a_constant(space, n) * p[n, 1]
@@ -178,6 +179,7 @@ def empirical_cov(
     Valid time offsets within each replicate are averaged first (variance
     reduction only); the standard error comes from the replicate count.
     The target is the model covariance at the realizations' truncation.
+    point_pair holds two integer indices into the shared points.
     """
     if len(realizations) < 2:
         raise UsageError("at least 2 realizations are required")
@@ -192,14 +194,18 @@ def empirical_cov(
             r.model_hash != first.model_hash
             or r.times != first.times
             or r.trunc != first.trunc
-            or len(r.points) != len(first.points)
-            or any(
-                not np.array_equal(p.coords, q.coords)
-                for p, q in zip(r.points, first.points)
-            )
+            or not np.array_equal(r.points, first.points)
         ):
             raise UsageError("realizations must share model, points, times, and truncation")
-    a, b = point_pair
+    space, points = first.space, first.points
+    try:
+        a, b = (operator.index(i) for i in point_pair)
+    except (TypeError, ValueError):
+        a = b = -1
+    if not (0 <= a < len(points) and 0 <= b < len(points)):
+        raise UsageError(
+            f"point pair {point_pair!r} must be two integer indices in 0..{len(points) - 1}"
+        )
     times = np.asarray(first.times)
     pairs = [
         (i, j)
@@ -216,13 +222,8 @@ def empirical_cov(
         ]
     )
     value, se = _mean_se(per_rep)
-    rho = (
-        0.0
-        if a == b
-        else float(
-            np.arccos(np.clip(cos_distance(first.space, first.points[a], first.points[b]), -1, 1))
-        )
-    )
+    cos_ab = cos_distance_batch(space, Point(space.family, space.d, points[b]), points[a : a + 1])
+    rho = 0.0 if a == b else float(np.arccos(np.clip(cos_ab[0], -1, 1)))
     target = eval_cov(first.model, rho, lag, first.trunc)
     return MCEstimate(value, se, len(realizations), target)
 
@@ -256,18 +257,11 @@ def mc_recover_vn(
     scale = an * an / jacobi_at_one(n, space.geom)
     samples = scale * pn[:, None, None] * z_fresh  # (R, ntimes, m)
     value, se = _mean_se(samples)
-    ntimes, m = value.shape
-    out = []
-    for i in range(ntimes):
-        target = (
-            realization.latent_v[n, i]
-            if n <= realization.trunc
-            else np.zeros(m)
-        )
-        out.append(
-            MCEstimate(value[i], se[i], replicates_for_integral, np.asarray(target, dtype=float))
-        )
-    return out
+    targets = realization.latent_v[n] if n <= realization.trunc else np.zeros(value.shape)
+    return [
+        MCEstimate(v, e, replicates_for_integral, np.asarray(t, dtype=float))
+        for v, e, t in zip(value, se, targets)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -347,8 +341,6 @@ def check_space_identities(
             passed=err <= 1e-9,
         )
     )
-    from .spaces import weinstein_integer_value
-
     w_raw = weinstein_integer_value(a, b)
     checks.append(
         IdentityCheck(

@@ -296,6 +296,36 @@ class TestBoundaries:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("trunc", [[], ["--trunc", "0"]])
+    def test_eval_cov_on_non_finite_model_exits_one(self, tmp_path, capsys, trunc):
+        model = SpatialModel(S2, 1, [np.eye(1), np.array([[np.nan]])])
+        path = save_model(model, tmp_path / "nan.json")
+        out = tmp_path / "cov.csv"
+        assert main(["eval-cov", "--model", str(path), "--out", str(out)] + trunc) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid model:") and "degree 1" in err
+        assert not out.exists()
+
+    def test_point_file_rows_are_sidecar_rows(self, tmp_path):
+        space = parse_space("projC:4")
+        path = save_model(SpatialModel(space, 1, [np.eye(1), 0.5 * np.eye(1)]),
+                          tmp_path / "c.json")
+        rows = np.random.default_rng(3).standard_normal((4, 6))
+        lines = ["# re,im pairs"] + [",".join(map(repr, r)) for r in rows.tolist()]
+        lines.insert(3, "  # indented comment")
+        pts = tmp_path / "pts.csv"
+        pts.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c_out.csv"
+        assert main(["simulate", "--model", str(path), "--points", str(pts),
+                     "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "c_out.meta.json").read_text())
+        want = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        assert np.allclose(meta["points"], want, rtol=0, atol=1e-15)
+        pts.write_text("1,0,0,0,0\n")  # five reals cannot be three complex coordinates
+        assert main(["simulate", "--model", str(path), "--points", str(pts),
+                     "--out", str(out)]) == 2
+
+
 def test_import_does_not_load_scipy():
     src = str(Path(isofield.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -331,6 +331,44 @@ class TestOneSimulationPath:
             simulate_spatiotemporal(model, fixed_points(1), [0, 1], seed=0)
 
 
+class TestPointArrays:
+    @pytest.mark.parametrize("label", ["sphere:2", "projR:3", "projC:4", "projH:8"])
+    def test_stacked_array_and_point_list_bit_identical(self, label):
+        space = parse_space(label)
+        rng = np.random.default_rng(45)
+        model = SpatioTemporalModel(
+            space, 2, [random_psd(rng, 2), random_psd(rng, 2)], VectorMA1(0.3 * np.eye(2))
+        )
+        pts = [sample_uniform(space, rng) for _ in range(5)]
+        stacked = np.stack([p.coords for p in pts])
+        a = simulate_spatiotemporal(model, pts, [0, 1], seed=6)
+        b = simulate_spatiotemporal(model, stacked, [0, 1], seed=6)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.latent_v, b.latent_v)
+        assert np.array_equal(a.points, stacked) and np.array_equal(b.points, stacked)
+
+    @pytest.mark.parametrize("defect", ["shape", "flat", "complex", "non-finite", "non-unit"])
+    def test_bad_arrays_rejected(self, defect):
+        good = np.stack([p.coords for p in fixed_points(3)])
+        bad = {
+            "shape": good[:, :2],
+            "flat": good.ravel(),
+            "complex": good.astype(complex),
+            "non-finite": np.where(np.arange(3)[:, None] == 1, np.nan, good),
+            "non-unit": good * np.array([[1.0], [2.0], [1.0]]),
+        }[defect]
+        with pytest.raises(UsageError):
+            simulate_spatial(small_matrix_model(), bad, seed=0)
+
+    def test_point_of_another_space_rejected(self):
+        model = small_matrix_model()
+        stray = sample_uniform(parse_space("sphere:3"), np.random.default_rng(46))
+        with pytest.raises(UsageError):
+            simulate_spatial(model, fixed_points(2) + [stray], seed=0)
+        with pytest.raises(UsageError):
+            simulate_spatial(model, [stray] + fixed_points(2), seed=0)
+
+
 class TestRealizationIO:
     def test_values_round_trip_exactly(self, tmp_path):
         from isofield import save_realization

@@ -253,6 +253,14 @@ class TestSampling:
         b = sample_uniform(s, np.random.default_rng(33))
         assert np.array_equal(a.coords, b.coords)
 
+    @pytest.mark.parametrize("label", SAMPLEABLE)
+    def test_batch_equals_successive_single_draws(self, label):
+        s = parse_space(label)
+        batch = sample_uniform_batch(s, 7, np.random.default_rng(34))
+        rng = np.random.default_rng(34)
+        singles = np.stack([sample_uniform(s, rng).coords for _ in range(7)])
+        assert np.array_equal(batch, singles)
+
 
 class TestZonal:
     def test_unit_at_zero_distance(self):

@@ -203,8 +203,9 @@ class TestEvalCov:
                 assert np.array_equal(got[idx], eval_cov(model, float(rho[idx]), t))
 
     def test_nan_distance_raises_domain_error(self):
-        with pytest.raises(DomainError):
-            eval_cov(scalar_model([1.0, 0.5]), float("nan"))
+        for bad in (float("nan"), float("inf"), float("-inf"), [0.5, float("inf")]):
+            with pytest.raises(DomainError):
+                eval_cov(scalar_model([1.0, 0.5]), bad)
 
 
 class TestEvalCovSymmetrized:

@@ -187,6 +187,16 @@ class TestEmpiricalCov:
         with pytest.raises(UsageError):
             empirical_cov([a, d], (0, 0), 0.0)
 
+    @pytest.mark.parametrize("pair", [(0, 5), (0.5, 1), (-1, 0), (0, 2), (0,), "01"])
+    def test_point_pair_outside_points_rejected(self, pair):
+        model = SpatialModel(S2, 1, [np.eye(1)])
+        rng = np.random.default_rng(76)
+        pts = [sample_uniform(S2, rng), sample_uniform(S2, rng)]
+        ens = self._ensemble(model, pts, None, 3, 5)
+        with pytest.raises(UsageError, match="point pair"):
+            empirical_cov(ens, pair, 0.0)
+        assert empirical_cov(ens, (np.int64(1), 0), 0.0).replicates == 3
+
     def test_unrealizable_lag_rejected(self):
         model = SpatialModel(S2, 1, [np.eye(1)])
         pts = [sample_uniform(S2, np.random.default_rng(75))]
