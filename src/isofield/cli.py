@@ -1,10 +1,10 @@
 """Command-line front end: validate, eval-cov, simulate, check, spectrum.
 
 Exit codes: 0 success, 1 invalid model or failed check, 2 parse/usage
-error (including non-finite lags or times, distance grids outside
-[0, pi], and numerical failures such as a singular time-grid correlation
-matrix), 3 unsupported geometry. The default seed is the fixed constant
-DEFAULT_SEED (never time-derived), so default runs are reproducible.
+error (including non-finite lags or times, duplicate times, distance
+grids outside [0, pi], and numerical failures), 3 unsupported geometry.
+The default seed is the fixed constant DEFAULT_SEED (never time-derived),
+so default runs are reproducible.
 """
 
 from __future__ import annotations
@@ -256,6 +256,7 @@ def cmd_spectrum(args) -> int:
     model = load_model(args.model)
     if model.domain != ZERO_LAG:
         raise UsageError("the angular power spectrum is defined for spatial models")
+    require_finite(model)
     rows = []
     for n in range(model.max_degree + 1):
         cn = angular_power_spectrum(model, n)

@@ -34,7 +34,7 @@ class IndefiniteMatrixError(IsoFieldError, ValueError):
 
 
 class NumericError(IsoFieldError, RuntimeError):
-    """A numerical routine (eigen solver, Cholesky factorization) failed."""
+    """A numerical routine (such as an eigen solver) failed."""
 
 
 class ModelFormatError(IsoFieldError, ValueError):

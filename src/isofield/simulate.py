@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .spaces import (
     points_to_reals,
     sample_uniform,
 )
-from .spectral import INTEGER_LAGS, ZERO_LAG, SpatialModel, SpatioTemporalModel
+from .spectral import INTEGER_LAGS, ZERO_LAG, SpatialModel, SpatioTemporalModel, validate_spatial
 
 MATRIX_SQRT_TOL = 1e-10
 
@@ -115,23 +116,24 @@ def simulate_spatiotemporal(
 
     Per degree, the model's kernel draws an independent stationary path
     V_n(.) with cov(V_n(t1), V_n(t2)) = a_n^2 B_n(t1 - t2) from the degree's
-    substream (see the kernels' sample_path). A purely spatial model
-    accepts the time grid [0.0] only. `points` is a (K, *ambient_shape)
-    array of unit representatives or a sequence of Points of the space.
+    substream (see the kernels' sample_path); validate_spatial gates the
+    model. Times must be finite and strictly increasing, and a purely
+    spatial model accepts the time grid [0.0] only. `points` is a
+    (K, *ambient_shape) array of unit representatives or a sequence of
+    Points of the space.
     """
     times = [float(t) for t in times]
-    if sorted(times) != times:
-        raise UsageError("times must be sorted ascending")
     if not times:
         raise UsageError("at least one time is required")
+    if not all(map(math.isfinite, times)) or any(b <= a for a, b in zip(times, times[1:])):
+        raise UsageError("times must be finite and strictly increasing")
     if model.domain == ZERO_LAG:
         if times != [0.0]:
             raise UsageError("a purely spatial model is simulated on the time grid [0.0] only")
         times = [0.0]  # also for -0.0, so the output reads 0.0
     if model.domain == INTEGER_LAGS and not all(t.is_integer() for t in times):
         raise UsageError("this model's temporal domain is Z; times must be integers")
-    probe = sorted({round(t1 - t2, 12) for t1 in times for t2 in times})
-    report = model.validate(probe)
+    report = validate_spatial(model)
     if not report.valid:
         raise ModelError(f"cannot simulate from an invalid model: {report.summary()}")
     trunc = model.max_degree if trunc is None else int(trunc)

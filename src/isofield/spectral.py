@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ModelError, NumericError, ParameterError, UsageError
+from .errors import DomainError, ModelError, ParameterError, UsageError
 from .jacobi import gauss_jacobi, jacobi_all, jacobi_at_one, jacobi_norm_constant
 from .spaces import SpaceParams
 
@@ -72,7 +72,10 @@ def _as_coeff_matrices(coeffs, m: int) -> list[np.ndarray]:
 # Temporal kernels. Each kernel exposes `domain`,
 # coeff_at(n, t, coeffs) -> the m x m matrix B_n(t), and
 # sample_path(root, an, times, rng) -> the (len(times), m) degree-n path
-# V_n(.) with covariance a_n^2 B_n(t1 - t2), given root = coeffs[n]^(1/2).
+# V_n(.) with covariance a_n^2 B_n(t1 - t2), given root = coeffs[n]^(1/2)
+# and strictly increasing times. Each built-in kernel checks its parameters
+# when built and is then valid exactly when its stored matrices are
+# symmetric nonnegative definite, which is what validate_spatial checks.
 # --------------------------------------------------------------------------
 
 
@@ -117,8 +120,10 @@ class SeparableScalar:
             if not (-1.0 < self.param < 1.0):
                 raise ParameterError(f"ar1 coefficient must lie in (-1, 1), got {self.param}")
         elif self.kind == "exponential":
-            if not (self.param > 0.0):
-                raise ParameterError(f"exponential rate must be positive, got {self.param}")
+            if not (0.0 < self.param < math.inf):
+                raise ParameterError(
+                    f"exponential rate must be positive and finite, got {self.param}"
+                )
         else:
             raise ParameterError(f"unknown separable kernel kind {self.kind!r}")
 
@@ -136,28 +141,14 @@ class SeparableScalar:
         return self.correlation(t) * coeffs[n]
 
     def sample_path(self, root, an, times, rng):
-        """m independent stationary unit-variance paths mixed through root."""
-        k, m = len(times), root.shape[0]
-        if self.kind == "ar1":
-            phi = self.param
-            xi = np.empty((k, m))
-            xi[0] = rng.standard_normal(m)
-            for i in range(1, k):
-                gap = int(round(times[i] - times[i - 1]))
-                rho = phi**gap
-                # exact stationary transition across integer gaps
-                xi[i] = rho * xi[i - 1] + np.sqrt(1.0 - rho * rho) * rng.standard_normal(m)
-        else:
-            tgrid = np.asarray(times)
-            corr = np.exp(-self.param * np.abs(tgrid[:, None] - tgrid[None, :]))
-            try:
-                chol = np.linalg.cholesky(corr)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(
-                    "correlation matrix of the time grid is not positive definite "
-                    "(duplicate times?)"
-                ) from exc
-            xi = chol @ rng.standard_normal((k, m))
+        """m independent stationary unit-variance Markov paths mixed through root,
+        with the exact transition across each gap (Ornstein-Uhlenbeck for "exponential")."""
+        m = root.shape[0]
+        xi = np.empty((len(times), m))
+        xi[0] = rng.standard_normal(m)
+        for i in range(1, len(times)):
+            rho = self.correlation(times[i] - times[i - 1])
+            xi[i] = rho * xi[i - 1] + np.sqrt(1.0 - rho * rho) * rng.standard_normal(m)
         return an * xi @ root.T
 
 
@@ -179,6 +170,8 @@ class VectorMA1:
         phi = np.asarray(self.phi, dtype=float)
         if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
             raise ParameterError(f"moving-average matrix must be square, got {phi.shape}")
+        if not np.all(np.isfinite(phi)):
+            raise ParameterError("moving-average matrix entries must be finite")
         object.__setattr__(self, "phi", phi)
 
     def check_m(self, m: int) -> None:

@@ -2,8 +2,9 @@
 
 Nothing in here calls back into the code paths under test: polynomial
 values come from the explicit finite sum, integrals from beta-function
-moments, eigenspace dimensions from high-precision gamma evaluation, and
-moving-average covariances from direct simulation of the process.
+moments, eigenspace dimensions from high-precision gamma evaluation,
+moving-average covariances from direct simulation of the process, and
+exponential-kernel paths from a Cholesky factor of the time-grid correlation.
 """
 
 import math
@@ -134,6 +135,15 @@ def ma1_lag_cov_mc(
     est = prods.mean(axis=0)
     se = prods.std(axis=0, ddof=1) / math.sqrt(replicates)
     return est, se
+
+
+def exponential_path_cholesky(theta: float, root, an: float, times, rng) -> np.ndarray:
+    """Degree path of the exponential kernel drawn through the Cholesky factor
+    of exp(-theta |t_i - t_j|), from the same normals as the kernel's sampler."""
+    tgrid = np.asarray(times, dtype=float)
+    corr = np.exp(-theta * np.abs(tgrid[:, None] - tgrid[None, :]))
+    chol = np.linalg.cholesky(corr)
+    return an * (chol @ rng.standard_normal((len(tgrid), root.shape[0]))) @ root.T
 
 
 def random_psd(rng: np.random.Generator, m: int, scale: float = 1.0) -> np.ndarray:

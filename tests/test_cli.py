@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from isofield import (
+    PureSpatial,
     SeparableScalar,
     SpatialModel,
     SpatioTemporalModel,
@@ -255,6 +256,29 @@ class TestBoundaries:
                      "--times", "0,1,1", "--out", str(tmp_path / "e.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("kernel", ["ar1", "ma1", "pure_spatial"])
+    def test_duplicate_times_exit_two(self, kernel, tmp_path, capsys):
+        temporal = {"ar1": SeparableScalar("ar1", 0.5), "ma1": VectorMA1(0.4 * np.eye(1)),
+                    "pure_spatial": PureSpatial()}[kernel]
+        model = SpatioTemporalModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)], temporal)
+        path = save_model(model, tmp_path / f"{kernel}.json")
+        out = tmp_path / "d.csv"
+        assert main(["simulate", "--model", str(path), "--points", "random:3",
+                     "--times", "0,1,1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("temporal", [{"variant": "exponential", "theta": math.inf},
+                                          {"variant": "ma1", "phi": [[math.nan]]}],
+                             ids=["exponential_inf", "ma1_nan"])
+    def test_non_finite_kernel_parameter_exits_two(self, temporal, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"space": "sphere:2", "m": 1, "coeffs": [[[1.0]]],
+                                    "temporal": temporal}))
+        assert main(["eval-cov", "--model", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad temporal kernel")
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "0,-inf", "1,NaN"])
     def test_non_finite_lags_and_times_exit_two(self, exponential_model_file, tmp_path, bad):
         path, _ = exponential_model_file
@@ -301,10 +325,11 @@ class TestBoundaries:
         model = SpatialModel(S2, 1, [np.eye(1), np.array([[np.nan]])])
         path = save_model(model, tmp_path / "nan.json")
         out = tmp_path / "cov.csv"
-        assert main(["eval-cov", "--model", str(path), "--out", str(out)] + trunc) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("invalid model:") and "degree 1" in err
-        assert not out.exists()
+        for argv in (["eval-cov"] + trunc, ["spectrum"]):
+            assert main(argv + ["--model", str(path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("invalid model:") and "degree 1" in err
+            assert not out.exists()
 
     def test_point_file_rows_are_sidecar_rows(self, tmp_path):
         space = parse_space("projC:4")

@@ -23,8 +23,11 @@ from isofield import (
     sample_uniform,
     simulate_spatial,
     simulate_spatiotemporal,
+    substream,
+    validate_spatial,
+    validate_spatiotemporal,
 )
-from tests.oracles import random_psd
+from tests.oracles import exponential_path_cholesky, random_psd
 
 S2 = parse_space("sphere:2")
 
@@ -178,8 +181,9 @@ class TestSimulateSpatioTemporal:
 
     def test_unsorted_times_rejected(self):
         model = SpatioTemporalModel(S2, 1, [np.eye(1)], PureSpatial())
-        with pytest.raises(UsageError):
-            simulate_spatiotemporal(model, fixed_points(1), [1.0, 0.0], seed=0)
+        for times in ([1.0, 0.0], [0.0, 1.0, 1.0], [0.0, math.nan]):
+            with pytest.raises(UsageError):
+                simulate_spatiotemporal(model, fixed_points(1), times, seed=0)
 
     def test_replay_and_seed_sensitivity(self):
         model = SpatioTemporalModel(
@@ -329,6 +333,67 @@ class TestOneSimulationPath:
         model = SpatioTemporalModel(S2, 1, [np.eye(1)], ScaledKernel())
         with pytest.raises(UsageError):
             simulate_spatiotemporal(model, fixed_points(1), [0, 1], seed=0)
+
+
+class TestMarkovSampler:
+    @pytest.mark.parametrize("grid", ["three", "sorted200"])
+    def test_exponential_path_matches_cholesky_oracle(self, grid):
+        rng = np.random.default_rng(47)
+        times = [0.0, 0.8, 2.5] if grid == "three" else np.sort(rng.uniform(0.0, 40.0, 200))
+        kernel = SeparableScalar("exponential", 0.7)
+        root = matrix_sqrt(random_psd(rng, 3))
+        for seed in range(5):
+            got = kernel.sample_path(root, 1.3, times, substream(seed, 1, 2))
+            want = exponential_path_cholesky(0.7, root, 1.3, times, substream(seed, 1, 2))
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_exponential_near_duplicate_times(self):
+        model = SpatioTemporalModel(
+            S2, 2, [np.eye(2), 0.5 * np.eye(2)], SeparableScalar("exponential", 1.0)
+        )
+        real = simulate_spatiotemporal(model, fixed_points(3), [0.0, 1e-17, 1.0], seed=5)
+        assert np.array_equal(real.values[:, 0], real.values[:, 1])
+        assert not np.array_equal(real.values[:, 1], real.values[:, 2])
+
+
+def _rotated(diag):
+    c, s = math.cos(0.4), math.sin(0.4)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ np.diag(diag) @ rot.T
+
+
+GATE_COEFFS = {
+    "psd": ([np.eye(2), random_psd(np.random.default_rng(48), 2), 0.3 * np.eye(2)], True),
+    "rank_deficient": ([np.eye(2), np.ones((2, 2)), _rotated([0.5, 0.0])], True),
+    "asymmetric": ([np.eye(2), np.array([[1.0, 0.3], [0.0, 1.0]]), 0.3 * np.eye(2)], False),
+    "indefinite_above_trunc": ([np.eye(2), 0.5 * np.eye(2), _rotated([1.0, -0.5])], False),
+}
+GATE_KERNELS = {
+    "pure_spatial": PureSpatial(),
+    "ar1": SeparableScalar("ar1", -0.6),
+    "exponential": SeparableScalar("exponential", 0.7),
+    "ma1": VectorMA1(0.6 * np.array([[0.6, -0.8], [0.8, 0.6]])),  # ||Phi|| = 0.6
+}
+
+
+class TestBuiltInKernelGate:
+    """validate_spatial, the simulation gate, agrees with the block-Gram probe
+    of validate_spatiotemporal on each built-in kernel."""
+
+    @pytest.mark.parametrize("coeffs", sorted(GATE_COEFFS))
+    @pytest.mark.parametrize("kernel", sorted(GATE_KERNELS))
+    def test_stored_coefficients_decide_validity(self, kernel, coeffs):
+        mats, valid = GATE_COEFFS[coeffs]
+        model = SpatioTemporalModel(S2, 2, mats, GATE_KERNELS[kernel])
+        times = [0.0, 1.0, 2.0]
+        probe = sorted({t1 - t2 for t1 in times for t2 in times})
+        assert validate_spatial(model).valid is valid
+        assert validate_spatiotemporal(model, probe).valid is valid
+        if valid:
+            simulate_spatiotemporal(model, fixed_points(2), times, trunc=1, seed=0)
+        else:
+            with pytest.raises(ModelError):
+                simulate_spatiotemporal(model, fixed_points(2), times, trunc=1, seed=0)
 
 
 class TestPointArrays:

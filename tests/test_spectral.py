@@ -142,6 +142,13 @@ class TestValidateSpatioTemporal:
             SeparableScalar("exponential", 0.0)
         with pytest.raises(ParameterError):
             SeparableScalar("brownian", 0.5)
+        for kind, bad in (("ar1", math.nan), ("exponential", math.inf),
+                          ("exponential", math.nan)):
+            with pytest.raises(ParameterError):
+                SeparableScalar(kind, bad)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                VectorMA1(np.array([[0.5, 0.0], [bad, 0.5]]))
 
 
 class TestEvalCov:
