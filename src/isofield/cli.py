@@ -41,6 +41,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_GEOMETRY = 3
+MAX_COUNT = 1_000_000  # grid distances or generated points; more outgrows memory
 
 
 def _parse_lags(text: str) -> list[float]:
@@ -53,14 +54,24 @@ def _parse_lags(text: str) -> list[float]:
     return values
 
 
+def _parse_count(what: str, spec: str, text: str) -> int:
+    """The count field of a grid or point-set spec, an integer in 1..MAX_COUNT."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise UsageError(f"{what} {spec!r} needs an integer count, got {text!r}") from None
+    if not 1 <= count <= MAX_COUNT:
+        raise UsageError(f"{what} {spec!r} needs a count in 1..{MAX_COUNT} (the cap)")
+    return count
+
+
 def _parse_grid(text: str) -> np.ndarray:
     try:
         a, b, n = text.split(":")
-        a, b, n = float(a), float(b), int(n)
+        a, b = float(a), float(b)
     except ValueError as exc:
         raise UsageError(f"bad grid {text!r}; expected 'start:stop:count'") from exc
-    if n < 1:
-        raise UsageError("grid count must be >= 1")
+    n = _parse_count("grid", text, n)
     if not (0.0 <= a <= math.pi and 0.0 <= b <= math.pi):
         raise UsageError(f"bad grid {text!r}; distances must lie in [0, pi]")
     return np.linspace(a, b, n)
@@ -91,9 +102,7 @@ def resolve_points(space, spec: str, seed: int) -> np.ndarray:
         kind, _, arg = spec.partition(":")
         if kind not in ("random", "fibonacci"):
             raise UsageError(f"unknown point specifier {spec!r}")
-        count = int(arg)
-        if count < 1:
-            raise UsageError(f"point set {spec!r} is empty; the count must be >= 1")
+        count = _parse_count("point set", spec, arg)
         if kind == "random":
             return sample_uniform_batch(space, count, substream(seed, 2))
         if space.family is not SpaceFamily.SPHERE or space.d != 2:
@@ -124,6 +133,12 @@ def _emit(doc, fmt: str, out_path: str | None, header=()) -> None:
     finally:
         if fh is not sys.stdout:
             fh.close()
+
+
+def _entry_rows(mat, **fields) -> list[dict]:
+    """One output row per matrix entry: fields plus component_i, component_j, value."""
+    return [dict(fields, component_i=i, component_j=j, value=float(mat[i, j]))
+            for i in range(mat.shape[0]) for j in range(mat.shape[1])]
 
 
 def _limit_threads(threads: int | None) -> None:
@@ -160,19 +175,7 @@ def cmd_eval_cov(args) -> int:
     rows = []
     for r, rho in enumerate(rhos):
         for lag, cov_lag in zip(lags, covs):
-            cov = cov_lag[r]
-            for i in range(model.m):
-                for j in range(model.m):
-                    rows.append(
-                        {
-                            "rho": float(rho),
-                            "lag": float(lag),
-                            "component_i": i,
-                            "component_j": j,
-                            "value": float(cov[i, j]),
-                            "tail_bound": bound,
-                        }
-                    )
+            rows += _entry_rows(cov_lag[r], rho=float(rho), lag=float(lag), tail_bound=bound)
     _emit(
         rows,
         args.format,
@@ -259,17 +262,7 @@ def cmd_spectrum(args) -> int:
     require_finite(model)
     rows = []
     for n in range(model.max_degree + 1):
-        cn = angular_power_spectrum(model, n)
-        for i in range(model.m):
-            for j in range(model.m):
-                rows.append(
-                    {
-                        "degree": n,
-                        "component_i": i,
-                        "component_j": j,
-                        "value": float(cn[i, j]),
-                    }
-                )
+        rows += _entry_rows(angular_power_spectrum(model, n), degree=n)
     _emit(rows, args.format, args.out, ["degree", "component_i", "component_j", "value"])
     return EXIT_OK
 

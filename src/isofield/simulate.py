@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IndefiniteMatrixError, ModelError, UsageError
+from .errors import IndefiniteMatrixError, ModelError, NumericError, UsageError
 from .jacobi import jacobi_all
 from .modelio import model_hash, model_to_dict
 from .spaces import (
@@ -36,7 +36,8 @@ from .spaces import (
     points_to_reals,
     sample_uniform,
 )
-from .spectral import INTEGER_LAGS, ZERO_LAG, SpatialModel, SpatioTemporalModel, validate_spatial
+from .spectral import INTEGER_LAGS, ZERO_LAG, SpatialModel, SpatioTemporalModel
+from .spectral import _symmetric_part, factor_coefficients
 
 MATRIX_SQRT_TOL = 1e-10
 
@@ -44,6 +45,12 @@ MATRIX_SQRT_TOL = 1e-10
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Named child generator of a master seed (documented splitting rule)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Root v diag(sqrt(max(w, 0))) v^T of one eigendecomposition or a stack."""
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (root + np.swapaxes(root, -1, -2))
 
 
 def matrix_sqrt(B: np.ndarray) -> np.ndarray:
@@ -59,15 +66,14 @@ def matrix_sqrt(B: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(B)))) if B.size else 1.0
     if float(np.max(np.abs(B - B.T))) > MATRIX_SQRT_TOL * scale:
         raise UsageError("matrix square root needs a symmetric matrix")
-    w, v = np.linalg.eigh(0.5 * (B + B.T))
+    w, v = np.linalg.eigh(_symmetric_part(B))
     lo = -MATRIX_SQRT_TOL * max(1.0, float(w[-1]))
     if w[0] < lo:
         raise IndefiniteMatrixError(
             f"matrix has eigenvalue {w[0]:.6e} below tolerance {lo:.6e}",
             min_eigenvalue=float(w[0]),
         )
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return 0.5 * (root + root.T)
+    return _psd_root(w, v)
 
 
 @dataclass
@@ -116,11 +122,11 @@ def simulate_spatiotemporal(
 
     Per degree, the model's kernel draws an independent stationary path
     V_n(.) with cov(V_n(t1), V_n(t2)) = a_n^2 B_n(t1 - t2) from the degree's
-    substream (see the kernels' sample_path); validate_spatial gates the
-    model. Times must be finite and strictly increasing, and a purely
-    spatial model accepts the time grid [0.0] only. `points` is a
-    (K, *ambient_shape) array of unit representatives or a sequence of
-    Points of the space.
+    substream (see the kernels' sample_path); validate_spatial's checks gate
+    the model; non-finite values raise NumericError. Times must be finite and
+    strictly increasing, and a purely spatial model accepts the time grid
+    [0.0] only. `points` is a (K, *ambient_shape) array of unit
+    representatives or a sequence of Points of the space.
     """
     times = [float(t) for t in times]
     if not times:
@@ -133,7 +139,7 @@ def simulate_spatiotemporal(
         times = [0.0]  # also for -0.0, so the output reads 0.0
     if model.domain == INTEGER_LAGS and not all(t.is_integer() for t in times):
         raise UsageError("this model's temporal domain is Z; times must be integers")
-    report = validate_spatial(model)
+    report, w, v = factor_coefficients(model)
     if not report.valid:
         raise ModelError(f"cannot simulate from an invalid model: {report.summary()}")
     trunc = model.max_degree if trunc is None else int(trunc)
@@ -145,12 +151,14 @@ def simulate_spatiotemporal(
     sample_path = getattr(model.kernel, "sample_path", None)
     if sample_path is None:
         raise UsageError(f"unsupported temporal kernel {type(model.kernel).__name__}")
+    roots = _psd_root(w[: trunc + 1], v[: trunc + 1])
     latent_v = np.zeros((trunc + 1, len(times), model.m))
     for n in range(trunc + 1):
-        root = matrix_sqrt(model.coeffs[n])
-        latent_v[n] = sample_path(root, a_constant(space, n), times, substream(seed, 1, n))
+        latent_v[n] = sample_path(roots[n], a_constant(space, n), times, substream(seed, 1, n))
     pn = jacobi_all(trunc, space.geom, cos_distance_batch(space, u, points))
     values = np.einsum("np,ntm->ptm", pn, latent_v)
+    if not np.all(np.isfinite(values)):
+        raise NumericError("the series produced non-finite field values")
     return Realization(
         space=space,
         model=model,

@@ -298,43 +298,29 @@ class ValidityReport:
         return "invalid: " + "; ".join(parts)
 
 
-def _asymmetry(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat - mat.T)))
+def _symmetric_part(mat: np.ndarray) -> np.ndarray:
+    """(B + B^T) / 2 of a matrix or a stack; halving first cannot overflow."""
+    return 0.5 * mat + 0.5 * np.swapaxes(mat, -1, -2)
 
 
-def _min_max_eigenvalues(mat: np.ndarray) -> tuple[float, float]:
-    w = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    return float(w[0]), float(w[-1])
-
-
-def _check_matrix(n, mat, violations, lag="spatial"):
-    if not np.all(np.isfinite(mat)):
-        violations.append(Violation(n, lag, "divergent", float("inf")))
-        return
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    asym = _asymmetry(mat)
-    if asym > SYMMETRY_TOL * scale:
-        violations.append(Violation(n, lag, "asymmetric", asym))
-    wmin, wmax = _min_max_eigenvalues(mat)
-    if wmin < -PSD_TOL * max(1.0, wmax):
-        violations.append(Violation(n, lag, "indefinite", wmin))
-
-
-def _norm_sum(model, b0s, first: int) -> float:
-    """sum_n ||B_n(0)||_2 P_n(1) over b0s = [B_first(0), B_first+1(0), ...], in degree order."""
+def _weighted_norm_sum(model, norms, first: int) -> float:
+    """sum_n norms[n - first] * P_n(1) from degree `first` on, in degree order."""
     total = 0.0
-    for n, b0 in enumerate(b0s, first):
-        total += float(np.linalg.norm(b0, 2)) * jacobi_at_one(n, model.space.geom)
+    for n, norm in enumerate(norms, first):
+        total += float(norm) * jacobi_at_one(n, model.space.geom)
     return total
 
 
-def _check_convergence(model, violations):
-    # Finite sequences always converge; the envelope must contract. A
-    # non-finite B_n(0) is reported by the per-coefficient checks instead.
-    b0s = [model.coeff_at(n, 0.0) for n in range(model.max_degree + 1)]
-    if not all(np.all(np.isfinite(b0)) for b0 in b0s):
+def _check_convergence(model, violations, stored=None, stored_w=None):
+    """Divergent when sum_n ||B_n(0)||_2 P_n(1) plus the tail is not finite; the norm is
+    the largest |eigenvalue|, from stored_w when B_n(0) is the stored coefficient
+    (constant and separable kernels). Non-finite B_n(0) is left to the degree checks."""
+    b0s = np.array([model.coeff_at(n, 0.0) for n in range(model.max_degree + 1)])
+    if not np.all(np.isfinite(b0s)):
         return
-    total = _norm_sum(model, b0s, 0)
+    if stored_w is None or not np.array_equal(b0s, stored):
+        stored_w = np.linalg.eigvalsh(_symmetric_part(b0s))
+    total = _weighted_norm_sum(model, np.abs(stored_w).max(axis=-1), 0)
     if model.tail is not None:
         total += model.tail.tail_sum(model.max_degree + 1)
     if not math.isfinite(total):
@@ -350,14 +336,35 @@ def require_finite(model) -> None:
         raise ModelError(f"cannot evaluate an invalid model: {summary}")
 
 
+def factor_coefficients(model) -> tuple[ValidityReport, np.ndarray, np.ndarray]:
+    """validate_spatial's report, with the one stacked eigh of the symmetrised
+    stored coefficients behind it: eigenvalues (N+1, m), ascending, and
+    eigenvectors (N+1, m, m), which also give the roots the simulation draws
+    with. A non-finite coefficient is reported divergent and factored as zero."""
+    coeffs = np.asarray(model.coeffs)
+    finite = np.all(np.isfinite(coeffs), axis=(1, 2))
+    safe = np.where(finite[:, None, None], coeffs, 0.0)
+    scale = np.maximum(1.0, np.max(np.abs(safe), axis=(1, 2)))
+    with np.errstate(over="ignore"):
+        asym = np.max(np.abs(safe - np.swapaxes(safe, 1, 2)), axis=(1, 2))
+    w, v = np.linalg.eigh(_symmetric_part(safe))
+    violations: list[Violation] = []
+    for n in range(len(coeffs)):
+        if not finite[n]:
+            violations.append(Violation(n, "spatial", "divergent", float("inf")))
+            continue
+        if asym[n] > SYMMETRY_TOL * scale[n]:
+            violations.append(Violation(n, "spatial", "asymmetric", float(asym[n])))
+        if w[n, 0] < -PSD_TOL * max(1.0, w[n, -1]):
+            violations.append(Violation(n, "spatial", "indefinite", float(w[n, 0])))
+    _check_convergence(model, violations, coeffs, w)
+    return ValidityReport(valid=not violations, violations=violations), w, v
+
+
 def validate_spatial(model: SpatialModel) -> ValidityReport:
     """Check symmetry and nonnegative definiteness of each coefficient,
     finiteness of sum ||B_n|| P_n(1), and the tail envelope."""
-    violations: list[Violation] = []
-    for n, c in enumerate(model.coeffs):
-        _check_matrix(n, c, violations)
-    _check_convergence(model, violations)
-    return ValidityReport(valid=not violations, violations=violations)
+    return factor_coefficients(model)[0]
 
 
 def validate_spatiotemporal(model: SpatioTemporalModel, probe_lags) -> ValidityReport:
@@ -375,8 +382,6 @@ def validate_spatiotemporal(model: SpatioTemporalModel, probe_lags) -> ValidityR
     if not any(t == 0.0 for t in lags):
         raise UsageError("probe_lags must contain 0")
     grid = sorted(set(lags))
-    k = len(grid)
-    m = model.m
     violations: list[Violation] = []
     for n in range(model.max_degree + 1):
         for t in grid:
@@ -389,16 +394,12 @@ def validate_spatiotemporal(model: SpatioTemporalModel, probe_lags) -> ValidityR
             mismatch = float(np.max(np.abs(bmt - bt.T)))
             if mismatch > SYMMETRY_TOL * scale:
                 violations.append(Violation(n, t, "asymmetric", mismatch))
-        gram = np.zeros((k * m, k * m))
-        for i in range(k):
-            for j in range(k):
-                gram[i * m : (i + 1) * m, j * m : (j + 1) * m] = model.coeff_at(
-                    n, grid[i] - grid[j]
-                )
+        blocks = np.array([[model.coeff_at(n, ti - tj) for tj in grid] for ti in grid])
+        gram = blocks.transpose(0, 2, 1, 3).reshape(len(grid) * model.m, -1)
         if np.all(np.isfinite(gram)):
-            wmin, wmax = _min_max_eigenvalues(gram)
-            if wmin < -BLOCK_PSD_TOL * max(1.0, wmax):
-                violations.append(Violation(n, "spatial", "indefinite", wmin))
+            w = np.linalg.eigvalsh(_symmetric_part(gram))
+            if w[0] < -BLOCK_PSD_TOL * max(1.0, w[-1]):
+                violations.append(Violation(n, "spatial", "indefinite", float(w[0])))
     _check_convergence(model, violations)
     return ValidityReport(valid=not violations, violations=violations)
 
@@ -452,7 +453,7 @@ def truncation_bound(model, N: int) -> float:
     if N < 0:
         raise UsageError("truncation degree must be nonnegative")
     b0s = [model.coeff_at(n, 0.0) for n in range(N + 1, model.max_degree + 1)]
-    total = _norm_sum(model, b0s, N + 1)
+    total = _weighted_norm_sum(model, [np.linalg.norm(b0, 2) for b0 in b0s], N + 1)
     if model.tail is not None:
         total += model.tail.tail_sum(max(N, model.max_degree) + 1)
     return total

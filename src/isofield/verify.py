@@ -215,11 +215,9 @@ def empirical_cov(
     ]
     if not pairs:
         raise UsageError(f"lag {lag} is not realizable on the time grid {first.times}")
-    per_rep = np.stack(
-        [
-            np.mean([np.outer(r.values[a, i], r.values[b, j]) for i, j in pairs], axis=0)
-            for r in realizations
-        ]
+    values = np.stack([r.values for r in realizations])  # (R, P, T, m)
+    per_rep = np.mean(
+        [values[:, a, i, :, None] * values[:, b, j, None, :] for i, j in pairs], axis=0
     )
     value, se = _mean_se(per_rep)
     cos_ab = cos_distance_batch(space, Point(space.family, space.d, points[b]), points[a : a + 1])

@@ -149,3 +149,14 @@ def exponential_path_cholesky(theta: float, root, an: float, times, rng) -> np.n
 def random_psd(rng: np.random.Generator, m: int, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((m, m))
     return scale * (a @ a.T) / m
+
+
+def empirical_cov_per_replicate(realizations, a: int, b: int, pairs) -> np.ndarray:
+    """(R, m, m) per-replicate averages of outer(Z(x_a; t_i), Z(x_b; t_j)) over
+    the time-index pairs, one replicate and one np.outer at a time."""
+    return np.stack(
+        [
+            np.mean([np.outer(r.values[a, i], r.values[b, j]) for i, j in pairs], axis=0)
+            for r in realizations
+        ]
+    )

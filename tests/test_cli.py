@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from isofield import (
     save_model,
 )
 import isofield
-from isofield.cli import main
+from isofield.cli import MAX_COUNT, main
 from isofield.simulate import load_realization_values
 from tests.oracles import random_psd
 
@@ -319,6 +320,38 @@ class TestBoundaries:
         assert spec in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["random:abc", "fibonacci:1.5", "random:"])
+    def test_bad_point_count_names_the_spec(self, spatial_model_file, tmp_path, capsys, spec):
+        path, _ = spatial_model_file
+        out = tmp_path / "bad.csv"
+        assert main(["simulate", "--model", str(path), "--points", spec, "--out", str(out)]) == 2
+        assert f"point set {spec!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [MAX_COUNT + 1, 99999999999])
+    def test_counts_above_the_cap_exit_two(self, spatial_model_file, tmp_path, capsys, count):
+        path, _ = spatial_model_file
+        out = tmp_path / "big.csv"
+        assert main(["eval-cov", "--model", str(path), "--rho-grid", f"0:1:{count}",
+                     "--out", str(out)]) == 2
+        assert str(MAX_COUNT) in capsys.readouterr().err
+        for spec in (f"random:{count}", f"fibonacci:{count}"):
+            assert main(["simulate", "--model", str(path), "--points", spec,
+                         "--out", str(out)]) == 2
+            assert str(MAX_COUNT) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coefficients_near_overflow(self, tmp_path):
+        # finite and PSD, but 0.5 * (B + B^T) overflows to inf
+        path = save_model(SpatialModel(S2, 2, [np.diag([1e308, 1e308])]), tmp_path / "big.json")
+        out = tmp_path / "big.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--model", str(path), "--out", str(tmp_path / "v.json")]) == 0
+            assert main(["simulate", "--model", str(path), "--points", "random:3",
+                         "--out", str(out)]) == 0
+        values = load_realization_values(out)
+        assert values.shape == (3, 1, 2) and np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("trunc", [[], ["--trunc", "0"]])
     def test_eval_cov_on_non_finite_model_exits_one(self, tmp_path, capsys, trunc):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from isofield import (
     GeometryError,
     IndefiniteMatrixError,
     ModelError,
+    NumericError,
     PureSpatial,
     SeparableScalar,
     SpatialModel,
@@ -27,6 +29,7 @@ from isofield import (
     validate_spatial,
     validate_spatiotemporal,
 )
+from isofield.spaces import a_constant
 from tests.oracles import exponential_path_cholesky, random_psd
 
 S2 = parse_space("sphere:2")
@@ -333,6 +336,67 @@ class TestOneSimulationPath:
         model = SpatioTemporalModel(S2, 1, [np.eye(1)], ScaledKernel())
         with pytest.raises(UsageError):
             simulate_spatiotemporal(model, fixed_points(1), [0, 1], seed=0)
+
+
+class RecordingKernel:
+    """Wraps a kernel and records the root each degree's path is drawn with."""
+
+    def __init__(self, inner):
+        self.inner, self.roots = inner, []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def sample_path(self, root, an, times, rng):
+        self.roots.append(root.copy())
+        return self.inner.sample_path(root, an, times, rng)
+
+
+class TestStackedFactorisation:
+    @pytest.mark.parametrize("kernel", ["spatial", "ar1", "exponential", "ma1"])
+    @pytest.mark.parametrize("trunc", [None, 3])
+    def test_roots_and_paths_equal_per_degree_matrix_sqrt(self, kernel, trunc):
+        rng = np.random.default_rng(49)
+        coeffs = [random_psd(rng, 3, 0.7**n) for n in range(6)]
+        v = rng.standard_normal((3, 1))
+        coeffs[2] = v @ v.T  # rank one
+        inner = {"spatial": PureSpatial(), "ar1": SeparableScalar("ar1", 0.6),
+                 "exponential": SeparableScalar("exponential", 0.9),
+                 "ma1": VectorMA1(0.5 * random_psd(rng, 3))}[kernel]
+        times = [0.0] if kernel == "spatial" else [-1.0, 0.0, 2.0]
+        if kernel == "spatial":
+            model = SpatialModel(S2, 3, coeffs)
+            model.kernel = RecordingKernel(model.kernel)
+        else:
+            model = SpatioTemporalModel(S2, 3, coeffs, RecordingKernel(inner))
+        real = simulate_spatiotemporal(model, fixed_points(3), times, trunc, seed=17)
+        degrees = range(real.trunc + 1)
+        assert len(model.kernel.roots) == len(degrees)
+        for n in degrees:
+            root = matrix_sqrt(coeffs[n])
+            assert np.array_equal(model.kernel.roots[n], root)
+            want = inner.sample_path(root, a_constant(S2, n), times, substream(17, 1, n))
+            assert np.array_equal(real.latent_v[n], want)
+
+    def test_finite_coefficients_near_overflow(self):
+        # 0.5 * (B + B^T) overflows to inf for these finite entries
+        model = SpatialModel(S2, 2, [np.diag([1e308, 1e308])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_spatial(model).valid
+            real = simulate_spatial(model, fixed_points(3), seed=2)
+            root = matrix_sqrt(model.coeffs[0])
+        assert np.all(np.isfinite(real.values)) and np.all(np.abs(real.values) > 1e150)
+        assert np.allclose(root, 1e154 * np.eye(2), rtol=1e-15, atol=0.0)
+
+    def test_non_finite_field_values_raise(self):
+        class OverflowingKernel(RecordingKernel):
+            def sample_path(self, root, an, times, rng):
+                return np.full((len(times), root.shape[0]), np.inf)
+
+        model = SpatioTemporalModel(S2, 1, [np.eye(1)], OverflowingKernel(PureSpatial()))
+        with pytest.raises(NumericError, match="non-finite"):
+            simulate_spatiotemporal(model, fixed_points(2), [0.0], seed=0)
 
 
 class TestMarkovSampler:

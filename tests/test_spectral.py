@@ -77,6 +77,30 @@ class TestValidateSpatial:
             {"degree": 1, "lag": "spatial", "kind": "divergent", "magnitude": math.inf}
         ]
 
+    def test_violation_list_in_degree_order(self):
+        coeffs = [np.eye(2), np.array([[1.0, 0.3], [0.0, 1.0]]), np.diag([1.0, -0.5]),
+                  np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0, 2.0], [0.1, -3.0]]),
+                  np.array([[np.inf, 1.0], [1.0, 1.0]]), 1e-3 * np.eye(2)]
+        report = validate_spatial(SpatialModel(S2, 2, coeffs))
+        assert [(v.degree, v.lag, v.kind) for v in report.violations] == [
+            (1, "spatial", "asymmetric"), (2, "spatial", "indefinite"),
+            (3, "spatial", "divergent"), (4, "spatial", "asymmetric"),
+            (4, "spatial", "indefinite"), (5, "spatial", "divergent"),
+        ]
+        assert [v.magnitude for v in report.violations][:3] == [0.3, -0.5, math.inf]
+        assert report.violations[4].magnitude == pytest.approx(-1.0 - math.sqrt(4 + 1.05**2))
+
+    def test_ma1_lag_zero_sum_divergent(self):
+        # Each Sigma_n and each B_n(0) = 2.44 Sigma_n is finite, and so is
+        # sum ||Sigma_n||, but sum ||B_n(0)|| P_n(1) overflows.
+        sigmas = [0.4e308 * np.eye(2), 0.4e308 * np.eye(2)]
+        assert validate_spatial(SpatialModel(S2, 2, sigmas)).valid
+        model = SpatioTemporalModel(S2, 2, sigmas, VectorMA1(1.2 * np.eye(2)))
+        for report in (validate_spatial(model), validate_spatiotemporal(model, [0.0, 1.0])):
+            assert [v.as_dict() for v in report.violations] == [
+                {"degree": 1, "lag": "spatial", "kind": "divergent", "magnitude": math.inf}
+            ]
+
     def test_bad_envelope_rejected_at_construction(self):
         with pytest.raises(ParameterError):
             TailEnvelope(1.0, 1.0)

@@ -24,7 +24,7 @@ from isofield import (
     simulate_spatiotemporal,
 )
 from isofield.spaces import a_constant
-from tests.oracles import random_psd
+from tests.oracles import empirical_cov_per_replicate, random_psd
 
 S2 = parse_space("sphere:2")
 
@@ -196,6 +196,28 @@ class TestEmpiricalCov:
         with pytest.raises(UsageError, match="point pair"):
             empirical_cov(ens, pair, 0.0)
         assert empirical_cov(ens, (np.int64(1), 0), 0.0).replicates == 3
+
+    @pytest.mark.parametrize("kind", ["spatial", "ma1"])
+    def test_stacked_products_equal_per_replicate_loop(self, kind):
+        rng = np.random.default_rng(77)
+        sigmas = [random_psd(rng, 3) for _ in range(3)]
+        if kind == "spatial":
+            model, times = SpatialModel(S2, 3, sigmas), None
+        else:
+            model = SpatioTemporalModel(S2, 3, sigmas, VectorMA1(0.4 * random_psd(rng, 3)))
+            times = [0, 1, 2, 4]
+        pts = [sample_uniform(S2, rng) for _ in range(3)]
+        ens = self._ensemble(model, pts, times, 50, 6)
+        grid = times or [0]
+        for pair in ((0, 1), (2, 2), (1, 0)):
+            for lag in sorted({float(s - t) for s in grid for t in grid}):
+                pairs = [(i, j) for i, s in enumerate(grid) for j, t in enumerate(grid)
+                         if s - t == lag]
+                per_rep = empirical_cov_per_replicate(ens, *pair, pairs)
+                est = empirical_cov(ens, pair, lag)
+                assert np.array_equal(est.value, per_rep.mean(axis=0))
+                assert np.array_equal(est.std_error,
+                                      per_rep.std(axis=0, ddof=1) / np.sqrt(len(ens)))
 
     def test_unrealizable_lag_rejected(self):
         model = SpatialModel(S2, 1, [np.eye(1)])
