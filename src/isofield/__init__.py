@@ -7,6 +7,8 @@ closed-form identity the construction relies on has a runnable numeric
 check in `isofield.verify`.
 """
 
+__version__ = "0.1.0"  # first, so that submodules can import it
+
 from .errors import (
     DomainError,
     GeometryError,
@@ -82,4 +84,3 @@ from .verify import (
     replicate_seeds,
 )
 
-__version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -93,12 +94,26 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
+def _is_generated(spec: str) -> bool:
+    """A 'kind:K' point-set spec rather than the path of an existing point file."""
+    return ":" in spec and not Path(spec).exists()
+
+
+def _points_spec(spec: str):
+    """The sidecar's record of a point-set specifier: a generated spec as typed,
+    or a point file's name and the SHA-256 of its bytes."""
+    if _is_generated(spec):
+        return spec
+    path = Path(spec)
+    return {"file": path.name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
 def resolve_points(space, spec: str, seed: int) -> np.ndarray:
     """Point-set specifier: 'random:K', 'fibonacci:K', or a coordinate CSV.
 
     Returns the (K, *ambient_shape) array of unit representatives.
     """
-    if ":" in spec and not Path(spec).exists():
+    if _is_generated(spec):
         kind, _, arg = spec.partition(":")
         if kind not in ("random", "fibonacci"):
             raise UsageError(f"unknown point specifier {spec!r}")
@@ -191,7 +206,7 @@ def cmd_simulate(args) -> int:
     trunc = args.trunc if args.trunc is not None else model.max_degree
     real = simulate_spatiotemporal(model, points, _parse_times(args.times), trunc, args.seed)
     out = Path(args.out if args.out else "realization.csv")
-    csv_path, meta_path = save_realization(real, out)
+    csv_path, meta_path = save_realization(real, out, points_spec=_points_spec(args.points))
     print(f"wrote {csv_path} and {meta_path}", file=sys.stderr)
     return EXIT_OK
 

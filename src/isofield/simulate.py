@@ -16,28 +16,29 @@ per-replicate derived seeds.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__, modelio
 from .errors import IndefiniteMatrixError, ModelError, NumericError, UsageError
 from .jacobi import jacobi_all
-from .modelio import model_hash, model_to_dict
 from .spaces import (
     Point,
     SpaceParams,
     a_constant,
     cos_distance_batch,
     point_array,
+    points_sha256,
     points_to_reals,
     sample_uniform,
 )
 from .spectral import INTEGER_LAGS, ZERO_LAG, SpatialModel, SpatioTemporalModel
-from .spectral import _symmetric_part, factor_coefficients
+from .spectral import _symmetric_part, factor_coefficients, truncation_bound
 
 MATRIX_SQRT_TOL = 1e-10
 
@@ -96,11 +97,12 @@ class Realization:
     latent_v: np.ndarray = field(repr=False)
     trunc: int
     seed: int
-    model_hash: str = ""
 
-    def __post_init__(self):
-        if not self.model_hash and self.model is not None:
-            self.model_hash = model_hash(self.model)
+    @cached_property
+    def model_hash(self) -> str:
+        """modelio.model_hash of the model, computed on first use: a kernel
+        without a file representation still simulates, but cannot be saved."""
+        return modelio.model_hash(self.model)
 
 
 def simulate_spatial(
@@ -177,36 +179,47 @@ def simulate_spatiotemporal(
 # --------------------------------------------------------------------------
 
 
-def save_realization(real: Realization, csv_path, meta_path=None) -> tuple[Path, Path]:
+def save_realization(
+    real: Realization, csv_path, meta_path=None, *, points_spec=None
+) -> tuple[Path, Path]:
     """Write values as (point_index, time, component, value) rows plus sidecar.
 
-    Output is a pure function of the realization, so identical
-    configurations produce byte-identical files.
+    The sidecar records `points_spec`, or the coordinates as `points` when no
+    spec is given. Output is a pure function of its arguments, so identical
+    configurations produce byte-identical files. A model with no file form
+    raises ModelFormatError before anything is written.
     """
     csv_path = Path(csv_path)
     if meta_path is None:
         meta_path = csv_path.with_name(csv_path.stem + ".meta.json")
     meta_path = Path(meta_path)
     npts, _, m = real.values.shape
-    cells = itertools.product(range(npts), [repr(t) for t in real.times], range(m))
-    with open(csv_path, "w", newline="") as fh:  # csv.writer's dialect: CRLF, nothing quoted
-        fh.write("point_index,time,component,value\r\n")
-        fh.writelines(
-            map("{0[0]},{0[1]},{0[2]},{1!r}\r\n".format, cells, map(float, real.values.flat))
-        )
     meta = {
+        "format_version": 2,
+        "isofield_version": __version__,
         "space": real.space.label,
-        "m": int(real.values.shape[2]),
+        "m": m,
         "seed": int(real.seed),
         "trunc": int(real.trunc),
         "model_hash": real.model_hash,
+        "tail_bound": truncation_bound(real.model, real.trunc),
         "times": [float(t) for t in real.times],
         "latent_u": points_to_reals(real.latent_u.coords[None])[0].tolist(),
-        "points": points_to_reals(real.points).tolist(),
+        "point_count": npts,
+        "points_sha256": points_sha256(real.points),
     }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if points_spec is None:
+        meta["points"] = points_to_reals(real.points).tolist()
+    else:
+        meta["points_spec"] = points_spec
+    sidecar = json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n"
+    # One %-format over every value, in C order: %r of a float is its repr.
+    tails = [f",{t!r},{k},%r\r\n" for t in real.times for k in range(m)]
+    rows = "".join([f"{p}{tail}" for p in range(npts) for tail in tails])
+    with open(csv_path, "w", newline="") as fh:  # csv.writer's dialect: CRLF, nothing quoted
+        fh.write("point_index,time,component,value\r\n")
+        fh.write(rows % tuple(real.values.ravel().tolist()))
+    meta_path.write_text(sidecar)
     return csv_path, meta_path
 
 

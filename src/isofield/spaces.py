@@ -20,6 +20,7 @@ is one (K, *ambient_shape) array of unit representatives.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -276,8 +277,10 @@ def _stack(space: SpaceParams, reps) -> np.ndarray:
 
 
 def _norms(reps: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each stacked representative, keeping its axes."""
-    return np.sqrt(np.sum(np.abs(reps) ** 2, axis=tuple(range(1, reps.ndim)), keepdims=True))
+    """Euclidean norm of each stacked representative, keeping its axes; inf
+    where the squares overflow, which the callers reject."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.sum(np.abs(reps) ** 2, axis=tuple(range(1, reps.ndim)), keepdims=True))
 
 
 def normalize_points(space: SpaceParams, reps) -> np.ndarray:
@@ -314,6 +317,12 @@ def points_to_reals(reps: np.ndarray) -> np.ndarray:
     (re, im) pairs: the layout of point files and of the sidecar."""
     reals = np.ascontiguousarray(reps).view(np.float64)
     return reals.reshape(len(reals), math.prod(reals.shape[1:]))
+
+
+def points_sha256(reps: np.ndarray) -> str:
+    """SHA-256 of points_to_reals(reps) as little-endian float64 in C order:
+    the sidecar's fingerprint of a point set."""
+    return hashlib.sha256(points_to_reals(reps).astype("<f8").tobytes()).hexdigest()
 
 
 def points_from_reals(space: SpaceParams, reals) -> np.ndarray:

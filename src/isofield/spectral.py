@@ -181,15 +181,17 @@ class VectorMA1:
             )
 
     def coeff_at(self, n, t, coeffs):
+        """B_n(t); entries that overflow read inf or nan, which the checks report."""
         t = _require_lag(self.domain, t)
         sigma = coeffs[n]
         k = int(round(t))
-        if k == 0:
-            return sigma + self.phi @ sigma @ self.phi.T
-        if k == 1:
-            return self.phi @ sigma
-        if k == -1:
-            return sigma @ self.phi.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            if k == 0:
+                return sigma + self.phi @ sigma @ self.phi.T
+            if k == 1:
+                return self.phi @ sigma
+            if k == -1:
+                return sigma @ self.phi.T
         return np.zeros_like(sigma)
 
     def sample_path(self, root, an, times, rng):
@@ -311,12 +313,22 @@ def _weighted_norm_sum(model, norms, first: int) -> float:
     return total
 
 
+def _lag0_coeffs(model) -> np.ndarray:
+    """The (N+1, m, m) stack of B_n(0)."""
+    return np.array([model.coeff_at(n, 0.0) for n in range(model.max_degree + 1)])
+
+
 def _check_convergence(model, violations, stored=None, stored_w=None):
     """Divergent when sum_n ||B_n(0)||_2 P_n(1) plus the tail is not finite; the norm is
     the largest |eigenvalue|, from stored_w when B_n(0) is the stored coefficient
-    (constant and separable kernels). Non-finite B_n(0) is left to the degree checks."""
-    b0s = np.array([model.coeff_at(n, 0.0) for n in range(model.max_degree + 1)])
-    if not np.all(np.isfinite(b0s)):
+    (constant and separable kernels). A non-finite B_n(0) is a divergent degree n,
+    unless a degree check already reported it so."""
+    b0s = _lag0_coeffs(model)
+    finite = np.all(np.isfinite(b0s), axis=(1, 2))
+    if not finite.all():
+        reported = {v.degree for v in violations if v.kind == "divergent"}
+        violations += [Violation(int(n), "spatial", "divergent", float("inf"))
+                       for n in np.flatnonzero(~finite) if n not in reported]
         return
     if stored_w is None or not np.array_equal(b0s, stored):
         stored_w = np.linalg.eigvalsh(_symmetric_part(b0s))
@@ -328,9 +340,9 @@ def _check_convergence(model, violations, stored=None, stored_w=None):
 
 
 def require_finite(model) -> None:
-    """ModelError naming every stored degree whose coefficient is not finite."""
+    """ModelError naming every degree whose B_n(0) is not finite."""
     bad = [Violation(n, "spatial", "divergent", float("inf"))
-           for n, c in enumerate(model.coeffs) if not np.all(np.isfinite(c))]
+           for n, b0 in enumerate(_lag0_coeffs(model)) if not np.all(np.isfinite(b0))]
     if bad:
         summary = ValidityReport(False, bad).summary()
         raise ModelError(f"cannot evaluate an invalid model: {summary}")

@@ -191,7 +191,7 @@ def empirical_cov(
         raise UsageError("realizations must have distinct seeds")
     for r in realizations[1:]:
         if (
-            r.model_hash != first.model_hash
+            (r.model is not first.model and r.model_hash != first.model_hash)
             or r.times != first.times
             or r.trunc != first.trunc
             or not np.array_equal(r.points, first.points)

@@ -3,10 +3,12 @@
 Nothing in here calls back into the code paths under test: polynomial
 values come from the explicit finite sum, integrals from beta-function
 moments, eigenspace dimensions from high-precision gamma evaluation,
-moving-average covariances from direct simulation of the process, and
-exponential-kernel paths from a Cholesky factor of the time-grid correlation.
+moving-average covariances from direct simulation of the process,
+exponential-kernel paths from a Cholesky factor of the time-grid correlation,
+and values CSVs from csv.writer one row at a time.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -160,3 +162,15 @@ def empirical_cov_per_replicate(realizations, a: int, b: int, pairs) -> np.ndarr
             for r in realizations
         ]
     )
+
+
+def write_values_csv(path, values, times) -> None:
+    """The values CSV of a (points, times, components) array, one csv.writer
+    row per value: point_index, repr(time), component, repr(value)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["point_index", "time", "component", "value"])
+        for p in range(values.shape[0]):
+            for i, t in enumerate(times):
+                for k in range(values.shape[2]):
+                    writer.writerow([p, repr(float(t)), k, repr(float(values[p, i, k]))])

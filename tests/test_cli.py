@@ -22,8 +22,9 @@ from isofield import (
     save_model,
 )
 import isofield
-from isofield.cli import MAX_COUNT, main
+from isofield.cli import MAX_COUNT, main, resolve_points
 from isofield.simulate import load_realization_values
+from isofield.spaces import points_sha256, points_to_reals
 from tests.oracles import random_psd
 
 S2 = parse_space("sphere:2")
@@ -378,10 +379,78 @@ class TestBoundaries:
                      "--out", str(out)]) == 0
         meta = json.loads((tmp_path / "c_out.meta.json").read_text())
         want = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        assert np.allclose(meta["points"], want, rtol=0, atol=1e-15)
+        got = resolve_points(space, str(pts), 0)
+        assert np.allclose(points_to_reals(got), want, rtol=0, atol=1e-15)
+        assert meta["points_sha256"] == points_sha256(got)
         pts.write_text("1,0,0,0,0\n")  # five reals cannot be three complex coordinates
         assert main(["simulate", "--model", str(path), "--points", str(pts),
                      "--out", str(out)]) == 2
+
+    def test_sidecar_points_match_their_spec(self, tmp_path):
+        space = parse_space("projC:4")
+        path = save_model(SpatialModel(space, 1, [np.eye(1), 0.5 * np.eye(1)]),
+                          tmp_path / "c.json")
+        pts = tmp_path / "pts.csv"
+        pts.write_text("1,0,0,0,0,0\n0,0,0.6,0.8,0,0\n")
+        for spec, want_spec in (("random:7", "random:7"),
+                                (str(pts), {"file": "pts.csv", "sha256": sha256(pts)})):
+            out = tmp_path / "v.csv"
+            assert main(["simulate", "--model", str(path), "--points", spec, "--seed", "5",
+                         "--out", str(out)]) == 0
+            meta = json.loads((tmp_path / "v.meta.json").read_text())
+            points = resolve_points(space, spec, 5)
+            assert meta["format_version"] == 2 and "points" not in meta
+            assert meta["points_spec"] == want_spec
+            assert meta["point_count"] == len(points)
+            assert meta["points_sha256"] == points_sha256(points)
+
+    def test_fibonacci_sidecar_v2(self, spatial_model_file, tmp_path):
+        path, model = spatial_model_file
+        out = tmp_path / "f.csv"
+        assert main(["simulate", "--model", str(path), "--points", "fibonacci:50",
+                     "--trunc", "1", "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "f.meta.json").read_text())
+        assert meta["points_spec"] == "fibonacci:50" and meta["point_count"] == 50
+        assert meta["points_sha256"] == points_sha256(resolve_points(S2, "fibonacci:50", 0))
+        assert meta["isofield_version"] == isofield.__version__
+        assert meta["tail_bound"] == isofield.truncation_bound(model, 1) > 0.0
+        assert (tmp_path / "f.meta.json").read_text().count("\n") == 1
+
+
+def _run_cli(argv):
+    """(exit code, stderr) of the CLI in a fresh interpreter, which prints
+    warnings to stderr as a user would see them."""
+    src = str(Path(isofield.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "isofield.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+def test_overflowing_point_file_exits_two_without_warnings(spatial_model_file, tmp_path):
+    path, _ = spatial_model_file
+    pts = tmp_path / "huge.csv"
+    pts.write_text("1e308,1e308,0\n")
+    out = tmp_path / "h.csv"
+    code, err = _run_cli(["simulate", "--model", str(path), "--points", str(pts),
+                          "--out", str(out)])
+    assert code == 2 and "Warning" not in err
+    assert err == "error: point representative 0 must be nonzero and finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--points", "random:3", "--times", "0,1"],
+                                  ["eval-cov"]], ids=["simulate", "eval-cov"])
+def test_ma1_lag_zero_overflow_is_invalid(tmp_path, argv):
+    # Sigma_0 = 1e308 is finite, but B_0(0) = Sigma_0 + Phi Sigma_0 Phi^T overflows
+    path = save_model(SpatioTemporalModel(S2, 1, [np.array([[1e308]])], VectorMA1([[2.0]])),
+                      tmp_path / "ma1_big.json")
+    out = tmp_path / "o.csv"
+    code, err = _run_cli([argv[0], "--model", str(path), "--out", str(out), *argv[1:]])
+    assert code == 1
+    assert err.startswith("invalid model: ") and "degree 0 lag spatial: divergent" in err
+    assert "Warning" not in err
+    assert not out.exists()
 
 
 def test_import_does_not_load_scipy():

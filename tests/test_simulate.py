@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 import warnings
 
@@ -8,6 +11,7 @@ from isofield import (
     GeometryError,
     IndefiniteMatrixError,
     ModelError,
+    ModelFormatError,
     NumericError,
     PureSpatial,
     SeparableScalar,
@@ -23,14 +27,15 @@ from isofield import (
     parse_space,
     replicate_seeds,
     sample_uniform,
+    save_realization,
     simulate_spatial,
     simulate_spatiotemporal,
     substream,
     validate_spatial,
     validate_spatiotemporal,
 )
-from isofield.spaces import a_constant
-from tests.oracles import exponential_path_cholesky, random_psd
+from isofield.spaces import a_constant, points_sha256, points_to_reals, sample_uniform_batch
+from tests.oracles import exponential_path_cholesky, random_psd, write_values_csv
 
 S2 = parse_space("sphere:2")
 
@@ -516,3 +521,72 @@ class TestRealizationIO:
         assert meta["seed"] == 21 and meta["trunc"] == 1
         assert meta["model_hash"] == real.model_hash
         assert len(meta["latent_u"]) == 3
+
+    def test_library_save_keeps_coordinates(self, tmp_path):
+        model = small_matrix_model()
+        real = simulate_spatial(model, fixed_points(4), seed=8)
+        _, meta_path = save_realization(real, tmp_path / "lib.csv")
+        meta = json.loads(meta_path.read_text())
+        assert meta["format_version"] == 2 and "points_spec" not in meta
+        assert meta["point_count"] == 4
+        assert np.array_equal(np.array(meta["points"]), points_to_reals(real.points))
+        want = hashlib.sha256(np.array(meta["points"], dtype="<f8").tobytes()).hexdigest()
+        assert meta["points_sha256"] == want == points_sha256(real.points)
+
+    @pytest.mark.parametrize("case", ["spatial_m1", "exponential_m3_projC", "ma1_m3",
+                                      "signed_zeros_and_extremes"])
+    def test_values_csv_matches_csv_writer_oracle(self, case, tmp_path):
+        rng = np.random.default_rng(52)
+        if case == "spatial_m1":
+            model = SpatialModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)])
+            points, times = fixed_points(5), [0.0]
+        elif case == "ma1_m3":
+            model = SpatioTemporalModel(S2, 3, [random_psd(rng, 3), random_psd(rng, 3)],
+                                        VectorMA1(0.4 * np.eye(3)))
+            points, times = fixed_points(4), [-3.0, -1.0, 0.0, 2.0]
+        else:
+            space = parse_space("projC:4")
+            model = SpatioTemporalModel(space, 3, [random_psd(rng, 3), random_psd(rng, 3)],
+                                        SeparableScalar("exponential", 0.7))
+            points = sample_uniform_batch(space, 6, rng)
+            times = [-2.5, -0.0, 0.25, 3.0]
+        real = simulate_spatiotemporal(model, points, times, seed=13)
+        if case == "signed_zeros_and_extremes":
+            special = np.array([-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1e-7, 0.1])
+            values = np.resize(special, real.values.size).reshape(real.values.shape)
+            real = dataclasses.replace(real, values=values)
+        csv_path, _ = save_realization(real, tmp_path / "v.csv")
+        write_values_csv(tmp_path / "oracle.csv", real.values, real.times)
+        assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+class WrappingKernel:
+    """A user-defined kernel: domain, coeff_at and sample_path, and no file form."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def domain(self):
+        return self.inner.domain
+
+    def coeff_at(self, n, t, coeffs):
+        return self.inner.coeff_at(n, t, coeffs)
+
+    def sample_path(self, root, an, times, rng):
+        return self.inner.sample_path(root, an, times, rng)
+
+
+def test_user_defined_kernel_simulates_but_cannot_be_saved(tmp_path):
+    inner = SeparableScalar("ar1", 0.5)
+    coeffs = [np.eye(2), 0.5 * np.eye(2)]
+    model = SpatioTemporalModel(S2, 2, coeffs, WrappingKernel(inner))
+    times = [0.0, 1.0, 2.0]
+    reals = [simulate_spatiotemporal(model, fixed_points(3), times, seed=s) for s in (1, 2, 3)]
+    want = simulate_spatiotemporal(SpatioTemporalModel(S2, 2, coeffs, inner),
+                                   fixed_points(3), times, seed=1)
+    assert np.array_equal(reals[0].values, want.values)
+    assert empirical_cov(reals, (0, 1), 1.0).replicates == 3  # one model object: no hash
+    with pytest.raises(ModelFormatError, match="WrappingKernel"):
+        save_realization(reals[0], tmp_path / "user.csv")
+    assert not (tmp_path / "user.csv").exists()
