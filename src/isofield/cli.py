@@ -156,16 +156,6 @@ def _entry_rows(mat, **fields) -> list[dict]:
             for i in range(mat.shape[0]) for j in range(mat.shape[1])]
 
 
-def _limit_threads(threads: int | None) -> None:
-    if threads is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return
-    threadpool_limits(limits=threads)
-
-
 # --------------------------------------------------------------------------
 # Commands
 # --------------------------------------------------------------------------
@@ -237,7 +227,6 @@ def _mc_record(space, name: str, identity: str, est) -> dict:
 
 
 def cmd_check(args) -> int:
-    _limit_threads(args.threads)
     records = []
     a_scale = 1.01 if args.inject_fault == "a_n" else 1.0
     for space in all_reference_spaces():
@@ -326,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the identity suite and Monte-Carlo oracles")
     common(p, "seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS worker threads (needs threadpoolctl)")
     p.add_argument("--spaces", default=None,
                    help="comma-separated spaces for the Monte-Carlo oracles")
     p.add_argument("--replicates", type=int, default=20_000)

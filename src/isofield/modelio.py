@@ -37,10 +37,6 @@ from .spectral import (
 )
 
 
-def _matrix_to_rows(mat: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(mat)]
-
-
 def _kernel_to_dict(kernel) -> dict:
     variant = getattr(kernel, "kind", None)
     if variant not in _VARIANTS:
@@ -53,7 +49,7 @@ def model_to_dict(model) -> dict:
     doc = {
         "space": model.space.label,
         "m": int(model.m),
-        "coeffs": [_matrix_to_rows(c) for c in model.coeffs],
+        "coeffs": model.coeffs.tolist(),
     }
     if model.tail is not None:
         doc["tail"] = {"c": float(model.tail.c), "r": float(model.tail.r)}
@@ -90,7 +86,7 @@ _VARIANTS = {
     "exponential": ("theta", lambda v, m: SeparableScalar("exponential", float(v)),
                     lambda k: float(k.param)),
     "ma1": ("phi", lambda v, m: VectorMA1(_parse_matrix(v, m, "ma1 phi")),
-            lambda k: _matrix_to_rows(k.phi)),
+            lambda k: k.phi.tolist()),
 }
 
 

@@ -16,9 +16,11 @@ from isofield import (
     SeparableScalar,
     SpatialModel,
     SpatioTemporalModel,
+    TailEnvelope,
     VectorMA1,
     eval_cov,
     parse_space,
+    recover_coefficients,
     save_model,
 )
 import isofield
@@ -200,7 +202,7 @@ class TestCheck:
     def test_default_suite_passes(self, tmp_path):
         out = tmp_path / "check.json"
         code = main(["check", "--replicates", "4000", "--spaces", "sphere:2,projC:4",
-                     "--threads", "1", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["pass"] is True
@@ -451,6 +453,53 @@ def test_ma1_lag_zero_overflow_is_invalid(tmp_path, argv):
     assert err.startswith("invalid model: ") and "degree 0 lag spatial: divergent" in err
     assert "Warning" not in err
     assert not out.exists()
+
+
+# (a) B_0(0) is finite, but the tail envelope's sum c r / (1 - r) overflows;
+# (b) each B_n(0) = 2.44 Sigma_n is finite, but sum ||B_n(0)|| P_n(1) overflows.
+DIVERGENT_SUMS = {
+    "tail": (SpatialModel(S2, 1, [[[1.0]]], TailEnvelope(1e308, 0.999999)), 0),
+    "ma1": (SpatioTemporalModel(S2, 2, [4e307 * np.eye(2)] * 2, VectorMA1(1.2 * np.eye(2))), 1),
+}
+
+
+@pytest.mark.parametrize("name, command", [("tail", "eval-cov"), ("tail", "spectrum"),
+                                           ("ma1", "eval-cov")])
+def test_divergent_series_is_invalid(tmp_path, name, command):
+    model, degree = DIVERGENT_SUMS[name]
+    path = save_model(model, tmp_path / "divergent.json")
+    out = tmp_path / "o.csv"
+    code, err = _run_cli([command, "--model", str(path), "--out", str(out)])
+    assert code == 1
+    assert err.startswith("invalid model: ") and f"degree {degree} lag spatial: divergent" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+def test_unit_circle_ar1_model(tmp_path):
+    # sphere:1 has alpha = beta = -1/2, so a + b = -1
+    space = parse_space("sphere:1")
+    model = SpatioTemporalModel(space, 2, [np.eye(2), [[0.5, 0.1], [0.1, 0.3]], 0.25 * np.eye(2)],
+                                SeparableScalar("ar1", 0.6))
+    path = save_model(model, tmp_path / "circle.json")
+    out = tmp_path / "circle.csv"
+    assert main(["simulate", "--model", str(path), "--points", "random:7", "--times", "0,1,2",
+                 "--out", str(out)]) == 0
+    values = load_realization_values(out)
+    assert values.shape == (7, 3, 2) and np.all(np.isfinite(values))
+    assert json.loads((tmp_path / "circle.meta.json").read_text())["space"] == "sphere:1"
+    table = tmp_path / "table.csv"
+    assert main(["eval-cov", "--model", str(path), "--rho-grid", f"0:{math.pi}:9",
+                 "--lags", "-1,0,2", "--out", str(table)]) == 0
+    with open(table, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9 * 3 * 4
+    for r in rows:
+        want = eval_cov(model, float(r["rho"]), float(r["lag"]))
+        assert float(r["value"]) == want[int(r["component_i"]), int(r["component_j"])]
+    got = recover_coefficients(lambda rho: eval_cov(model, rho), space, 2, N=2, order=3)
+    for a, b in zip(got.coeffs, model.coeffs):
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_import_does_not_load_scipy():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from isofield import (
     parse_space,
     save_model,
 )
+from isofield.spectral import INTEGER_LAGS, REAL_LAGS, ZERO_LAG
 from tests.oracles import random_psd
 
 S2 = parse_space("sphere:2")
@@ -45,6 +47,17 @@ class TestRoundTrip:
         for a, b in zip(model.coeffs, back.coeffs):
             assert np.array_equal(a, b)
         assert back.space.label == model.space.label
+
+    @pytest.mark.parametrize("model", list(example_models()), ids=lambda m: type(m).__name__)
+    def test_coefficient_stack_and_degree_slices(self, model):
+        built = dataclasses.replace(model, coeffs=model.coeffs.tolist())
+        assert built.coeffs.dtype == np.float64 and built.coeffs.shape == (3, 2, 2)
+        lags = {ZERO_LAG: [0.0], INTEGER_LAGS: [-2.0, -1.0, 0.0, 1.0, 2.0],
+                REAL_LAGS: [-1.5, 0.0, 0.25, 2.0]}[built.domain]
+        for t in lags:
+            stack = np.array([built.coeff_at(n, t) for n in range(built.max_degree + 1)])
+            assert np.array_equal(built.coeff_at(slice(None), t), stack)
+            assert np.array_equal(built.coeff_at(slice(1, None), t), stack[1:])
 
     def test_file_round_trip(self, tmp_path):
         model = next(iter(example_models()))
