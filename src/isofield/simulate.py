@@ -8,10 +8,17 @@ degree. Ensembles over independent seeds reproduce the model covariance;
 a single realization is not ergodic in U and its spatial averages do not
 converge to the ensemble covariance.
 
-Randomness is split into named substreams of the master seed
-(spawn key (0,) for U, (1, n) for the degree-n process), so results do
-not depend on evaluation order and replicates can run in parallel with
-per-replicate derived seeds.
+Randomness is split into named substreams of the master seed, so results
+do not depend on evaluation order and replicates can run in parallel with
+per-replicate derived seeds. Every stream drawn from a seed, in one place:
+
+- spawn key (0,): the latent point U
+- spawn key (1, n): the degree-n coefficient path V_n
+- spawn key (2,): the points of a `random:K` point set (cli.resolve_points)
+- spawn key (3,): the two points per space of the `check` command
+- SeedSequence(seed), no spawn key: the mc_* and mc_recover_vn estimators
+  of isofield.verify
+- SeedSequence(master).generate_state(count): verify.replicate_seeds
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .spaces import (
     sample_uniform,
 )
 from .spectral import INTEGER_LAGS, ZERO_LAG, SpatialModel, SpatioTemporalModel
-from .spectral import _symmetric_part, factor_coefficients, truncation_bound
+from .spectral import _psd_root, _symmetric_part, factor_coefficients, truncation_bound
 
 MATRIX_SQRT_TOL = 1e-10
 
@@ -46,12 +53,6 @@ MATRIX_SQRT_TOL = 1e-10
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Named child generator of a master seed (documented splitting rule)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
-def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Root v diag(sqrt(max(w, 0))) v^T of one eigendecomposition or a stack."""
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return 0.5 * (root + np.swapaxes(root, -1, -2))
 
 
 def matrix_sqrt(B: np.ndarray) -> np.ndarray:
@@ -141,7 +142,7 @@ def simulate_spatiotemporal(
         times = [0.0]  # also for -0.0, so the output reads 0.0
     if model.domain == INTEGER_LAGS and not all(t.is_integer() for t in times):
         raise UsageError("this model's temporal domain is Z; times must be integers")
-    report, w, v = factor_coefficients(model)
+    report, roots = factor_coefficients(model)
     if not report.valid:
         raise ModelError(f"cannot simulate from an invalid model: {report.summary()}")
     trunc = model.max_degree if trunc is None else int(trunc)
@@ -153,7 +154,6 @@ def simulate_spatiotemporal(
     sample_path = getattr(model.kernel, "sample_path", None)
     if sample_path is None:
         raise UsageError(f"unsupported temporal kernel {type(model.kernel).__name__}")
-    roots = _psd_root(w[: trunc + 1], v[: trunc + 1])
     latent_v = np.zeros((trunc + 1, len(times), model.m))
     for n in range(trunc + 1):
         latent_v[n] = sample_path(roots[n], a_constant(space, n), times, substream(seed, 1, n))

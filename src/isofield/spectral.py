@@ -72,10 +72,11 @@ def _as_coeff_matrices(coeffs, m: int) -> np.ndarray:
 # coeff_at(n, t, coeffs) -> the m x m matrix B_n(t), or the stack of them
 # when n is a slice of degrees (coeffs is the (N+1, m, m) stack), and
 # sample_path(root, an, times, rng) -> the (len(times), m) degree-n path
-# V_n(.) with covariance a_n^2 B_n(t1 - t2), given root = coeffs[n]^(1/2)
-# and strictly increasing times. Each built-in kernel checks its parameters
-# when built and is then valid exactly when its stored matrices are
-# symmetric nonnegative definite, which is what validate_spatial checks.
+# V_n(.) with covariance a_n^2 B_n(t1 - t2), given the read-only root
+# coeffs[n]^(1/2) and strictly increasing times. A kernel is immutable once
+# attached to a model. Each built-in kernel checks its parameters when built
+# and is then valid exactly when its stored matrices are symmetric
+# nonnegative definite, which is what validate_spatial checks.
 # --------------------------------------------------------------------------
 
 
@@ -167,7 +168,8 @@ class VectorMA1:
     kind = "ma1"
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
+        phi = np.array(self.phi, dtype=float)  # a read-only copy: the kernel is immutable
+        phi.flags.writeable = False
         if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
             raise ParameterError(f"moving-average matrix must be square, got {phi.shape}")
         if not np.all(np.isfinite(phi)):
@@ -336,20 +338,31 @@ def _check_convergence(model, violations, stored=None, stored_w=None):
 
 
 def require_finite(model) -> None:
-    """ModelError naming every divergent degree that _check_convergence reports."""
-    bad: list[Violation] = []
-    _check_convergence(model, bad)
+    """ModelError naming every divergent degree of the model's lag-0 report."""
+    bad = [v for v in factor_coefficients(model)[0].violations if v.kind == "divergent"]
     if bad:
-        summary = ValidityReport(False, bad).summary()
+        summary = ValidityReport(False, sorted(bad, key=lambda v: v.degree)).summary()
         raise ModelError(f"cannot evaluate an invalid model: {summary}")
 
 
-def factor_coefficients(model) -> tuple[ValidityReport, np.ndarray, np.ndarray]:
-    """validate_spatial's report, with the one stacked eigh of the symmetrised
-    stored coefficients behind it: eigenvalues (N+1, m), ascending, and
-    eigenvectors (N+1, m, m), which also give the roots the simulation draws
-    with. A non-finite coefficient is reported divergent and factored as zero."""
-    coeffs = model.coeffs
+def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Root v diag(sqrt(max(w, 0))) v^T of one eigendecomposition or a stack."""
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (root + np.swapaxes(root, -1, -2))
+
+
+def factor_coefficients(model) -> tuple[ValidityReport, np.ndarray | None]:
+    """validate_spatial's report and, for a valid model, the read-only (N+1, m, m)
+    roots B_n^(1/2) the simulation draws with, from one stacked eigh of the
+    symmetrised stored coefficients. A non-finite coefficient is reported
+    divergent and factored as zero. Memoised on the model, keyed by everything
+    the analysis reads (the coefficient bytes, space, tail and, by identity,
+    the kernel), so an edit or reassignment is seen by the next call."""
+    coeffs = np.asarray(model.coeffs, dtype=float)
+    key = (coeffs.tobytes(), coeffs.shape, model.space, model.tail)
+    memo = model.__dict__.get("_factored")
+    if memo is not None and memo[0] == key and memo[1] is model.kernel:
+        return memo[2], memo[3]
     finite = np.all(np.isfinite(coeffs), axis=(1, 2))
     safe = np.where(finite[:, None, None], coeffs, 0.0)
     scale = np.maximum(1.0, np.max(np.abs(safe), axis=(1, 2)))
@@ -366,13 +379,19 @@ def factor_coefficients(model) -> tuple[ValidityReport, np.ndarray, np.ndarray]:
         if w[n, 0] < -PSD_TOL * max(1.0, w[n, -1]):
             violations.append(Violation(n, "spatial", "indefinite", float(w[n, 0])))
     _check_convergence(model, violations, coeffs, w)
-    return ValidityReport(valid=not violations, violations=violations), w, v
+    report = ValidityReport(valid=not violations, violations=violations)
+    roots = _psd_root(w, v) if report.valid else None
+    if roots is not None:
+        roots.flags.writeable = False
+    model._factored = (key, model.kernel, report, roots)
+    return report, roots
 
 
 def validate_spatial(model: SpatialModel) -> ValidityReport:
     """Check symmetry and nonnegative definiteness of each coefficient,
     finiteness of sum ||B_n|| P_n(1), and the tail envelope."""
-    return factor_coefficients(model)[0]
+    report = factor_coefficients(model)[0]
+    return ValidityReport(report.valid, list(report.violations))
 
 
 def validate_spatiotemporal(model: SpatioTemporalModel, probe_lags) -> ValidityReport:
@@ -437,7 +456,9 @@ def eval_cov(model, rho, t: float = 0.0, trunc: int | None = None) -> np.ndarray
     `rho` is one distance or an array of them; the result has shape
     (*rho.shape, m, m), so (m, m) for a scalar. Spatial models require
     t = 0. The neglected degrees are bounded by truncation_bound(model, trunc).
+    A divergent series raises ModelError (see require_finite).
     """
+    require_finite(model)
     trunc = _resolve_trunc(model, trunc)
     rho = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho)):

@@ -123,6 +123,23 @@ class TestAll:
             jacobi_all(-1, params, 0.0)
 
 
+class TestHighDegree:
+    XS = [1 - 1e-9, 1 - 1e-5, 0.999, -0.999, -1 + 1e-7, 0.3]
+
+    @pytest.mark.parametrize("n", [500, 600])
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (-0.5, -0.5), (3.5, 1.5), (1.0, 0.0)])
+    def test_jacobi_all_matches_mpmath(self, n, alpha, beta):
+        """Within 1e-11 of max |P_n| on [-1, 1], which for max(a, b) >= -1/2 is
+        attained at an endpoint (Szego, Theorem 7.32.1)."""
+        mpmath = pytest.importorskip("mpmath")
+        got = jacobi_all(n, JacobiParams(alpha, beta), np.array(self.XS))[n]
+        with mpmath.workdps(50):
+            want = [mpmath.jacobi(n, alpha, beta, mpmath.mpf(x)) for x in self.XS]
+            scale = max(abs(mpmath.jacobi(n, alpha, beta, x)) for x in (-1, 1))
+            err = max(abs(mpmath.mpf(float(g)) - w) for g, w in zip(got, want)) / scale
+        assert err <= 1e-11
+
+
 class TestAtOne:
     def test_legendre_is_one(self):
         assert jacobi_at_one(5, JacobiParams(0, 0)) == pytest.approx(1.0, rel=1e-14)

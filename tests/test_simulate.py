@@ -17,6 +17,7 @@ from isofield import (
     SeparableScalar,
     SpatialModel,
     SpatioTemporalModel,
+    TailEnvelope,
     UsageError,
     VectorMA1,
     distance,
@@ -34,6 +35,7 @@ from isofield import (
     validate_spatial,
     validate_spatiotemporal,
 )
+from isofield.cli import resolve_points
 from isofield.spaces import a_constant, points_sha256, points_to_reals, sample_uniform_batch
 from tests.oracles import exponential_path_cholesky, random_psd, write_values_csv
 
@@ -590,3 +592,113 @@ def test_user_defined_kernel_simulates_but_cannot_be_saved(tmp_path):
     with pytest.raises(ModelFormatError, match="WrappingKernel"):
         save_realization(reals[0], tmp_path / "user.csv")
     assert not (tmp_path / "user.csv").exists()
+
+
+MEMO_KERNELS = {
+    "spatial": None,
+    "ar1": lambda: SeparableScalar("ar1", 0.6),
+    "exponential": lambda: SeparableScalar("exponential", 0.9),
+    "ma1": lambda: VectorMA1([[0.4, 0.1], [-0.2, 0.3]]),
+    "user": lambda: WrappingKernel(SeparableScalar("exponential", 0.4)),
+}
+
+
+def memo_model(kernel):
+    rng = np.random.default_rng(53)
+    coeffs = [random_psd(rng, 2, 0.6**n) for n in range(4)]
+    if MEMO_KERNELS[kernel] is None:
+        return SpatialModel(S2, 2, coeffs)
+    return SpatioTemporalModel(S2, 2, coeffs, MEMO_KERNELS[kernel]())
+
+
+def memo_simulate(model, seed):
+    times = [0.0] if model.domain == "zero" else [0.0, 1.0, 3.0]
+    trunc = min(2, model.max_degree)
+    return simulate_spatiotemporal(model, fixed_points(3), times, trunc=trunc, seed=seed)
+
+
+class TestModelMemo:
+    """A model's lag-0 analysis is computed once per model content and reused."""
+
+    @pytest.mark.parametrize("kernel", sorted(MEMO_KERNELS))
+    def test_repeated_calls_equal_fresh_models(self, kernel):
+        model = memo_model(kernel)
+        for seed in (5, 5, 6):
+            got, want = memo_simulate(model, seed), memo_simulate(memo_model(kernel), seed)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.latent_v, want.latent_v)
+            assert np.array_equal(got.latent_u.coords, want.latent_u.coords)
+
+    @pytest.mark.parametrize("kernel", sorted(MEMO_KERNELS))
+    def test_in_place_coefficient_edit_is_seen(self, kernel):
+        model = memo_model(kernel)
+        memo_simulate(model, 0)
+        model.coeffs[2] = np.diag([1.0, -0.5])
+        with pytest.raises(ModelError, match="degree 2 lag spatial: indefinite"):
+            memo_simulate(model, 0)
+        assert [v.degree for v in validate_spatial(model).violations] == [2]
+
+    @pytest.mark.parametrize("kernel", sorted(MEMO_KERNELS))
+    def test_tail_reassignment_is_seen(self, kernel):
+        model = memo_model(kernel)
+        memo_simulate(model, 0)
+        model.tail = TailEnvelope(1e308, 0.999999)
+        with pytest.raises(ModelError, match="degree 3 lag spatial: divergent"):
+            memo_simulate(model, 0)
+        assert not validate_spatial(model).valid
+        with pytest.raises(ModelError, match="divergent"):
+            eval_cov(model, 0.5)
+
+    def test_kernel_swap_is_seen(self):
+        # each B_n(0) = 2.44 Sigma_n under the moving average, and the sum overflows
+        model = SpatioTemporalModel(S2, 2, [4e307 * np.eye(2)] * 2, SeparableScalar("ar1", 0.5))
+        memo_simulate(model, 0)
+        assert validate_spatial(model).valid
+        model.kernel = VectorMA1(1.2 * np.eye(2))
+        with pytest.raises(ModelError, match="degree 1 lag spatial: divergent"):
+            memo_simulate(model, 0)
+        assert not validate_spatial(model).valid
+        model.kernel = SeparableScalar("exponential", 0.9)
+        fresh = SpatioTemporalModel(S2, 2, model.coeffs.copy(), SeparableScalar("exponential", 0.9))
+        assert np.array_equal(memo_simulate(model, 1).values, memo_simulate(fresh, 1).values)
+
+    def test_returned_report_and_roots_cannot_change_the_memo(self):
+        model = memo_model("spatial")
+        validate_spatial(model).violations.append("not a violation")
+        assert validate_spatial(model).violations == []
+
+        class RootWritingKernel(WrappingKernel):
+            def sample_path(self, root, an, times, rng):
+                root *= 2.0
+                return self.inner.sample_path(root, an, times, rng)
+
+        model = SpatioTemporalModel(S2, 2, model.coeffs, RootWritingKernel(PureSpatial()))
+        with pytest.raises(ValueError, match="read-only"):
+            memo_simulate(model, 0)
+
+    def test_ma1_matrix_is_a_read_only_copy(self):
+        phi = np.array([[0.4, 0.1], [-0.2, 0.3]])
+        kernel = VectorMA1(phi)
+        assert not kernel.phi.flags.writeable
+        assert not np.shares_memory(kernel.phi, phi)
+        phi[0, 0] = 5.0
+        assert kernel.phi[0, 0] == 0.4
+        with pytest.raises(ValueError, match="read-only"):
+            kernel.phi[0, 0] = 1.0
+
+
+def test_substream_registry_streams_are_distinct():
+    """The first 8 draws of every stream the simulate module's docstring lists are
+    distinct across streams and seeds, and random:K points use key (2,)."""
+    draws = []
+    for seed in (0, 1, 4242, 2**40 + 3):
+        gens = [substream(seed, 0), substream(seed, 2), substream(seed, 3),
+                np.random.default_rng(np.random.SeedSequence(seed))]
+        gens += [substream(seed, 1, n) for n in range(4)]
+        for rng in gens:
+            draws += [int(x) for x in rng.bit_generator.random_raw(8)]
+        draws += replicate_seeds(seed, 8)
+        assert np.array_equal(resolve_points(S2, "random:5", seed),
+                              sample_uniform_batch(S2, 5, substream(seed, 2)))
+    assert len(draws) == 4 * 9 * 8
+    assert len(set(draws)) == len(draws)

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from isofield import (
     DomainError,
+    ModelError,
     PureSpatial,
     SeparableScalar,
     SpatialModel,
@@ -195,6 +197,17 @@ class TestEvalCov:
     def test_spatial_model_requires_zero_lag(self):
         with pytest.raises(UsageError):
             eval_cov(scalar_model([1.0]), 0.3, t=1.0)
+
+    def test_divergent_series_raises_before_overflow(self):
+        # each B_n(0) = 2.44 Sigma_n is finite, but sum ||B_n(0)|| P_n(1) overflows
+        model = SpatioTemporalModel(S2, 2, [4e307 * np.eye(2)] * 2, VectorMA1(1.2 * np.eye(2)))
+        tail = scalar_model([1.0], TailEnvelope(1e308, 0.999999))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="degree 1 lag spatial: divergent"):
+                eval_cov(model, 0.5)
+            with pytest.raises(ModelError, match="degree 0 lag spatial: divergent"):
+                eval_cov(tail, 0.5, trunc=1)  # the gate runs before the truncation check
 
     def test_integer_domain_rejects_real_lag(self):
         with pytest.raises(UsageError):
