@@ -63,6 +63,16 @@ def _require(cond: bool, message: str) -> None:
         raise ModelFormatError(message)
 
 
+def _is_number(v) -> bool:
+    """A JSON number: an int or float, not a bool (which Python counts as an int)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _float(v, what: str) -> float:
+    _require(_is_number(v), f"{what} must be a number")
+    return float(v)
+
+
 def _parse_matrix(obj, m: int, what: str) -> np.ndarray:
     _require(isinstance(obj, list) and len(obj) == m, f"{what} must have {m} rows")
     for row in obj:
@@ -70,10 +80,7 @@ def _parse_matrix(obj, m: int, what: str) -> np.ndarray:
             isinstance(row, list) and len(row) == m,
             f"{what} must be {m}x{m} row-major",
         )
-        _require(
-            all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row),
-            f"{what} entries must be numbers",
-        )
+        _require(all(map(_is_number, row)), f"{what} entries must be numbers")
     return np.asarray(obj, dtype=float)
 
 
@@ -82,8 +89,9 @@ def _parse_matrix(obj, m: int, what: str) -> np.ndarray:
 # A kernel names its row through its `kind` attribute.
 _VARIANTS = {
     "pure_spatial": (None, lambda v, m: PureSpatial(), None),
-    "ar1": ("phi", lambda v, m: SeparableScalar("ar1", float(v)), lambda k: float(k.param)),
-    "exponential": ("theta", lambda v, m: SeparableScalar("exponential", float(v)),
+    "ar1": ("phi", lambda v, m: SeparableScalar("ar1", _float(v, "ar1 phi")),
+            lambda k: float(k.param)),
+    "exponential": ("theta", lambda v, m: SeparableScalar("exponential", _float(v, "theta")),
                     lambda k: float(k.param)),
     "ma1": ("phi", lambda v, m: VectorMA1(_parse_matrix(v, m, "ma1 phi")),
             lambda k: k.phi.tolist()),
@@ -99,7 +107,8 @@ def model_from_dict(doc: dict):
     except Exception as exc:
         raise ModelFormatError(f"bad space field: {exc}") from exc
     m = doc["m"]
-    _require(isinstance(m, int) and m >= 1, "m must be a positive integer")
+    _require(isinstance(m, int) and not isinstance(m, bool) and m >= 1,
+             "m must be a positive integer")
     _require(isinstance(doc["coeffs"], list) and doc["coeffs"], "coeffs must be a nonempty array")
     coeffs = [
         _parse_matrix(c, m, f"coefficient {n}") for n, c in enumerate(doc["coeffs"])
@@ -112,7 +121,7 @@ def model_from_dict(doc: dict):
             "tail must be an object with fields c and r",
         )
         try:
-            tail = TailEnvelope(float(tobj["c"]), float(tobj["r"]))
+            tail = TailEnvelope(*(_float(tobj[k], f"tail {k}") for k in "cr"))
         except Exception as exc:
             raise ModelFormatError(f"bad tail envelope: {exc}") from exc
     if doc.get("temporal") is None:

@@ -401,21 +401,26 @@ def validate_spatiotemporal(model: SpatioTemporalModel, probe_lags) -> ValidityR
     block matrix [B_n(t_i - t_j)] over the grid must be nonnegative
     definite. Convergence of sum ||B_n(0)|| P_n(1) is checked as in the
     spatial case. Passing all probes is necessary but, for continuous
-    time, not sufficient for validity on all of R.
+    time, not sufficient for validity on all of R. The probe lags must be
+    finite; every degree's B_n(s) is read at once, one model.coeff_at call
+    per distinct lag s among the t, -t and t_i - t_j the checks need.
     """
     lags = [float(t) for t in probe_lags]
     if not lags:
         raise UsageError("probe_lags must be nonempty")
     if not any(t == 0.0 for t in lags):
         raise UsageError("probe_lags must contain 0")
+    if not all(map(math.isfinite, lags)):
+        raise UsageError(f"probe lag {next(t for t in lags if not math.isfinite(t))} is not finite")
     grid = sorted(set(lags))
+    reads = [u for t in grid for u in (t, -t)] + [ti - tj for ti in grid for tj in grid]
+    index = {s: k for k, s in enumerate(dict.fromkeys(reads))}  # in first-read order
+    table = np.array([model.coeff_at(slice(None), s) for s in index])  # (lags, N+1, m, m)
+    pairs = np.array([index[s] for s in reads[2 * len(grid):]]).reshape(len(grid), -1)
     violations: list[Violation] = []
-    coeff_at = model.kernel.coeff_at
-    rows = list(model.coeffs)  # a list row indexes about 5x faster than an array row
     for n in range(model.max_degree + 1):
         for t in grid:
-            bt = coeff_at(n, t, rows)
-            bmt = coeff_at(n, -t, rows)
+            bt, bmt = table[index[t], n], table[index[-t], n]
             if not (np.all(np.isfinite(bt)) and np.all(np.isfinite(bmt))):
                 violations.append(Violation(n, t, "divergent", float("inf")))
                 continue
@@ -423,8 +428,7 @@ def validate_spatiotemporal(model: SpatioTemporalModel, probe_lags) -> ValidityR
             mismatch = float(np.max(np.abs(bmt - bt.T)))
             if mismatch > SYMMETRY_TOL * scale:
                 violations.append(Violation(n, t, "asymmetric", mismatch))
-        blocks = np.array([[coeff_at(n, ti - tj, rows) for tj in grid] for ti in grid])
-        gram = blocks.transpose(0, 2, 1, 3).reshape(len(grid) * model.m, -1)
+        gram = table[pairs, n].transpose(0, 2, 1, 3).reshape(len(grid) * model.m, -1)
         if np.all(np.isfinite(gram)):
             w = np.linalg.eigvalsh(_symmetric_part(gram))
             if w[0] < -BLOCK_PSD_TOL * max(1.0, w[-1]):

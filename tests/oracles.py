@@ -5,7 +5,8 @@ values come from the explicit finite sum, integrals from beta-function
 moments, eigenspace dimensions from high-precision gamma evaluation,
 moving-average covariances from direct simulation of the process,
 exponential-kernel paths from a Cholesky factor of the time-grid correlation,
-and values CSVs from csv.writer one row at a time.
+values CSVs from csv.writer one row at a time, and space-time validity
+reports from one kernel call per (degree, lag).
 """
 
 import csv
@@ -174,3 +175,46 @@ def write_values_csv(path, values, times) -> None:
             for i, t in enumerate(times):
                 for k in range(values.shape[2]):
                     writer.writerow([p, repr(float(t)), k, repr(float(values[p, i, k]))])
+
+
+def validate_spatiotemporal_per_degree(model, probe_lags):
+    """The space-time validity report read one kernel call per (degree, lag).
+
+    The reference for the library's one-table-per-lag reading, which must give
+    the same report and the same UsageError. It shares the report types, the
+    tolerances and the lag-0 convergence check with the library; only the
+    reading of B_n(t) is its own.
+    """
+    from isofield.errors import UsageError
+    from isofield.spectral import (
+        BLOCK_PSD_TOL, SYMMETRY_TOL, ValidityReport, Violation, _check_convergence,
+        _symmetric_part,
+    )
+
+    lags = [float(t) for t in probe_lags]
+    if not lags:
+        raise UsageError("probe_lags must be nonempty")
+    if not any(t == 0.0 for t in lags):
+        raise UsageError("probe_lags must contain 0")
+    grid = sorted(set(lags))
+    violations = []
+    coeff_at = model.kernel.coeff_at
+    for n in range(model.max_degree + 1):
+        for t in grid:
+            bt = coeff_at(n, t, model.coeffs)
+            bmt = coeff_at(n, -t, model.coeffs)
+            if not (np.all(np.isfinite(bt)) and np.all(np.isfinite(bmt))):
+                violations.append(Violation(n, t, "divergent", float("inf")))
+                continue
+            scale = max(1.0, float(np.max(np.abs(bt))))
+            mismatch = float(np.max(np.abs(bmt - bt.T)))
+            if mismatch > SYMMETRY_TOL * scale:
+                violations.append(Violation(n, t, "asymmetric", mismatch))
+        blocks = np.array([[coeff_at(n, ti - tj, model.coeffs) for tj in grid] for ti in grid])
+        gram = blocks.transpose(0, 2, 1, 3).reshape(len(grid) * model.m, -1)
+        if np.all(np.isfinite(gram)):
+            w = np.linalg.eigvalsh(_symmetric_part(gram))
+            if w[0] < -BLOCK_PSD_TOL * max(1.0, w[-1]):
+                violations.append(Violation(n, "spatial", "indefinite", float(w[0])))
+    _check_convergence(model, violations)
+    return ValidityReport(valid=not violations, violations=violations)

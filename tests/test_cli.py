@@ -283,6 +283,24 @@ class TestBoundaries:
         assert capsys.readouterr().err.startswith("error: bad temporal kernel")
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("fields", [
+        {"m": True},
+        {"tail": {"c": True, "r": 0.5}},
+        {"tail": {"c": 1.0, "r": "0.5"}},
+        {"temporal": {"variant": "ar1", "phi": "0.5"}},
+        {"temporal": {"variant": "ar1", "phi": False}},
+        {"temporal": {"variant": "exponential", "theta": "1.5"}},
+    ], ids=["m_true", "tail_c_true", "tail_r_string", "ar1_phi_string", "ar1_phi_false",
+            "exponential_theta_string"])
+    def test_non_number_scalar_fields_exit_two(self, fields, tmp_path, capsys):
+        # bool is an int subclass and float() parses strings: both were accepted
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"space": "sphere:2", "m": 1, "coeffs": [[[1.0]]], **fields}))
+        out = tmp_path / "report.json"
+        assert main(["validate", "--model", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "0,-inf", "1,NaN"])
     def test_non_finite_lags_and_times_exit_two(self, exponential_model_file, tmp_path, bad):
         path, _ = exponential_model_file

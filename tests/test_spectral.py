@@ -27,7 +27,9 @@ from isofield import (
     validate_spatiotemporal,
 )
 from isofield.errors import ParameterError
-from tests.oracles import ma1_lag_cov_mc, random_psd
+from isofield.jacobi import jacobi_at_one
+from isofield.spectral import ZERO_LAG
+from tests.oracles import ma1_lag_cov_mc, random_psd, validate_spatiotemporal_per_degree
 
 S2 = parse_space("sphere:2")
 LAGS = [-2.0, -1.0, 0.0, 1.0, 2.0]
@@ -42,6 +44,26 @@ def ma1_model(seed=0, degrees=3, m=2):
     phi = 0.6 * rng.standard_normal((m, m))
     sigmas = [random_psd(rng, m) for _ in range(degrees)]
     return SpatioTemporalModel(S2, m, sigmas, VectorMA1(phi))
+
+
+class LopsidedKernel:
+    # deliberately violates B(-t) = B(t)^T at lag 1
+    domain = "integers"
+
+    def coeff_at(self, n, t, coeffs):
+        if t == 1.0:
+            return 0.5 * coeffs[n]
+        if t == -1.0:
+            return 0.25 * coeffs[n]
+        return coeffs[n] if t == 0.0 else np.zeros_like(coeffs[n])
+
+
+class ExplosiveKernel:
+    # symmetric in lag but r(t) = 2^|t| is not a correlation
+    domain = "integers"
+
+    def coeff_at(self, n, t, coeffs):
+        return 2.0 ** abs(t) * coeffs[n]
 
 
 class TestValidateSpatial:
@@ -122,30 +144,12 @@ class TestValidateSpatioTemporal:
         assert validate_spatiotemporal(model, LAGS).valid
 
     def test_tampered_kernel_flagged_asymmetric(self):
-        class LopsidedKernel:
-            # deliberately violates B(-t) = B(t)^T at lag 1
-            domain = "integers"
-
-            def coeff_at(self, n, t, coeffs):
-                if t == 1.0:
-                    return 0.5 * coeffs[n]
-                if t == -1.0:
-                    return 0.25 * coeffs[n]
-                return coeffs[n] if t == 0.0 else np.zeros_like(coeffs[n])
-
         model = SpatioTemporalModel(S2, 2, [np.eye(2)], LopsidedKernel())
         report = validate_spatiotemporal(model, LAGS)
         assert not report.valid
         assert any(v.kind == "asymmetric" for v in report.violations)
 
     def test_explosive_correlation_flagged_indefinite(self):
-        class ExplosiveKernel:
-            # symmetric in lag but r(t) = 2^|t| is not a correlation
-            domain = "integers"
-
-            def coeff_at(self, n, t, coeffs):
-                return 2.0 ** abs(t) * coeffs[n]
-
         model = SpatioTemporalModel(S2, 1, [np.eye(1)], ExplosiveKernel())
         report = validate_spatiotemporal(model, LAGS)
         assert any(v.kind == "indefinite" for v in report.violations)
@@ -175,6 +179,106 @@ class TestValidateSpatioTemporal:
         for bad in (math.nan, math.inf):
             with pytest.raises(ParameterError):
                 VectorMA1(np.array([[0.5, 0.0], [bad, 0.5]]))
+
+
+def _validate_outcome(validate, model, lags) -> str:
+    """The repr of a validity report's dict, or the text of its UsageError."""
+    try:
+        return repr(validate(model, lags).as_dict())
+    except UsageError as exc:
+        return f"UsageError: {exc}"
+
+
+KERNELS = {
+    "ar1": lambda m: SeparableScalar("ar1", -0.6),
+    "exponential": lambda m: SeparableScalar("exponential", 0.8),
+    "ma1": lambda m: VectorMA1(0.7 * np.random.default_rng(m).standard_normal((m, m))),
+    "pure_spatial": lambda m: PureSpatial(),
+    "zero_lag": lambda m: PureSpatial(ZERO_LAG),  # a spatial model's kernel
+    "lopsided": lambda m: LopsidedKernel(),
+    "explosive": lambda m: ExplosiveKernel(),
+}
+GRIDS = [
+    [-2.0, -1.0, 0.0, 1.0, 2.0],
+    [0.0, 1.0, 1.0, 0.0, 3.0, -2.0],  # duplicates
+    [-0.0, 1.0, -1.0, 2.0],  # zero given as -0.0
+    [0.0, -0.0, 2.0],
+    [0.0, 0.3, -0.7, 1.9, -2.25, 0.05],  # irregular real lags
+    [0.0, 1.0, 0.5, -1.5],  # a non-integer lag: integer domains name the first one
+    [0.0],
+    [1.0, 2.0],
+    [],
+]
+
+
+def _coefficient_sets(m, rng):
+    """Valid, indefinite and (for m > 1) asymmetric coefficient stacks."""
+    valid = [random_psd(rng, m) for _ in range(3)]
+    indefinite = [valid[0], valid[1] - 2.0 * np.eye(m), valid[2]]
+    sets = {"valid": valid, "indefinite": indefinite}
+    if m > 1:
+        lopsided = valid[1].copy()
+        lopsided[0, 1] += 0.3
+        sets["asymmetric"] = [valid[0], lopsided, valid[2]]
+    return sets
+
+
+class TestLagTable:
+    """validate_spatiotemporal reads one table of B_n(s) per distinct lag; its reports
+    and errors equal the reference that calls the kernel per (degree, lag)."""
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_reports_equal_the_per_degree_reference(self, kind):
+        rng = np.random.default_rng(2024)
+        for m in (1, 2, 3):
+            for label, coeffs in _coefficient_sets(m, rng).items():
+                model = SpatioTemporalModel(S2, m, coeffs, KERNELS[kind](m))
+                for lags in GRIDS:
+                    got = _validate_outcome(validate_spatiotemporal, model, lags)
+                    want = _validate_outcome(validate_spatiotemporal_per_degree, model, lags)
+                    assert got == want, (kind, m, label, lags)
+
+    @pytest.mark.parametrize("phi", [0.5, 1.2])
+    def test_ma1_near_overflow_equals_the_reference(self, phi):
+        # Sigma = 1e308 I: B(0) = (1 + phi^2) Sigma is finite at 0.5 and overflows at 1.2
+        model = SpatioTemporalModel(S2, 2, [1e308 * np.eye(2)] * 2, VectorMA1(phi * np.eye(2)))
+        got = _validate_outcome(validate_spatiotemporal, model, LAGS)
+        assert got == _validate_outcome(validate_spatiotemporal_per_degree, model, LAGS)
+        assert ("'lag': 0.0, 'kind': 'divergent'" in got) == (phi > 1.0)
+
+    def test_cov_table_shaped_model_equals_the_reference(self):
+        # projC:4, m = 3, N = 60, 41 regular real lags: the benchmark's validate step
+        rng = np.random.default_rng(7)
+        space = parse_space("projC:4")
+        coeffs = [0.85**n / jacobi_at_one(n, space.geom) * random_psd(rng, 3)
+                  for n in range(61)]
+        model = SpatioTemporalModel(space, 3, coeffs, SeparableScalar("exponential", 1.3))
+        lags = [0.17 * k for k in range(-20, 21)]
+        report = validate_spatiotemporal(model, lags)
+        assert report.valid
+        assert repr(report.as_dict()) == repr(
+            validate_spatiotemporal_per_degree(model, lags).as_dict())
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_probe_lag_is_named(self, bad):
+        # inf - inf = nan made every Gram non-finite, so an indefinite model read valid
+        model = SpatioTemporalModel(S2, 2, [np.diag([1.0, -0.5])],
+                                    SeparableScalar("exponential", 1.0))
+        with pytest.raises(UsageError, match=f"probe lag {bad} is not finite"):
+            validate_spatiotemporal(model, [0.0, bad])
+        assert not validate_spatiotemporal(model, [0.0, 1.0]).valid
+
+    def test_one_coeff_at_call_per_distinct_lag(self):
+        model = SpatioTemporalModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)],
+                                    SeparableScalar("exponential", 1.0))
+        calls = []
+        read = model.coeff_at
+        model.coeff_at = lambda n, t=0.0: calls.append((n, t)) or read(n, t)
+        validate_spatiotemporal(model, [0.0, 0.5, 1.25])
+        # t and -t per grid lag, then each t_i - t_j, in first-read order; the last
+        # call is the lag-0 convergence check
+        table_lags = [0.0, 0.5, -0.5, 1.25, -1.25, -0.75, 0.75]
+        assert calls == [(slice(None), s) for s in table_lags + [0.0]]
 
 
 class TestEvalCov:
