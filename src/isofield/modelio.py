@@ -158,6 +158,8 @@ def load_model(path):
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise ModelFormatError(f"{path}: JSON nested too deeply to parse") from None
     return model_from_dict(doc)
 
 

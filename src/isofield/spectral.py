@@ -33,6 +33,8 @@ SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
 BLOCK_PSD_TOL = 1e-9
 
+MAX_LAG_TABLE = 10_000_000  # float64 values (80 MB) validate_spatiotemporal may tabulate
+
 INTEGER_LAGS = "integers"
 REAL_LAGS = "reals"
 ZERO_LAG = "zero"  # a purely spatial model: lag 0 only
@@ -403,7 +405,10 @@ def validate_spatiotemporal(model: SpatioTemporalModel, probe_lags) -> ValidityR
     spatial case. Passing all probes is necessary but, for continuous
     time, not sufficient for validity on all of R. The probe lags must be
     finite; every degree's B_n(s) is read at once, one model.coeff_at call
-    per distinct lag s among the t, -t and t_i - t_j the checks need.
+    per distinct lag s among the t, -t and t_i - t_j the checks need. A grid
+    of G distinct lags has up to G(G-1)+1 of them, each tabulated as (N+1)m^2
+    values and indexed at the cost of about 32 more; a grid whose worst case
+    exceeds MAX_LAG_TABLE values is rejected before anything is read.
     """
     lags = [float(t) for t in probe_lags]
     if not lags:
@@ -413,9 +418,17 @@ def validate_spatiotemporal(model: SpatioTemporalModel, probe_lags) -> ValidityR
     if not all(map(math.isfinite, lags)):
         raise UsageError(f"probe lag {next(t for t in lags if not math.isfinite(t))} is not finite")
     grid = sorted(set(lags))
+    rows, width = len(grid) * (len(grid) - 1) + 1, (model.max_degree + 1) * model.m**2
+    if rows * (width + 32) > MAX_LAG_TABLE:
+        raise UsageError(
+            f"a probe grid of {len(grid)} distinct lags may need {rows} lag differences "
+            f"of {width} coefficients each, over the cap of {MAX_LAG_TABLE} table values"
+        )
     reads = [u for t in grid for u in (t, -t)] + [ti - tj for ti in grid for tj in grid]
     index = {s: k for k, s in enumerate(dict.fromkeys(reads))}  # in first-read order
-    table = np.array([model.coeff_at(slice(None), s) for s in index])  # (lags, N+1, m, m)
+    table = np.empty((len(index), model.max_degree + 1, model.m, model.m))
+    for s, k in index.items():
+        table[k] = model.coeff_at(slice(None), s)
     pairs = np.array([index[s] for s in reads[2 * len(grid):]]).reshape(len(grid), -1)
     violations: list[Violation] = []
     for n in range(model.max_degree + 1):

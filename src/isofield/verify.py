@@ -73,16 +73,6 @@ class MCEstimate:
     def passed(self) -> bool:
         return self.z_score <= Z_THRESHOLD
 
-    def as_dict(self) -> dict:
-        return {
-            "value": np.asarray(self.value).tolist(),
-            "std_error": np.asarray(self.std_error).tolist(),
-            "replicates": self.replicates,
-            "target": np.asarray(self.target).tolist(),
-            "z": self.z_score,
-            "pass": self.passed,
-        }
-
 
 def _mean_se(samples: np.ndarray, axis=0) -> tuple[np.ndarray, np.ndarray]:
     n = samples.shape[axis]
@@ -142,21 +132,17 @@ def mc_zonal_covariance(
     x2: Point,
     replicates: int = 100_000,
     seed: int = 0,
-    cross_degree: int | None = None,
 ) -> ZonalCheck:
     """Simulate Z_n(x) = a_n P_n(cos rho(x, U)) and check its moments.
 
     The mean targets 0, the covariance targets P_n(cos rho(x1, x2)), and
-    the covariance against an independent copy of a different degree
-    targets 0.
+    the covariance of degree n at x1 with degree n + 1 at x2 targets 0.
     """
     if n < 1:
         raise UsageError("the zonal field check needs degree n >= 1")
-    k = cross_degree if cross_degree is not None else n + 1
-    if k == n:
-        raise UsageError("cross degree must differ from n")
+    k = n + 1
     c1, c2 = _uniform_cosines(space, x1, x2, replicates, seed)
-    p = jacobi_all(max(n, k), space.geom, np.stack([c1, c2]))
+    p = jacobi_all(k, space.geom, np.stack([c1, c2]))
     z1 = a_constant(space, n) * p[n, 0]
     z2 = a_constant(space, n) * p[n, 1]
     zk = a_constant(space, k) * p[k, 1]
@@ -269,14 +255,18 @@ def mc_recover_vn(
 
 @dataclass
 class IdentityCheck:
-    """One verified identity: relative error against a stated tolerance."""
+    """One verified identity: it passes when its relative error
+    |value - target| / max(1, |target|) is within the stated tolerance."""
 
     name: str
     identity: str
     target: float
     value: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return _rel_err(self.value, self.target) <= self.tolerance
 
     def as_dict(self) -> dict:
         return {
@@ -313,88 +303,31 @@ def _rel_err(value: float, target: float) -> float:
     return abs(value - target) / max(1.0, abs(target))
 
 
-def check_space_identities(
-    space: SpaceParams, n_max: int = 50, a_scale: float = 1.0
-) -> IdentityReport:
+def check_space_identities(space: SpaceParams) -> IdentityReport:
     """Verify the closed-form constants of one space against each other.
 
     Volume formula vs the integer multiple of the equal-dimension sphere
     volume, integrality of that multiple, the dimension bookkeeping
     d = 2*alpha + 2 and e = 2*beta + 2, a_n^2 P_n(1) = dim H_n, and
-    integrality of dim H_n, for n up to n_max. `a_scale` is a fault
-    -injection hook: anything other than 1 must make the a_n identity fail,
-    which the test suite uses to prove the check has teeth.
+    integrality of dim H_n, for n up to 50.
     """
-    checks: list[IdentityCheck] = []
     a, b = space.geom.alpha, space.geom.beta
-    vol_target = space.weinstein * sphere_volume(space.d)
-    err = _rel_err(space.volume, vol_target)
-    checks.append(
-        IdentityCheck(
-            name="volume_ratio",
-            identity="omega_d = i(M) * volume(S^d)",
-            target=vol_target,
-            value=space.volume,
-            tolerance=1e-9,
-            passed=err <= 1e-9,
-        )
-    )
-    w_raw = weinstein_integer_value(a, b)
-    checks.append(
-        IdentityCheck(
-            name="weinstein_integer",
-            identity="i(M) = 2^(2a+1) G(a+3/2) G(b+1) / (sqrt(pi) G(a+b+2)) is an integer",
-            target=float(round(w_raw)),
-            value=w_raw,
-            tolerance=1e-9,
-            passed=abs(w_raw - round(w_raw)) <= 1e-9 * max(1.0, abs(w_raw)),
-        )
-    )
-    checks.append(
-        IdentityCheck(
-            name="dimension_alpha",
-            identity="d = 2*alpha + 2",
-            target=float(space.d),
-            value=2.0 * a + 2.0,
-            tolerance=0.0,
-            passed=2.0 * a + 2.0 == float(space.d),
-        )
-    )
-    checks.append(
-        IdentityCheck(
-            name="dimension_beta",
-            identity="e = 2*beta + 2",
-            target=float(space.e),
-            value=2.0 * b + 2.0,
-            tolerance=0.0,
-            passed=2.0 * b + 2.0 == float(space.e),
-        )
-    )
-    worst_pair = 0.0
-    worst_int = 0.0
-    for n in range(n_max + 1):
-        an = a_scale * a_constant(space, n)
+    w = weinstein_integer_value(a, b)
+    worst_pair = worst_int = 0.0
+    for n in range(51):
+        an = a_constant(space, n)
         dim = dim_eigenspace(space, n)
         worst_pair = max(worst_pair, _rel_err(an * an * jacobi_at_one(n, space.geom), dim))
         worst_int = max(worst_int, abs(dim - round(dim)) / max(1.0, dim))
-    checks.append(
-        IdentityCheck(
-            name="eigenspace_dimension",
-            identity="a_n^2 * P_n(1) = dim H_n",
-            target=0.0,
-            value=worst_pair,
-            tolerance=1e-9,
-            passed=worst_pair <= 1e-9,
-        )
-    )
-    checks.append(
-        IdentityCheck(
-            name="eigenspace_integrality",
-            identity="dim H_n is a positive integer",
-            target=0.0,
-            value=worst_int,
-            tolerance=1e-9,
-            passed=worst_int <= 1e-9,
-        )
-    )
-    return IdentityReport(space=space.label, checks=checks)
+    rows = [
+        ("volume_ratio", "omega_d = i(M) * volume(S^d)",
+         space.weinstein * sphere_volume(space.d), space.volume, 1e-9),
+        ("weinstein_integer",
+         "i(M) = 2^(2a+1) G(a+3/2) G(b+1) / (sqrt(pi) G(a+b+2)) is an integer",
+         float(round(w)), w, 1e-9),
+        ("dimension_alpha", "d = 2*alpha + 2", float(space.d), 2.0 * a + 2.0, 0.0),
+        ("dimension_beta", "e = 2*beta + 2", float(space.e), 2.0 * b + 2.0, 0.0),
+        ("eigenspace_dimension", "a_n^2 * P_n(1) = dim H_n", 0.0, worst_pair, 1e-9),
+        ("eigenspace_integrality", "dim H_n is a positive integer", 0.0, worst_int, 1e-9),
+    ]
+    return IdentityReport(space=space.label, checks=[IdentityCheck(*row) for row in rows])

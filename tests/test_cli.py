@@ -94,6 +94,25 @@ class TestValidate:
         assert main(["validate", "--model", str(path)]) == 2
         assert main(["validate", "--model", str(tmp_path / "missing.json")]) == 2
 
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["validate", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_lag_grid_over_the_table_cap_exits_two(self, exponential_model_file, tmp_path,
+                                                   capsys):
+        # (N+1) m^2 = 2: 543 lags may need 543*542+1 differences of 2 + 32 values,
+        # just over MAX_LAG_TABLE; 542 lags stay under it
+        path, _ = exponential_model_file
+        out = tmp_path / "report.json"
+        lags = ",".join(str(0.01 * k) for k in range(543))
+        assert main(["validate", "--model", str(path), "--lags", lags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a probe grid of 543 distinct lags")
+        assert not out.exists()
+
 
 class TestEvalCov:
     def test_constant_model_constant_column(self, tmp_path):
@@ -210,15 +229,27 @@ class TestCheck:
         assert "volume_ratio" in names and any(n.startswith("funk_hecke") for n in names)
         assert all(r.get("identity") for r in doc["checks"])
 
-    def test_fault_injection_fails_and_names_identity(self, tmp_path, capsys):
+    def test_fault_injection_fails_and_names_identity(self, tmp_path, capsys, monkeypatch):
+        a_constant = isofield.spaces.a_constant
+        monkeypatch.setattr("isofield.verify.a_constant",
+                            lambda space, n: 1.01 * a_constant(space, n))
         out = tmp_path / "check.json"
         code = main(["check", "--replicates", "2000", "--spaces", "sphere:2",
-                     "--inject-fault", "a_n", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 1
         doc = json.loads(out.read_text())
         failed = [r["name"] for r in doc["checks"] if not r["pass"]]
         assert "eigenspace_dimension" in failed
         assert "eigenspace_dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["1", "0", "-5", str(MAX_COUNT + 1), "100000000000"])
+    def test_replicates_outside_the_range_exit_two(self, tmp_path, capsys, count):
+        out = tmp_path / "check.json"
+        assert main(["check", "--replicates", count, "--spaces", "sphere:2",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --replicates {count} ") and str(MAX_COUNT) in err
+        assert not out.exists()
 
 
 class TestSpectrum:
@@ -332,6 +363,16 @@ class TestBoundaries:
 
     def test_check_rejects_format(self):
         assert main(["check", "--format", "json"]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", "-3"])
+    def test_negative_seed_is_named(self, spatial_model_file, tmp_path, capsys, seed):
+        path, _ = spatial_model_file
+        out = tmp_path / "run.csv"
+        for argv in (["simulate", "--model", str(path), "--points", "random:2"],
+                     ["check", "--spaces", "sphere:2", "--replicates", "10"]):
+            assert main(argv + ["--seed", seed, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: --seed {seed} ")
+            assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["random:0", "random:-3", "fibonacci:0", "fibonacci:-2"])
     def test_empty_point_sets_exit_two(self, spatial_model_file, tmp_path, capsys, spec):

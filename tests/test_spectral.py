@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -211,6 +212,14 @@ GRIDS = [
 ]
 
 
+def _cov_table_model():
+    """projC:4, m = 3, N = 60, exponential kernel: the benchmark's cov_table model."""
+    rng = np.random.default_rng(7)
+    space = parse_space("projC:4")
+    coeffs = [0.85**n / jacobi_at_one(n, space.geom) * random_psd(rng, 3) for n in range(61)]
+    return SpatioTemporalModel(space, 3, coeffs, SeparableScalar("exponential", 1.3))
+
+
 def _coefficient_sets(m, rng):
     """Valid, indefinite and (for m > 1) asymmetric coefficient stacks."""
     valid = [random_psd(rng, m) for _ in range(3)]
@@ -248,11 +257,7 @@ class TestLagTable:
 
     def test_cov_table_shaped_model_equals_the_reference(self):
         # projC:4, m = 3, N = 60, 41 regular real lags: the benchmark's validate step
-        rng = np.random.default_rng(7)
-        space = parse_space("projC:4")
-        coeffs = [0.85**n / jacobi_at_one(n, space.geom) * random_psd(rng, 3)
-                  for n in range(61)]
-        model = SpatioTemporalModel(space, 3, coeffs, SeparableScalar("exponential", 1.3))
+        model = _cov_table_model()
         lags = [0.17 * k for k in range(-20, 21)]
         report = validate_spatiotemporal(model, lags)
         assert report.valid
@@ -279,6 +284,31 @@ class TestLagTable:
         # call is the lag-0 convergence check
         table_lags = [0.0, 0.5, -0.5, 1.25, -1.25, -0.75, 0.75]
         assert calls == [(slice(None), s) for s in table_lags + [0.0]]
+
+    def test_grid_over_the_cap_is_rejected_before_the_table(self):
+        # (N+1) m^2 = 549: 131 irregular lags may need 131*130+1 differences of
+        # 549 + 32 values, under MAX_LAG_TABLE; 132 lags go just over it
+        model = _cov_table_model()
+
+        class Admitted(Exception):
+            pass
+
+        def first_read(n, t=0.0):
+            raise Admitted
+
+        model.coeff_at = first_read
+        lags = [0.0] + np.random.default_rng(3).uniform(-3.0, 3.0, 131).tolist()
+        for count in (41, 120, 131):  # up to the most lags the cap admits
+            with pytest.raises(Admitted):
+                validate_spatiotemporal(model, lags[:count])
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match="a probe grid of 132 distinct lags"):
+                validate_spatiotemporal(model, lags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the table would hold 17,293 x 549 float64s, 76 MB
 
 
 class TestEvalCov:
