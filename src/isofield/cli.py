@@ -10,6 +10,7 @@ so default runs are reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -134,10 +135,19 @@ def resolve_points(space, spec: str, seed: int) -> np.ndarray:
     return normalize_points(space, points_from_reals(space, reals))
 
 
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """The text stream to write to: stdout for None or '-', else the file (CRLF kept)."""
+    if out_path in (None, "-"):
+        yield sys.stdout
+    else:
+        with open(out_path, "w", newline="") as fh:
+            yield fh
+
+
 def _emit(doc, fmt: str, out_path: str | None, header=()) -> None:
     """doc as JSON, or in csv format its rows (dicts) under header."""
-    fh = sys.stdout if out_path in (None, "-") else open(out_path, "w", newline="")
-    try:
+    with _output(out_path) as fh:
         if fmt == "json":
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -145,9 +155,6 @@ def _emit(doc, fmt: str, out_path: str | None, header=()) -> None:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows([row[h] for h in header] for row in doc)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 def _entry_rows(mat, **fields) -> list[dict]:
@@ -176,17 +183,22 @@ def cmd_eval_cov(args) -> int:
     lags = _parse_lags(args.lags)
     trunc = args.trunc if args.trunc is not None else model.max_degree
     bound = truncation_bound(model, trunc)
-    covs = [eval_cov(model, rhos, lag, trunc) for lag in lags]
-    rows = []
-    for r, rho in enumerate(rhos):
-        for lag, cov_lag in zip(lags, covs):
-            rows += _entry_rows(cov_lag[r], rho=float(rho), lag=float(lag), tail_bound=bound)
-    _emit(
-        rows,
-        args.format,
-        args.out,
-        ["rho", "lag", "component_i", "component_j", "value", "tail_bound"],
-    )
+    covs = np.empty((len(rhos), len(lags), model.m, model.m))
+    for k, lag in enumerate(lags):
+        covs[:, k] = eval_cov(model, rhos, lag, trunc)
+    if args.format == "json":
+        rows = [row for r, rho in enumerate(rhos) for lag, cov in zip(lags, covs[r])
+                for row in _entry_rows(cov, rho=float(rho), lag=lag, tail_bound=bound)]
+        _emit(rows, "json", args.out)
+        return EXIT_OK
+    # One %-format per distance over its values, in C order, in csv.writer's dialect (as
+    # save_realization): the distance's repr joined with the row tails shared by all
+    tails = ["", *(f",{lag!r},{i},{j},%r,{bound!r}\r\n"
+                   for lag in lags for i in range(model.m) for j in range(model.m))]
+    with _output(args.out) as fh:
+        fh.write("rho,lag,component_i,component_j,value,tail_bound\r\n")
+        for rho, values in zip(rhos.tolist(), covs.reshape(len(rhos), -1).tolist()):
+            fh.write(repr(rho).join(tails) % tuple(values))
     return EXIT_OK
 
 
@@ -230,6 +242,9 @@ def cmd_check(args) -> int:
     rep = args.replicates
     if not 2 <= rep <= MAX_COUNT:
         raise UsageError(f"--replicates {rep} must lie in 2..{MAX_COUNT} (the cap)")
+    mc_spaces = [parse_space(s) for s in args.spaces.split(",")] if args.spaces else [
+        s for s in all_reference_spaces() if s.family is not SpaceFamily.OCTONION_PROJECTIVE
+    ]
     records = []
     for space in all_reference_spaces():
         report = check_space_identities(space)
@@ -238,9 +253,6 @@ def cmd_check(args) -> int:
             rec["space"] = space.label
             rec.update({"estimate": rec.pop("value"), "std_error": None, "z": None})
             records.append(rec)
-    mc_spaces = [parse_space(s) for s in args.spaces.split(",")] if args.spaces else [
-        s for s in all_reference_spaces() if s.family is not SpaceFamily.OCTONION_PROJECTIVE
-    ]
     for space in mc_spaces:
         rng = substream(args.seed, 3)
         x1 = sample_uniform(space, rng)

@@ -181,11 +181,16 @@ def _jacobi_pair(p: int, q: int) -> JacobiParams:
     return JacobiParams((p + q - 1) / 2.0, (q - 1) / 2.0)
 
 
+MAX_DIMENSION = 1_000  # larger d overflows volume ratios (projR:2000) or bulk point samples
+
+
 def make_space(family: SpaceFamily, d: int) -> SpaceParams:
-    """Build the full parameter record for (family, d)."""
+    """Build the full parameter record for (family, d), d <= MAX_DIMENSION."""
     if int(d) != d:
         raise ParameterError(f"dimension must be an integer, got {d}")
     d = int(d)
+    if d > MAX_DIMENSION:
+        raise ParameterError(f"dimension {d} of {family.value} exceeds the cap of {MAX_DIMENSION}")
     row = _FAMILIES[family]
     if not row.admits(d):
         raise ParameterError(f"{family.value} requires {row.rule}, got d={d}")

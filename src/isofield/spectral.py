@@ -141,7 +141,9 @@ class SeparableScalar:
         return math.exp(-self.param * abs(t))
 
     def coeff_at(self, n, t, coeffs):
-        return self.correlation(t) * coeffs[n]
+        """r(t) B_n; a zero r(t) times a non-finite entry reads nan, which the checks report."""
+        with np.errstate(invalid="ignore"):
+            return self.correlation(t) * coeffs[n]
 
     def sample_path(self, root, an, times, rng):
         """m independent stationary unit-variance Markov paths mixed through root,
@@ -396,6 +398,20 @@ def validate_spatial(model: SpatialModel) -> ValidityReport:
     return ValidityReport(report.valid, list(report.violations))
 
 
+def _lag_symmetry(bt, bmt):
+    """(finite, mismatch, flagged) over the leading axes of the stacked probes B(t) and
+    B(-t): flagged where a pair is not finite or max|B(-t) - B(t)^T| exceeds
+    SYMMETRY_TOL max(1, max|B(t)|). Non-finite pairs are compared as zeros, and an
+    overflowing difference reads inf, so no RuntimeWarning escapes."""
+    finite = np.all(np.isfinite(bt) & np.isfinite(bmt), axis=(-2, -1))
+    if not finite.all():
+        bt, bmt = (np.where(finite[..., None, None], b, 0.0) for b in (bt, bmt))
+    scale = np.maximum(1.0, np.max(np.abs(bt), axis=(-2, -1)))
+    with np.errstate(over="ignore"):
+        mismatch = np.max(np.abs(bmt - np.swapaxes(bt, -1, -2)), axis=(-2, -1))
+    return finite, mismatch, ~finite | (mismatch > SYMMETRY_TOL * scale)
+
+
 def validate_spatiotemporal(model: SpatioTemporalModel, probe_lags) -> ValidityReport:
     """Necessary-condition checks of a space-time model on a finite lag grid.
 
@@ -408,7 +424,9 @@ def validate_spatiotemporal(model: SpatioTemporalModel, probe_lags) -> ValidityR
     per distinct lag s among the t, -t and t_i - t_j the checks need. A grid
     of G distinct lags has up to G(G-1)+1 of them, each tabulated as (N+1)m^2
     values and indexed at the cost of about 32 more; a grid whose worst case
-    exceeds MAX_LAG_TABLE values is rejected before anything is read.
+    exceeds MAX_LAG_TABLE values is rejected before anything is read. The
+    symmetry probes of every degree and lag are a few array reductions; the
+    report lists each degree's lag findings in grid order, then its block.
     """
     lags = [float(t) for t in probe_lags]
     if not lags:
@@ -430,17 +448,13 @@ def validate_spatiotemporal(model: SpatioTemporalModel, probe_lags) -> ValidityR
     for s, k in index.items():
         table[k] = model.coeff_at(slice(None), s)
     pairs = np.array([index[s] for s in reads[2 * len(grid):]]).reshape(len(grid), -1)
+    finite, mismatch, flagged = _lag_symmetry(table[[index[t] for t in grid]],
+                                              table[[index[-t] for t in grid]])
     violations: list[Violation] = []
     for n in range(model.max_degree + 1):
-        for t in grid:
-            bt, bmt = table[index[t], n], table[index[-t], n]
-            if not (np.all(np.isfinite(bt)) and np.all(np.isfinite(bmt))):
-                violations.append(Violation(n, t, "divergent", float("inf")))
-                continue
-            scale = max(1.0, float(np.max(np.abs(bt))))
-            mismatch = float(np.max(np.abs(bmt - bt.T)))
-            if mismatch > SYMMETRY_TOL * scale:
-                violations.append(Violation(n, t, "asymmetric", mismatch))
+        violations += [Violation(n, grid[g], "asymmetric", float(mismatch[g, n])) if finite[g, n]
+                       else Violation(n, grid[g], "divergent", float("inf"))
+                       for g in np.flatnonzero(flagged[:, n])]
         gram = table[pairs, n].transpose(0, 2, 1, 3).reshape(len(grid) * model.m, -1)
         if np.all(np.isfinite(gram)):
             w = np.linalg.eigvalsh(_symmetric_part(gram))

@@ -5,11 +5,13 @@ values come from the explicit finite sum, integrals from beta-function
 moments, eigenspace dimensions from high-precision gamma evaluation,
 moving-average covariances from direct simulation of the process,
 exponential-kernel paths from a Cholesky factor of the time-grid correlation,
-values CSVs from csv.writer one row at a time, and space-time validity
-reports from one kernel call per (degree, lag).
+values CSVs and eval-cov tables from csv.writer one row at a time, and
+space-time validity reports from one kernel call per (degree, lag).
 """
 
 import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -175,6 +177,25 @@ def write_values_csv(path, values, times) -> None:
             for i, t in enumerate(times):
                 for k in range(values.shape[2]):
                     writer.writerow([p, repr(float(t)), k, repr(float(values[p, i, k]))])
+
+
+def eval_cov_output(rhos, lags, covs, tail_bound, fmt: str) -> str:
+    """The eval-cov table as one dict row per matrix entry, distance by distance,
+    then lag by lag: csv.writer rows under the header, or the indented JSON list.
+    covs[k] is the (len(rhos), m, m) covariance at lags[k]."""
+    header = ["rho", "lag", "component_i", "component_j", "value", "tail_bound"]
+    rows = [dict(rho=float(rho), lag=float(lag), component_i=i, component_j=j,
+                 value=float(cov[r][i, j]), tail_bound=tail_bound)
+            for r, rho in enumerate(rhos) for lag, cov in zip(lags, covs)
+            for i in range(cov.shape[-2]) for j in range(cov.shape[-1])]
+    if fmt == "json":
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([row[h] for h in header])
+    return out.getvalue()
 
 
 def validate_spatiotemporal_per_degree(model, probe_lags):

@@ -22,12 +22,13 @@ from isofield import (
     parse_space,
     recover_coefficients,
     save_model,
+    truncation_bound,
 )
 import isofield
 from isofield.cli import MAX_COUNT, main, resolve_points
 from isofield.simulate import load_realization_values
 from isofield.spaces import points_sha256, points_to_reals
-from tests.oracles import random_psd
+from tests.oracles import eval_cov_output, random_psd
 
 S2 = parse_space("sphere:2")
 
@@ -156,6 +157,55 @@ class TestEvalCov:
         for r in rows:
             want = eval_cov(model, float(r["rho"]), float(r["lag"]))
             assert float(r["value"]) == want[int(r["component_i"]), int(r["component_j"])]
+
+
+EVAL_COV_CASES = {
+    # every grid runs from 0 to pi; m = 1
+    "m1": (SpatialModel(S2, 1, [np.eye(1), 0.5 * np.eye(1), 0.25 * np.eye(1)]),
+           f"0:{math.pi}:5", "0", None),
+    # m = 3 with a tail bound, -0.0 and negative real lags, truncated to degree 0
+    "m3_trunc0": (SpatioTemporalModel(
+        parse_space("projC:4"), 3, [random_psd(np.random.default_rng(n), 3) for n in range(4)],
+        SeparableScalar("exponential", 0.7), tail=TailEnvelope(0.9, 0.4)),
+        f"0:{math.pi}:4", "-0.0,-1.5,0.25,2", 0),
+    "ma1": (SpatioTemporalModel(S2, 2, [random_psd(np.random.default_rng(9), 2)] * 2,
+                                VectorMA1([[0.3, -0.2], [0.1, 0.5]])),
+            f"0:{math.pi}:3", "-1,0,1,2", None),
+}
+
+
+class TestEvalCovBytes:
+    """eval-cov writes the bytes of one dict row per matrix entry rendered by csv.writer
+    or json.dumps (tests/oracles.py::eval_cov_output)."""
+
+    @pytest.mark.parametrize("case", sorted(EVAL_COV_CASES))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_equal_the_row_rendering(self, case, fmt, tmp_path, capsys):
+        model, grid, lag_text, trunc = EVAL_COV_CASES[case]
+        path = save_model(model, tmp_path / "model.json")
+        rhos = np.linspace(*(float(v) for v in grid.split(":")[:2]), int(grid.split(":")[2]))
+        lags = [float(v) for v in lag_text.split(",")]
+        n = model.max_degree if trunc is None else trunc
+        covs = [eval_cov(model, rhos, lag, n) for lag in lags]
+        want = eval_cov_output(rhos, lags, covs, truncation_bound(model, n), fmt)
+        argv = ["eval-cov", "--model", str(path), "--rho-grid", grid, f"--lags={lag_text}",
+                "--format", fmt] + ([] if trunc is None else ["--trunc", str(trunc)])
+        out = tmp_path / "table"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode()
+        capsys.readouterr()
+        assert main(argv + ["--out", "-"]) == 0
+        assert capsys.readouterr().out == want
+        if fmt == "csv":
+            assert want.count("\r\n") == 1 + len(rhos) * len(lags) * model.m**2
+            assert ",-0.0," in want or "-0.0" not in lag_text
+            assert "\r\n0.0," in want and f"\r\n{math.pi!r}," in want
+
+    def test_no_lags_writes_the_header_only(self, spatial_model_file, tmp_path):
+        path, _ = spatial_model_file
+        out = tmp_path / "table.csv"
+        assert main(["eval-cov", "--model", str(path), "--lags=,", "--out", str(out)]) == 0
+        assert out.read_bytes() == b"rho,lag,component_i,component_j,value,tail_bound\r\n"
 
 
 class TestSimulate:
@@ -497,6 +547,29 @@ def test_overflowing_point_file_exits_two_without_warnings(spatial_model_file, t
                           "--out", str(out)])
     assert code == 2 and "Warning" not in err
     assert err == "error: point representative 0 must be nonzero and finite\n"
+    assert not out.exists()
+
+
+def test_overflowing_asymmetry_is_reported_without_warnings(tmp_path):
+    path = tmp_path / "lopsided.json"
+    path.write_text(json.dumps({"space": "sphere:2", "m": 2,
+                                "coeffs": [[[1.0, 1.5e308], [-1.5e308, 1.0]]],
+                                "temporal": {"variant": "exponential", "theta": 1.0}}))
+    out = tmp_path / "report.csv"
+    code, err = _run_cli(["validate", "--model", str(path), "--format", "csv",
+                          "--out", str(out)])
+    assert code == 1 and "Warning" not in err
+    rows = out.read_text().splitlines()
+    assert rows[0] == "degree,lag,kind,magnitude" and len(rows) == 6
+    assert rows[3] == "0,0.0,asymmetric,inf"
+    assert all(",asymmetric," in row for row in rows[1:])
+
+
+@pytest.mark.parametrize("label", ["projR:2000", "sphere:1001"])
+def test_check_on_a_space_above_the_dimension_cap_exits_two(tmp_path, capsys, label):
+    out = tmp_path / "checks.json"
+    assert main(["check", "--spaces", label, "--replicates", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: dimension {label.split(':')[1]} of ")
     assert not out.exists()
 
 

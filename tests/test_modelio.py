@@ -118,6 +118,14 @@ class TestSchemaErrors:
         with pytest.raises(ModelFormatError):
             model_from_dict(doc)
 
+    def test_space_above_the_dimension_cap(self, tmp_path):
+        doc = self.base_doc()
+        doc["space"] = "sphere:99999999"
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="bad space field: .*exceeds the cap of 1000"):
+            load_model(path)
+
     def test_bad_m(self):
         doc = self.base_doc()
         doc["m"] = 0

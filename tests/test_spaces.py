@@ -26,6 +26,7 @@ from isofield import (
     sphere_volume,
     zonal,
 )
+from isofield import spaces
 from isofield.jacobi import JacobiParams
 from isofield.spaces import cos_distance_batch
 from tests.oracles import dim_eigenspace_mp
@@ -78,6 +79,16 @@ class TestMakeSpace:
     def test_dimension_constraints(self, family, bad_d):
         with pytest.raises(ParameterError):
             make_space(family, bad_d)
+
+    @pytest.mark.parametrize("label", ["sphere:99999999", "projR:2000", "projC:1002"])
+    def test_dimension_above_the_cap_is_rejected(self, label):
+        # projR:2000 also overflowed math.exp in the volume ratio
+        with pytest.raises(ParameterError, match="exceeds the cap of 1000"):
+            parse_space(label)
+
+    @pytest.mark.parametrize("label", ["sphere:1000", "projR:1000", "projC:1000", "projH:1000"])
+    def test_dimension_at_the_cap_is_admitted(self, label):
+        assert parse_space(label).d == spaces.MAX_DIMENSION == 1000
 
 
 class TestVolumes:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isofield import (
     DomainError,
@@ -309,6 +311,73 @@ class TestLagTable:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000  # the table would hold 17,293 x 549 float64s, 76 MB
+
+    def test_overflowing_mismatch_reads_inf_without_a_warning(self):
+        # B(-t) - B(t)^T = (1.5e308 + 1.5e308) r(t) overflows where r(t) > 0.6: at lag 0 here
+        model = SpatioTemporalModel(S2, 2, [[[1.0, 1.5e308], [-1.5e308, 1.0]]],
+                                    SeparableScalar("exponential", 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_spatiotemporal(model, LAGS)
+        assert [(v.degree, v.lag, v.kind) for v in report.violations] == [
+            (0, t, "asymmetric") for t in LAGS]
+        assert report.violations[2].magnitude == math.inf
+        with np.errstate(over="ignore"):
+            want = validate_spatiotemporal_per_degree(model, LAGS)
+        assert repr(report.as_dict()) == repr(want.as_dict())
+
+    @pytest.mark.parametrize("kind, param", [("ar1", 0.0), ("exponential", 800.0)])
+    def test_zero_correlation_of_non_finite_coefficient_is_divergent(self, kind, param):
+        # r(t) = 0 times inf is nan: a divergent degree, with no warning
+        model = SpatioTemporalModel(S2, 1, [np.eye(1), [[math.inf]]], SeparableScalar(kind, param))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_spatiotemporal(model, [0.0, 1.0])
+        assert {(v.degree, v.kind) for v in report.violations} == {(1, "divergent")}
+
+
+def _coefficient(kind, m, rng):
+    """One m x m coefficient: PSD, rank-deficient (rank m - 1), indefinite, asymmetric
+    (for m > 1) or with one non-finite entry."""
+    if kind == "rank_deficient":
+        a = rng.standard_normal((m, m - 1))
+        return a @ a.T
+    b = random_psd(rng, m)
+    if kind == "indefinite":
+        b -= 2.0 * np.eye(m)
+    elif kind == "asymmetric":
+        b[0, -1] += 0.3
+    elif kind == "non_finite":
+        b[rng.integers(m), rng.integers(m)] = rng.choice([math.inf, -math.inf, math.nan])
+    return b
+
+
+@st.composite
+def _models_and_grids(draw):
+    """A small exponential, ar1 or ma1 model and a probe grid in its lag domain."""
+    kernel = draw(st.sampled_from(["exponential", "ar1", "ma1"]))
+    m = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(
+        ["psd", "rank_deficient", "indefinite", "asymmetric", "non_finite"]), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = [_coefficient(kind, m, rng) for kind in kinds]
+    if kernel == "exponential":
+        temporal = SeparableScalar(kernel, draw(st.floats(0.05, 5.0)))
+        lags = draw(st.lists(st.floats(-3.0, 3.0), max_size=5))
+    else:
+        temporal = (SeparableScalar(kernel, draw(st.floats(-0.95, 0.95))) if kernel == "ar1"
+                    else VectorMA1(rng.uniform(-1.5, 1.5, (m, m))))
+        lags = [float(k) for k in draw(st.lists(st.integers(-3, 3), max_size=5))]
+    lags.insert(draw(st.integers(0, len(lags))), draw(st.sampled_from([0.0, -0.0])))
+    return SpatioTemporalModel(S2, m, coeffs, temporal), lags
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_models_and_grids())
+def test_reports_equal_the_per_degree_reference_on_generated_models(model_and_lags):
+    model, lags = model_and_lags
+    got = _validate_outcome(validate_spatiotemporal, model, lags)
+    assert got == _validate_outcome(validate_spatiotemporal_per_degree, model, lags)
 
 
 class TestEvalCov:
