@@ -60,8 +60,7 @@ from .spaces import (
 from .spectral import (
     PureSpatial,
     SeparableScalar,
-    SpatialModel,
-    SpatioTemporalModel,
+    SeriesModel,
     TailEnvelope,
     ValidityReport,
     VectorMA1,

@@ -44,6 +44,7 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_GEOMETRY = 3
 MAX_COUNT = 1_000_000  # grid distances, generated points or replicates; more outgrows memory
+MAX_VALUES = 10_000_000  # float64 values (80 MB) one eval-cov table or simulate run may hold
 
 
 def _parse_lags(text: str) -> list[float]:
@@ -65,6 +66,14 @@ def _parse_count(what: str, spec: str, text: str) -> int:
     if not 1 <= count <= MAX_COUNT:
         raise UsageError(f"{what} {spec!r} needs a count in 1..{MAX_COUNT} (the cap)")
     return count
+
+
+def _require_values(flags: str, *sizes: int) -> None:
+    """UsageError naming the flags when the output they ask for, the product of sizes,
+    exceeds MAX_VALUES values."""
+    if math.prod(sizes) > MAX_VALUES:
+        raise UsageError(f"{flags} ask for {' x '.join(map(str, sizes))} = {math.prod(sizes)} "
+                         f"values, over the cap of {MAX_VALUES}")
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -181,6 +190,7 @@ def cmd_eval_cov(args) -> int:
     require_finite(model)
     rhos = _parse_grid(args.rho_grid)
     lags = _parse_lags(args.lags)
+    _require_values("--rho-grid and --lags", len(rhos), len(lags), model.m**2)
     trunc = args.trunc if args.trunc is not None else model.max_degree
     bound = truncation_bound(model, trunc)
     covs = np.empty((len(rhos), len(lags), model.m, model.m))
@@ -205,8 +215,10 @@ def cmd_eval_cov(args) -> int:
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     points = resolve_points(model.space, args.points, args.seed)
+    times = _parse_times(args.times)
+    _require_values("--points and --times", len(points), len(times), model.m)
     trunc = args.trunc if args.trunc is not None else model.max_degree
-    real = simulate_spatiotemporal(model, points, _parse_times(args.times), trunc, args.seed)
+    real = simulate_spatiotemporal(model, points, times, trunc, args.seed)
     out = Path(args.out if args.out else "realization.csv")
     csv_path, meta_path = save_realization(real, out, points_spec=_points_spec(args.points))
     print(f"wrote {csv_path} and {meta_path}", file=sys.stderr)

@@ -27,11 +27,11 @@ import numpy as np
 from .errors import ModelFormatError
 from .spaces import parse_space
 from .spectral import (
+    SPATIAL,
     ZERO_LAG,
     PureSpatial,
     SeparableScalar,
-    SpatialModel,
-    SpatioTemporalModel,
+    SeriesModel,
     TailEnvelope,
     VectorMA1,
 )
@@ -124,23 +124,23 @@ def model_from_dict(doc: dict):
             tail = TailEnvelope(*(_float(tobj[k], f"tail {k}") for k in "cr"))
         except Exception as exc:
             raise ModelFormatError(f"bad tail envelope: {exc}") from exc
-    if doc.get("temporal") is None:
-        return SpatialModel(space=space, m=m, coeffs=coeffs, tail=tail)
-    tdoc = doc["temporal"]
-    _require(isinstance(tdoc, dict) and "variant" in tdoc, "temporal must carry a variant")
-    variant = tdoc["variant"]
-    if not isinstance(variant, str) or variant not in _VARIANTS:
-        raise ModelFormatError(f"unknown temporal variant {variant!r}")
-    key, build, _ = _VARIANTS[variant]
-    try:
-        kernel = build(None if key is None else tdoc[key], m)
-    except ModelFormatError:
-        raise
-    except KeyError as exc:
-        raise ModelFormatError(f"temporal variant {variant!r} is missing field {exc}") from exc
-    except Exception as exc:
-        raise ModelFormatError(f"bad temporal kernel: {exc}") from exc
-    return SpatioTemporalModel(space=space, m=m, coeffs=coeffs, kernel=kernel, tail=tail)
+    kernel = SPATIAL
+    if doc.get("temporal") is not None:
+        tdoc = doc["temporal"]
+        _require(isinstance(tdoc, dict) and "variant" in tdoc, "temporal must carry a variant")
+        variant = tdoc["variant"]
+        if not isinstance(variant, str) or variant not in _VARIANTS:
+            raise ModelFormatError(f"unknown temporal variant {variant!r}")
+        key, build, _ = _VARIANTS[variant]
+        try:
+            kernel = build(None if key is None else tdoc[key], m)
+        except ModelFormatError:
+            raise
+        except KeyError as exc:
+            raise ModelFormatError(f"temporal variant {variant!r} is missing field {exc}") from exc
+        except Exception as exc:
+            raise ModelFormatError(f"bad temporal kernel: {exc}") from exc
+    return SeriesModel(space=space, m=m, coeffs=coeffs, kernel=kernel, tail=tail)
 
 
 def dump_model(model) -> str:

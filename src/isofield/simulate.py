@@ -44,8 +44,8 @@ from .spaces import (
     points_to_reals,
     sample_uniform,
 )
-from .spectral import INTEGER_LAGS, ZERO_LAG, SpatialModel, SpatioTemporalModel
-from .spectral import _psd_root, _symmetric_part, factor_coefficients, truncation_bound
+from .spectral import ZERO_LAG, SeriesModel, _psd_root, _require_lag, _symmetric_part
+from .spectral import factor_coefficients, truncation_bound
 
 MATRIX_SQRT_TOL = 1e-10
 
@@ -107,7 +107,7 @@ class Realization:
 
 
 def simulate_spatial(
-    model: SpatialModel, points, trunc: int | None = None, seed: int = 0
+    model: SeriesModel, points, trunc: int | None = None, seed: int = 0
 ) -> Realization:
     """One realization of the purely spatial series at the given points:
     simulate_spatiotemporal on the time grid [0.0].
@@ -119,16 +119,16 @@ def simulate_spatial(
 
 
 def simulate_spatiotemporal(
-    model: SpatioTemporalModel, points, times, trunc: int | None = None, seed: int = 0
+    model: SeriesModel, points, times, trunc: int | None = None, seed: int = 0
 ) -> Realization:
     """One realization of the space-time series on a points x times grid.
 
     Per degree, the model's kernel draws an independent stationary path
     V_n(.) with cov(V_n(t1), V_n(t2)) = a_n^2 B_n(t1 - t2) from the degree's
     substream (see the kernels' sample_path); validate_spatial's checks gate
-    the model; non-finite values raise NumericError. Times must be finite and
-    strictly increasing, and a purely spatial model accepts the time grid
-    [0.0] only. `points` is a (K, *ambient_shape) array of unit
+    the model; non-finite values raise NumericError. Times must be finite,
+    strictly increasing and in the model's lag domain, so a purely spatial
+    model accepts the time grid [0.0] only. `points` is a (K, *ambient_shape) array of unit
     representatives or a sequence of Points of the space.
     """
     times = [float(t) for t in times]
@@ -136,12 +136,10 @@ def simulate_spatiotemporal(
         raise UsageError("at least one time is required")
     if not all(map(math.isfinite, times)) or any(b <= a for a, b in zip(times, times[1:])):
         raise UsageError("times must be finite and strictly increasing")
+    for t in times:
+        _require_lag(model.domain, t)
     if model.domain == ZERO_LAG:
-        if times != [0.0]:
-            raise UsageError("a purely spatial model is simulated on the time grid [0.0] only")
         times = [0.0]  # also for -0.0, so the output reads 0.0
-    if model.domain == INTEGER_LAGS and not all(t.is_integer() for t in times):
-        raise UsageError("this model's temporal domain is Z; times must be integers")
     report, roots = factor_coefficients(model)
     if not report.valid:
         raise ModelError(f"cannot simulate from an invalid model: {report.summary()}")

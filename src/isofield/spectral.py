@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ModelError, ParameterError, UsageError
 from .jacobi import gauss_jacobi, jacobi_all, jacobi_at_one, jacobi_norm_constant
-from .spaces import SpaceParams
+from .spaces import SpaceParams, dim_eigenspace
 
 # Relative floors for symmetry / nonnegative-definiteness under rounding.
 SYMMETRY_TOL = 1e-12
@@ -107,6 +107,9 @@ class PureSpatial:
         return np.broadcast_to(w, (len(times), w.size))
 
 
+SPATIAL = PureSpatial(ZERO_LAG)  # the kernel of a purely spatial model: constant B_n, lag 0 only
+
+
 @dataclass(frozen=True)
 class SeparableScalar:
     """B_n(t) = r(t) * B_n with a scalar stationary correlation r.
@@ -168,7 +171,7 @@ class VectorMA1:
     """
 
     phi: np.ndarray = field(repr=False)
-    domain: str = INTEGER_LAGS
+    domain = INTEGER_LAGS
     kind = "ma1"
 
     def __post_init__(self):
@@ -212,13 +215,23 @@ class VectorMA1:
 # --------------------------------------------------------------------------
 
 
+@dataclass
 class SeriesModel:
-    """Per-degree stationary covariance matrix functions B_n(t) = kernel lag table.
+    """Jacobi-series covariance model of an m-variate isotropic field, with per-degree
+    stationary covariance matrix functions B_n(t) given by the kernel's lag table.
 
     `coeffs` is the (N+1, m, m) array of B_n for constant and separable kernels
     and of the innovation covariances Sigma_n for the moving-average kernel.
-    A kernel may define check_m(m) to reject parameters of the wrong dimension.
+    The default kernel SPATIAL makes a purely spatial model: the constant B_n,
+    at lag 0 only. A kernel may define check_m(m) to reject parameters of the
+    wrong dimension.
     """
+
+    space: SpaceParams
+    m: int
+    coeffs: np.ndarray
+    kernel: object = SPATIAL
+    tail: TailEnvelope | None = None
 
     def __post_init__(self):
         self.coeffs = _as_coeff_matrices(self.coeffs, self.m)
@@ -243,29 +256,6 @@ class SeriesModel:
         if self.domain == ZERO_LAG:
             return validate_spatial(self)
         return validate_spatiotemporal(self, probe_lags)
-
-
-@dataclass
-class SpatialModel(SeriesModel):
-    """Jacobi-series covariance model of an m-variate isotropic field:
-    the constant kernel restricted to lag 0."""
-
-    space: SpaceParams
-    m: int
-    coeffs: np.ndarray
-    tail: TailEnvelope | None = None
-    kernel = PureSpatial(ZERO_LAG)
-
-
-@dataclass
-class SpatioTemporalModel(SeriesModel):
-    """Space-time covariance model: B_n(t) given by a temporal kernel."""
-
-    space: SpaceParams
-    m: int
-    coeffs: np.ndarray
-    kernel: object
-    tail: TailEnvelope | None = None
 
 
 # --------------------------------------------------------------------------
@@ -355,49 +345,6 @@ def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 0.5 * (root + np.swapaxes(root, -1, -2))
 
 
-def factor_coefficients(model) -> tuple[ValidityReport, np.ndarray | None]:
-    """validate_spatial's report and, for a valid model, the read-only (N+1, m, m)
-    roots B_n^(1/2) the simulation draws with, from one stacked eigh of the
-    symmetrised stored coefficients. A non-finite coefficient is reported
-    divergent and factored as zero. Memoised on the model, keyed by everything
-    the analysis reads (the coefficient bytes, space, tail and, by identity,
-    the kernel), so an edit or reassignment is seen by the next call."""
-    coeffs = np.asarray(model.coeffs, dtype=float)
-    key = (coeffs.tobytes(), coeffs.shape, model.space, model.tail)
-    memo = model.__dict__.get("_factored")
-    if memo is not None and memo[0] == key and memo[1] is model.kernel:
-        return memo[2], memo[3]
-    finite = np.all(np.isfinite(coeffs), axis=(1, 2))
-    safe = np.where(finite[:, None, None], coeffs, 0.0)
-    scale = np.maximum(1.0, np.max(np.abs(safe), axis=(1, 2)))
-    with np.errstate(over="ignore"):
-        asym = np.max(np.abs(safe - np.swapaxes(safe, 1, 2)), axis=(1, 2))
-    w, v = np.linalg.eigh(_symmetric_part(safe))
-    violations: list[Violation] = []
-    for n in range(len(coeffs)):
-        if not finite[n]:
-            violations.append(Violation(n, "spatial", "divergent", float("inf")))
-            continue
-        if asym[n] > SYMMETRY_TOL * scale[n]:
-            violations.append(Violation(n, "spatial", "asymmetric", float(asym[n])))
-        if w[n, 0] < -PSD_TOL * max(1.0, w[n, -1]):
-            violations.append(Violation(n, "spatial", "indefinite", float(w[n, 0])))
-    _check_convergence(model, violations, coeffs, w)
-    report = ValidityReport(valid=not violations, violations=violations)
-    roots = _psd_root(w, v) if report.valid else None
-    if roots is not None:
-        roots.flags.writeable = False
-    model._factored = (key, model.kernel, report, roots)
-    return report, roots
-
-
-def validate_spatial(model: SpatialModel) -> ValidityReport:
-    """Check symmetry and nonnegative definiteness of each coefficient,
-    finiteness of sum ||B_n|| P_n(1), and the tail envelope."""
-    report = factor_coefficients(model)[0]
-    return ValidityReport(report.valid, list(report.violations))
-
-
 def _lag_symmetry(bt, bmt):
     """(finite, mismatch, flagged) over the leading axes of the stacked probes B(t) and
     B(-t): flagged where a pair is not finite or max|B(-t) - B(t)^T| exceeds
@@ -412,7 +359,47 @@ def _lag_symmetry(bt, bmt):
     return finite, mismatch, ~finite | (mismatch > SYMMETRY_TOL * scale)
 
 
-def validate_spatiotemporal(model: SpatioTemporalModel, probe_lags) -> ValidityReport:
+def factor_coefficients(model) -> tuple[ValidityReport, np.ndarray | None]:
+    """validate_spatial's report and, for a valid model, the read-only (N+1, m, m)
+    roots B_n^(1/2) the simulation draws with, from one stacked eigh of the
+    symmetrised stored coefficients. A non-finite coefficient is reported
+    divergent and factored as zero. Memoised on the model, keyed by everything
+    the analysis reads (the coefficient bytes, space, tail and, by identity,
+    the kernel), so an edit or reassignment is seen by the next call."""
+    coeffs = np.asarray(model.coeffs, dtype=float)
+    key = (coeffs.tobytes(), coeffs.shape, model.space, model.tail)
+    memo = model.__dict__.get("_factored")
+    if memo is not None and memo[0] == key and memo[1] is model.kernel:
+        return memo[2], memo[3]
+    finite, asym, flagged = _lag_symmetry(coeffs, coeffs)  # the lag-0 probe: B(-0) = B(0)
+    safe = np.where(finite[:, None, None], coeffs, 0.0)
+    w, v = np.linalg.eigh(_symmetric_part(safe))
+    violations: list[Violation] = []
+    for n in range(len(coeffs)):
+        if not finite[n]:
+            violations.append(Violation(n, "spatial", "divergent", float("inf")))
+            continue
+        if flagged[n]:
+            violations.append(Violation(n, "spatial", "asymmetric", float(asym[n])))
+        if w[n, 0] < -PSD_TOL * max(1.0, w[n, -1]):
+            violations.append(Violation(n, "spatial", "indefinite", float(w[n, 0])))
+    _check_convergence(model, violations, coeffs, w)
+    report = ValidityReport(valid=not violations, violations=violations)
+    roots = _psd_root(w, v) if report.valid else None
+    if roots is not None:
+        roots.flags.writeable = False
+    model._factored = (key, model.kernel, report, roots)
+    return report, roots
+
+
+def validate_spatial(model: SeriesModel) -> ValidityReport:
+    """Check symmetry and nonnegative definiteness of each coefficient,
+    finiteness of sum ||B_n|| P_n(1), and the tail envelope."""
+    report = factor_coefficients(model)[0]
+    return ValidityReport(report.valid, list(report.violations))
+
+
+def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
     """Necessary-condition checks of a space-time model on a finite lag grid.
 
     Per degree: B_n(-t) must equal B_n(t)^T on the probed lags, and the
@@ -505,7 +492,7 @@ def eval_cov(model, rho, t: float = 0.0, trunc: int | None = None) -> np.ndarray
 
 
 def eval_cov_symmetrized(
-    model: SpatioTemporalModel, rho: float, t: float, trunc: int | None = None
+    model: SeriesModel, rho: float, t: float, trunc: int | None = None
 ) -> np.ndarray:
     """(C(rho, t) + C(rho, -t)) / 2, a symmetric matrix."""
     return 0.5 * (eval_cov(model, rho, t, trunc) + eval_cov(model, rho, -t, trunc))
@@ -522,18 +509,16 @@ def truncation_bound(model, N: int) -> float:
     return total
 
 
-def angular_power_spectrum(model: SpatialModel, n: int) -> np.ndarray:
-    """Per-eigenspace normalization B_n / dim H_n."""
+def angular_power_spectrum(model: SeriesModel, n: int) -> np.ndarray:
+    """Per-eigenspace normalization B_n(0) / dim H_n."""
     if not (0 <= n <= model.max_degree):
         raise UsageError(f"degree {n} outside stored range 0..{model.max_degree}")
-    from .spaces import dim_eigenspace
-
-    return model.coeffs[n] / dim_eigenspace(model.space, n)
+    return model.coeff_at(n, 0.0) / dim_eigenspace(model.space, n)
 
 
 def recover_coefficients(
     cov, space: SpaceParams, m: int, N: int, order: int
-) -> SpatialModel:
+) -> SeriesModel:
     """Invert a distance-only covariance into Jacobi-series coefficients.
 
     B_n is the weighted Gauss-Jacobi quadrature of cov(arccos x) P_n(x)
@@ -559,4 +544,4 @@ def recover_coefficients(
         b = np.tensordot(rule.weights * pn, cov_values, axes=(0, 0))
         b /= jacobi_norm_constant(n, space.geom)
         coeffs.append(0.5 * (b + b.T))
-    return SpatialModel(space=space, m=m, coeffs=coeffs, tail=None)
+    return SeriesModel(space, m, coeffs)

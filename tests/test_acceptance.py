@@ -14,8 +14,7 @@ import pytest
 
 from isofield import (
     JacobiParams,
-    SpatialModel,
-    SpatioTemporalModel,
+    SeriesModel,
     SeparableScalar,
     VectorMA1,
     a_constant,
@@ -167,7 +166,7 @@ def _theorem1_points():
 
 def test_criterion_5_spatial_series_reproduction():
     start = time.perf_counter()
-    model = SpatialModel(S2, 2, [np.eye(2), 0.5 * np.eye(2), 0.25 * np.eye(2)])
+    model = SeriesModel(S2, 2, [np.eye(2), 0.5 * np.eye(2), 0.25 * np.eye(2)])
     points = _theorem1_points()
     pairs = [(0, 0), (0, 1), (0, 3), (1, 2), (4, 5)]
     seeds = replicate_seeds(505_000, 20_000)
@@ -200,7 +199,7 @@ def test_criterion_6_ma1_spatiotemporal():
     rng = np.random.default_rng(606)
     phi = np.array([[0.5, -0.3], [0.25, 0.4]])
     sigmas = [random_psd(rng, 2, 0.8**n) + 0.1 * np.eye(2) for n in range(3)]
-    model = SpatioTemporalModel(S2, 2, sigmas, VectorMA1(phi))
+    model = SeriesModel(S2, 2, sigmas, VectorMA1(phi))
     points = [_theorem1_points()[0], _theorem1_points()[3]]
     times = [0.0, 1.0, 2.0]
     seeds = replicate_seeds(606_000, 20_000)
@@ -227,7 +226,7 @@ def test_criterion_7_coefficient_round_trip():
     for label, _ in GEOM_PAIRS:
         space = parse_space(label)
         rng = np.random.default_rng(707)
-        truth = SpatialModel(
+        truth = SeriesModel(
             space, 2, [random_psd(rng, 2, 0.6**n) for n in range(9)]
         )
         assert validate_spatial(truth).valid
@@ -243,7 +242,7 @@ def test_criterion_7_coefficient_round_trip():
 def test_criterion_8_coefficient_process_recovery():
     start = time.perf_counter()
     rng = np.random.default_rng(808)
-    model = SpatioTemporalModel(
+    model = SeriesModel(
         S2,
         2,
         [random_psd(rng, 2, 0.7**n) + 0.05 * np.eye(2) for n in range(6)],
@@ -262,7 +261,7 @@ def test_criterion_8_coefficient_process_recovery():
 
 def test_criterion_9_cli_determinism(tmp_path):
     start = time.perf_counter()
-    model = SpatialModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)])
+    model = SeriesModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)])
     path = save_model(model, tmp_path / "model.json")
     digests = []
     for name in ("run1", "run2"):
@@ -314,14 +313,14 @@ def test_criterion_10_validity_gate(tmp_path):
                 return 0.1 * coeffs[n]
             return coeffs[n] if t == 0.0 else np.zeros_like(coeffs[n])
 
-    tampered = SpatioTemporalModel(S2, 2, [np.eye(2)], LopsidedKernel())
+    tampered = SeriesModel(S2, 2, [np.eye(2)], LopsidedKernel())
     rep = validate_spatiotemporal(tampered, [-2, -1, 0, 1, 2])
     assert not rep.valid
     assert any(v.kind == "asymmetric" and v.degree == 0 for v in rep.violations)
 
     # the moving-average family itself passes
     rng = np.random.default_rng(1010)
-    ma = SpatioTemporalModel(
+    ma = SeriesModel(
         S2, 2, [random_psd(rng, 2) for _ in range(3)],
         VectorMA1(0.6 * rng.standard_normal((2, 2))),
     )

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -14,8 +15,7 @@ import pytest
 from isofield import (
     PureSpatial,
     SeparableScalar,
-    SpatialModel,
-    SpatioTemporalModel,
+    SeriesModel,
     TailEnvelope,
     VectorMA1,
     eval_cov,
@@ -25,7 +25,7 @@ from isofield import (
     truncation_bound,
 )
 import isofield
-from isofield.cli import MAX_COUNT, main, resolve_points
+from isofield.cli import MAX_COUNT, MAX_VALUES, main, resolve_points
 from isofield.simulate import load_realization_values
 from isofield.spaces import points_sha256, points_to_reals
 from tests.oracles import eval_cov_output, random_psd
@@ -35,14 +35,14 @@ S2 = parse_space("sphere:2")
 
 @pytest.fixture
 def spatial_model_file(tmp_path):
-    model = SpatialModel(S2, 1, [np.eye(1), 0.5 * np.eye(1), 0.25 * np.eye(1)])
+    model = SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1), 0.25 * np.eye(1)])
     return save_model(model, tmp_path / "spatial.json"), model
 
 
 @pytest.fixture
 def ma1_model_file(tmp_path):
     rng = np.random.default_rng(0)
-    model = SpatioTemporalModel(
+    model = SeriesModel(
         S2, 2, [random_psd(rng, 2), random_psd(rng, 2)], VectorMA1(0.4 * np.eye(2))
     )
     return save_model(model, tmp_path / "ma1.json"), model
@@ -50,8 +50,8 @@ def ma1_model_file(tmp_path):
 
 @pytest.fixture
 def exponential_model_file(tmp_path):
-    model = SpatioTemporalModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)],
-                                SeparableScalar("exponential", 1.0))
+    model = SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)],
+                        SeparableScalar("exponential", 1.0))
     return save_model(model, tmp_path / "exp.json"), model
 
 
@@ -117,7 +117,7 @@ class TestValidate:
 
 class TestEvalCov:
     def test_constant_model_constant_column(self, tmp_path):
-        model = SpatialModel(S2, 1, [np.eye(1)])
+        model = SeriesModel(S2, 1, [np.eye(1)])
         path = save_model(model, tmp_path / "b0.json")
         out = tmp_path / "table.csv"
         assert main(["eval-cov", "--model", str(path), "--rho-grid", "0:3.14:7",
@@ -161,15 +161,15 @@ class TestEvalCov:
 
 EVAL_COV_CASES = {
     # every grid runs from 0 to pi; m = 1
-    "m1": (SpatialModel(S2, 1, [np.eye(1), 0.5 * np.eye(1), 0.25 * np.eye(1)]),
+    "m1": (SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1), 0.25 * np.eye(1)]),
            f"0:{math.pi}:5", "0", None),
     # m = 3 with a tail bound, -0.0 and negative real lags, truncated to degree 0
-    "m3_trunc0": (SpatioTemporalModel(
+    "m3_trunc0": (SeriesModel(
         parse_space("projC:4"), 3, [random_psd(np.random.default_rng(n), 3) for n in range(4)],
         SeparableScalar("exponential", 0.7), tail=TailEnvelope(0.9, 0.4)),
         f"0:{math.pi}:4", "-0.0,-1.5,0.25,2", 0),
-    "ma1": (SpatioTemporalModel(S2, 2, [random_psd(np.random.default_rng(9), 2)] * 2,
-                                VectorMA1([[0.3, -0.2], [0.1, 0.5]])),
+    "ma1": (SeriesModel(S2, 2, [random_psd(np.random.default_rng(9), 2)] * 2,
+                        VectorMA1([[0.3, -0.2], [0.1, 0.5]])),
             f"0:{math.pi}:3", "-1,0,1,2", None),
 }
 
@@ -235,13 +235,13 @@ class TestSimulate:
         assert np.all(np.isfinite(values))
 
     def test_octonionic_simulation_exits_three(self, tmp_path):
-        model = SpatialModel(parse_space("projO:16"), 1, [np.eye(1)])
+        model = SeriesModel(parse_space("projO:16"), 1, [np.eye(1)])
         path = save_model(model, tmp_path / "oct.json")
         assert main(["simulate", "--model", str(path), "--points", "random:5",
                      "--out", str(tmp_path / "oct.csv")]) == 3
 
     def test_fibonacci_rejected_off_sphere(self, tmp_path):
-        model = SpatialModel(parse_space("projC:4"), 1, [np.eye(1)])
+        model = SeriesModel(parse_space("projC:4"), 1, [np.eye(1)])
         path = save_model(model, tmp_path / "c.json")
         assert main(["simulate", "--model", str(path), "--points", "fibonacci:10",
                      "--out", str(tmp_path / "c.csv")]) == 2
@@ -345,7 +345,7 @@ class TestBoundaries:
     def test_duplicate_times_exit_two(self, kernel, tmp_path, capsys):
         temporal = {"ar1": SeparableScalar("ar1", 0.5), "ma1": VectorMA1(0.4 * np.eye(1)),
                     "pure_spatial": PureSpatial()}[kernel]
-        model = SpatioTemporalModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)], temporal)
+        model = SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)], temporal)
         path = save_model(model, tmp_path / f"{kernel}.json")
         out = tmp_path / "d.csv"
         assert main(["simulate", "--model", str(path), "--points", "random:3",
@@ -455,7 +455,7 @@ class TestBoundaries:
 
     def test_coefficients_near_overflow(self, tmp_path):
         # finite and PSD, but 0.5 * (B + B^T) overflows to inf
-        path = save_model(SpatialModel(S2, 2, [np.diag([1e308, 1e308])]), tmp_path / "big.json")
+        path = save_model(SeriesModel(S2, 2, [np.diag([1e308, 1e308])]), tmp_path / "big.json")
         out = tmp_path / "big.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -467,7 +467,7 @@ class TestBoundaries:
 
     @pytest.mark.parametrize("trunc", [[], ["--trunc", "0"]])
     def test_eval_cov_on_non_finite_model_exits_one(self, tmp_path, capsys, trunc):
-        model = SpatialModel(S2, 1, [np.eye(1), np.array([[np.nan]])])
+        model = SeriesModel(S2, 1, [np.eye(1), np.array([[np.nan]])])
         path = save_model(model, tmp_path / "nan.json")
         out = tmp_path / "cov.csv"
         for argv in (["eval-cov"] + trunc, ["spectrum"]):
@@ -478,7 +478,7 @@ class TestBoundaries:
 
     def test_point_file_rows_are_sidecar_rows(self, tmp_path):
         space = parse_space("projC:4")
-        path = save_model(SpatialModel(space, 1, [np.eye(1), 0.5 * np.eye(1)]),
+        path = save_model(SeriesModel(space, 1, [np.eye(1), 0.5 * np.eye(1)]),
                           tmp_path / "c.json")
         rows = np.random.default_rng(3).standard_normal((4, 6))
         lines = ["# re,im pairs"] + [",".join(map(repr, r)) for r in rows.tolist()]
@@ -499,7 +499,7 @@ class TestBoundaries:
 
     def test_sidecar_points_match_their_spec(self, tmp_path):
         space = parse_space("projC:4")
-        path = save_model(SpatialModel(space, 1, [np.eye(1), 0.5 * np.eye(1)]),
+        path = save_model(SeriesModel(space, 1, [np.eye(1), 0.5 * np.eye(1)]),
                           tmp_path / "c.json")
         pts = tmp_path / "pts.csv"
         pts.write_text("1,0,0,0,0,0\n0,0,0.6,0.8,0,0\n")
@@ -528,13 +528,16 @@ class TestBoundaries:
         assert (tmp_path / "f.meta.json").read_text().count("\n") == 1
 
 
-def _run_cli(argv):
+def _run_cli(argv, address_space=None):
     """(exit code, stderr) of the CLI in a fresh interpreter, which prints
-    warnings to stderr as a user would see them."""
+    warnings to stderr as a user would see them; address_space, if given,
+    caps the interpreter's virtual memory in bytes."""
     src = str(Path(isofield.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    limit = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
     done = subprocess.run([sys.executable, "-m", "isofield.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, preexec_fn=limit)
     return done.returncode, done.stderr
 
 
@@ -573,11 +576,32 @@ def test_check_on_a_space_above_the_dimension_cap_exits_two(tmp_path, capsys, la
     assert not out.exists()
 
 
+# Each request asks for terabytes; under a 3 GB address space an uncapped run fails at once.
+OVER_CAP = {
+    "eval-cov": (4, ["--rho-grid", "0:1:1000000", "--lags", ",".join(["0"] * 20_000)],
+                 "--rho-grid and --lags ask for 1000000 x 20000 x 16 = 320000000000"),
+    "simulate": (10, ["--points", "random:1000000", "--times", ",".join(map(str, range(12_500)))],
+                 "--points and --times ask for 1000000 x 12500 x 10 = 125000000000"),
+}
+
+
+@pytest.mark.parametrize("command", OVER_CAP)
+def test_output_over_the_value_cap_exits_two(tmp_path, command):
+    m, argv, request = OVER_CAP[command]
+    path = save_model(SeriesModel(S2, m, [np.eye(m)], PureSpatial()), tmp_path / "model.json")
+    out = tmp_path / "o.csv"
+    code, err = _run_cli([command, "--model", str(path), "--out", str(out), *argv],
+                         address_space=3 * 2**30)
+    assert code == 2
+    assert err == f"error: {request} values, over the cap of {MAX_VALUES}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["simulate", "--points", "random:3", "--times", "0,1"],
                                   ["eval-cov"]], ids=["simulate", "eval-cov"])
 def test_ma1_lag_zero_overflow_is_invalid(tmp_path, argv):
     # Sigma_0 = 1e308 is finite, but B_0(0) = Sigma_0 + Phi Sigma_0 Phi^T overflows
-    path = save_model(SpatioTemporalModel(S2, 1, [np.array([[1e308]])], VectorMA1([[2.0]])),
+    path = save_model(SeriesModel(S2, 1, [np.array([[1e308]])], VectorMA1([[2.0]])),
                       tmp_path / "ma1_big.json")
     out = tmp_path / "o.csv"
     code, err = _run_cli([argv[0], "--model", str(path), "--out", str(out), *argv[1:]])
@@ -590,8 +614,8 @@ def test_ma1_lag_zero_overflow_is_invalid(tmp_path, argv):
 # (a) B_0(0) is finite, but the tail envelope's sum c r / (1 - r) overflows;
 # (b) each B_n(0) = 2.44 Sigma_n is finite, but sum ||B_n(0)|| P_n(1) overflows.
 DIVERGENT_SUMS = {
-    "tail": (SpatialModel(S2, 1, [[[1.0]]], TailEnvelope(1e308, 0.999999)), 0),
-    "ma1": (SpatioTemporalModel(S2, 2, [4e307 * np.eye(2)] * 2, VectorMA1(1.2 * np.eye(2))), 1),
+    "tail": (SeriesModel(S2, 1, [[[1.0]]], tail=TailEnvelope(1e308, 0.999999)), 0),
+    "ma1": (SeriesModel(S2, 2, [4e307 * np.eye(2)] * 2, VectorMA1(1.2 * np.eye(2))), 1),
 }
 
 
@@ -611,8 +635,8 @@ def test_divergent_series_is_invalid(tmp_path, name, command):
 def test_unit_circle_ar1_model(tmp_path):
     # sphere:1 has alpha = beta = -1/2, so a + b = -1
     space = parse_space("sphere:1")
-    model = SpatioTemporalModel(space, 2, [np.eye(2), [[0.5, 0.1], [0.1, 0.3]], 0.25 * np.eye(2)],
-                                SeparableScalar("ar1", 0.6))
+    model = SeriesModel(space, 2, [np.eye(2), [[0.5, 0.1], [0.1, 0.3]], 0.25 * np.eye(2)],
+                        SeparableScalar("ar1", 0.6))
     path = save_model(model, tmp_path / "circle.json")
     out = tmp_path / "circle.csv"
     assert main(["simulate", "--model", str(path), "--points", "random:7", "--times", "0,1,2",

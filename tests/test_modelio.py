@@ -8,8 +8,7 @@ from isofield import (
     ModelFormatError,
     PureSpatial,
     SeparableScalar,
-    SpatialModel,
-    SpatioTemporalModel,
+    SeriesModel,
     TailEnvelope,
     VectorMA1,
     dump_model,
@@ -29,26 +28,30 @@ S2 = parse_space("sphere:2")
 def example_models():
     rng = np.random.default_rng(0)
     coeffs = [random_psd(rng, 2) for _ in range(3)]
-    yield SpatialModel(S2, 2, coeffs)
-    yield SpatialModel(parse_space("projC:4"), 2, coeffs, tail=TailEnvelope(0.8, 0.5))
-    yield SpatioTemporalModel(S2, 2, coeffs, PureSpatial())
-    yield SpatioTemporalModel(S2, 2, coeffs, SeparableScalar("ar1", -0.35))
-    yield SpatioTemporalModel(S2, 2, coeffs, SeparableScalar("exponential", 2.5))
-    yield SpatioTemporalModel(S2, 2, coeffs, VectorMA1(0.4 * rng.standard_normal((2, 2))))
+    yield SeriesModel(S2, 2, coeffs)
+    yield SeriesModel(parse_space("projC:4"), 2, coeffs, tail=TailEnvelope(0.8, 0.5))
+    yield SeriesModel(S2, 2, coeffs, PureSpatial())
+    yield SeriesModel(S2, 2, coeffs, SeparableScalar("ar1", -0.35))
+    yield SeriesModel(S2, 2, coeffs, SeparableScalar("exponential", 2.5))
+    yield SeriesModel(S2, 2, coeffs, VectorMA1(0.4 * rng.standard_normal((2, 2))))
+
+
+def model_id(model):
+    return f"{model.domain}-{model.kernel.kind}"
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("model", list(example_models()), ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", list(example_models()), ids=model_id)
     def test_dict_round_trip(self, model):
         doc = model_to_dict(model)
         back = model_from_dict(json.loads(json.dumps(doc)))
         assert model_to_dict(back) == doc
-        assert type(back) is type(model)
+        assert (back.domain, back.kernel.kind) == (model.domain, model.kernel.kind)
         for a, b in zip(model.coeffs, back.coeffs):
             assert np.array_equal(a, b)
         assert back.space.label == model.space.label
 
-    @pytest.mark.parametrize("model", list(example_models()), ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", list(example_models()), ids=model_id)
     def test_coefficient_stack_and_degree_slices(self, model):
         built = dataclasses.replace(model, coeffs=model.coeffs.tolist())
         assert built.coeffs.dtype == np.float64 and built.coeffs.shape == (3, 2, 2)
@@ -70,17 +73,29 @@ class TestRoundTrip:
             again = model_from_dict(model_to_dict(model))
             assert model_hash(again) == model_hash(model)
 
+    def test_hash_is_pinned(self):
+        # every sidecar records model_hash, so the file form of each model must not move
+        pinned = [
+            "4d5be538340d4b6475f9bf15fa480a8c00b8a4f56ee53cdf8c3cb219667a2086",
+            "e5d8fe66329eaa3185536d3f008209cee6053674bfb27f6bd01bfa37f7cff9f2",
+            "6f00efcce578bfddcebe6adc70e5658eac02e12d07702fbead42e07276f9cb3e",
+            "39dc6896ab20822277b0a69ede2bb6061b5e87354e76ec52d8e5ccfd1cc2343e",
+            "84e6f4a22990f1a8b971d66dc0614f1ecdae9f67a0b2ea72581fb2a75acc11b7",
+            "80a8f946e9b7fcfb75ce5dad69dfab5a4b5cb1375f01887df1ee8d2b30f60004",
+        ]
+        assert [model_hash(model) for model in example_models()] == pinned
+
     def test_hash_distinguishes_models(self):
         rng = np.random.default_rng(1)
-        a = SpatialModel(S2, 1, [np.eye(1)])
-        b = SpatialModel(S2, 1, [1.0000001 * np.eye(1)])
+        a = SeriesModel(S2, 1, [np.eye(1)])
+        b = SeriesModel(S2, 1, [1.0000001 * np.eye(1)])
         assert model_hash(a) != model_hash(b)
 
     def test_kernel_parameters_survive(self):
-        model = SpatioTemporalModel(S2, 1, [np.eye(1)], SeparableScalar("ar1", 0.25))
+        model = SeriesModel(S2, 1, [np.eye(1)], SeparableScalar("ar1", 0.25))
         back = model_from_dict(model_to_dict(model))
         assert back.kernel.kind == "ar1" and back.kernel.param == 0.25
-        ma = SpatioTemporalModel(S2, 2, [np.eye(2)], VectorMA1(np.array([[0.1, 0.2], [0.3, 0.4]])))
+        ma = SeriesModel(S2, 2, [np.eye(2)], VectorMA1(np.array([[0.1, 0.2], [0.3, 0.4]])))
         back = model_from_dict(model_to_dict(ma))
         assert np.array_equal(back.kernel.phi, ma.kernel.phi)
 

@@ -15,8 +15,7 @@ from isofield import (
     NumericError,
     PureSpatial,
     SeparableScalar,
-    SpatialModel,
-    SpatioTemporalModel,
+    SeriesModel,
     TailEnvelope,
     UsageError,
     VectorMA1,
@@ -48,7 +47,7 @@ def fixed_points(n=4, seed=100):
 
 
 def small_matrix_model(seed=0):
-    return SpatialModel(S2, 2, [np.eye(2), 0.5 * np.eye(2), 0.25 * np.eye(2)])
+    return SeriesModel(S2, 2, [np.eye(2), 0.5 * np.eye(2), 0.25 * np.eye(2)])
 
 
 class TestMatrixSqrt:
@@ -105,13 +104,13 @@ class TestSimulateSpatial:
         assert not np.array_equal(a.values, c.values)
 
     def test_degree_zero_only_is_constant_in_space(self):
-        model = SpatialModel(S2, 2, [np.diag([1.0, 2.0])])
+        model = SeriesModel(S2, 2, [np.diag([1.0, 2.0])])
         real = simulate_spatial(model, fixed_points(6), seed=3)
         spread = real.values.max(axis=0) - real.values.min(axis=0)
         assert np.max(np.abs(spread)) <= 1e-12
 
     def test_invalid_model_rejected(self):
-        bad = SpatialModel(S2, 2, [np.eye(2), np.diag([1.0, -0.5])])
+        bad = SeriesModel(S2, 2, [np.eye(2), np.diag([1.0, -0.5])])
         with pytest.raises(ModelError):
             simulate_spatial(bad, fixed_points(2), seed=0)
 
@@ -121,7 +120,7 @@ class TestSimulateSpatial:
 
     def test_octonionic_sampling_unsupported(self):
         space = parse_space("projO:16")
-        model = SpatialModel(space, 1, [np.eye(1)])
+        model = SeriesModel(space, 1, [np.eye(1)])
         with pytest.raises(GeometryError):
             simulate_spatial(model, [], seed=0)
 
@@ -163,7 +162,7 @@ class TestSimulateSpatial:
         # with only the degree-0 term, each replicate is spatially constant:
         # the spatial average equals V_0^2, whose spread across replicates
         # stays order one no matter how many points are averaged
-        model = SpatialModel(S2, 1, [np.eye(1)])
+        model = SeriesModel(S2, 1, [np.eye(1)])
         pts = fixed_points(50, seed=9)
         seeds = replicate_seeds(77, 300)
         spatial_means = []
@@ -178,25 +177,25 @@ class TestSimulateSpatial:
 
 class TestSimulateSpatioTemporal:
     def test_pure_spatial_constant_in_time(self):
-        model = SpatioTemporalModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)], PureSpatial())
+        model = SeriesModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)], PureSpatial())
         real = simulate_spatiotemporal(model, fixed_points(3), [0.0, 1.5, 4.0], seed=1)
         assert real.values.shape == (3, 3, 2)
         for i in (1, 2):
             assert np.array_equal(real.values[:, 0, :], real.values[:, i, :])
 
     def test_integer_domain_rejects_real_times(self):
-        model = SpatioTemporalModel(S2, 1, [np.eye(1)], SeparableScalar("ar1", 0.5))
+        model = SeriesModel(S2, 1, [np.eye(1)], SeparableScalar("ar1", 0.5))
         with pytest.raises(UsageError):
             simulate_spatiotemporal(model, fixed_points(1), [0.0, 0.5], seed=0)
 
     def test_unsorted_times_rejected(self):
-        model = SpatioTemporalModel(S2, 1, [np.eye(1)], PureSpatial())
+        model = SeriesModel(S2, 1, [np.eye(1)], PureSpatial())
         for times in ([1.0, 0.0], [0.0, 1.0, 1.0], [0.0, math.nan]):
             with pytest.raises(UsageError):
                 simulate_spatiotemporal(model, fixed_points(1), times, seed=0)
 
     def test_replay_and_seed_sensitivity(self):
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             S2, 2, [np.eye(2), 0.4 * np.eye(2)], SeparableScalar("ar1", -0.3)
         )
         pts = fixed_points(2)
@@ -208,7 +207,7 @@ class TestSimulateSpatioTemporal:
         )
 
     def test_ar1_lag_one_covariance(self):
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             S2, 1, [np.eye(1), 0.5 * np.eye(1)], SeparableScalar("ar1", 0.5)
         )
         pts = fixed_points(1, seed=11)
@@ -224,7 +223,7 @@ class TestSimulateSpatioTemporal:
 
     def test_ar1_gap_recursion_matches_stationary_correlation(self):
         # times with a gap: correlation across the gap must be phi^gap
-        model = SpatioTemporalModel(S2, 1, [np.eye(1)], SeparableScalar("ar1", 0.8))
+        model = SeriesModel(S2, 1, [np.eye(1)], SeparableScalar("ar1", 0.8))
         pts = fixed_points(1, seed=12)
         seeds = replicate_seeds(404, 4000)
         prods = []
@@ -237,7 +236,7 @@ class TestSimulateSpatioTemporal:
         assert abs(prods.mean() - want) <= 5 * se
 
     def test_exponential_kernel_real_times(self):
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             S2, 1, [np.eye(1)], SeparableScalar("exponential", 0.7)
         )
         pts = fixed_points(1, seed=13)
@@ -255,7 +254,7 @@ class TestSimulateSpatioTemporal:
     def test_ma1_vanishes_at_lag_two(self):
         rng = np.random.default_rng(14)
         phi = 0.5 * rng.standard_normal((2, 2))
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             S2, 2, [random_psd(rng, 2), random_psd(rng, 2)], VectorMA1(phi)
         )
         pts = fixed_points(1, seed=15)
@@ -269,7 +268,7 @@ class TestSimulateSpatioTemporal:
         assert np.all(np.abs(est) <= 5 * se)
 
     def test_invalid_model_rejected(self):
-        bad = SpatioTemporalModel(
+        bad = SeriesModel(
             S2, 2, [np.diag([1.0, -0.4])], SeparableScalar("ar1", 0.2)
         )
         with pytest.raises(ModelError):
@@ -277,7 +276,7 @@ class TestSimulateSpatioTemporal:
 
     def test_values_match_latent_series(self):
         rng = np.random.default_rng(16)
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             S2, 2, [random_psd(rng, 2) for _ in range(3)], VectorMA1(0.3 * np.eye(2))
         )
         pts = fixed_points(2, seed=17)
@@ -311,8 +310,8 @@ class TestOneSimulationPath:
 
     def test_pure_spatial_slices_equal_spatial_realization(self):
         coeffs = [random_psd(np.random.default_rng(41), 2) for _ in range(3)]
-        spatial = SpatialModel(S2, 2, coeffs)
-        constant = SpatioTemporalModel(S2, 2, coeffs, PureSpatial())
+        spatial = SeriesModel(S2, 2, coeffs)
+        constant = SeriesModel(S2, 2, coeffs, PureSpatial())
         pts = fixed_points(4, seed=42)
         for seed in range(8):
             want = simulate_spatial(spatial, pts, seed=seed)
@@ -325,7 +324,7 @@ class TestOneSimulationPath:
     def test_simulate_spatial_on_ma1_model_samples_lag_zero(self):
         # B_n(0) = Sigma_n + Phi Sigma_n Phi^T, not the innovation Sigma_n
         rng = np.random.default_rng(43)
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             S2, 2, [random_psd(rng, 2), random_psd(rng, 2)], VectorMA1(0.8 * np.eye(2))
         )
         pts = fixed_points(2, seed=44)
@@ -340,7 +339,7 @@ class TestOneSimulationPath:
             def coeff_at(self, n, t, coeffs):
                 return 0.5 ** abs(t) * coeffs[n]
 
-        model = SpatioTemporalModel(S2, 1, [np.eye(1)], ScaledKernel())
+        model = SeriesModel(S2, 1, [np.eye(1)], ScaledKernel())
         with pytest.raises(UsageError):
             simulate_spatiotemporal(model, fixed_points(1), [0, 1], seed=0)
 
@@ -372,10 +371,10 @@ class TestStackedFactorisation:
                  "ma1": VectorMA1(0.5 * random_psd(rng, 3))}[kernel]
         times = [0.0] if kernel == "spatial" else [-1.0, 0.0, 2.0]
         if kernel == "spatial":
-            model = SpatialModel(S2, 3, coeffs)
+            model = SeriesModel(S2, 3, coeffs)
             model.kernel = RecordingKernel(model.kernel)
         else:
-            model = SpatioTemporalModel(S2, 3, coeffs, RecordingKernel(inner))
+            model = SeriesModel(S2, 3, coeffs, RecordingKernel(inner))
         real = simulate_spatiotemporal(model, fixed_points(3), times, trunc, seed=17)
         degrees = range(real.trunc + 1)
         assert len(model.kernel.roots) == len(degrees)
@@ -387,7 +386,7 @@ class TestStackedFactorisation:
 
     def test_finite_coefficients_near_overflow(self):
         # 0.5 * (B + B^T) overflows to inf for these finite entries
-        model = SpatialModel(S2, 2, [np.diag([1e308, 1e308])])
+        model = SeriesModel(S2, 2, [np.diag([1e308, 1e308])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert validate_spatial(model).valid
@@ -401,7 +400,7 @@ class TestStackedFactorisation:
             def sample_path(self, root, an, times, rng):
                 return np.full((len(times), root.shape[0]), np.inf)
 
-        model = SpatioTemporalModel(S2, 1, [np.eye(1)], OverflowingKernel(PureSpatial()))
+        model = SeriesModel(S2, 1, [np.eye(1)], OverflowingKernel(PureSpatial()))
         with pytest.raises(NumericError, match="non-finite"):
             simulate_spatiotemporal(model, fixed_points(2), [0.0], seed=0)
 
@@ -419,7 +418,7 @@ class TestMarkovSampler:
             assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_exponential_near_duplicate_times(self):
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             S2, 2, [np.eye(2), 0.5 * np.eye(2)], SeparableScalar("exponential", 1.0)
         )
         real = simulate_spatiotemporal(model, fixed_points(3), [0.0, 1e-17, 1.0], seed=5)
@@ -455,7 +454,7 @@ class TestBuiltInKernelGate:
     @pytest.mark.parametrize("kernel", sorted(GATE_KERNELS))
     def test_stored_coefficients_decide_validity(self, kernel, coeffs):
         mats, valid = GATE_COEFFS[coeffs]
-        model = SpatioTemporalModel(S2, 2, mats, GATE_KERNELS[kernel])
+        model = SeriesModel(S2, 2, mats, GATE_KERNELS[kernel])
         times = [0.0, 1.0, 2.0]
         probe = sorted({t1 - t2 for t1 in times for t2 in times})
         assert validate_spatial(model).valid is valid
@@ -472,7 +471,7 @@ class TestPointArrays:
     def test_stacked_array_and_point_list_bit_identical(self, label):
         space = parse_space(label)
         rng = np.random.default_rng(45)
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             space, 2, [random_psd(rng, 2), random_psd(rng, 2)], VectorMA1(0.3 * np.eye(2))
         )
         pts = [sample_uniform(space, rng) for _ in range(5)]
@@ -510,7 +509,7 @@ class TestRealizationIO:
         from isofield import save_realization
         from isofield.simulate import load_realization_values
 
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             S2, 2, [np.eye(2), 0.5 * np.eye(2)], SeparableScalar("ar1", 0.3)
         )
         real = simulate_spatiotemporal(model, fixed_points(3), [0, 1, 2], seed=21)
@@ -540,16 +539,16 @@ class TestRealizationIO:
     def test_values_csv_matches_csv_writer_oracle(self, case, tmp_path):
         rng = np.random.default_rng(52)
         if case == "spatial_m1":
-            model = SpatialModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)])
+            model = SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)])
             points, times = fixed_points(5), [0.0]
         elif case == "ma1_m3":
-            model = SpatioTemporalModel(S2, 3, [random_psd(rng, 3), random_psd(rng, 3)],
-                                        VectorMA1(0.4 * np.eye(3)))
+            model = SeriesModel(S2, 3, [random_psd(rng, 3), random_psd(rng, 3)],
+                                VectorMA1(0.4 * np.eye(3)))
             points, times = fixed_points(4), [-3.0, -1.0, 0.0, 2.0]
         else:
             space = parse_space("projC:4")
-            model = SpatioTemporalModel(space, 3, [random_psd(rng, 3), random_psd(rng, 3)],
-                                        SeparableScalar("exponential", 0.7))
+            model = SeriesModel(space, 3, [random_psd(rng, 3), random_psd(rng, 3)],
+                                SeparableScalar("exponential", 0.7))
             points = sample_uniform_batch(space, 6, rng)
             times = [-2.5, -0.0, 0.25, 3.0]
         real = simulate_spatiotemporal(model, points, times, seed=13)
@@ -582,10 +581,10 @@ class WrappingKernel:
 def test_user_defined_kernel_simulates_but_cannot_be_saved(tmp_path):
     inner = SeparableScalar("ar1", 0.5)
     coeffs = [np.eye(2), 0.5 * np.eye(2)]
-    model = SpatioTemporalModel(S2, 2, coeffs, WrappingKernel(inner))
+    model = SeriesModel(S2, 2, coeffs, WrappingKernel(inner))
     times = [0.0, 1.0, 2.0]
     reals = [simulate_spatiotemporal(model, fixed_points(3), times, seed=s) for s in (1, 2, 3)]
-    want = simulate_spatiotemporal(SpatioTemporalModel(S2, 2, coeffs, inner),
+    want = simulate_spatiotemporal(SeriesModel(S2, 2, coeffs, inner),
                                    fixed_points(3), times, seed=1)
     assert np.array_equal(reals[0].values, want.values)
     assert empirical_cov(reals, (0, 1), 1.0).replicates == 3  # one model object: no hash
@@ -607,8 +606,8 @@ def memo_model(kernel):
     rng = np.random.default_rng(53)
     coeffs = [random_psd(rng, 2, 0.6**n) for n in range(4)]
     if MEMO_KERNELS[kernel] is None:
-        return SpatialModel(S2, 2, coeffs)
-    return SpatioTemporalModel(S2, 2, coeffs, MEMO_KERNELS[kernel]())
+        return SeriesModel(S2, 2, coeffs)
+    return SeriesModel(S2, 2, coeffs, MEMO_KERNELS[kernel]())
 
 
 def memo_simulate(model, seed):
@@ -651,7 +650,7 @@ class TestModelMemo:
 
     def test_kernel_swap_is_seen(self):
         # each B_n(0) = 2.44 Sigma_n under the moving average, and the sum overflows
-        model = SpatioTemporalModel(S2, 2, [4e307 * np.eye(2)] * 2, SeparableScalar("ar1", 0.5))
+        model = SeriesModel(S2, 2, [4e307 * np.eye(2)] * 2, SeparableScalar("ar1", 0.5))
         memo_simulate(model, 0)
         assert validate_spatial(model).valid
         model.kernel = VectorMA1(1.2 * np.eye(2))
@@ -659,7 +658,7 @@ class TestModelMemo:
             memo_simulate(model, 0)
         assert not validate_spatial(model).valid
         model.kernel = SeparableScalar("exponential", 0.9)
-        fresh = SpatioTemporalModel(S2, 2, model.coeffs.copy(), SeparableScalar("exponential", 0.9))
+        fresh = SeriesModel(S2, 2, model.coeffs.copy(), SeparableScalar("exponential", 0.9))
         assert np.array_equal(memo_simulate(model, 1).values, memo_simulate(fresh, 1).values)
 
     def test_returned_report_and_roots_cannot_change_the_memo(self):
@@ -672,7 +671,7 @@ class TestModelMemo:
                 root *= 2.0
                 return self.inner.sample_path(root, an, times, rng)
 
-        model = SpatioTemporalModel(S2, 2, model.coeffs, RootWritingKernel(PureSpatial()))
+        model = SeriesModel(S2, 2, model.coeffs, RootWritingKernel(PureSpatial()))
         with pytest.raises(ValueError, match="read-only"):
             memo_simulate(model, 0)
 

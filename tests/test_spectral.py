@@ -12,8 +12,7 @@ from isofield import (
     ModelError,
     PureSpatial,
     SeparableScalar,
-    SpatialModel,
-    SpatioTemporalModel,
+    SeriesModel,
     TailEnvelope,
     UsageError,
     VectorMA1,
@@ -31,7 +30,7 @@ from isofield import (
 )
 from isofield.errors import ParameterError
 from isofield.jacobi import jacobi_at_one
-from isofield.spectral import ZERO_LAG
+from isofield.spectral import SPATIAL, ZERO_LAG
 from tests.oracles import ma1_lag_cov_mc, random_psd, validate_spatiotemporal_per_degree
 
 S2 = parse_space("sphere:2")
@@ -39,14 +38,14 @@ LAGS = [-2.0, -1.0, 0.0, 1.0, 2.0]
 
 
 def scalar_model(bs, tail=None):
-    return SpatialModel(S2, 1, [np.array([[b]]) for b in bs], tail=tail)
+    return SeriesModel(S2, 1, [np.array([[b]]) for b in bs], tail=tail)
 
 
 def ma1_model(seed=0, degrees=3, m=2):
     rng = np.random.default_rng(seed)
     phi = 0.6 * rng.standard_normal((m, m))
     sigmas = [random_psd(rng, m) for _ in range(degrees)]
-    return SpatioTemporalModel(S2, m, sigmas, VectorMA1(phi))
+    return SeriesModel(S2, m, sigmas, VectorMA1(phi))
 
 
 class LopsidedKernel:
@@ -71,19 +70,19 @@ class ExplosiveKernel:
 
 class TestValidateSpatial:
     def test_diagonal_nonnegative_is_valid(self):
-        model = SpatialModel(S2, 2, [np.diag([1.0, 0.5]), np.diag([0.2, 0.0])])
+        model = SeriesModel(S2, 2, [np.diag([1.0, 0.5]), np.diag([0.2, 0.0])])
         report = validate_spatial(model)
         assert report.valid and report.violations == []
 
     def test_indefinite_coefficient_flagged(self):
         bad = np.diag([1.0, -0.1])
-        model = SpatialModel(S2, 2, [np.eye(2), bad])
+        model = SeriesModel(S2, 2, [np.eye(2), bad])
         report = validate_spatial(model)
         assert not report.valid
         assert any(v.kind == "indefinite" and v.degree == 1 for v in report.violations)
 
     def test_asymmetric_coefficient_flagged(self):
-        model = SpatialModel(S2, 2, [np.array([[1.0, 0.3], [0.0, 1.0]])])
+        model = SeriesModel(S2, 2, [np.array([[1.0, 0.3], [0.0, 1.0]])])
         report = validate_spatial(model)
         assert any(v.kind == "asymmetric" and v.degree == 0 for v in report.violations)
 
@@ -108,7 +107,7 @@ class TestValidateSpatial:
         coeffs = [np.eye(2), np.array([[1.0, 0.3], [0.0, 1.0]]), np.diag([1.0, -0.5]),
                   np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0, 2.0], [0.1, -3.0]]),
                   np.array([[np.inf, 1.0], [1.0, 1.0]]), 1e-3 * np.eye(2)]
-        report = validate_spatial(SpatialModel(S2, 2, coeffs))
+        report = validate_spatial(SeriesModel(S2, 2, coeffs))
         assert [(v.degree, v.lag, v.kind) for v in report.violations] == [
             (1, "spatial", "asymmetric"), (2, "spatial", "indefinite"),
             (3, "spatial", "divergent"), (4, "spatial", "asymmetric"),
@@ -121,8 +120,8 @@ class TestValidateSpatial:
         # Each Sigma_n and each B_n(0) = 2.44 Sigma_n is finite, and so is
         # sum ||Sigma_n||, but sum ||B_n(0)|| P_n(1) overflows.
         sigmas = [0.4e308 * np.eye(2), 0.4e308 * np.eye(2)]
-        assert validate_spatial(SpatialModel(S2, 2, sigmas)).valid
-        model = SpatioTemporalModel(S2, 2, sigmas, VectorMA1(1.2 * np.eye(2)))
+        assert validate_spatial(SeriesModel(S2, 2, sigmas)).valid
+        model = SeriesModel(S2, 2, sigmas, VectorMA1(1.2 * np.eye(2)))
         for report in (validate_spatial(model), validate_spatiotemporal(model, [0.0, 1.0])):
             assert [v.as_dict() for v in report.violations] == [
                 {"degree": 1, "lag": "spatial", "kind": "divergent", "magnitude": math.inf}
@@ -141,19 +140,19 @@ class TestValidateSpatioTemporal:
         assert report.valid
 
     def test_ar1_over_valid_spatial_is_valid(self):
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             S2, 2, [np.eye(2), 0.5 * np.eye(2)], SeparableScalar("ar1", 0.5)
         )
         assert validate_spatiotemporal(model, LAGS).valid
 
     def test_tampered_kernel_flagged_asymmetric(self):
-        model = SpatioTemporalModel(S2, 2, [np.eye(2)], LopsidedKernel())
+        model = SeriesModel(S2, 2, [np.eye(2)], LopsidedKernel())
         report = validate_spatiotemporal(model, LAGS)
         assert not report.valid
         assert any(v.kind == "asymmetric" for v in report.violations)
 
     def test_explosive_correlation_flagged_indefinite(self):
-        model = SpatioTemporalModel(S2, 1, [np.eye(1)], ExplosiveKernel())
+        model = SeriesModel(S2, 1, [np.eye(1)], ExplosiveKernel())
         report = validate_spatiotemporal(model, LAGS)
         assert any(v.kind == "indefinite" for v in report.violations)
 
@@ -219,7 +218,7 @@ def _cov_table_model():
     rng = np.random.default_rng(7)
     space = parse_space("projC:4")
     coeffs = [0.85**n / jacobi_at_one(n, space.geom) * random_psd(rng, 3) for n in range(61)]
-    return SpatioTemporalModel(space, 3, coeffs, SeparableScalar("exponential", 1.3))
+    return SeriesModel(space, 3, coeffs, SeparableScalar("exponential", 1.3))
 
 
 def _coefficient_sets(m, rng):
@@ -243,7 +242,7 @@ class TestLagTable:
         rng = np.random.default_rng(2024)
         for m in (1, 2, 3):
             for label, coeffs in _coefficient_sets(m, rng).items():
-                model = SpatioTemporalModel(S2, m, coeffs, KERNELS[kind](m))
+                model = SeriesModel(S2, m, coeffs, KERNELS[kind](m))
                 for lags in GRIDS:
                     got = _validate_outcome(validate_spatiotemporal, model, lags)
                     want = _validate_outcome(validate_spatiotemporal_per_degree, model, lags)
@@ -252,7 +251,7 @@ class TestLagTable:
     @pytest.mark.parametrize("phi", [0.5, 1.2])
     def test_ma1_near_overflow_equals_the_reference(self, phi):
         # Sigma = 1e308 I: B(0) = (1 + phi^2) Sigma is finite at 0.5 and overflows at 1.2
-        model = SpatioTemporalModel(S2, 2, [1e308 * np.eye(2)] * 2, VectorMA1(phi * np.eye(2)))
+        model = SeriesModel(S2, 2, [1e308 * np.eye(2)] * 2, VectorMA1(phi * np.eye(2)))
         got = _validate_outcome(validate_spatiotemporal, model, LAGS)
         assert got == _validate_outcome(validate_spatiotemporal_per_degree, model, LAGS)
         assert ("'lag': 0.0, 'kind': 'divergent'" in got) == (phi > 1.0)
@@ -269,15 +268,15 @@ class TestLagTable:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_probe_lag_is_named(self, bad):
         # inf - inf = nan made every Gram non-finite, so an indefinite model read valid
-        model = SpatioTemporalModel(S2, 2, [np.diag([1.0, -0.5])],
-                                    SeparableScalar("exponential", 1.0))
+        model = SeriesModel(S2, 2, [np.diag([1.0, -0.5])],
+                            SeparableScalar("exponential", 1.0))
         with pytest.raises(UsageError, match=f"probe lag {bad} is not finite"):
             validate_spatiotemporal(model, [0.0, bad])
         assert not validate_spatiotemporal(model, [0.0, 1.0]).valid
 
     def test_one_coeff_at_call_per_distinct_lag(self):
-        model = SpatioTemporalModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)],
-                                    SeparableScalar("exponential", 1.0))
+        model = SeriesModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)],
+                            SeparableScalar("exponential", 1.0))
         calls = []
         read = model.coeff_at
         model.coeff_at = lambda n, t=0.0: calls.append((n, t)) or read(n, t)
@@ -314,8 +313,8 @@ class TestLagTable:
 
     def test_overflowing_mismatch_reads_inf_without_a_warning(self):
         # B(-t) - B(t)^T = (1.5e308 + 1.5e308) r(t) overflows where r(t) > 0.6: at lag 0 here
-        model = SpatioTemporalModel(S2, 2, [[[1.0, 1.5e308], [-1.5e308, 1.0]]],
-                                    SeparableScalar("exponential", 1.0))
+        model = SeriesModel(S2, 2, [[[1.0, 1.5e308], [-1.5e308, 1.0]]],
+                            SeparableScalar("exponential", 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = validate_spatiotemporal(model, LAGS)
@@ -329,7 +328,7 @@ class TestLagTable:
     @pytest.mark.parametrize("kind, param", [("ar1", 0.0), ("exponential", 800.0)])
     def test_zero_correlation_of_non_finite_coefficient_is_divergent(self, kind, param):
         # r(t) = 0 times inf is nan: a divergent degree, with no warning
-        model = SpatioTemporalModel(S2, 1, [np.eye(1), [[math.inf]]], SeparableScalar(kind, param))
+        model = SeriesModel(S2, 1, [np.eye(1), [[math.inf]]], SeparableScalar(kind, param))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = validate_spatiotemporal(model, [0.0, 1.0])
@@ -369,7 +368,7 @@ def _models_and_grids(draw):
                     else VectorMA1(rng.uniform(-1.5, 1.5, (m, m))))
         lags = [float(k) for k in draw(st.lists(st.integers(-3, 3), max_size=5))]
     lags.insert(draw(st.integers(0, len(lags))), draw(st.sampled_from([0.0, -0.0])))
-    return SpatioTemporalModel(S2, m, coeffs, temporal), lags
+    return SeriesModel(S2, m, coeffs, temporal), lags
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -382,7 +381,7 @@ def test_reports_equal_the_per_degree_reference_on_generated_models(model_and_la
 
 class TestEvalCov:
     def test_degree_zero_only_is_constant(self):
-        model = SpatialModel(S2, 2, [np.eye(2)])
+        model = SeriesModel(S2, 2, [np.eye(2)])
         for rho in (0.0, 1.0, math.pi):
             assert np.allclose(eval_cov(model, rho), np.eye(2))
 
@@ -403,7 +402,7 @@ class TestEvalCov:
 
     def test_divergent_series_raises_before_overflow(self):
         # each B_n(0) = 2.44 Sigma_n is finite, but sum ||B_n(0)|| P_n(1) overflows
-        model = SpatioTemporalModel(S2, 2, [4e307 * np.eye(2)] * 2, VectorMA1(1.2 * np.eye(2)))
+        model = SeriesModel(S2, 2, [4e307 * np.eye(2)] * 2, VectorMA1(1.2 * np.eye(2)))
         tail = scalar_model([1.0], TailEnvelope(1e308, 0.999999))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -470,7 +469,7 @@ class TestEvalCovSymmetrized:
         assert np.allclose(sym, want)
 
     def test_time_symmetric_kernel_equals_plain(self):
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             S2, 2, [np.eye(2), 0.3 * np.eye(2)], SeparableScalar("ar1", -0.4)
         )
         for t in (0.0, 1.0, 3.0):
@@ -498,7 +497,7 @@ class TestTruncationBound:
 
     def test_partial_sum_error_bounded(self):
         rng = np.random.default_rng(7)
-        model = SpatialModel(S2, 2, [random_psd(rng, 2, 0.5**n) for n in range(6)])
+        model = SeriesModel(S2, 2, [random_psd(rng, 2, 0.5**n) for n in range(6)])
         for rho in (0.1, 1.0, 2.8):
             full = eval_cov(model, rho)
             for n in range(6):
@@ -509,7 +508,7 @@ class TestTruncationBound:
 class TestSpectrum:
     def test_sphere_flat_spectrum(self):
         c = 0.37
-        model = SpatialModel(
+        model = SeriesModel(
             S2, 1, [np.array([[(2 * n + 1) * c]]) for n in range(5)]
         )
         for n in range(5):
@@ -521,7 +520,7 @@ class TestSpectrum:
 
     def test_round_trip(self):
         rng = np.random.default_rng(8)
-        model = SpatialModel(S2, 2, [random_psd(rng, 2) for _ in range(4)])
+        model = SeriesModel(S2, 2, [random_psd(rng, 2) for _ in range(4)])
         for n in range(4):
             back = angular_power_spectrum(model, n) * dim_eigenspace(S2, n)
             assert np.max(np.abs(back - model.coeffs[n])) <= 1e-12
@@ -529,6 +528,22 @@ class TestSpectrum:
     def test_out_of_range(self):
         with pytest.raises(UsageError):
             angular_power_spectrum(scalar_model([1.0]), 3)
+
+    def test_ma1_spectrum_reads_lag_zero(self):
+        # Sigma_1 = 0.5, Phi = 0.9: B_1(0) = Sigma_1 + Phi Sigma_1 Phi^T = 0.905, not Sigma_1
+        model = SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)], VectorMA1([[0.9]]))
+        assert angular_power_spectrum(model, 1)[0, 0] == pytest.approx(0.905 / 3, rel=1e-15)
+
+    @pytest.mark.parametrize("kernel", [SPATIAL, PureSpatial(), SeparableScalar("ar1", 0.6),
+                                        SeparableScalar("exponential", 1.5)],
+                             ids=["spatial", "pure_spatial", "ar1", "exponential"])
+    def test_stored_coefficients_are_lag_zero(self, kernel):
+        rng = np.random.default_rng(81)
+        coeffs = [random_psd(rng, 2) for _ in range(3)]
+        model = SeriesModel(S2, 2, coeffs, kernel)
+        for n in range(3):
+            want = model.coeffs[n] / dim_eigenspace(S2, n)
+            assert np.array_equal(angular_power_spectrum(model, n), want)
 
 
 class TestRecoverCoefficients:
@@ -548,7 +563,7 @@ class TestRecoverCoefficients:
 
     def test_round_trip_random_model(self):
         rng = np.random.default_rng(9)
-        truth = SpatialModel(S2, 2, [random_psd(rng, 2, 0.7**n) for n in range(9)])
+        truth = SeriesModel(S2, 2, [random_psd(rng, 2, 0.7**n) for n in range(9)])
         got = recover_coefficients(
             lambda rho: eval_cov(truth, rho), S2, 2, N=8, order=12
         )

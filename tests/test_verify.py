@@ -5,8 +5,7 @@ import pytest
 
 from isofield import (
     MCEstimate,
-    SpatialModel,
-    SpatioTemporalModel,
+    SeriesModel,
     UsageError,
     VectorMA1,
     check_space_identities,
@@ -24,6 +23,7 @@ from isofield import (
     simulate_spatiotemporal,
 )
 from isofield.spaces import a_constant
+from isofield.spectral import ZERO_LAG
 from tests.oracles import empirical_cov_per_replicate, random_psd
 
 S2 = parse_space("sphere:2")
@@ -134,7 +134,7 @@ class TestZonalCovariance:
 
 class TestEmpiricalCov:
     def _ensemble(self, model, points, times, count, master):
-        if isinstance(model, SpatioTemporalModel):
+        if model.domain != ZERO_LAG:
             return [
                 simulate_spatiotemporal(model, points, times, seed=s)
                 for s in replicate_seeds(master, count)
@@ -142,7 +142,7 @@ class TestEmpiricalCov:
         return [simulate_spatial(model, points, seed=s) for s in replicate_seeds(master, count)]
 
     def test_degree_zero_identity_target(self):
-        model = SpatialModel(S2, 2, [np.eye(2)])
+        model = SeriesModel(S2, 2, [np.eye(2)])
         pts = [sample_uniform(S2, np.random.default_rng(71))]
         ens = self._ensemble(model, pts, None, 3000, 1)
         est = empirical_cov(ens, (0, 0), 0.0)
@@ -151,7 +151,7 @@ class TestEmpiricalCov:
 
     def test_ma1_lags(self):
         rng = np.random.default_rng(72)
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             S2, 2, [random_psd(rng, 2), random_psd(rng, 2)], VectorMA1(0.5 * np.eye(2))
         )
         pts = [sample_uniform(S2, rng), sample_uniform(S2, rng)]
@@ -162,7 +162,7 @@ class TestEmpiricalCov:
 
     def test_transpose_of_estimates(self):
         rng = np.random.default_rng(73)
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             S2, 2, [random_psd(rng, 2)], VectorMA1(np.array([[0.5, -0.2], [0.3, 0.1]]))
         )
         pts = [sample_uniform(S2, rng), sample_uniform(S2, rng)]
@@ -173,21 +173,21 @@ class TestEmpiricalCov:
         assert np.all(np.abs(np.asarray(minus.value) - np.asarray(plus.value).T) <= band)
 
     def test_heterogeneous_rejected(self):
-        model = SpatialModel(S2, 1, [np.eye(1)])
+        model = SeriesModel(S2, 1, [np.eye(1)])
         pts = [sample_uniform(S2, np.random.default_rng(74))]
         a = simulate_spatial(model, pts, seed=1)
         b = simulate_spatial(model, pts, seed=1)  # same seed: not independent
         with pytest.raises(UsageError):
             empirical_cov([a, b], (0, 0), 0.0)
         c = simulate_spatial(model, pts, trunc=0, seed=2)
-        other = SpatialModel(S2, 1, [2.0 * np.eye(1)])
+        other = SeriesModel(S2, 1, [2.0 * np.eye(1)])
         d = simulate_spatial(other, pts, seed=3)
         with pytest.raises(UsageError):
             empirical_cov([a, d], (0, 0), 0.0)
 
     @pytest.mark.parametrize("pair", [(0, 5), (0.5, 1), (-1, 0), (0, 2), (0,), "01"])
     def test_point_pair_outside_points_rejected(self, pair):
-        model = SpatialModel(S2, 1, [np.eye(1)])
+        model = SeriesModel(S2, 1, [np.eye(1)])
         rng = np.random.default_rng(76)
         pts = [sample_uniform(S2, rng), sample_uniform(S2, rng)]
         ens = self._ensemble(model, pts, None, 3, 5)
@@ -200,9 +200,9 @@ class TestEmpiricalCov:
         rng = np.random.default_rng(77)
         sigmas = [random_psd(rng, 3) for _ in range(3)]
         if kind == "spatial":
-            model, times = SpatialModel(S2, 3, sigmas), None
+            model, times = SeriesModel(S2, 3, sigmas), None
         else:
-            model = SpatioTemporalModel(S2, 3, sigmas, VectorMA1(0.4 * random_psd(rng, 3)))
+            model = SeriesModel(S2, 3, sigmas, VectorMA1(0.4 * random_psd(rng, 3)))
             times = [0, 1, 2, 4]
         pts = [sample_uniform(S2, rng) for _ in range(3)]
         ens = self._ensemble(model, pts, times, 50, 6)
@@ -218,7 +218,7 @@ class TestEmpiricalCov:
                                       per_rep.std(axis=0, ddof=1) / np.sqrt(len(ens)))
 
     def test_unrealizable_lag_rejected(self):
-        model = SpatialModel(S2, 1, [np.eye(1)])
+        model = SeriesModel(S2, 1, [np.eye(1)])
         pts = [sample_uniform(S2, np.random.default_rng(75))]
         ens = self._ensemble(model, pts, None, 3, 4)
         with pytest.raises(UsageError):
@@ -228,7 +228,7 @@ class TestEmpiricalCov:
 class TestRecoverVn:
     def test_recovers_recorded_path_and_zero_beyond(self):
         rng = np.random.default_rng(81)
-        model = SpatioTemporalModel(
+        model = SeriesModel(
             S2,
             2,
             [random_psd(rng, 2, 0.6**n) for n in range(3)],
@@ -244,7 +244,7 @@ class TestRecoverVn:
             assert est.passed
 
     def test_scalar_degree_zero_plain_average(self):
-        model = SpatialModel(S2, 1, [np.eye(1)])
+        model = SeriesModel(S2, 1, [np.eye(1)])
         pts = [sample_uniform(S2, np.random.default_rng(82))]
         real = simulate_spatial(model, pts, seed=13)
         (est,) = mc_recover_vn(real, 0, replicates_for_integral=20_000, seed=14)
@@ -255,7 +255,7 @@ class TestRecoverVn:
         assert est.passed
 
     def test_missing_latent_rejected(self):
-        model = SpatialModel(S2, 1, [np.eye(1)])
+        model = SeriesModel(S2, 1, [np.eye(1)])
         pts = [sample_uniform(S2, np.random.default_rng(83))]
         real = simulate_spatial(model, pts, seed=15)
         real.latent_v = None
@@ -320,7 +320,7 @@ class TestIsotropyOfEstimates:
         assert distance(S2, pts[0], pts[1]) == pytest.approx(
             distance(S2, pts[2], pts[3]), abs=1e-12
         )
-        model = SpatialModel(S2, 1, [np.eye(1), 0.5 * np.eye(1), 0.25 * np.eye(1)])
+        model = SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1), 0.25 * np.eye(1)])
         ens = [
             simulate_spatial(model, pts, seed=s) for s in replicate_seeds(919, 6000)
         ]
