@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, ModelError, ModelFormatError, NumericError, UsageError
+from .errors import GeometryError, ModelError, NumericError, UsageError
 from .modelio import load_model
 from .simulate import save_realization, simulate_spatiotemporal, substream
 from .spaces import (
@@ -33,7 +33,7 @@ from .spaces import (
     sample_uniform,
     sample_uniform_batch,
 )
-from .spectral import ZERO_LAG, angular_power_spectrum, eval_cov, require_finite, truncation_bound
+from .spectral import angular_power_spectrum, eval_cov, truncation_bound
 from .verify import check_space_identities, mc_funk_hecke, mc_zonal_covariance
 
 DEFAULT_SEED = 0xC0FFEE
@@ -86,13 +86,6 @@ def _parse_grid(text: str) -> np.ndarray:
     if not (0.0 <= a <= math.pi and 0.0 <= b <= math.pi):
         raise UsageError(f"bad grid {text!r}; distances must lie in [0, pi]")
     return np.linspace(a, b, n)
-
-
-def _parse_times(text: str) -> list[float]:
-    times = _parse_lags(text)
-    if not times:
-        raise UsageError("at least one time is required")
-    return sorted(times)
 
 
 def _fibonacci_sphere(count: int) -> np.ndarray:
@@ -187,7 +180,6 @@ def cmd_validate(args) -> int:
 
 def cmd_eval_cov(args) -> int:
     model = load_model(args.model)
-    require_finite(model)
     rhos = _parse_grid(args.rho_grid)
     lags = _parse_lags(args.lags)
     _require_values("--rho-grid and --lags", len(rhos), len(lags), model.m**2)
@@ -215,10 +207,9 @@ def cmd_eval_cov(args) -> int:
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     points = resolve_points(model.space, args.points, args.seed)
-    times = _parse_times(args.times)
+    times = sorted(_parse_lags(args.times))
     _require_values("--points and --times", len(points), len(times), model.m)
-    trunc = args.trunc if args.trunc is not None else model.max_degree
-    real = simulate_spatiotemporal(model, points, times, trunc, args.seed)
+    real = simulate_spatiotemporal(model, points, times, args.trunc, args.seed)
     out = Path(args.out if args.out else "realization.csv")
     csv_path, meta_path = save_realization(real, out, points_spec=_points_spec(args.points))
     print(f"wrote {csv_path} and {meta_path}", file=sys.stderr)
@@ -286,9 +277,6 @@ def cmd_check(args) -> int:
 
 def cmd_spectrum(args) -> int:
     model = load_model(args.model)
-    if model.domain != ZERO_LAG:
-        raise UsageError("the angular power spectrum is defined for spatial models")
-    require_finite(model)
     rows = []
     for n in range(model.max_degree + 1):
         rows += _entry_rows(angular_power_spectrum(model, n), degree=n)
@@ -355,14 +343,14 @@ _NUMERIC_LIST_FLAGS = ("--lags", "--times", "--rho-grid")
 
 
 def _normalize_argv(argv):
-    """Join numeric-list flags with values starting in '-' (negative lags),
-    which argparse would otherwise read as option strings."""
+    """Join numeric-list flags with values starting in '-' and a digit or '.' (negative
+    lags such as -1 or -.5), which argparse would otherwise read as option strings."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _NUMERIC_LIST_FLAGS and nxt and len(nxt) > 1 and nxt[0] == "-" and nxt[1].isdigit():
+        if tok in _NUMERIC_LIST_FLAGS and nxt and nxt[0] == "-" and nxt[1:2] in tuple("0123456789."):
             out.append(f"{tok}={nxt}")
             i += 2
         else:
@@ -391,9 +379,7 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (
-        ModelFormatError, UsageError, NumericError, json.JSONDecodeError, OSError, ValueError
-    ) as exc:
+    except (NumericError, OSError, ValueError) as exc:  # ModelFormatError and UsageError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

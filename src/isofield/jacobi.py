@@ -42,17 +42,17 @@ class QuadratureRule:
 
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    params: JacobiParams
-    order: int
 
     def integrate(self, values):
         """Sum w_k * values_k; `values` is evaluated on `self.nodes`."""
         return np.tensordot(self.weights, np.asarray(values), axes=(0, 0))
 
 
-def _check_degree(n: int) -> None:
-    if n < 0 or int(n) != n:
-        raise ParameterError(f"degree must be a nonnegative integer, got {n}")
+def _check_degree(n, name: str = "degree") -> int:
+    """n as an int; ParameterError naming it unless n is a finite nonnegative integer."""
+    if not math.isfinite(n) or n < 0 or int(n) != n:
+        raise ParameterError(f"{name} must be a nonnegative integer, got {n}")
+    return int(n)
 
 
 def _clamp_x(x):
@@ -70,7 +70,7 @@ def jacobi_all(N: int, params: JacobiParams, x) -> np.ndarray:
     P_n(x). Inputs within 1e-12 of the interval are clamped; anything
     farther out, or NaN, raises DomainError.
     """
-    _check_degree(N)
+    N = _check_degree(N)
     a, b = params.alpha, params.beta
     x = _clamp_x(x)
     p = np.empty((N + 1,) + x.shape)
@@ -89,13 +89,13 @@ def jacobi_all(N: int, params: JacobiParams, x) -> np.ndarray:
 def jacobi_eval(n: int, params: JacobiParams, x):
     """Evaluate the degree-n Jacobi polynomial at x (scalar or array):
     the last row of jacobi_all(n, params, x)."""
-    p = jacobi_all(n, params, x)[n]
+    p = jacobi_all(n, params, x)[-1]
     return float(p) if p.ndim == 0 else p
 
 
 def jacobi_at_one(n: int, params: JacobiParams) -> float:
     """Value at x = 1: Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1))."""
-    _check_degree(n)
+    n = _check_degree(n)
     a = params.alpha
     return math.exp(
         math.lgamma(n + a + 1.0) - math.lgamma(n + 1.0) - math.lgamma(a + 1.0)
@@ -112,7 +112,7 @@ def jacobi_norm_constant(j: int, params: JacobiParams) -> float:
 
     2^(a+b+1) / (2j+a+b+1) * Gamma(j+a+1) Gamma(j+b+1) / (j! Gamma(j+a+b+1)).
     """
-    _check_degree(j)
+    j = _check_degree(j)
     a, b = params.alpha, params.beta
     if j == 0:
         # (a+b+1) Gamma(a+b+1) folded into Gamma(a+b+2): needed when
@@ -169,4 +169,4 @@ def gauss_jacobi(order: int, params: JacobiParams) -> QuadratureRule:
             f"tridiagonal eigen solver failed for order={order}, params={params}"
         ) from exc
     weights = weight_total_mass(params) * vectors[0, :] ** 2
-    return QuadratureRule(nodes=nodes, weights=weights, params=params, order=order)
+    return QuadratureRule(nodes=nodes, weights=weights)

@@ -16,15 +16,13 @@ per-replicate derived seeds. Every stream drawn from a seed, in one place:
 - spawn key (1, n): the degree-n coefficient path V_n
 - spawn key (2,): the points of a `random:K` point set (cli.resolve_points)
 - spawn key (3,): the two points per space of the `check` command
-- SeedSequence(seed), no spawn key: the mc_* and mc_recover_vn estimators
-  of isofield.verify
-- SeedSequence(master).generate_state(count): verify.replicate_seeds
+- no spawn key: the mc_* and mc_recover_vn estimators of isofield.verify
+- the seed sequence's generate_state(count): verify.replicate_seeds
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -44,15 +42,22 @@ from .spaces import (
     points_to_reals,
     sample_uniform,
 )
-from .spectral import ZERO_LAG, SeriesModel, _psd_root, _require_lag, _symmetric_part
-from .spectral import factor_coefficients, truncation_bound
+from .spectral import ZERO_LAG, SeriesModel, _psd_root, _require_lag, _resolve_trunc
+from .spectral import _symmetric_part, factor_coefficients, truncation_bound
 
 MATRIX_SQRT_TOL = 1e-10
 
 
+def _natural(value, name: str) -> int:
+    """value as an int: UsageError naming it unless it is a non-negative integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise UsageError(f"{name} {value} must be a non-negative integer")
+    return int(value)
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Named child generator of a master seed (documented splitting rule)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return np.random.default_rng(np.random.SeedSequence(_natural(seed, "seed"), spawn_key=key))
 
 
 def matrix_sqrt(B: np.ndarray) -> np.ndarray:
@@ -131,21 +136,17 @@ def simulate_spatiotemporal(
     model accepts the time grid [0.0] only. `points` is a (K, *ambient_shape) array of unit
     representatives or a sequence of Points of the space.
     """
-    times = [float(t) for t in times]
+    times = [_require_lag(model.domain, t) for t in times]
     if not times:
         raise UsageError("at least one time is required")
-    if not all(map(math.isfinite, times)) or any(b <= a for a, b in zip(times, times[1:])):
-        raise UsageError("times must be finite and strictly increasing")
-    for t in times:
-        _require_lag(model.domain, t)
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise UsageError("times must be strictly increasing")
     if model.domain == ZERO_LAG:
         times = [0.0]  # also for -0.0, so the output reads 0.0
     report, roots = factor_coefficients(model)
     if not report.valid:
         raise ModelError(f"cannot simulate from an invalid model: {report.summary()}")
-    trunc = model.max_degree if trunc is None else int(trunc)
-    if not (0 <= trunc <= model.max_degree):
-        raise UsageError(f"truncation {trunc} outside stored range 0..{model.max_degree}")
+    trunc = _resolve_trunc(model, trunc)
     space = model.space
     points = point_array(space, points)
     u = sample_uniform(space, substream(seed, 0))
@@ -177,10 +178,9 @@ def simulate_spatiotemporal(
 # --------------------------------------------------------------------------
 
 
-def save_realization(
-    real: Realization, csv_path, meta_path=None, *, points_spec=None
-) -> tuple[Path, Path]:
-    """Write values as (point_index, time, component, value) rows plus sidecar.
+def save_realization(real: Realization, csv_path, *, points_spec=None) -> tuple[Path, Path]:
+    """Write values as (point_index, time, component, value) rows to csv_path, and the
+    sidecar beside it as <stem>.meta.json.
 
     The sidecar records `points_spec`, or the coordinates as `points` when no
     spec is given. Output is a pure function of its arguments, so identical
@@ -188,9 +188,7 @@ def save_realization(
     raises ModelFormatError before anything is written.
     """
     csv_path = Path(csv_path)
-    if meta_path is None:
-        meta_path = csv_path.with_name(csv_path.stem + ".meta.json")
-    meta_path = Path(meta_path)
+    meta_path = csv_path.with_name(csv_path.stem + ".meta.json")
     npts, _, m = real.values.shape
     meta = {
         "format_version": 2,

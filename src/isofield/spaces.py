@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GeometryError, ParameterError, UsageError
-from .jacobi import JacobiParams, jacobi_normalized
+from .jacobi import JacobiParams, _check_degree, jacobi_normalized
 from .quaternions import qdot_abs, qmul, qrandn_unit
 
 
@@ -448,8 +448,7 @@ def a_constant(space: SpaceParams, n: int) -> float:
 
     a_n^2 * P_n(1) equals the eigenspace dimension; a_0 = 1 exactly.
     """
-    if n < 0 or int(n) != n:
-        raise ParameterError(f"degree must be a nonnegative integer, got {n}")
+    n = _check_degree(n)
     if n == 0:
         return 1.0
     a, b = space.geom.alpha, space.geom.beta
@@ -467,8 +466,7 @@ def a_constant(space: SpaceParams, n: int) -> float:
 
 def dim_eigenspace(space: SpaceParams, n: int) -> float:
     """Dimension of the degree-n Laplace eigenspace (a positive integer)."""
-    if n < 0 or int(n) != n:
-        raise ParameterError(f"degree must be a nonnegative integer, got {n}")
+    n = _check_degree(n)
     if n == 0:
         return 1.0
     a, b = space.geom.alpha, space.geom.beta
@@ -486,8 +484,7 @@ def dim_eigenspace(space: SpaceParams, n: int) -> float:
 
 def laplace_eigenvalue(space: SpaceParams, n: int) -> float:
     """Laplace-Beltrami eigenvalue -eps*n*(eps*n + alpha + beta + 1), Lie convention."""
-    if n < 0 or int(n) != n:
-        raise ParameterError(f"degree must be a nonnegative integer, got {n}")
+    n = _check_degree(n)
     eps = space.epsilon
     return -eps * n * (eps * n + space.lie.alpha + space.lie.beta + 1.0)
 

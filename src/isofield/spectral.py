@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ModelError, ParameterError, UsageError
-from .jacobi import gauss_jacobi, jacobi_all, jacobi_at_one, jacobi_norm_constant
+from .jacobi import _check_degree, gauss_jacobi, jacobi_all, jacobi_at_one, jacobi_norm_constant
 from .spaces import SpaceParams, dim_eigenspace
 
 # Relative floors for symmetry / nonnegative-definiteness under rounding.
@@ -83,7 +83,10 @@ def _as_coeff_matrices(coeffs, m: int) -> np.ndarray:
 
 
 def _require_lag(domain: str, t) -> float:
+    """t as a float; UsageError unless it is a finite lag of the domain."""
     t = float(t)
+    if not math.isfinite(t):
+        raise UsageError(f"lag {t} is not finite")
     if domain == INTEGER_LAGS and not t.is_integer():
         raise UsageError(f"lag {t} is not an integer but the model's temporal domain is Z")
     if domain == ZERO_LAG and t != 0.0:
@@ -457,15 +460,15 @@ def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
 
 
 def _resolve_trunc(model, trunc) -> int:
+    """The truncation degree: the stored maximum for None, else a degree no higher."""
     if trunc is None:
         return model.max_degree
-    if trunc < 0 or int(trunc) != trunc:
-        raise UsageError(f"truncation degree must be a nonnegative integer, got {trunc}")
+    trunc = _check_degree(trunc, "truncation degree")
     if trunc > model.max_degree:
         raise UsageError(
             f"truncation degree {trunc} exceeds stored maximum degree {model.max_degree}"
         )
-    return int(trunc)
+    return trunc
 
 
 def eval_cov(model, rho, t: float = 0.0, trunc: int | None = None) -> np.ndarray:
@@ -499,9 +502,10 @@ def eval_cov_symmetrized(
 
 
 def truncation_bound(model, N: int) -> float:
-    """Upper bound sum_{n > N} ||B_n(0)|| P_n(1) on the discarded tail."""
-    if N < 0:
-        raise UsageError("truncation degree must be nonnegative")
+    """Upper bound sum_{n > N} ||B_n(0)|| P_n(1) on the discarded tail; N may exceed
+    the stored degrees. A divergent series raises ModelError (see require_finite)."""
+    require_finite(model)
+    N = _check_degree(N, "truncation degree")
     b0s = model.coeff_at(slice(N + 1, None), 0.0)
     total = _weighted_norm_sum(model, [np.linalg.norm(b0, 2) for b0 in b0s], N + 1)
     if model.tail is not None:
@@ -510,8 +514,11 @@ def truncation_bound(model, N: int) -> float:
 
 
 def angular_power_spectrum(model: SeriesModel, n: int) -> np.ndarray:
-    """Per-eigenspace normalization B_n(0) / dim H_n."""
-    if not (0 <= n <= model.max_degree):
+    """Per-eigenspace normalization B_n(0) / dim H_n, for any kernel. A divergent
+    series raises ModelError (see require_finite)."""
+    require_finite(model)
+    n = _check_degree(n)
+    if n > model.max_degree:
         raise UsageError(f"degree {n} outside stored range 0..{model.max_degree}")
     return model.coeff_at(n, 0.0) / dim_eigenspace(model.space, n)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UsageError
 from .jacobi import jacobi_all, jacobi_at_one, jacobi_eval
-from .simulate import Realization
+from .simulate import Realization, _natural, substream
 from .spaces import (
     Point,
     SpaceParams,
@@ -36,7 +36,8 @@ Z_THRESHOLD = 5.0
 
 def replicate_seeds(master_seed: int, count: int) -> list[int]:
     """Deterministic per-replicate seeds derived from one master seed."""
-    state = np.random.SeedSequence(master_seed).generate_state(count, np.uint64)
+    seq = np.random.SeedSequence(_natural(master_seed, "master seed"))
+    state = seq.generate_state(_natural(count, "replicate count"), np.uint64)
     return [int(s) for s in state]
 
 
@@ -74,10 +75,10 @@ class MCEstimate:
         return self.z_score <= Z_THRESHOLD
 
 
-def _mean_se(samples: np.ndarray, axis=0) -> tuple[np.ndarray, np.ndarray]:
-    n = samples.shape[axis]
-    mean = samples.mean(axis=axis)
-    se = samples.std(axis=axis, ddof=1) / np.sqrt(n)
+def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = samples.shape[0]
+    mean = samples.mean(axis=0)
+    se = samples.std(axis=0, ddof=1) / np.sqrt(n)
     return mean, se
 
 
@@ -85,8 +86,7 @@ def _uniform_cosines(space: SpaceParams, x1: Point, x2: Point, replicates: int, 
     """cos rho(x1, U) and cos rho(x2, U) over uniform U drawn from the seed."""
     if replicates < 2:
         raise UsageError("at least 2 replicates are required")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    reps = sample_uniform_batch(space, replicates, rng)
+    reps = sample_uniform_batch(space, replicates, substream(seed))
     return cos_distance_batch(space, x1, reps), cos_distance_batch(space, x2, reps)
 
 
@@ -230,8 +230,7 @@ def mc_recover_vn(
     if replicates_for_integral < 2:
         raise UsageError("at least 2 abscissae are required")
     space = realization.space
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    reps = sample_uniform_batch(space, replicates_for_integral, rng)
+    reps = sample_uniform_batch(space, replicates_for_integral, substream(seed))
     c = cos_distance_batch(space, realization.latent_u, reps)
     p_all = jacobi_all(max(n, realization.trunc), space.geom, c)  # (max(n, trunc)+1, R)
     # Field values at the fresh abscissae, rebuilt from the latent draws.

@@ -18,7 +18,9 @@ from isofield import (
     SeriesModel,
     TailEnvelope,
     VectorMA1,
+    angular_power_spectrum,
     eval_cov,
+    load_model,
     parse_space,
     recover_coefficients,
     save_model,
@@ -313,9 +315,21 @@ class TestSpectrum:
         assert float(rows[0]["value"]) == 1.0  # B_0 / dim H_0
         assert float(rows[1]["value"]) == pytest.approx(0.5 / 3.0)
 
-    def test_temporal_model_rejected(self, ma1_model_file, tmp_path):
-        path, _ = ma1_model_file
-        assert main(["spectrum", "--model", str(path)]) == 2
+    @pytest.mark.parametrize("kernel", ["ma1", "pure_spatial"])
+    def test_temporal_model_rows_match_library(self, ma1_model_file, tmp_path, kernel):
+        # every kernel has a spectrum: the CLI writes the library's B_n(0) / dim H_n
+        path, model = ma1_model_file
+        if kernel == "pure_spatial":
+            model = SeriesModel(S2, 2, model.coeffs, PureSpatial())
+            path = save_model(model, tmp_path / "pure_spatial.json")
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--model", str(path), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == (model.max_degree + 1) * model.m**2
+        for r in rows:
+            want = angular_power_spectrum(load_model(path), int(r["degree"]))
+            assert float(r["value"]) == want[int(r["component_i"]), int(r["component_j"])]
 
 
 class TestParser:
@@ -332,6 +346,16 @@ class TestBoundaries:
         path, _ = spatial_model_file
         assert main(["simulate", "--model", str(path), "--points", "random:3",
                      "--times", "0,1", "--out", str(tmp_path / "s.csv")]) == 2
+
+    def test_negative_lists_starting_with_a_point(self, exponential_model_file, tmp_path):
+        # "-.5,0,.5" once reached argparse as an option string: exit 2, expected one argument
+        path, _ = exponential_model_file
+        assert main(["validate", "--model", str(path), "--lags", "-.5,0,.5",
+                     "--out", str(tmp_path / "v.json")]) == 0
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--model", str(path), "--points", "random:2",
+                     "--times", "-.5,0", "--out", str(out)]) == 0
+        assert sorted(set(np.genfromtxt(out, delimiter=",", names=True)["time"])) == [-0.5, 0.0]
 
     def test_duplicate_times_on_exponential_kernel_exit_two(
         self, exponential_model_file, tmp_path, capsys

@@ -13,6 +13,7 @@ from isofield import (
     ModelError,
     ModelFormatError,
     NumericError,
+    ParameterError,
     PureSpatial,
     SeparableScalar,
     SeriesModel,
@@ -24,6 +25,7 @@ from isofield import (
     eval_cov,
     jacobi_eval,
     matrix_sqrt,
+    mc_funk_hecke,
     parse_space,
     replicate_seeds,
     sample_uniform,
@@ -117,6 +119,12 @@ class TestSimulateSpatial:
     def test_trunc_out_of_range(self):
         with pytest.raises(UsageError):
             simulate_spatial(small_matrix_model(), fixed_points(2), trunc=9, seed=0)
+
+    @pytest.mark.parametrize("trunc", [2.5, -0.5])
+    def test_fractional_trunc_rejected(self, trunc):
+        # int(trunc) once ran these as truncations 2 and 0
+        with pytest.raises(ParameterError, match=f"truncation degree .* got {trunc}"):
+            simulate_spatial(small_matrix_model(), fixed_points(2), trunc=trunc, seed=0)
 
     def test_octonionic_sampling_unsupported(self):
         space = parse_space("projO:16")
@@ -701,3 +709,21 @@ def test_substream_registry_streams_are_distinct():
                               sample_uniform_batch(S2, 5, substream(seed, 2)))
     assert len(draws) == 4 * 9 * 8
     assert len(set(draws)) == len(draws)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_library_seed_must_be_a_nonnegative_integer(seed):
+    # numpy's ValueError and TypeError named no seed, and True ran as seed 1
+    x = sample_uniform(S2, np.random.default_rng(0))
+    with pytest.raises(UsageError, match=f"seed {seed} must be a non-negative integer"):
+        simulate_spatial(small_matrix_model(), fixed_points(2), seed=seed)
+    with pytest.raises(UsageError, match=f"seed {seed} must be a non-negative integer"):
+        mc_funk_hecke(S2, 1, 1, x, x, replicates=10, seed=seed)
+    with pytest.raises(UsageError, match=f"master seed {seed} must be a non-negative integer"):
+        replicate_seeds(seed, 3)
+
+
+def test_replicate_count_must_be_a_nonnegative_integer():
+    with pytest.raises(UsageError, match="replicate count -1 must be a non-negative integer"):
+        replicate_seeds(0, -1)
+    assert replicate_seeds(0, 0) == []

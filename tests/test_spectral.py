@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from isofield import (
     DomainError,
+    IsoFieldError,
     ModelError,
     PureSpatial,
     SeparableScalar,
@@ -16,14 +17,19 @@ from isofield import (
     TailEnvelope,
     UsageError,
     VectorMA1,
+    a_constant,
     angular_power_spectrum,
     dim_eigenspace,
     eval_cov,
     eval_cov_symmetrized,
     jacobi_eval,
+    mc_funk_hecke,
     parse_space,
     recover_coefficients,
+    replicate_seeds,
     sample_uniform,
+    simulate_spatial,
+    simulate_spatiotemporal,
     truncation_bound,
     validate_spatial,
     validate_spatiotemporal,
@@ -415,6 +421,13 @@ class TestEvalCov:
         with pytest.raises(UsageError):
             eval_cov(ma1_model(), 0.3, t=0.5)
 
+    @pytest.mark.parametrize("lag", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lag_rejected(self, lag):
+        # the exponential kernel once returned nan at a nan lag and zeros at an infinite one
+        model = SeriesModel(S2, 1, [np.eye(1)], SeparableScalar("exponential", 1.0))
+        with pytest.raises(UsageError, match=f"lag {lag} is not finite"):
+            eval_cov(model, 0.3, t=lag)
+
     def test_trunc_bounds_enforced(self):
         model = scalar_model([1.0, 0.5])
         with pytest.raises(UsageError):
@@ -495,6 +508,20 @@ class TestTruncationBound:
         bounds = [truncation_bound(model, n) for n in range(5)]
         assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
 
+    def test_degree_rule(self):
+        # a float degree once escaped as TypeError from the slice of degrees
+        model = scalar_model([1.0, 0.5, 0.25, 0.125])
+        assert truncation_bound(model, 1.0) == truncation_bound(model, 1)
+        with pytest.raises(ParameterError, match="truncation degree must be .* got 2.5"):
+            truncation_bound(model, 2.5)
+
+    def test_divergent_series_raises(self):
+        # a NaN B_1 once escaped as numpy's "SVD did not converge" at N = 0
+        model = SeriesModel(S2, 1, [np.eye(1), np.array([[np.nan]])])
+        for n in (0, 1):
+            with pytest.raises(ModelError, match="degree 1 lag spatial: divergent"):
+                truncation_bound(model, n)
+
     def test_partial_sum_error_bounded(self):
         rng = np.random.default_rng(7)
         model = SeriesModel(S2, 2, [random_psd(rng, 2, 0.5**n) for n in range(6)])
@@ -528,6 +555,13 @@ class TestSpectrum:
     def test_out_of_range(self):
         with pytest.raises(UsageError):
             angular_power_spectrum(scalar_model([1.0]), 3)
+
+    def test_degree_rule(self):
+        # a float degree once escaped as IndexError from the coefficient stack
+        model = scalar_model([1.0, 0.5, 0.25])
+        assert np.array_equal(angular_power_spectrum(model, 1.0), angular_power_spectrum(model, 1))
+        with pytest.raises(ParameterError, match="degree must be a nonnegative integer, got 1.5"):
+            angular_power_spectrum(model, 1.5)
 
     def test_ma1_spectrum_reads_lag_zero(self):
         # Sigma_1 = 0.5, Phi = 0.9: B_1(0) = Sigma_1 + Phi Sigma_1 Phi^T = 0.905, not Sigma_1
@@ -621,3 +655,61 @@ class TestScalarPositiveDefiniteness:
         )
         w = np.linalg.eigvalsh(0.5 * (gram + gram.T))
         assert w[0] >= -1e-9 * np.trace(gram)
+
+
+# --------------------------------------------------------------------------
+# Argument gates: each of truncation, degree, lag and seed has one rule, and
+# every consumer of a gate accepts and rejects the same values through it.
+# --------------------------------------------------------------------------
+
+
+def _gate_values(ints, floats):
+    return st.one_of(ints, ints.map(float), ints.map(np.int64), floats, st.booleans(),
+                     st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _accepts(call, value) -> bool:
+    """True when call(value) returns, False when it raises an IsoFieldError; anything
+    else (a bare TypeError or IndexError, numpy's own ValueError) fails the test."""
+    try:
+        call(value)
+    except IsoFieldError:
+        return False
+    return True
+
+
+_GATE_MODEL = scalar_model([1.0, 0.5, 0.25, 0.125])
+_GATE_POINTS = np.eye(3)
+_X = sample_uniform(S2, np.random.default_rng(5))
+_LAG_MODELS = [SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)], kernel) for kernel in (
+    SPATIAL, PureSpatial(), SeparableScalar("ar1", 0.5), SeparableScalar("exponential", 1.0),
+    VectorMA1([[0.4]]))]
+GATES = {
+    # values, then groups of consumers that must agree on every value
+    "truncation": (_gate_values(st.integers(-3, 6), st.floats(-3, 6)), [[
+        lambda v: simulate_spatial(_GATE_MODEL, _GATE_POINTS, trunc=v, seed=0),
+        lambda v: eval_cov(_GATE_MODEL, 0.5, trunc=v)]]),
+    "degree": (_gate_values(st.integers(-3, 3), st.floats(-3, 3)), [[
+        lambda v: truncation_bound(_GATE_MODEL, v),
+        lambda v: angular_power_spectrum(_GATE_MODEL, v),
+        lambda v: a_constant(S2, v),
+        lambda v: dim_eigenspace(S2, v)]]),
+    "lag": (_gate_values(st.integers(-10**6, 10**6), st.floats()), [[
+        lambda v, model=model: eval_cov(model, 0.5, v),
+        lambda v, model=model: simulate_spatiotemporal(model, _GATE_POINTS, [v], seed=0)]
+        for model in _LAG_MODELS]),
+    "seed": (_gate_values(st.integers(-3, 2**64), st.floats(-3, 10)), [[
+        lambda v: simulate_spatial(_GATE_MODEL, _GATE_POINTS, seed=v),
+        lambda v: mc_funk_hecke(S2, 1, 1, _X, _X, replicates=10, seed=v),
+        lambda v: replicate_seeds(v, 3)]]),
+}
+
+
+@pytest.mark.parametrize("gate", GATES)
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_consumers_of_a_gate_agree(gate, data):
+    values, groups = GATES[gate]
+    value = data.draw(values)
+    for group in groups:
+        assert len({_accepts(call, value) for call in group}) == 1, value
