@@ -37,7 +37,6 @@ from .spectral import angular_power_spectrum, eval_cov, truncation_bound
 from .verify import check_space_identities, mc_funk_hecke, mc_zonal_covariance
 
 DEFAULT_SEED = 0xC0FFEE
-DEFAULT_PROBE_LAGS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -172,7 +171,7 @@ def _entry_rows(mat, **fields) -> list[dict]:
 
 def cmd_validate(args) -> int:
     model = load_model(args.model)
-    report = model.validate(_parse_lags(args.lags))
+    report = model.validate(None if args.lags is None else _parse_lags(args.lags))
     doc = report.as_dict() if args.format == "json" else [v.as_dict() for v in report.violations]
     _emit(doc, args.format, args.out, ["degree", "lag", "kind", "magnitude"])
     return EXIT_OK if report.valid else EXIT_INVALID
@@ -305,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a model file against the validity conditions")
     common(p, "model", "format")
-    p.add_argument("--lags", default=",".join(str(v) for v in DEFAULT_PROBE_LAGS),
-                   help="probe lags for temporal models")
+    p.add_argument("--lags", help="probe lags (default -2,-1,0,1,2; spatial models: 0 only)")
     p.set_defaults(func=cmd_validate, format="json")
 
     p = sub.add_parser("eval-cov", help="tabulate the covariance over a distance/lag grid")

@@ -58,9 +58,9 @@ def _check_degree(n, name: str = "degree") -> int:
 def _clamp_x(x):
     x = np.asarray(x, dtype=float)
     # one reduction; NaN fails the comparison and is rejected too
-    if not np.all(np.abs(x) <= 1.0 + X_CLAMP_TOL):
+    if not (np.abs(x) <= 1.0 + X_CLAMP_TOL).all():
         raise DomainError("argument is NaN or outside [-1, 1] beyond clamp tolerance")
-    return np.clip(x, -1.0, 1.0)
+    return np.minimum(np.maximum(x, -1.0), 1.0)
 
 
 def jacobi_all(N: int, params: JacobiParams, x) -> np.ndarray:
@@ -145,7 +145,8 @@ def gauss_jacobi(order: int, params: JacobiParams) -> QuadratureRule:
     scaled by the total weight mass. A rule of order K integrates
     polynomials of degree <= 2K-1 exactly against the weight.
     """
-    if order < 1 or int(order) != order:
+    order = _check_degree(order, "quadrature order")
+    if order < 1:
         raise ParameterError(f"quadrature order must be a positive integer, got {order}")
     a, b = params.alpha, params.beta
     ab = a + b

@@ -8,9 +8,10 @@ degree. Ensembles over independent seeds reproduce the model covariance;
 a single realization is not ergodic in U and its spatial averages do not
 converge to the ensemble covariance.
 
-Randomness is split into named substreams of the master seed, so results
-do not depend on evaluation order and replicates can run in parallel with
-per-replicate derived seeds. Every stream drawn from a seed, in one place:
+Randomness is split into named substreams of the master seed, so results do not depend
+on evaluation order and replicates can run in parallel with per-replicate derived seeds.
+substream(seed, *key) is numpy's SeedSequence(seed, spawn_key=key) stream, built from the
+entropy numpy assembles for it (a test pins this). Every stream drawn from a seed:
 
 - spawn key (0,): the latent point U
 - spawn key (1, n): the degree-n coefficient path V_n
@@ -55,9 +56,17 @@ def _natural(value, name: str) -> int:
     return int(value)
 
 
+def _words(n: int, count: int = 1) -> bytes:
+    """n as little-endian 32-bit words, at least count of them."""
+    return n.to_bytes(4 * max(n.bit_length() + 31 >> 5, count), "little")
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Named child generator of a master seed (documented splitting rule)."""
-    return np.random.default_rng(np.random.SeedSequence(_natural(seed, "seed"), spawn_key=key))
+    """Named child generator of a master seed: the SeedSequence(seed, spawn_key=key) stream, from
+    the entropy numpy assembles: seed words, zero-padded to 4 words if keyed, then key words."""
+    data = _words(_natural(seed, "seed"), 4 if key else 1)
+    data += b"".join([_words(_natural(k, "spawn key")) for k in key])
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.frombuffer(data, "<u4"))))
 
 
 def matrix_sqrt(B: np.ndarray) -> np.ndarray:
@@ -158,7 +167,7 @@ def simulate_spatiotemporal(
         latent_v[n] = sample_path(roots[n], a_constant(space, n), times, substream(seed, 1, n))
     pn = jacobi_all(trunc, space.geom, cos_distance_batch(space, u, points))
     values = np.einsum("np,ntm->ptm", pn, latent_v)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericError("the series produced non-finite field values")
     return Realization(
         space=space,

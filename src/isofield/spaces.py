@@ -285,7 +285,7 @@ def _norms(reps: np.ndarray) -> np.ndarray:
     """Euclidean norm of each stacked representative, keeping its axes; inf
     where the squares overflow, which the callers reject."""
     with np.errstate(over="ignore"):
-        return np.sqrt(np.sum(np.abs(reps) ** 2, axis=tuple(range(1, reps.ndim)), keepdims=True))
+        return np.sqrt(np.add.reduce(np.abs(reps) ** 2, tuple(range(1, reps.ndim)), keepdims=True))
 
 
 def normalize_points(space: SpaceParams, reps) -> np.ndarray:
@@ -311,9 +311,10 @@ def point_array(space: SpaceParams, points) -> np.ndarray:
             points = [p.coords for p in points]
         points = np.array(points) if points else np.empty((0, *ambient_shape(space)))
     reps = _stack(space, points)
-    bad = np.flatnonzero(~(np.abs(_norms(reps).ravel() - 1.0) <= _DOT_CLAMP_TOL))
-    if bad.size:
-        raise UsageError(f"point {bad[0]} is not a finite unit representative of {space.label}")
+    unit = np.abs(_norms(reps).ravel() - 1.0) <= _DOT_CLAMP_TOL
+    if not unit.all():
+        bad = np.flatnonzero(~unit)[0]
+        raise UsageError(f"point {bad} is not a finite unit representative of {space.label}")
     return reps
 
 
@@ -365,9 +366,9 @@ def _inner(space: SpaceParams, reps: np.ndarray, u: np.ndarray) -> np.ndarray:
     row = _point_family(space)
     t = row.dot(reps, u)
     t = np.asarray(np.abs(t) if row.projective else t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + _DOT_CLAMP_TOL):
+    if (np.abs(t) > 1.0 + _DOT_CLAMP_TOL).any():
         raise UsageError("inner product exceeds 1 beyond tolerance; point not normalized?")
-    return np.clip(t, -1.0, 1.0)
+    return np.minimum(np.maximum(t, -1.0), 1.0)
 
 
 def cos_distance(space: SpaceParams, x: Point, y: Point) -> float:

@@ -38,6 +38,7 @@ MAX_LAG_TABLE = 10_000_000  # float64 values (80 MB) validate_spatiotemporal may
 INTEGER_LAGS = "integers"
 REAL_LAGS = "reals"
 ZERO_LAG = "zero"  # a purely spatial model: lag 0 only
+DEFAULT_PROBE_LAGS = (-2.0, -1.0, 0.0, 1.0, 2.0)  # SeriesModel.validate's grid for probe_lags=None
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class PureSpatial:
 
     def sample_path(self, root, an, times, rng):
         w = root @ (an * rng.standard_normal(root.shape[0]))
-        return np.broadcast_to(w, (len(times), w.size))
+        return w[None].repeat(len(times), 0)
 
 
 SPATIAL = PureSpatial(ZERO_LAG)  # the kernel of a purely spatial model: constant B_n, lag 0 only
@@ -209,7 +210,9 @@ class VectorMA1:
     def sample_path(self, root, an, times, rng):
         """Innovations root @ z at every needed integer time, then the MA(1) sum."""
         needed = sorted({int(t) for t in times} | {int(t) - 1 for t in times})
-        eps = {s: root @ rng.standard_normal(root.shape[0]) for s in needed}
+        z = rng.standard_normal((len(needed), root.shape[0]))  # the draws of one call per time
+        # one product per time: a batched z @ root.T rounds differently
+        eps = {s: root @ z_s for s, z_s in zip(needed, z)}
         return np.array([an * (eps[int(t)] + self.phi @ eps[int(t) - 1]) for t in times])
 
 
@@ -254,11 +257,14 @@ class SeriesModel:
         """B_n(t), or the stack of B_n(t) over a slice of degrees."""
         return self.kernel.coeff_at(n, t, self.coeffs)
 
-    def validate(self, probe_lags) -> ValidityReport:
-        """validate_spatial on the lag-0 domain, else validate_spatiotemporal."""
+    def validate(self, probe_lags=None) -> ValidityReport:
+        """Lag-0 domain: validate_spatial, every probe lag 0; else validate_spatiotemporal."""
         if self.domain == ZERO_LAG:
+            for t in [0.0] if probe_lags is None else probe_lags:
+                _require_lag(ZERO_LAG, t)
             return validate_spatial(self)
-        return validate_spatiotemporal(self, probe_lags)
+        lags = DEFAULT_PROBE_LAGS if probe_lags is None else probe_lags
+        return validate_spatiotemporal(self, lags)
 
 
 # --------------------------------------------------------------------------

@@ -175,15 +175,20 @@ def empirical_cov(
     seeds = {r.seed for r in realizations}
     if len(seeds) != len(realizations):
         raise UsageError("realizations must have distinct seeds")
-    for r in realizations[1:]:
-        if (
-            (r.model is not first.model and r.model_hash != first.model_hash)
-            or r.times != first.times
-            or r.trunc != first.trunc
-            or not np.array_equal(r.points, first.points)
-        ):
-            raise UsageError("realizations must share model, points, times, and truncation")
     space, points = first.space, first.points
+    # np.array_equal with the first's points, on stacks no larger than `values` below
+    step = max(1, len(realizations) * first.values.nbytes // max(points.nbytes, 1))
+    shared = all(r.points.shape == points.shape for r in realizations) and all(
+        (np.stack([r.points for r in realizations[k : k + step]]) == points).all()
+        for k in range(0, len(realizations), step)
+    )
+    if not shared or any(
+        (r.model is not first.model and r.model_hash != first.model_hash)
+        or r.times != first.times
+        or r.trunc != first.trunc
+        for r in realizations[1:]
+    ):
+        raise UsageError("realizations must share model, points, times, and truncation")
     try:
         a, b = (operator.index(i) for i in point_pair)
     except (TypeError, ValueError):

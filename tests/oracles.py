@@ -5,6 +5,7 @@ values come from the explicit finite sum, integrals from beta-function
 moments, eigenspace dimensions from high-precision gamma evaluation,
 moving-average covariances from direct simulation of the process,
 exponential-kernel paths from a Cholesky factor of the time-grid correlation,
+moving-average paths from one normal draw per time,
 values CSVs and eval-cov tables from csv.writer one row at a time, and
 space-time validity reports from one kernel call per (degree, lag).
 """
@@ -149,6 +150,14 @@ def exponential_path_cholesky(theta: float, root, an: float, times, rng) -> np.n
     corr = np.exp(-theta * np.abs(tgrid[:, None] - tgrid[None, :]))
     chol = np.linalg.cholesky(corr)
     return an * (chol @ rng.standard_normal((len(tgrid), root.shape[0]))) @ root.T
+
+
+def ma1_path_per_time(phi, root, an: float, times, rng) -> np.ndarray:
+    """VectorMA1 path with one standard_normal(m) call per needed integer time, ascending:
+    innovations root @ z, then an * (e(t) + phi @ e(t - 1)) at each time."""
+    needed = sorted({int(t) for t in times} | {int(t) - 1 for t in times})
+    eps = {s: root @ rng.standard_normal(root.shape[0]) for s in needed}
+    return np.array([an * (eps[int(t)] + phi @ eps[int(t) - 1]) for t in times])
 
 
 def random_psd(rng: np.random.Generator, m: int, scale: float = 1.0) -> np.ndarray:

@@ -104,6 +104,17 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
 
+    def test_spatial_model_takes_lag_zero_only(self, spatial_model_file, tmp_path, capsys):
+        # the message and exit code of eval-cov on the same lags
+        path, _ = spatial_model_file
+        for argv in (["validate"], ["eval-cov"]):
+            assert main(argv + ["--model", str(path), "--lags", "5,7", "--out", "-"]) == 2
+            assert capsys.readouterr().err == (
+                "error: a purely spatial model is evaluated at lag 0 only\n")
+        for lags in ([], ["--lags", "0"], ["--lags=-0.0,0"]):
+            assert main(["validate", "--model", str(path), "--out", "-"] + lags) == 0
+            assert json.loads(capsys.readouterr().out) == {"valid": True, "violations": []}
+
     def test_lag_grid_over_the_table_cap_exits_two(self, exponential_model_file, tmp_path,
                                                    capsys):
         # (N+1) m^2 = 2: 543 lags may need 543*542+1 differences of 2 + 32 values,

@@ -257,3 +257,12 @@ class TestGaussJacobi:
     def test_bad_order(self):
         with pytest.raises(ParameterError):
             gauss_jacobi(0, JacobiParams(0, 0))
+
+    @pytest.mark.parametrize("order", [-1, 2.5, math.nan, math.inf])
+    def test_non_natural_order(self, order):
+        with pytest.raises(ParameterError, match="quadrature order must be"):
+            gauss_jacobi(order, JacobiParams(0, 0))
+
+    def test_integral_float_order(self):
+        rule = gauss_jacobi(3.0, JacobiParams(0, 0))
+        assert np.array_equal(rule.nodes, gauss_jacobi(3, JacobiParams(0, 0)).nodes)

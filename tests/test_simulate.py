@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isofield import (
     GeometryError,
@@ -38,7 +40,12 @@ from isofield import (
 )
 from isofield.cli import resolve_points
 from isofield.spaces import a_constant, points_sha256, points_to_reals, sample_uniform_batch
-from tests.oracles import exponential_path_cholesky, random_psd, write_values_csv
+from tests.oracles import (
+    exponential_path_cholesky,
+    ma1_path_per_time,
+    random_psd,
+    write_values_csv,
+)
 
 S2 = parse_space("sphere:2")
 
@@ -727,3 +734,49 @@ def test_replicate_count_must_be_a_nonnegative_integer():
     with pytest.raises(UsageError, match="replicate count -1 must be a non-negative integer"):
         replicate_seeds(0, -1)
     assert replicate_seeds(0, 0) == []
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 7]
+REGISTRY_KEYS = [(), (0,), (2,), (3,)] + [(1, n) for n in range(101)]
+
+
+def _assert_numpy_stream(seed, key):
+    got = substream(seed, *key)
+    want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    assert got.bit_generator.state == want.bit_generator.state, (seed, key)
+    assert np.array_equal(got.standard_normal(8), want.standard_normal(8)), (seed, key)
+    # children of its seed sequence are numpy's children too
+    (child,), (want_child,) = (g.bit_generator.seed_seq.spawn(1) for g in (got, want))
+    assert child.generate_state(4).tolist() == want_child.generate_state(4).tolist()
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_substream_is_numpys_spawn_key_stream(seed):
+    for key in REGISTRY_KEYS:
+        _assert_numpy_stream(seed, key)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**160), key=st.sampled_from(REGISTRY_KEYS))
+def test_substream_is_numpys_spawn_key_stream_on_generated_seeds(seed, key):
+    _assert_numpy_stream(seed, key)
+
+
+@pytest.mark.parametrize("bad", [-1, True, 2.5])
+def test_substream_seed_and_key_must_be_nonnegative_integers(bad):
+    with pytest.raises(UsageError, match=f"seed {bad} must be a non-negative integer"):
+        substream(bad, 1, 0)
+    with pytest.raises(UsageError, match=f"spawn key {bad} must be a non-negative integer"):
+        substream(0, 1, bad)
+
+
+@pytest.mark.parametrize("times", [(0, 1, 2), (0, 2, 5), (-3, 4)])
+def test_ma1_sampler_equals_one_draw_per_time(times):
+    rng = np.random.default_rng(31)
+    phi = rng.uniform(-0.5, 0.5, (2, 2))
+    kernel = VectorMA1(phi)
+    root = matrix_sqrt(random_psd(rng, 2))
+    for seed in range(200):
+        got = kernel.sample_path(root, 0.7, list(times), substream(seed, 1, 1))
+        want = ma1_path_per_time(phi, root, 0.7, times, substream(seed, 1, 1))
+        assert np.array_equal(got, want), seed

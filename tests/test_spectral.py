@@ -173,6 +173,21 @@ class TestValidateSpatioTemporal:
         with pytest.raises(UsageError):
             validate_spatiotemporal(ma1_model(), [0.0, 0.5])
 
+    def test_model_validate_default_grid(self):
+        model = ma1_model()
+        assert model.validate() == validate_spatiotemporal(model, LAGS)
+        tampered = SeriesModel(S2, 2, [np.eye(2)], LopsidedKernel())
+        assert tampered.validate() == validate_spatiotemporal(tampered, LAGS)
+        assert tampered.validate([0.0, 1.0]) == validate_spatiotemporal(tampered, [0.0, 1.0])
+
+    def test_model_validate_on_lag_zero_takes_lag_zero_only(self):
+        bad = SeriesModel(S2, 2, [np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
+        for lags in (None, [0.0], [-0.0, 0]):
+            assert bad.validate(lags) == validate_spatial(bad)
+        for lags in ([5.0, 7.0], [0.0, 1.0], [math.nan]):
+            with pytest.raises(UsageError, match="lag"):
+                bad.validate(lags)
+
     def test_ar1_coefficient_domain(self):
         with pytest.raises(ParameterError):
             SeparableScalar("ar1", 1.0)
@@ -611,6 +626,12 @@ class TestRecoverCoefficients:
     def test_nan_rejected(self):
         with pytest.raises(UsageError):
             recover_coefficients(lambda rho: np.array([[float("nan")]]), S2, 1, 2, 6)
+
+    @pytest.mark.parametrize("order", [math.nan, math.inf, 9.5])
+    def test_non_integer_order_is_a_parameter_error(self, order):
+        # nan and inf pass the order >= N + 1 test and reach the quadrature gate
+        with pytest.raises(ParameterError, match="quadrature order must be"):
+            recover_coefficients(lambda rho: np.eye(1), S2, 1, N=8, order=order)
 
 
 class TestMA1LagConvention:

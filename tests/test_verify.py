@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from isofield import (
     empirical_cov,
     eval_cov,
     jacobi_eval,
+    make_point,
     mc_funk_hecke,
     mc_recover_vn,
     mc_zonal_covariance,
@@ -216,6 +218,32 @@ class TestEmpiricalCov:
                 assert np.array_equal(est.value, per_rep.mean(axis=0))
                 assert np.array_equal(est.std_error,
                                       per_rep.std(axis=0, ddof=1) / np.sqrt(len(ens)))
+
+    @pytest.mark.parametrize("kind", ["spatial", "ma1"])  # 5 stacks of 1 replicate, 1 of 5
+    @pytest.mark.parametrize("where", [1, -1])
+    @pytest.mark.parametrize("change", ["coordinate", "shape", "nan", "negative_zero"])
+    def test_points_compared_as_array_equal(self, kind, where, change):
+        # a zero coordinate, so that -0.0 can stand in for it
+        pts = [make_point(S2, [0.6, 0.0, 0.8]), make_point(S2, [0.0, 1.0, 0.0])]
+        kernel = {"spatial": {}, "ma1": {"kernel": VectorMA1(0.5 * np.eye(1))}}[kind]
+        model = SeriesModel(S2, 1, [np.eye(1)], **kernel)
+        ens = self._ensemble(model, pts, [0, 1, 2], 5, 8)
+        p = ens[where].points.copy()
+        if change == "coordinate":
+            p[1, 1] = np.nextafter(1.0, 0.0)
+        elif change == "shape":
+            p = p[:1]
+        elif change == "nan":
+            p[0, 0] = np.nan
+        else:
+            p[0, 1] = -0.0
+        ens[where] = dataclasses.replace(ens[where], points=p)
+        assert np.array_equal(p, ens[0].points) is (change == "negative_zero")
+        if change == "negative_zero":
+            assert empirical_cov(ens, (0, 1), 0.0).replicates == 5
+        else:
+            with pytest.raises(UsageError, match="must share model, points"):
+                empirical_cov(ens, (0, 1), 0.0)
 
     def test_unrealizable_lag_rejected(self):
         model = SeriesModel(S2, 1, [np.eye(1)])
