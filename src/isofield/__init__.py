@@ -12,7 +12,6 @@ __version__ = "0.1.0"  # first, so that submodules can import it
 from .errors import (
     DomainError,
     GeometryError,
-    IndefiniteMatrixError,
     IsoFieldError,
     ModelError,
     ModelFormatError,
@@ -33,7 +32,6 @@ from .jacobi import (
 from .modelio import dump_model, load_model, model_from_dict, model_hash, model_to_dict, save_model
 from .simulate import (
     Realization,
-    matrix_sqrt,
     save_realization,
     simulate_spatial,
     simulate_spatiotemporal,
@@ -50,12 +48,9 @@ from .spaces import (
     make_point,
     make_space,
     parse_space,
-    points_equal,
-    regauge,
     sample_uniform,
     sample_uniform_batch,
     sphere_volume,
-    zonal,
 )
 from .spectral import (
     PureSpatial,
@@ -66,7 +61,6 @@ from .spectral import (
     VectorMA1,
     angular_power_spectrum,
     eval_cov,
-    eval_cov_symmetrized,
     recover_coefficients,
     truncation_bound,
     validate_spatial,

@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,11 +127,21 @@ def resolve_points(space, spec: str, seed: int) -> np.ndarray:
     path = Path(spec)
     if not path.exists():
         raise UsageError(f"point file {spec!r} does not exist")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # an empty file is reported below
-        reals = np.genfromtxt(path, delimiter=",", comments="#", ndmin=2)
-    if reals.size == 0:
+    rows = []
+    for k, line in enumerate(path.read_text().splitlines(), 1):
+        text = line.partition("#")[0]
+        if not text.strip():
+            continue
+        try:
+            rows.append([float(v) for v in text.split(",")])
+        except ValueError:
+            raise UsageError(f"point file {spec!r}: line {k} holds a non-number") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise UsageError(f"point file {spec!r}: line {k} has {len(rows[-1])} values "
+                             f"where the lines before it have {len(rows[0])}")
+    if not rows:
         raise UsageError(f"no points found in {spec!r}")
+    reals = np.array(rows)
     return normalize_points(space, points_from_reals(space, reals))
 
 

@@ -25,14 +25,6 @@ class ModelError(IsoFieldError, ValueError):
     """A covariance model failed validation where a valid one is required."""
 
 
-class IndefiniteMatrixError(IsoFieldError, ValueError):
-    """A matrix expected to be nonnegative definite has a negative eigenvalue."""
-
-    def __init__(self, message, min_eigenvalue=None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-
-
 class NumericError(IsoFieldError, RuntimeError):
     """A numerical routine (such as an eigen solver) failed."""
 

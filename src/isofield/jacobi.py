@@ -43,10 +43,6 @@ class QuadratureRule:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
-    def integrate(self, values):
-        """Sum w_k * values_k; `values` is evaluated on `self.nodes`."""
-        return np.tensordot(self.weights, np.asarray(values), axes=(0, 0))
-
 
 def _check_degree(n, name: str = "degree") -> int:
     """n as an int; ParameterError naming it unless n is a finite nonnegative integer."""

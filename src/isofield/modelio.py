@@ -81,7 +81,10 @@ def _parse_matrix(obj, m: int, what: str) -> np.ndarray:
             f"{what} must be {m}x{m} row-major",
         )
         _require(all(map(_is_number, row)), f"{what} entries must be numbers")
-    return np.asarray(obj, dtype=float)
+    try:
+        return np.asarray(obj, dtype=float)
+    except OverflowError:
+        raise ModelFormatError(f"{what} has an integer entry too large for a float") from None
 
 
 # The temporal variants of the file format, read in both directions:
@@ -102,6 +105,8 @@ def model_from_dict(doc: dict):
     _require(isinstance(doc, dict), "model document must be a JSON object")
     for key in ("space", "m", "coeffs"):
         _require(key in doc, f"model document is missing field {key!r}")
+    _require(isinstance(doc["space"], str),
+             "space must be a string 'family:dimension', such as 'sphere:2'")
     try:
         space = parse_space(doc["space"])
     except Exception as exc:

@@ -29,12 +29,6 @@ def qnorm(q):
     return np.sqrt(np.sum(q * q, axis=-1))
 
 
-def qrandn_unit(rng, shape=()):
-    """Unit quaternions uniform on S^3, drawn from the given generator."""
-    g = rng.standard_normal(tuple(shape) + (4,))
-    return g / qnorm(g)[..., None]
-
-
 def qdot_abs(x, y):
     """|sum_k conj(x_k) y_k| for quaternion vectors shaped (..., k, 4).
 

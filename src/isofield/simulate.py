@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, modelio
-from .errors import IndefiniteMatrixError, ModelError, NumericError, UsageError
+from .errors import ModelError, NumericError, UsageError
 from .jacobi import jacobi_all
 from .spaces import (
     Point,
@@ -43,10 +43,8 @@ from .spaces import (
     points_to_reals,
     sample_uniform,
 )
-from .spectral import ZERO_LAG, SeriesModel, _psd_root, _require_lag, _resolve_trunc
-from .spectral import _symmetric_part, factor_coefficients, truncation_bound
-
-MATRIX_SQRT_TOL = 1e-10
+from .spectral import ZERO_LAG, SeriesModel, _require_lag, _resolve_trunc, factor_coefficients
+from .spectral import truncation_bound
 
 
 def _natural(value, name: str) -> int:
@@ -67,29 +65,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     data = _words(_natural(seed, "seed"), 4 if key else 1)
     data += b"".join([_words(_natural(k, "spawn key")) for k in key])
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.frombuffer(data, "<u4"))))
-
-
-def matrix_sqrt(B: np.ndarray) -> np.ndarray:
-    """Symmetric nonnegative square root via eigendecomposition.
-
-    Eigenvalues in [-tol*scale, 0] are clipped to zero so rank-deficient
-    coefficient matrices remain usable; anything more negative raises
-    IndefiniteMatrixError.
-    """
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise UsageError(f"matrix square root needs a square matrix, got shape {B.shape}")
-    scale = max(1.0, float(np.max(np.abs(B)))) if B.size else 1.0
-    if float(np.max(np.abs(B - B.T))) > MATRIX_SQRT_TOL * scale:
-        raise UsageError("matrix square root needs a symmetric matrix")
-    w, v = np.linalg.eigh(_symmetric_part(B))
-    lo = -MATRIX_SQRT_TOL * max(1.0, float(w[-1]))
-    if w[0] < lo:
-        raise IndefiniteMatrixError(
-            f"matrix has eigenvalue {w[0]:.6e} below tolerance {lo:.6e}",
-            min_eigenvalue=float(w[0]),
-        )
-    return _psd_root(w, v)
 
 
 @dataclass
@@ -226,16 +201,3 @@ def save_realization(real: Realization, csv_path, *, points_spec=None) -> tuple[
         fh.write(rows % tuple(real.values.ravel().tolist()))
     meta_path.write_text(sidecar)
     return csv_path, meta_path
-
-
-def load_realization_values(csv_path) -> np.ndarray:
-    """Read a values CSV back into its (points, times, components) array."""
-    table = np.genfromtxt(csv_path, delimiter=",", names=True, ndmin=1)
-    if table.size == 0:
-        raise UsageError(f"no data rows in {csv_path}")
-    p = table["point_index"].astype(int)
-    c = table["component"].astype(int)
-    times, t = np.unique(table["time"], return_inverse=True)
-    out = np.full((p.max() + 1, len(times), c.max() + 1), np.nan)
-    out[p, t, c] = table["value"]
-    return out

@@ -13,7 +13,7 @@ Lie pair, which differs only on real projective spaces and feeds the
 Laplace-Beltrami eigenvalues. All series expansions use the geometric pair.
 
 Every decision that depends on the family (parameter pairs, dimension
-rule, point layout, inner product, sampling, gauge) is one row of the
+rule, point layout, inner product, sampling) is one row of the
 family table `_FAMILIES`, which every other function reads. A point set
 is one (K, *ambient_shape) array of unit representatives.
 """
@@ -29,8 +29,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import GeometryError, ParameterError, UsageError
-from .jacobi import JacobiParams, _check_degree, jacobi_normalized
-from .quaternions import qdot_abs, qmul, qrandn_unit
+from .jacobi import JacobiParams, _check_degree
+from .quaternions import qdot_abs
 
 
 class SpaceFamily(Enum):
@@ -145,31 +145,27 @@ class _Family:
     ambient: Callable[[int], tuple] | None = None
     dtype: type = float
     dot: Callable = _cdot
-    regauge: Callable | None = None
 
 
 _FAMILIES = {
     SpaceFamily.SPHERE: _Family(
         pq=lambda d: (0, d - 1), admits=lambda d: d >= 1, rule="d >= 1", projective=False,
-        ambient=lambda d: (d + 1,), regauge=lambda reps, rng: reps,
+        ambient=lambda d: (d + 1,),
     ),
     # S^d modulo sign: the root data, hence the Lie pair, are the sphere's,
     # and the Laplace spectrum is the sphere's at even degrees.
     SpaceFamily.REAL_PROJECTIVE: _Family(
         pq=lambda d: (d - 1, 0), admits=lambda d: d >= 2, rule="d >= 2",
         lie_pq=lambda d: (0, d - 1), epsilon=2, ambient=lambda d: (d + 1,),
-        regauge=lambda reps, rng: (1.0 if rng.random() < 0.5 else -1.0) * reps,
     ),
     SpaceFamily.COMPLEX_PROJECTIVE: _Family(
         pq=lambda d: (d - 2, 1), admits=lambda d: d >= 4 and d % 2 == 0, rule="even d >= 4",
         ambient=lambda d: (d // 2 + 1,), dtype=complex,
-        regauge=lambda reps, rng: reps * np.exp(2j * math.pi * rng.random()),
     ),
     # Quaternion components on a trailing axis, modulo a right unit scalar.
     SpaceFamily.QUATERNION_PROJECTIVE: _Family(
         pq=lambda d: (d - 4, 3), admits=lambda d: d >= 8 and d % 4 == 0,
         rule="d in {8, 12, 16, ...}", ambient=lambda d: (d // 4 + 1, 4), dot=qdot_abs,
-        regauge=lambda reps, rng: qmul(reps, qrandn_unit(rng)),
     ),
     SpaceFamily.OCTONION_PROJECTIVE: _Family(
         pq=lambda d: (8, 7), admits=lambda d: d == 16, rule="d == 16",
@@ -398,11 +394,6 @@ def distance(space: SpaceParams, x: Point, y: Point) -> float:
     return float(2.0 * np.arccos(t) if _FAMILIES[space.family].projective else np.arccos(t))
 
 
-def zonal(space: SpaceParams, n: int, x: Point, y: Point) -> float:
-    """Normalized zonal function R_n(cos rho(x, y)) with geometric parameters."""
-    return float(jacobi_normalized(n, space.geom, cos_distance(space, x, y)))
-
-
 def sample_uniform_batch(space: SpaceParams, k: int, rng: np.random.Generator) -> np.ndarray:
     """k stacked representatives of independent uniform points, equal to k
     successive sample_uniform draws.
@@ -426,17 +417,6 @@ def sample_uniform(space: SpaceParams, rng: np.random.Generator) -> Point:
     """One uniform point; deterministic given the generator state."""
     rep = sample_uniform_batch(space, 1, rng)[0]
     return Point(family=space.family, d=space.d, coords=rep)
-
-
-def regauge(space: SpaceParams, x: Point, rng: np.random.Generator) -> Point:
-    """Replace the representative by a random equivalent one (same point)."""
-    _check_same_space(space, x)
-    return Point(x.family, x.d, _FAMILIES[space.family].regauge(x.coords, rng))
-
-
-def points_equal(space: SpaceParams, x: Point, y: Point, tol: float = 1e-9) -> bool:
-    """Gauge-invariant equality: zero distance within tolerance."""
-    return distance(space, x, y) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -415,13 +415,13 @@ def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
     block matrix [B_n(t_i - t_j)] over the grid must be nonnegative
     definite. Convergence of sum ||B_n(0)|| P_n(1) is checked as in the
     spatial case. Passing all probes is necessary but, for continuous
-    time, not sufficient for validity on all of R. The probe lags must be
-    finite; every degree's B_n(s) is read at once, one model.coeff_at call
-    per distinct lag s among the t, -t and t_i - t_j the checks need. A grid
-    of G distinct lags has up to G(G-1)+1 of them, each tabulated as (N+1)m^2
-    values and indexed at the cost of about 32 more; a grid whose worst case
-    exceeds MAX_LAG_TABLE values is rejected before anything is read. The
-    symmetry probes of every degree and lag are a few array reductions; the
+    time, not sufficient for validity on all of R. The probe lags and their
+    differences must be finite; every degree's B_n(s) is read at once, one
+    model.coeff_at call per distinct lag s among the t, -t and t_i - t_j the
+    checks need. A grid of G distinct lags has up to G(G-1)+1 of them, each
+    tabulated as (N+1)m^2 values and indexed at the cost of about 32 more; a
+    grid whose worst case exceeds MAX_LAG_TABLE values is rejected before
+    anything is read. The symmetry probes of every degree and lag are a few array reductions; the
     report lists each degree's lag findings in grid order, then its block.
     """
     lags = [float(t) for t in probe_lags]
@@ -432,6 +432,8 @@ def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
     if not all(map(math.isfinite, lags)):
         raise UsageError(f"probe lag {next(t for t in lags if not math.isfinite(t))} is not finite")
     grid = sorted(set(lags))
+    if not math.isfinite(grid[-1] - grid[0]):  # the widest of the differences t_i - t_j
+        raise UsageError(f"probe lags {grid[-1]} and {grid[0]} differ by more than a float holds")
     rows, width = len(grid) * (len(grid) - 1) + 1, (model.max_degree + 1) * model.m**2
     if rows * (width + 32) > MAX_LAG_TABLE:
         raise UsageError(
@@ -498,13 +500,6 @@ def eval_cov(model, rho, t: float = 0.0, trunc: int | None = None) -> np.ndarray
     for n in range(trunc + 1):  # in degree order: the sum's rounding is the output's bytes
         out += bs[n] * pn[n]
     return out
-
-
-def eval_cov_symmetrized(
-    model: SeriesModel, rho: float, t: float, trunc: int | None = None
-) -> np.ndarray:
-    """(C(rho, t) + C(rho, -t)) / 2, a symmetric matrix."""
-    return 0.5 * (eval_cov(model, rho, t, trunc) + eval_cov(model, rho, -t, trunc))
 
 
 def truncation_bound(model, N: int) -> float:

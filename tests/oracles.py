@@ -8,6 +8,8 @@ exponential-kernel paths from a Cholesky factor of the time-grid correlation,
 moving-average paths from one normal draw per time,
 values CSVs and eval-cov tables from csv.writer one row at a time, and
 space-time validity reports from one kernel call per (degree, lag).
+Some are the library's own pieces composed the long way: coefficient roots
+one degree at a time, zonal values one point pair at a time.
 """
 
 import csv
@@ -248,3 +250,55 @@ def validate_spatiotemporal_per_degree(model, probe_lags):
                 violations.append(Violation(n, "spatial", "indefinite", float(w[0])))
     _check_convergence(model, violations)
     return ValidityReport(valid=not violations, violations=violations)
+
+
+def psd_root_per_degree(b) -> np.ndarray:
+    """B^(1/2) of one coefficient matrix by its own eigh, with the root formula of the
+    library's stacked factorisation: the per-degree reference for its roots."""
+    from isofield.spectral import _psd_root, _symmetric_part
+
+    return _psd_root(*np.linalg.eigh(_symmetric_part(np.asarray(b, dtype=float))))
+
+
+def zonal(space, n: int, x, y) -> float:
+    """Normalized zonal function R_n(cos rho(x, y)) with the space's geometric pair."""
+    from isofield import jacobi_normalized
+    from isofield.spaces import cos_distance
+
+    return float(jacobi_normalized(n, space.geom, cos_distance(space, x, y)))
+
+
+def qrandn_unit(rng, shape=()) -> np.ndarray:
+    """Unit quaternions uniform on S^3, drawn from the given generator."""
+    g = rng.standard_normal(tuple(shape) + (4,))
+    return g / np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
+
+
+def regauge(space, x, rng):
+    """The same point with a random equivalent representative: a sign on projR, a unit
+    complex scalar on projC, a right unit-quaternion factor on projH; spheres unchanged."""
+    from isofield import Point, SpaceFamily
+    from isofield.quaternions import qmul
+
+    family = space.family
+    if family is SpaceFamily.REAL_PROJECTIVE:
+        coords = (1.0 if rng.random() < 0.5 else -1.0) * x.coords
+    elif family is SpaceFamily.COMPLEX_PROJECTIVE:
+        coords = x.coords * np.exp(2j * math.pi * rng.random())
+    elif family is SpaceFamily.QUATERNION_PROJECTIVE:
+        coords = qmul(x.coords, qrandn_unit(rng))
+    else:
+        coords = x.coords
+    return Point(x.family, x.d, coords)
+
+
+def load_realization_values(csv_path) -> np.ndarray:
+    """Read a values CSV back into its (points, times, components) array."""
+    table = np.genfromtxt(csv_path, delimiter=",", names=True, ndmin=1)
+    assert table.size, f"no data rows in {csv_path}"
+    p = table["point_index"].astype(int)
+    c = table["component"].astype(int)
+    times, t = np.unique(table["time"], return_inverse=True)
+    out = np.full((p.max() + 1, len(times), c.max() + 1), np.nan)
+    out[p, t, c] = table["value"]
+    return out

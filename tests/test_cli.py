@@ -28,9 +28,8 @@ from isofield import (
 )
 import isofield
 from isofield.cli import MAX_COUNT, MAX_VALUES, main, resolve_points
-from isofield.simulate import load_realization_values
 from isofield.spaces import points_sha256, points_to_reals
-from tests.oracles import eval_cov_output, random_psd
+from tests.oracles import eval_cov_output, load_realization_values, random_psd
 
 S2 = parse_space("sphere:2")
 
@@ -55,6 +54,10 @@ def exponential_model_file(tmp_path):
     model = SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)],
                         SeparableScalar("exponential", 1.0))
     return save_model(model, tmp_path / "exp.json"), model
+
+
+EXPONENTIAL_DOC = json.dumps({"space": "sphere:2", "m": 1, "coeffs": [[[1.0]]],
+                              "temporal": {"variant": "exponential", "theta": 1.0}})
 
 
 def sha256(path):
@@ -601,6 +604,42 @@ def test_overflowing_asymmetry_is_reported_without_warnings(tmp_path):
     assert rows[0] == "degree,lag,kind,magnitude" and len(rows) == 6
     assert rows[3] == "0,0.0,asymmetric,inf"
     assert all(",asymmetric," in row for row in rows[1:])
+
+
+BOUNDARY_INPUTS = {
+    # name: (model document, argv, the whole stderr), which names the field or file line at fault
+    "huge_integer_coefficient": (
+        '{"space": "sphere:2", "m": 1, "coeffs": [[[1%s]]]}' % ("0" * 400), ["validate"],
+        "error: coefficient 0 has an integer entry too large for a float\n"),
+    "space_not_a_string": (
+        '{"space": 2, "m": 1, "coeffs": [[[1.0]]]}', ["validate"],
+        "error: space must be a string 'family:dimension', such as 'sphere:2'\n"),
+    "overflowing_lag_difference": (
+        EXPONENTIAL_DOC, ["validate", "--lags", "0,1e308,-1e308"],
+        "error: probe lags 1e+308 and -1e+308 differ by more than a float holds\n"),
+    "ragged_point_file": (
+        EXPONENTIAL_DOC, ["simulate", "--points", "RAGGED"],
+        "error: point file 'RAGGED': line 4 has 2 values where the lines before it have 3\n"),
+    "non_number_in_point_file": (
+        EXPONENTIAL_DOC, ["simulate", "--points", "WORDS"],
+        "error: point file 'WORDS': line 2 holds a non-number\n"),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY_INPUTS)
+def test_boundary_inputs_exit_two_naming_the_field(tmp_path, capsys, case):
+    doc, argv, message = BOUNDARY_INPUTS[case]
+    model = tmp_path / "model.json"
+    model.write_text(doc)
+    files = {"RAGGED": "# x,y,z\n1,0,0\n\n0,1\n", "WORDS": "1,0,0\n0,one,0\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        message = message.replace(name, str(tmp_path / name))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--model", str(model), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("label", ["projR:2000", "sphere:1001"])

@@ -198,7 +198,7 @@ class TestNormConstant:
             rule = gauss_jacobi(12, params)
             for j in range(6):
                 pj = jacobi_eval(j, params, rule.nodes)
-                got = float(rule.integrate(pj * pj))
+                got = float(rule.weights @ (pj * pj))
                 assert got == pytest.approx(
                     jacobi_norm_constant(j, params), rel=1e-11
                 )
@@ -212,7 +212,7 @@ class TestNormConstant:
                         continue
                     pi_ = jacobi_eval(i, params, rule.nodes)
                     pj = jacobi_eval(j, params, rule.nodes)
-                    got = float(rule.integrate(pi_ * pj))
+                    got = float(rule.weights @ (pi_ * pj))
                     assert abs(got) <= 1e-10 * jacobi_norm_constant(max(i, j), params)
 
 
@@ -243,7 +243,7 @@ class TestGaussJacobi:
         rule = gauss_jacobi(order, params)
         u = (1.0 + rule.nodes) / 2.0
         for p in range(2 * order):
-            got = float(rule.integrate(u**p))
+            got = float(rule.weights @ (u**p))
             want = shifted_monomial_integral(p, params.alpha, params.beta)
             assert got == pytest.approx(want, rel=1e-10)
 

@@ -133,6 +133,31 @@ class TestSchemaErrors:
         with pytest.raises(ModelFormatError):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("space", [2, None, ["sphere:2"]])
+    def test_space_must_be_a_string(self, space):
+        doc = self.base_doc()
+        doc["space"] = space
+        with pytest.raises(ModelFormatError,
+                           match="^space must be a string 'family:dimension', such as 'sphere:2'$"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("fragment, message", [
+        ({"coeffs": [[[1.0, 0.0], [0.0, "HUGE"]]]},
+         "coefficient 0 has an integer entry too large for a float"),
+        ({"temporal": {"variant": "ma1", "phi": [["-HUGE", 0.0], [0.0, 0.5]]}},
+         "ma1 phi has an integer entry too large for a float"),
+        ({"tail": {"c": "HUGE", "r": 0.5}}, "bad tail envelope: "),
+        ({"temporal": {"variant": "ar1", "phi": "HUGE"}}, "bad temporal kernel: "),
+    ], ids=["coeffs", "ma1_phi", "tail", "ar1_phi"])
+    def test_integer_too_large_for_a_float_names_the_field(self, tmp_path, fragment, message):
+        # JSON integers have no size limit: 10**400 overflowed float() outside any check
+        text = json.dumps({**self.base_doc(), **fragment})
+        text = text.replace('"-HUGE"', "-1" + "0" * 400).replace('"HUGE"', "1" + "0" * 400)
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        with pytest.raises(ModelFormatError, match=f"^{message}"):
+            load_model(path)
+
     def test_space_above_the_dimension_cap(self, tmp_path):
         doc = self.base_doc()
         doc["space"] = "sphere:99999999"

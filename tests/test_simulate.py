@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from isofield import (
     GeometryError,
-    IndefiniteMatrixError,
     ModelError,
     ModelFormatError,
     NumericError,
@@ -26,7 +25,6 @@ from isofield import (
     empirical_cov,
     eval_cov,
     jacobi_eval,
-    matrix_sqrt,
     mc_funk_hecke,
     parse_space,
     replicate_seeds,
@@ -40,9 +38,12 @@ from isofield import (
 )
 from isofield.cli import resolve_points
 from isofield.spaces import a_constant, points_sha256, points_to_reals, sample_uniform_batch
+from isofield.spectral import Violation, factor_coefficients
 from tests.oracles import (
     exponential_path_cholesky,
+    load_realization_values,
     ma1_path_per_time,
+    psd_root_per_degree,
     random_psd,
     write_values_csv,
 )
@@ -59,18 +60,32 @@ def small_matrix_model(seed=0):
     return SeriesModel(S2, 2, [np.eye(2), 0.5 * np.eye(2), 0.25 * np.eye(2)])
 
 
+def factor_one(b):
+    """factor_coefficients of the one-degree spatial model with coefficient b."""
+    b = np.asarray(b, dtype=float)
+    return factor_coefficients(SeriesModel(S2, len(b), [b]))
+
+
+def root_of(b):
+    report, roots = factor_one(b)
+    assert report.valid, report.summary()
+    return roots[0]
+
+
 class TestMatrixSqrt:
+    """Coefficient roots B^(1/2), as factor_coefficients gives them for a one-degree model."""
+
     def test_identity(self):
-        assert np.array_equal(matrix_sqrt(np.eye(3)), np.eye(3))
+        assert np.array_equal(root_of(np.eye(3)), np.eye(3))
 
     def test_diagonal(self):
-        assert np.allclose(matrix_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        assert np.allclose(root_of(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
 
     def test_random_psd_reconstruction(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             b = random_psd(rng, 5)
-            r = matrix_sqrt(b)
+            r = root_of(b)
             assert np.max(np.abs(r - r.T)) <= 1e-12
             scale = max(1.0, np.linalg.norm(b, 2))
             assert np.max(np.abs(r @ r - b)) <= 1e-10 * scale
@@ -78,17 +93,18 @@ class TestMatrixSqrt:
     def test_rank_deficient_clipped(self):
         v = np.array([[1.0], [2.0]])
         b = v @ v.T  # rank one
-        r = matrix_sqrt(b)
+        r = root_of(b)
         assert np.max(np.abs(r @ r - b)) <= 1e-10 * np.linalg.norm(b, 2)
 
     def test_indefinite_rejected_with_eigenvalue(self):
-        with pytest.raises(IndefiniteMatrixError) as err:
-            matrix_sqrt(np.diag([1.0, -0.2]))
-        assert err.value.min_eigenvalue == pytest.approx(-0.2)
+        report, roots = factor_one(np.diag([1.0, -0.2]))
+        assert roots is None
+        assert report.violations == [Violation(0, "spatial", "indefinite", pytest.approx(-0.2))]
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(UsageError):
-            matrix_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        report, roots = factor_one([[1.0, 0.5], [0.0, 1.0]])
+        assert roots is None
+        assert report.violations == [Violation(0, "spatial", "asymmetric", 0.5)]
 
 
 class TestSimulateSpatial:
@@ -394,7 +410,7 @@ class TestStackedFactorisation:
         degrees = range(real.trunc + 1)
         assert len(model.kernel.roots) == len(degrees)
         for n in degrees:
-            root = matrix_sqrt(coeffs[n])
+            root = psd_root_per_degree(coeffs[n])
             assert np.array_equal(model.kernel.roots[n], root)
             want = inner.sample_path(root, a_constant(S2, n), times, substream(17, 1, n))
             assert np.array_equal(real.latent_v[n], want)
@@ -406,7 +422,7 @@ class TestStackedFactorisation:
             warnings.simplefilter("error")
             assert validate_spatial(model).valid
             real = simulate_spatial(model, fixed_points(3), seed=2)
-            root = matrix_sqrt(model.coeffs[0])
+            root = psd_root_per_degree(model.coeffs[0])
         assert np.all(np.isfinite(real.values)) and np.all(np.abs(real.values) > 1e150)
         assert np.allclose(root, 1e154 * np.eye(2), rtol=1e-15, atol=0.0)
 
@@ -426,7 +442,7 @@ class TestMarkovSampler:
         rng = np.random.default_rng(47)
         times = [0.0, 0.8, 2.5] if grid == "three" else np.sort(rng.uniform(0.0, 40.0, 200))
         kernel = SeparableScalar("exponential", 0.7)
-        root = matrix_sqrt(random_psd(rng, 3))
+        root = psd_root_per_degree(random_psd(rng, 3))
         for seed in range(5):
             got = kernel.sample_path(root, 1.3, times, substream(seed, 1, 2))
             want = exponential_path_cholesky(0.7, root, 1.3, times, substream(seed, 1, 2))
@@ -522,7 +538,6 @@ class TestPointArrays:
 class TestRealizationIO:
     def test_values_round_trip_exactly(self, tmp_path):
         from isofield import save_realization
-        from isofield.simulate import load_realization_values
 
         model = SeriesModel(
             S2, 2, [np.eye(2), 0.5 * np.eye(2)], SeparableScalar("ar1", 0.3)
@@ -775,7 +790,7 @@ def test_ma1_sampler_equals_one_draw_per_time(times):
     rng = np.random.default_rng(31)
     phi = rng.uniform(-0.5, 0.5, (2, 2))
     kernel = VectorMA1(phi)
-    root = matrix_sqrt(random_psd(rng, 2))
+    root = psd_root_per_degree(random_psd(rng, 2))
     for seed in range(200):
         got = kernel.sample_path(root, 0.7, list(times), substream(seed, 1, 1))
         want = ma1_path_per_time(phi, root, 0.7, times, substream(seed, 1, 1))

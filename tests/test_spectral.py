@@ -21,7 +21,6 @@ from isofield import (
     angular_power_spectrum,
     dim_eigenspace,
     eval_cov,
-    eval_cov_symmetrized,
     jacobi_eval,
     mc_funk_hecke,
     parse_space,
@@ -295,6 +294,15 @@ class TestLagTable:
             validate_spatiotemporal(model, [0.0, bad])
         assert not validate_spatiotemporal(model, [0.0, 1.0]).valid
 
+    @pytest.mark.parametrize("lags", [[0.0, 1e308, -1e308], [-1e308, 0.0, 1e308, 5.0]])
+    def test_overflowing_lag_difference_names_both_lags(self, lags):
+        # 1e308 - (-1e308) is inf: the message named "lag inf", a lag never given
+        model = SeriesModel(S2, 1, [np.eye(1)], SeparableScalar("exponential", 1.0))
+        with pytest.raises(UsageError,
+                           match=r"^probe lags 1e\+308 and -1e\+308 differ by more than a float"):
+            validate_spatiotemporal(model, lags)
+        assert validate_spatiotemporal(model, [0.0, 8e307, -8e307]).valid
+
     def test_one_coeff_at_call_per_distinct_lag(self):
         model = SeriesModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)],
                             SeparableScalar("exponential", 1.0))
@@ -483,27 +491,29 @@ class TestEvalCov:
 
 
 class TestEvalCovSymmetrized:
+    """C(rho, -t) = C(rho, t)^T: so C(rho, 0) and the symmetrized
+    (C(rho, t) + C(rho, -t)) / 2 are symmetric."""
+
     def test_zero_lag_reduces_to_eval(self):
         model = ma1_model(seed=5)
-        assert np.allclose(
-            eval_cov_symmetrized(model, 0.4, 0.0), eval_cov(model, 0.4, 0.0)
-        )
+        cov = eval_cov(model, 0.4, 0.0)
+        assert np.array_equal(eval_cov(model, 0.4, -0.0), cov)
+        assert np.max(np.abs(cov - cov.T)) <= 1e-12
 
     def test_result_symmetric_at_lag_one(self):
         model = ma1_model(seed=6)
-        sym = eval_cov_symmetrized(model, 0.4, 1.0)
-        assert np.max(np.abs(sym - sym.T)) <= 1e-12
-        want = 0.5 * (eval_cov(model, 0.4, 1.0) + eval_cov(model, 0.4, -1.0))
-        assert np.allclose(sym, want)
+        forward, backward = eval_cov(model, 0.4, 1.0), eval_cov(model, 0.4, -1.0)
+        assert np.max(np.abs(forward - forward.T)) > 1e-3  # a lag-1 MA(1) table is not symmetric
+        assert np.max(np.abs(backward - forward.T)) <= 1e-12
 
     def test_time_symmetric_kernel_equals_plain(self):
         model = SeriesModel(
             S2, 2, [np.eye(2), 0.3 * np.eye(2)], SeparableScalar("ar1", -0.4)
         )
         for t in (0.0, 1.0, 3.0):
-            assert np.array_equal(
-                eval_cov_symmetrized(model, 0.8, t), eval_cov(model, 0.8, t)
-            )
+            cov = eval_cov(model, 0.8, t)
+            assert np.array_equal(eval_cov(model, 0.8, -t), cov)
+            assert np.array_equal(cov, cov.T)
 
 
 class TestTruncationBound:
@@ -684,8 +694,12 @@ class TestScalarPositiveDefiniteness:
 # --------------------------------------------------------------------------
 
 
-def _gate_values(ints, floats):
-    return st.one_of(ints, ints.map(float), ints.map(np.int64), floats, st.booleans(),
+def _gate_values(lo, hi, floats):
+    """Integers in lo..hi as int, float and, where it holds them, np.int64; then floats,
+    bools and the non-finite floats."""
+    ints = st.integers(lo, hi)
+    int64s = st.integers(max(lo, -2**63), min(hi, 2**63 - 1)).map(np.int64)
+    return st.one_of(ints, ints.map(float), int64s, floats, st.booleans(),
                      st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
@@ -707,19 +721,19 @@ _LAG_MODELS = [SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)], kernel) for kern
     VectorMA1([[0.4]]))]
 GATES = {
     # values, then groups of consumers that must agree on every value
-    "truncation": (_gate_values(st.integers(-3, 6), st.floats(-3, 6)), [[
+    "truncation": (_gate_values(-3, 6, st.floats(-3, 6)), [[
         lambda v: simulate_spatial(_GATE_MODEL, _GATE_POINTS, trunc=v, seed=0),
         lambda v: eval_cov(_GATE_MODEL, 0.5, trunc=v)]]),
-    "degree": (_gate_values(st.integers(-3, 3), st.floats(-3, 3)), [[
+    "degree": (_gate_values(-3, 3, st.floats(-3, 3)), [[
         lambda v: truncation_bound(_GATE_MODEL, v),
         lambda v: angular_power_spectrum(_GATE_MODEL, v),
         lambda v: a_constant(S2, v),
         lambda v: dim_eigenspace(S2, v)]]),
-    "lag": (_gate_values(st.integers(-10**6, 10**6), st.floats()), [[
+    "lag": (_gate_values(-10**6, 10**6, st.floats()), [[
         lambda v, model=model: eval_cov(model, 0.5, v),
         lambda v, model=model: simulate_spatiotemporal(model, _GATE_POINTS, [v], seed=0)]
         for model in _LAG_MODELS]),
-    "seed": (_gate_values(st.integers(-3, 2**64), st.floats(-3, 10)), [[
+    "seed": (_gate_values(-3, 2**64, st.floats(-3, 10)), [[
         lambda v: simulate_spatial(_GATE_MODEL, _GATE_POINTS, seed=v),
         lambda v: mc_funk_hecke(S2, 1, 1, _X, _X, replicates=10, seed=v),
         lambda v: replicate_seeds(v, 3)]]),
