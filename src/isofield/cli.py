@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GeometryError, ModelError, NumericError, UsageError
-from .modelio import load_model
+from .modelio import _not_utf8, load_model
 from .simulate import save_realization, simulate_spatiotemporal, substream
 from .spaces import (
     SpaceFamily,
@@ -127,8 +127,12 @@ def resolve_points(space, spec: str, seed: int) -> np.ndarray:
     path = Path(spec)
     if not path.exists():
         raise UsageError(f"point file {spec!r} does not exist")
+    try:
+        content = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"point file {spec!r}: {_not_utf8(exc)}") from None
     rows = []
-    for k, line in enumerate(path.read_text().splitlines(), 1):
+    for k, line in enumerate(content.splitlines(), 1):
         text = line.partition("#")[0]
         if not text.strip():
             continue

@@ -158,9 +158,15 @@ def save_model(model, path) -> Path:
     return path
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+
+
 def load_model(path):
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: {_not_utf8(exc)}") from None
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError:

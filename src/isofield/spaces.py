@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import GeometryError, ParameterError, UsageError
 from .jacobi import JacobiParams, _check_degree
-from .quaternions import qdot_abs
 
 
 class SpaceFamily(Enum):
@@ -126,6 +125,22 @@ def _cdot(reps, u):
     return np.matmul(np.conj(reps)[..., None, :], u[:, None])[..., 0, 0]
 
 
+def _hdot(reps, u):
+    """|sum_k conj(rep_k) u_k| for each stacked quaternion representative, (w, x, y, z)
+    components on the trailing axis: the Hamilton products conj(rep_k) u_k written into
+    one array, then summed over k. The modulus is invariant under right multiplication
+    of rep and u by unit quaternions, which makes it a function of the points."""
+    w1, x1, y1, z1 = (reps[..., i] for i in range(4))
+    w2, x2, y2, z2 = (u[..., i] for i in range(4))
+    prod = np.empty(np.broadcast_shapes(reps.shape, u.shape))
+    prod[..., 0] = w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2
+    prod[..., 1] = w1 * x2 - x1 * w2 - y1 * z2 + z1 * y2
+    prod[..., 2] = w1 * y2 + x1 * z2 - y1 * w2 - z1 * x2
+    prod[..., 3] = w1 * z2 - x1 * y2 + y1 * x2 - z1 * w2
+    total = prod.sum(axis=-2)
+    return np.sqrt(np.sum(total * total, axis=-1))
+
+
 @dataclass(frozen=True)
 class _Family:
     """One row of the family table: every decision that depends on the family.
@@ -165,7 +180,7 @@ _FAMILIES = {
     # Quaternion components on a trailing axis, modulo a right unit scalar.
     SpaceFamily.QUATERNION_PROJECTIVE: _Family(
         pq=lambda d: (d - 4, 3), admits=lambda d: d >= 8 and d % 4 == 0,
-        rule="d in {8, 12, 16, ...}", ambient=lambda d: (d // 4 + 1, 4), dot=qdot_abs,
+        rule="d in {8, 12, 16, ...}", ambient=lambda d: (d // 4 + 1, 4), dot=_hdot,
     ),
     SpaceFamily.OCTONION_PROJECTIVE: _Family(
         pq=lambda d: (8, 7), admits=lambda d: d == 16, rule="d == 16",

@@ -31,7 +31,6 @@ from .spaces import SpaceParams, dim_eigenspace
 # Relative floors for symmetry / nonnegative-definiteness under rounding.
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
-BLOCK_PSD_TOL = 1e-9
 
 MAX_LAG_TABLE = 10_000_000  # float64 values (80 MB) validate_spatiotemporal may tabulate
 
@@ -319,27 +318,6 @@ def _weighted_norm_sum(model, norms, first: int) -> float:
     return total
 
 
-def _check_convergence(model, violations, stored=None, stored_w=None):
-    """Divergent when sum_n ||B_n(0)||_2 P_n(1) plus the tail is not finite; the norm is
-    the largest |eigenvalue|, from stored_w when B_n(0) is the stored coefficient
-    (constant and separable kernels). A non-finite B_n(0) is a divergent degree n,
-    unless a degree check already reported it so."""
-    b0s = model.coeff_at(slice(None), 0.0)
-    finite = np.all(np.isfinite(b0s), axis=(1, 2))
-    if not finite.all():
-        reported = {v.degree for v in violations if v.kind == "divergent"}
-        violations += [Violation(int(n), "spatial", "divergent", float("inf"))
-                       for n in np.flatnonzero(~finite) if n not in reported]
-        return
-    if stored_w is None or not np.array_equal(b0s, stored):
-        stored_w = np.linalg.eigvalsh(_symmetric_part(b0s))
-    total = _weighted_norm_sum(model, np.abs(stored_w).max(axis=-1), 0)
-    if model.tail is not None:
-        total += model.tail.tail_sum(model.max_degree + 1)
-    if not math.isfinite(total):
-        violations.append(Violation(model.max_degree, "spatial", "divergent", float("inf")))
-
-
 def require_finite(model) -> None:
     """ModelError naming every divergent degree of the model's lag-0 report."""
     bad = [v for v in factor_coefficients(model)[0].violations if v.kind == "divergent"]
@@ -392,7 +370,22 @@ def factor_coefficients(model) -> tuple[ValidityReport, np.ndarray | None]:
             violations.append(Violation(n, "spatial", "asymmetric", float(asym[n])))
         if w[n, 0] < -PSD_TOL * max(1.0, w[n, -1]):
             violations.append(Violation(n, "spatial", "indefinite", float(w[n, 0])))
-    _check_convergence(model, violations, coeffs, w)
+    # Divergent when sum_n ||B_n(0)||_2 P_n(1) plus the tail is not finite, the norm being
+    # the largest |eigenvalue| (w's when B_n(0) is the stored coefficient); a non-finite
+    # B_n(0) is a divergent degree n, unless the loop above already reported it so.
+    b0s = model.coeff_at(slice(None), 0.0)
+    b0_finite = np.all(np.isfinite(b0s), axis=(1, 2))
+    if not b0_finite.all():
+        reported = {v.degree for v in violations if v.kind == "divergent"}
+        violations += [Violation(int(n), "spatial", "divergent", float("inf"))
+                       for n in np.flatnonzero(~b0_finite) if n not in reported]
+    else:
+        b0_w = w if np.array_equal(b0s, coeffs) else np.linalg.eigvalsh(_symmetric_part(b0s))
+        total = _weighted_norm_sum(model, np.abs(b0_w).max(axis=-1), 0)
+        if model.tail is not None:
+            total += model.tail.tail_sum(model.max_degree + 1)
+        if not math.isfinite(total):
+            violations.append(Violation(model.max_degree, "spatial", "divergent", float("inf")))
     report = ValidityReport(valid=not violations, violations=violations)
     roots = _psd_root(w, v) if report.valid else None
     if roots is not None:
@@ -409,20 +402,20 @@ def validate_spatial(model: SeriesModel) -> ValidityReport:
 
 
 def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
-    """Necessary-condition checks of a space-time model on a finite lag grid.
+    """Validity of a space-time model: the lag-0 report, then probes on a finite lag grid.
 
-    Per degree: B_n(-t) must equal B_n(t)^T on the probed lags, and the
-    block matrix [B_n(t_i - t_j)] over the grid must be nonnegative
-    definite. Convergence of sum ||B_n(0)|| P_n(1) is checked as in the
-    spatial case. Passing all probes is necessary but, for continuous
-    time, not sufficient for validity on all of R. The probe lags and their
-    differences must be finite; every degree's B_n(s) is read at once, one
-    model.coeff_at call per distinct lag s among the t, -t and t_i - t_j the
-    checks need. A grid of G distinct lags has up to G(G-1)+1 of them, each
-    tabulated as (N+1)m^2 values and indexed at the cost of about 32 more; a
-    grid whose worst case exceeds MAX_LAG_TABLE values is rejected before
-    anything is read. The symmetry probes of every degree and lag are a few array reductions; the
-    report lists each degree's lag findings in grid order, then its block.
+    The probe lags must hold 0, be finite lags of the model's domain, and differ by
+    finite amounts. A model that fails the lag-0 analysis (validate_spatial, which
+    gates simulation) gets that report unchanged. Otherwise each degree is probed:
+    B_n(-t) must equal B_n(t)^T on the probed lags, and the block matrix
+    [B_n(t_i - t_j)] over the grid must be nonnegative definite. Passing all probes
+    is necessary but, for continuous time, not sufficient for validity on all of R.
+    Every degree's B_n(s) is read at once, one model.coeff_at call per distinct
+    difference s = t_i - t_j; with 0 in the grid these include every t and -t. A
+    grid of G distinct lags has up to G(G-1)+1 of them, each tabulated as (N+1)m^2
+    values and indexed at the cost of about 32 more; a grid whose worst case exceeds
+    MAX_LAG_TABLE values is rejected before anything is read. The report lists each
+    degree's lag findings in grid order, then its block.
     """
     lags = [float(t) for t in probe_lags]
     if not lags:
@@ -440,14 +433,19 @@ def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
             f"a probe grid of {len(grid)} distinct lags may need {rows} lag differences "
             f"of {width} coefficients each, over the cap of {MAX_LAG_TABLE} table values"
         )
-    reads = [u for t in grid for u in (t, -t)] + [ti - tj for ti in grid for tj in grid]
-    index = {s: k for k, s in enumerate(dict.fromkeys(reads))}  # in first-read order
+    for t in grid:
+        _require_lag(model.domain, t)
+    lag0 = factor_coefficients(model)[0]
+    if not lag0.valid:
+        return ValidityReport(False, list(lag0.violations))  # validate_spatial's report
+    diffs = [ti - tj for ti in grid for tj in grid]
+    index = {s: k for k, s in enumerate(dict.fromkeys(diffs))}  # in first-read order
     table = np.empty((len(index), model.max_degree + 1, model.m, model.m))
     for s, k in index.items():
         table[k] = model.coeff_at(slice(None), s)
-    pairs = np.array([index[s] for s in reads[2 * len(grid):]]).reshape(len(grid), -1)
-    finite, mismatch, flagged = _lag_symmetry(table[[index[t] for t in grid]],
-                                              table[[index[-t] for t in grid]])
+    pairs = np.array([index[s] for s in diffs]).reshape(len(grid), -1)
+    zero = grid.index(0.0)  # t_i - 0 = t_i and 0 - t_j = -t_j
+    finite, mismatch, flagged = _lag_symmetry(table[pairs[:, zero]], table[pairs[zero]])
     violations: list[Violation] = []
     for n in range(model.max_degree + 1):
         violations += [Violation(n, grid[g], "asymmetric", float(mismatch[g, n])) if finite[g, n]
@@ -455,10 +453,11 @@ def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
                        for g in np.flatnonzero(flagged[:, n])]
         gram = table[pairs, n].transpose(0, 2, 1, 3).reshape(len(grid) * model.m, -1)
         if np.all(np.isfinite(gram)):
+            # G copies of B_n(0) on the diagonal: the floor is G where one matrix's is 1,
+            # so a separable B_n(t) that passes at lag 0 passes here too
             w = np.linalg.eigvalsh(_symmetric_part(gram))
-            if w[0] < -BLOCK_PSD_TOL * max(1.0, w[-1]):
+            if w[0] < -PSD_TOL * max(len(grid), w[-1]):
                 violations.append(Violation(n, "spatial", "indefinite", float(w[0])))
-    _check_convergence(model, violations)
     return ValidityReport(valid=not violations, violations=violations)
 
 

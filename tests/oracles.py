@@ -9,7 +9,8 @@ moving-average paths from one normal draw per time,
 values CSVs and eval-cov tables from csv.writer one row at a time, and
 space-time validity reports from one kernel call per (degree, lag).
 Some are the library's own pieces composed the long way: coefficient roots
-one degree at a time, zonal values one point pair at a time.
+one degree at a time, zonal values one point pair at a time, quaternion
+moduli as qnorm of a sum of qmul(qconj(x), y) products.
 """
 
 import csv
@@ -214,13 +215,13 @@ def validate_spatiotemporal_per_degree(model, probe_lags):
 
     The reference for the library's one-table-per-lag reading, which must give
     the same report and the same UsageError. It shares the report types, the
-    tolerances and the lag-0 convergence check with the library; only the
+    tolerances, the lag gate and the lag-0 report with the library; only the
     reading of B_n(t) is its own.
     """
     from isofield.errors import UsageError
     from isofield.spectral import (
-        BLOCK_PSD_TOL, SYMMETRY_TOL, ValidityReport, Violation, _check_convergence,
-        _symmetric_part,
+        PSD_TOL, SYMMETRY_TOL, ValidityReport, Violation, _require_lag, _symmetric_part,
+        validate_spatial,
     )
 
     lags = [float(t) for t in probe_lags]
@@ -229,6 +230,11 @@ def validate_spatiotemporal_per_degree(model, probe_lags):
     if not any(t == 0.0 for t in lags):
         raise UsageError("probe_lags must contain 0")
     grid = sorted(set(lags))
+    for t in grid:
+        _require_lag(model.domain, t)
+    report = validate_spatial(model)
+    if not report.valid:
+        return report
     violations = []
     coeff_at = model.kernel.coeff_at
     for n in range(model.max_degree + 1):
@@ -246,9 +252,8 @@ def validate_spatiotemporal_per_degree(model, probe_lags):
         gram = blocks.transpose(0, 2, 1, 3).reshape(len(grid) * model.m, -1)
         if np.all(np.isfinite(gram)):
             w = np.linalg.eigvalsh(_symmetric_part(gram))
-            if w[0] < -BLOCK_PSD_TOL * max(1.0, w[-1]):
+            if w[0] < -PSD_TOL * max(len(grid), w[-1]):
                 violations.append(Violation(n, "spatial", "indefinite", float(w[0])))
-    _check_convergence(model, violations)
     return ValidityReport(valid=not violations, violations=violations)
 
 
@@ -268,6 +273,34 @@ def zonal(space, n: int, x, y) -> float:
     return float(jacobi_normalized(n, space.geom, cos_distance(space, x, y)))
 
 
+_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def qmul(q1, q2):
+    """Hamilton product of (..., 4) quaternion arrays (w, x, y, z), broadcasting over
+    leading axes."""
+    w1, x1, y1, z1 = np.moveaxis(np.asarray(q1, dtype=float), -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(np.asarray(q2, dtype=float), -1, 0)
+    return np.stack(
+        [
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ],
+        axis=-1,
+    )
+
+
+def qconj(q):
+    return np.asarray(q, dtype=float) * _CONJ_SIGNS
+
+
+def qnorm(q):
+    q = np.asarray(q, dtype=float)
+    return np.sqrt(np.sum(q * q, axis=-1))
+
+
 def qrandn_unit(rng, shape=()) -> np.ndarray:
     """Unit quaternions uniform on S^3, drawn from the given generator."""
     g = rng.standard_normal(tuple(shape) + (4,))
@@ -278,7 +311,6 @@ def regauge(space, x, rng):
     """The same point with a random equivalent representative: a sign on projR, a unit
     complex scalar on projC, a right unit-quaternion factor on projH; spheres unchanged."""
     from isofield import Point, SpaceFamily
-    from isofield.quaternions import qmul
 
     family = space.family
     if family is SpaceFamily.REAL_PROJECTIVE:

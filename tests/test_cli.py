@@ -600,10 +600,8 @@ def test_overflowing_asymmetry_is_reported_without_warnings(tmp_path):
     code, err = _run_cli(["validate", "--model", str(path), "--format", "csv",
                           "--out", str(out)])
     assert code == 1 and "Warning" not in err
-    rows = out.read_text().splitlines()
-    assert rows[0] == "degree,lag,kind,magnitude" and len(rows) == 6
-    assert rows[3] == "0,0.0,asymmetric,inf"
-    assert all(",asymmetric," in row for row in rows[1:])
+    assert out.read_text().splitlines() == ["degree,lag,kind,magnitude",
+                                            "0,spatial,asymmetric,inf"]
 
 
 BOUNDARY_INPUTS = {
@@ -640,6 +638,53 @@ def test_boundary_inputs_exit_two_naming_the_field(tmp_path, capsys, case):
     assert main([*argv, "--model", str(model), "--out", str(out)]) == 2
     assert capsys.readouterr().err == message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--model", "--points"])
+def test_input_that_is_not_utf8_exits_two_naming_the_file_and_byte(tmp_path, capsys, flag):
+    model = tmp_path / "model.json"
+    model.write_text(EXPONENTIAL_DOC)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1,0,0\n0,1,0\n\xff\xfe0,0,1\n")
+    argv = {"--model": ["validate", "--model", str(bad)],
+            "--points": ["simulate", "--model", str(model), "--points", str(bad)]}[flag]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    name = str(bad) if flag == "--model" else f"point file {str(bad)!r}"
+    assert capsys.readouterr().err == (
+        f"error: {name}: not UTF-8 text (byte 0xff at offset 12)\n")
+    assert not out.exists()
+
+
+# ROADMAP item 2's models: each passes the lag-table probes on some grids, but its stored
+# matrix is indefinite at lag 0, so simulate refuses it and validate must too
+LAG_ZERO_INDEFINITE = {
+    # Sigma_0 = diag(1, -0.1): B_0(0) = Sigma + Phi Sigma Phi^T = diag(1, 0.9)
+    "ma1": ({"space": "sphere:2", "m": 2, "coeffs": [[[1.0, 0.0], [0.0, -0.1]]],
+             "temporal": {"variant": "ma1", "phi": [[0.0, 0.0], [1.0, 0.0]]}}, -0.1),
+    # within the block test's old tolerance of 1e-9, outside PSD_TOL = 1e-10
+    "exponential": ({"space": "sphere:2", "m": 2, "coeffs": [[[1.0, 0.0], [0.0, -5e-10]]],
+                     "temporal": {"variant": "exponential", "theta": 1.0}}, -5e-10),
+}
+
+
+@pytest.mark.parametrize("name", LAG_ZERO_INDEFINITE)
+def test_lag_zero_indefinite_model_fails_validate_as_simulate(tmp_path, capsys, name):
+    doc, magnitude = LAG_ZERO_INDEFINITE[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    violation = {"degree": 0, "lag": "spatial", "kind": "indefinite", "magnitude": magnitude}
+    for lags in ([], ["--lags", "0"], ["--lags", "0,3"]):
+        assert main(["validate", "--model", str(path), *lags]) == 1
+        assert json.loads(capsys.readouterr().out) == {"valid": False, "violations": [violation]}
+    out = tmp_path / "run.csv"
+    argv = ["simulate", "--model", str(path), "--points", "random:3", "--times", "0,1"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "degree 0 lag spatial: indefinite" in capsys.readouterr().err
+    assert not out.exists()
+    if name == "ma1":  # the lag gate comes first: a real lag on Z is still a usage error
+        assert main(["validate", "--model", str(path), "--lags", "0,0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: lag 0.5 is not an integer")
 
 
 @pytest.mark.parametrize("label", ["projR:2000", "sphere:1001"])

@@ -195,3 +195,11 @@ class TestSchemaErrors:
         path.write_text("{not json")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_not_utf8_names_the_file_and_byte(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"space": "sphere:2", "m": 1, "coeffs": [[[1.0]]], "note": "\xe9"}'
+                         .encode("latin-1"))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (byte 0xe9 at offset 60)"

@@ -26,7 +26,9 @@ from isofield import (
 from isofield import spaces
 from isofield.jacobi import JacobiParams
 from isofield.spaces import cos_distance_batch
-from tests.oracles import dim_eigenspace_mp, qrandn_unit, regauge, zonal
+from tests.oracles import (
+    dim_eigenspace_mp, qconj, qmul, qnorm, qrandn_unit, regauge, zonal,
+)
 
 SAMPLEABLE = ["sphere:2", "projR:3", "projC:4", "projH:8"]
 
@@ -120,6 +122,17 @@ class TestVolumes:
 
 
 class TestDistance:
+    @pytest.mark.parametrize("label", ["projH:8", "projH:12"])
+    def test_quaternion_moduli_equal_the_hamilton_product_reference(self, label):
+        # the same operations in the same order as the reference, so the same bits
+        s = parse_space(label)
+        rng = np.random.default_rng(16)
+        base = sample_uniform(s, rng).coords
+        for reps in (sample_uniform_batch(s, 20_000, rng),
+                     rng.standard_normal((5_000, *base.shape))):
+            want = qnorm(np.sum(qmul(qconj(reps), base), axis=-2))
+            assert np.array_equal(spaces._hdot(reps, base), want)
+
     def test_sphere_antipodal(self):
         s = parse_space("sphere:2")
         x = make_point(s, [0, 0, 1])
@@ -183,8 +196,6 @@ class TestDistance:
             assert distance(s, xt, yt) == pytest.approx(distance(s, x, y), abs=1e-10)
 
     def test_quaternion_isometries(self):
-        from isofield.quaternions import qmul
-
         s = parse_space("projH:8")
         rng = np.random.default_rng(15)
         # real orthogonal mixing of the quaternion coordinates commutes with

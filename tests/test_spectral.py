@@ -35,7 +35,7 @@ from isofield import (
 )
 from isofield.errors import ParameterError
 from isofield.jacobi import jacobi_at_one
-from isofield.spectral import SPATIAL, ZERO_LAG
+from isofield.spectral import INTEGER_LAGS, SPATIAL, ZERO_LAG, factor_coefficients
 from tests.oracles import ma1_lag_cov_mc, random_psd, validate_spatiotemporal_per_degree
 
 S2 = parse_space("sphere:2")
@@ -63,6 +63,22 @@ class LopsidedKernel:
         if t == -1.0:
             return 0.25 * coeffs[n]
         return coeffs[n] if t == 0.0 else np.zeros_like(coeffs[n])
+
+
+class OverflowingKernel:
+    # B(0) = B; away from lag 0, B + [[0, 1.5e308], [-1.5e308, 0]] ("skew") or 1e308 B
+    domain = "reals"
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def coeff_at(self, n, t, coeffs):
+        if t == 0.0:
+            return coeffs[n]
+        with np.errstate(over="ignore"):
+            if self.kind == "skew":
+                return coeffs[n] + np.array([[0.0, 1.5e308], [-1.5e308, 0.0]])
+            return 1e308 * coeffs[n]
 
 
 class ExplosiveKernel:
@@ -274,7 +290,7 @@ class TestLagTable:
         model = SeriesModel(S2, 2, [1e308 * np.eye(2)] * 2, VectorMA1(phi * np.eye(2)))
         got = _validate_outcome(validate_spatiotemporal, model, LAGS)
         assert got == _validate_outcome(validate_spatiotemporal_per_degree, model, LAGS)
-        assert ("'lag': 0.0, 'kind': 'divergent'" in got) == (phi > 1.0)
+        assert ("'degree': 0, 'lag': 'spatial', 'kind': 'divergent'" in got) == (phi > 1.0)
 
     def test_cov_table_shaped_model_equals_the_reference(self):
         # projC:4, m = 3, N = 60, 41 regular real lags: the benchmark's validate step
@@ -310,10 +326,10 @@ class TestLagTable:
         read = model.coeff_at
         model.coeff_at = lambda n, t=0.0: calls.append((n, t)) or read(n, t)
         validate_spatiotemporal(model, [0.0, 0.5, 1.25])
-        # t and -t per grid lag, then each t_i - t_j, in first-read order; the last
-        # call is the lag-0 convergence check
-        table_lags = [0.0, 0.5, -0.5, 1.25, -1.25, -0.75, 0.75]
-        assert calls == [(slice(None), s) for s in table_lags + [0.0]]
+        # the lag-0 analysis reads B(0), then the table each t_i - t_j, in first-read order
+        table_lags = [0.0, -0.5, -1.25, 0.5, -0.75, 1.25, 0.75]
+        assert calls == [(slice(None), s) for s in [0.0] + table_lags]
+        assert len(set(table_lags)) == len(table_lags)
 
     def test_grid_over_the_cap_is_rejected_before_the_table(self):
         # (N+1) m^2 = 549: 131 irregular lags may need 131*130+1 differences of
@@ -341,18 +357,33 @@ class TestLagTable:
         assert peak < 1_000_000  # the table would hold 17,293 x 549 float64s, 76 MB
 
     def test_overflowing_mismatch_reads_inf_without_a_warning(self):
-        # B(-t) - B(t)^T = (1.5e308 + 1.5e308) r(t) overflows where r(t) > 0.6: at lag 0 here
+        # B - B^T = 1.5e308 + 1.5e308 overflows: the lag-0 report, with no grid probe
         model = SeriesModel(S2, 2, [[[1.0, 1.5e308], [-1.5e308, 1.0]]],
                             SeparableScalar("exponential", 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = validate_spatiotemporal(model, LAGS)
-        assert [(v.degree, v.lag, v.kind) for v in report.violations] == [
-            (0, t, "asymmetric") for t in LAGS]
-        assert report.violations[2].magnitude == math.inf
-        with np.errstate(over="ignore"):
-            want = validate_spatiotemporal_per_degree(model, LAGS)
+        assert [v.as_dict() for v in report.violations] == [
+            {"degree": 0, "lag": "spatial", "kind": "asymmetric", "magnitude": math.inf}]
+        assert report == validate_spatial(model)
+        want = validate_spatiotemporal_per_degree(model, LAGS)
         assert repr(report.as_dict()) == repr(want.as_dict())
+
+    @pytest.mark.parametrize("kind", ["skew", "overflow"])
+    def test_overflowing_lag_table_of_a_user_kernel_reads_inf_without_a_warning(self, kind):
+        # B = 10 I passes at lag 0; away from it the table holds B + S with
+        # S = [[0, 1.5e308], [-1.5e308, 0]], whose mismatch B(-t) - B(t)^T = 2S overflows,
+        # or 1e308 B, which overflows itself
+        model = SeriesModel(S2, 2, [10.0 * np.eye(2)], OverflowingKernel(kind))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_spatiotemporal(model, LAGS)
+        want = "asymmetric" if kind == "skew" else "divergent"
+        assert [(v.degree, v.lag, v.kind, v.magnitude) for v in report.violations] == [
+            (0, t, want, math.inf) for t in LAGS if t != 0.0]
+        with np.errstate(over="ignore"):
+            oracle = validate_spatiotemporal_per_degree(model, LAGS)
+        assert repr(report.as_dict()) == repr(oracle.as_dict())
 
     @pytest.mark.parametrize("kind, param", [("ar1", 0.0), ("exponential", 800.0)])
     def test_zero_correlation_of_non_finite_coefficient_is_divergent(self, kind, param):
@@ -406,6 +437,49 @@ def test_reports_equal_the_per_degree_reference_on_generated_models(model_and_la
     model, lags = model_and_lags
     got = _validate_outcome(validate_spatiotemporal, model, lags)
     assert got == _validate_outcome(validate_spatiotemporal_per_degree, model, lags)
+
+
+@st.composite
+def _built_in_models_and_grids(draw):
+    """A model of a built-in kernel over valid, indefinite, asymmetric or near-tolerance
+    (diag(1, ..., -k 1e-10)) stacks, and a probe grid in its lag domain (None: the default)."""
+    kernel = draw(st.sampled_from(["spatial", "pure_spatial", "exponential", "ar1", "ma1"]))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["psd", "rank_deficient", "indefinite", "asymmetric", "near_tolerance"]),
+            min_size=1, max_size=3)):
+        if kind == "near_tolerance":
+            coeffs.append(np.diag([1.0] * (m - 1) + [-1e-10 * draw(st.integers(0, 20))]))
+        else:
+            coeffs.append(_coefficient(kind, m, rng))
+    if kernel == "exponential":
+        temporal = SeparableScalar(kernel, draw(st.floats(0.05, 5.0)))
+    elif kernel == "ar1":
+        temporal = SeparableScalar(kernel, draw(st.floats(-0.95, 0.95)))
+    elif kernel == "ma1":
+        temporal = VectorMA1(rng.uniform(-1.5, 1.5, (m, m)))
+    else:
+        temporal = SPATIAL if kernel == "spatial" else PureSpatial()
+    model = SeriesModel(S2, m, coeffs, temporal)
+    if kernel == "spatial" or draw(st.booleans()):
+        return model, None
+    if model.domain == INTEGER_LAGS or draw(st.booleans()):
+        lags = [float(k) for k in draw(st.lists(st.integers(-4, 4), max_size=6))]
+    else:
+        lags = draw(st.lists(st.floats(-3.0, 3.0), max_size=6))
+    return model, [0.0] + lags
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_built_in_models_and_grids())
+def test_validate_passes_only_what_the_lag_zero_analysis_passes(model_and_lags):
+    model, lags = model_and_lags
+    report, lag0 = model.validate(lags), factor_coefficients(model)[0]
+    assert lag0.valid or report == lag0
+    if report.valid:
+        assert lag0.valid
 
 
 class TestEvalCov:
