@@ -32,7 +32,7 @@ from .spaces import (
     sample_uniform,
     sample_uniform_batch,
 )
-from .spectral import angular_power_spectrum, eval_cov, truncation_bound
+from .spectral import _eval_cov_lags, angular_power_spectrum, truncation_bound
 from .verify import check_space_identities, mc_funk_hecke, mc_zonal_covariance
 
 DEFAULT_SEED = 0xC0FFEE
@@ -194,12 +194,12 @@ def cmd_eval_cov(args) -> int:
     model = load_model(args.model)
     rhos = _parse_grid(args.rho_grid)
     lags = _parse_lags(args.lags)
+    if not lags:
+        raise UsageError(f"--lags needs at least one lag, got {args.lags!r}")
     _require_values("--rho-grid and --lags", len(rhos), len(lags), model.m**2)
     trunc = args.trunc if args.trunc is not None else model.max_degree
     bound = truncation_bound(model, trunc)
-    covs = np.empty((len(rhos), len(lags), model.m, model.m))
-    for k, lag in enumerate(lags):
-        covs[:, k] = eval_cov(model, rhos, lag, trunc)
+    covs = _eval_cov_lags(model, rhos, lags, trunc).swapaxes(0, 1)
     if args.format == "json":
         rows = [row for r, rho in enumerate(rhos) for lag, cov in zip(lags, covs[r])
                 for row in _entry_rows(cov, rho=float(rho), lag=lag, tail_bound=bound)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,13 +74,19 @@ def jacobi_all(N: int, params: JacobiParams, x) -> np.ndarray:
     p[0] = 1.0
     if N >= 1:
         p[1] = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-    for k in range(2, N + 1):
-        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * k + a + b - 1.0) * (2.0 * k + a + b) * (2.0 * k + a + b - 2.0)
-        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
+    for k, (c1, c2, c3, c4) in enumerate(_recurrence(N, a, b), 2):
         p[k] = ((c2 + c3 * x) * p[k - 1] - c4 * p[k - 2]) / c1
     return p
+
+
+@lru_cache(maxsize=64, typed=True)
+def _recurrence(N: int, a, b) -> tuple:
+    """The coefficients (c1, c2, c3, c4) of each recurrence step k = 2..N."""
+    return tuple((2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0),
+                  (2.0 * k + a + b - 1.0) * (a * a - b * b),
+                  (2.0 * k + a + b - 1.0) * (2.0 * k + a + b) * (2.0 * k + a + b - 2.0),
+                  2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b))
+                 for k in range(2, N + 1))
 
 
 def jacobi_eval(n: int, params: JacobiParams, x):

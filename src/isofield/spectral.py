@@ -38,6 +38,7 @@ INTEGER_LAGS = "integers"
 REAL_LAGS = "reals"
 ZERO_LAG = "zero"  # a purely spatial model: lag 0 only
 DEFAULT_PROBE_LAGS = (-2.0, -1.0, 0.0, 1.0, 2.0)  # SeriesModel.validate's grid for probe_lags=None
+_CONTRACT_BLOCK = 1 << 17  # Jacobi-table values per block of eval_cov's distances (terms: m^2 x)
 
 
 @dataclass(frozen=True)
@@ -485,20 +486,37 @@ def eval_cov(model, rho, t: float = 0.0, trunc: int | None = None) -> np.ndarray
     (*rho.shape, m, m), so (m, m) for a scalar. Spatial models require
     t = 0. The neglected degrees are bounded by truncation_bound(model, trunc).
     A divergent series raises ModelError (see require_finite).
+
+    The terms B_n(t) P_n(cos rho) are summed in degree order, which fixes the
+    output bytes; the eval-cov command reads every lag from one Jacobi table.
     """
+    return _eval_cov_lags(model, rho, [t], trunc)[0]
+
+
+def _eval_cov_lags(model, rho, lags, trunc) -> np.ndarray:
+    """eval_cov at each lag, stacked: (len(lags), *rho.shape, m, m); each block of
+    distances has one Jacobi table for every lag."""
     require_finite(model)
     trunc = _resolve_trunc(model, trunc)
     rho = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho)):
         raise DomainError(f"distances must be finite, got {rho[~np.isfinite(rho)]}")
-    # libm cos per distance: np.cos may round differently and shift output bytes
-    x = np.array([math.cos(r) for r in rho.ravel().tolist()]).reshape(rho.shape)
-    pn = jacobi_all(trunc, model.space.geom, x)[..., None, None]
-    bs = model.coeff_at(slice(trunc + 1), t)
-    out = np.zeros(rho.shape + (model.m, model.m))
-    for n in range(trunc + 1):  # in degree order: the sum's rounding is the output's bytes
-        out += bs[n] * pn[n]
-    return out
+    bs = [model.coeff_at(slice(trunc + 1), t).reshape(trunc + 1, -1, 1) for t in lags]
+    flat, step = rho.reshape(-1), max(1, _CONTRACT_BLOCK // (trunc + 1))
+    out = np.empty((len(lags), flat.size, model.m, model.m))
+    for i in range(0, flat.size, step):
+        block = flat[i:i + step] if rho.ndim else rho  # 0-d: the recurrence runs on scalars
+        # libm cos per distance: np.cos may round differently and shift output bytes
+        x = np.array([math.cos(r) for r in block.ravel().tolist()]).reshape(block.shape)
+        pn = jacobi_all(trunc, model.space.geom, x).reshape(trunc + 1, 1, -1)
+        for k, terms in enumerate(b * pn for b in bs):  # (degrees, m * m, distances)
+            # Degree order fixes the bytes: reduce adds degree by degree across values but
+            # pairwise within one value, which takes accumulate; + 0.0 gives the +0.0 that a
+            # sum from zeros gives when every term is -0.0.
+            total = (np.add.reduce(terms, axis=0) if terms[0].size > 1
+                     else np.add.accumulate(terms, axis=0)[-1])
+            np.add(total.T.reshape(-1, model.m, model.m), 0.0, out=out[k, i:i + step])
+    return out.reshape((len(lags),) + rho.shape + (model.m, model.m))
 
 
 def truncation_bound(model, N: int) -> float:

@@ -6,7 +6,8 @@ moments, eigenspace dimensions from high-precision gamma evaluation,
 moving-average covariances from direct simulation of the process,
 exponential-kernel paths from a Cholesky factor of the time-grid correlation,
 moving-average paths from one normal draw per time,
-values CSVs and eval-cov tables from csv.writer one row at a time, and
+values CSVs and eval-cov tables from csv.writer one row at a time,
+covariance partial sums from one += per degree, and
 space-time validity reports from one kernel call per (degree, lag).
 Some are the library's own pieces composed the long way: coefficient roots
 one degree at a time, zonal values one point pair at a time, quaternion
@@ -208,6 +209,26 @@ def eval_cov_output(rhos, lags, covs, tail_bound, fmt: str) -> str:
     for row in rows:
         writer.writerow([row[h] for h in header])
     return out.getvalue()
+
+
+def eval_cov_per_degree(model, rho, t: float = 0.0, trunc=None) -> np.ndarray:
+    """The covariance partial sum as one += per degree onto zeros, in degree order.
+
+    The reference for the library's one-pass contraction, which must agree bit
+    for bit, signed zeros included. It shares the Jacobi table and the B_n(t)
+    reading with the library; only the summation is its own.
+    """
+    from isofield.jacobi import jacobi_all
+
+    n_max = model.max_degree if trunc is None else trunc
+    rho = np.asarray(rho, dtype=float)
+    x = np.array([math.cos(r) for r in rho.ravel().tolist()]).reshape(rho.shape)
+    pn = jacobi_all(n_max, model.space.geom, x)[..., None, None]
+    bs = model.coeff_at(slice(n_max + 1), t)
+    out = np.zeros(rho.shape + (model.m, model.m))
+    for n in range(n_max + 1):
+        out += bs[n] * pn[n]
+    return out
 
 
 def validate_spatiotemporal_per_degree(model, probe_lags):

@@ -217,11 +217,34 @@ class TestEvalCovBytes:
             assert ",-0.0," in want or "-0.0" not in lag_text
             assert "\r\n0.0," in want and f"\r\n{math.pi!r}," in want
 
-    def test_no_lags_writes_the_header_only(self, spatial_model_file, tmp_path):
+    def test_no_lags_exits_two_naming_the_flag(self, spatial_model_file, tmp_path, capsys):
+        # an empty list once wrote the header alone and exited 0, where validate --lags ""
+        # and simulate --times "" exit 2
         path, _ = spatial_model_file
         out = tmp_path / "table.csv"
-        assert main(["eval-cov", "--model", str(path), "--lags=,", "--out", str(out)]) == 0
-        assert out.read_bytes() == b"rho,lag,component_i,component_j,value,tail_bound\r\n"
+        for lag_text in ("", ",", " , "):
+            assert main(["eval-cov", "--model", str(path), f"--lags={lag_text}",
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: --lags needs at least one lag, got {lag_text!r}\n"
+            assert not out.exists()
+
+    def test_one_jacobi_table_for_every_lag(self, exponential_model_file, tmp_path,
+                                           monkeypatch):
+        path, model = exponential_model_file
+        lags = ",".join(repr(0.25 * k) for k in range(-4, 5))
+        want = [eval_cov(model, np.linspace(0.0, 3.0, 60), float(t)) for t in lags.split(",")]
+        calls = []
+        table = isofield.spectral.jacobi_all
+        monkeypatch.setattr(isofield.spectral, "jacobi_all",
+                            lambda *args: calls.append(args[0]) or table(*args))
+        out = tmp_path / "table.csv"
+        assert main(["eval-cov", "--model", str(path), "--rho-grid", "0:3:60",
+                     f"--lags={lags}", "--out", str(out)]) == 0
+        assert calls == [model.max_degree]
+        rows = list(csv.DictReader(out.open(newline="")))
+        got = np.array([float(r["value"]) for r in rows]).reshape(60, 9).T
+        assert np.array_equal(got, np.array(want)[..., 0, 0])
 
 
 class TestSimulate:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -35,8 +36,12 @@ from isofield import (
 )
 from isofield.errors import ParameterError
 from isofield.jacobi import jacobi_at_one
-from isofield.spectral import INTEGER_LAGS, SPATIAL, ZERO_LAG, factor_coefficients
-from tests.oracles import ma1_lag_cov_mc, random_psd, validate_spatiotemporal_per_degree
+from isofield.spectral import (
+    _CONTRACT_BLOCK, INTEGER_LAGS, REAL_LAGS, SPATIAL, ZERO_LAG, factor_coefficients,
+)
+from tests.oracles import (
+    eval_cov_per_degree, ma1_lag_cov_mc, random_psd, validate_spatiotemporal_per_degree,
+)
 
 S2 = parse_space("sphere:2")
 LAGS = [-2.0, -1.0, 0.0, 1.0, 2.0]
@@ -562,6 +567,55 @@ class TestEvalCov:
         for bad in (float("nan"), float("inf"), float("-inf"), [0.5, float("inf")]):
             with pytest.raises(DomainError):
                 eval_cov(scalar_model([1.0, 0.5]), bad)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bit_equal_to_the_per_degree_sum(self, m):
+        # every built-in kernel on a stack with an all-zero degree and a -0.0 entry in
+        # every degree, and on an all -0.0 stack: at rho = 0 each P_n(1) > 0, so a
+        # -0.0 entry's terms are all -0.0, and the sum from zeros reads +0.0
+        rng = np.random.default_rng(m)
+        mixed = rng.standard_normal((6, m, m))
+        mixed[2] = 0.0
+        mixed[:, 0, -1] = -0.0
+        kernels = [(SPATIAL, [0.0]), (PureSpatial(REAL_LAGS), [-1.5, 0.0, 2.0]),
+                   (SeparableScalar("exponential", 0.8), [-0.7, 0.0, 1.3]),
+                   (SeparableScalar("ar1", -0.4), [-2.0, 0.0, 1.0, 3.0]),
+                   (VectorMA1(0.6 * rng.standard_normal((m, m))), [-1.0, 0.0, 1.0, 2.0])]
+        grid = np.linspace(0.0, math.pi, 6)
+        distances = [0.0, np.asarray(0.9), grid, grid.reshape(2, 3)]
+        for coeffs in (mixed, np.full((6, m, m), -0.0)):
+            for kernel, lags in kernels:
+                model = SeriesModel(S2, m, coeffs, kernel)
+                for rho, t, trunc in itertools.product(distances, lags, [None, *range(6)]):
+                    got = eval_cov(model, rho, t, trunc)
+                    want = eval_cov_per_degree(model, rho, t, trunc)
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want) and np.array_equal(
+                        np.signbit(got), np.signbit(want)), (kernel, t, trunc)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_grid_over_several_blocks_is_bit_equal(self, m):
+        rng = np.random.default_rng(5)
+        coeffs = [random_psd(rng, m, 0.85**n) for n in range(61)]
+        model = SeriesModel(parse_space("projC:4"), m, coeffs, SeparableScalar("exponential", 1.2))
+        # two full blocks and one of a single distance
+        rho = rng.uniform(0.0, math.pi, 2 * (_CONTRACT_BLOCK // 61) + 1)
+        for t in (0.0, -0.4):
+            got, want = eval_cov(model, rho, t), eval_cov_per_degree(model, rho, t)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_memory_is_a_small_multiple_of_the_output(self):
+        # the (N+1)-degree table and terms are held one block of distances at a time
+        model = scalar_model(0.9 ** np.arange(61.0))
+        rho = np.linspace(0.0, math.pi, 200_000)
+        tracemalloc.start()
+        try:
+            out = eval_cov(model, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (200_000, 1, 1)
+        assert peak <= 4 * out.nbytes
 
 
 class TestEvalCovSymmetrized:
