@@ -48,7 +48,6 @@ from .spaces import (
     make_point,
     make_space,
     parse_space,
-    sample_uniform,
     sample_uniform_batch,
     sphere_volume,
 )

@@ -29,7 +29,6 @@ from .spaces import (
     normalize_points,
     parse_space,
     points_from_reals,
-    sample_uniform,
     sample_uniform_batch,
 )
 from .spectral import _eval_cov_lags, angular_power_spectrum, truncation_bound
@@ -143,6 +142,8 @@ def resolve_points(space, spec: str, seed: int) -> np.ndarray:
         if len(rows[-1]) != len(rows[0]):
             raise UsageError(f"point file {spec!r}: line {k} has {len(rows[-1])} values "
                              f"where the lines before it have {len(rows[0])}")
+        if not any(rows[-1]) or not all(map(math.isfinite, rows[-1])):
+            raise UsageError(f"point file {spec!r}: line {k} holds a zero or non-finite point")
     if not rows:
         raise UsageError(f"no points found in {spec!r}")
     reals = np.array(rows)
@@ -269,9 +270,7 @@ def cmd_check(args) -> int:
             rec.update({"estimate": rec.pop("value"), "std_error": None, "z": None})
             records.append(rec)
     for space in mc_spaces:
-        rng = substream(args.seed, 3)
-        x1 = sample_uniform(space, rng)
-        x2 = sample_uniform(space, rng)
+        x1, x2 = sample_uniform_batch(space, 2, substream(args.seed, 3))
         for i, j in ((0, 0), (1, 1), (2, 1), (1, 3)):
             est = mc_funk_hecke(space, i, j, x1, x2, replicates=rep, seed=args.seed + i * 7 + j)
             records.append(_mc_record(space, f"funk_hecke_{i}_{j}", FUNK_HECKE_IDENTITY, est))

@@ -34,14 +34,13 @@ from . import __version__, modelio
 from .errors import ModelError, NumericError, UsageError
 from .jacobi import jacobi_all
 from .spaces import (
-    Point,
     SpaceParams,
     a_constant,
     cos_distance_batch,
     point_array,
     points_sha256,
     points_to_reals,
-    sample_uniform,
+    sample_uniform_batch,
 )
 from .spectral import ZERO_LAG, SeriesModel, _require_lag, _resolve_trunc, factor_coefficients
 from .spectral import truncation_bound
@@ -71,7 +70,8 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 class Realization:
     """Simulated field values plus the latent draws that produced them.
 
-    points is the (K, *ambient_shape) array of unit representatives and
+    points is the (K, *ambient_shape) array of unit representatives,
+    latent_u the (*ambient_shape,) representative of the latent point U, and
     values has shape (K, len(times), m). latent_v[n, i, :] is
     the degree-n series coefficient at times[i] (the V_n(t) of the series,
     including the a_n and coefficient-matrix factors), so the field at any
@@ -83,7 +83,7 @@ class Realization:
     points: np.ndarray = field(repr=False)
     times: list[float]
     values: np.ndarray = field(repr=False)
-    latent_u: Point = field(repr=False)
+    latent_u: np.ndarray = field(repr=False)
     latent_v: np.ndarray = field(repr=False)
     trunc: int
     seed: int
@@ -118,7 +118,7 @@ def simulate_spatiotemporal(
     the model; non-finite values raise NumericError. Times must be finite,
     strictly increasing and in the model's lag domain, so a purely spatial
     model accepts the time grid [0.0] only. `points` is a (K, *ambient_shape) array of unit
-    representatives or a sequence of Points of the space.
+    representatives, or a sequence of such rows or of make_point results of the space.
     """
     times = [_require_lag(model.domain, t) for t in times]
     if not times:
@@ -133,7 +133,7 @@ def simulate_spatiotemporal(
     trunc = _resolve_trunc(model, trunc)
     space = model.space
     points = point_array(space, points)
-    u = sample_uniform(space, substream(seed, 0))
+    u = sample_uniform_batch(space, 1, substream(seed, 0))[0]
     sample_path = getattr(model.kernel, "sample_path", None)
     if sample_path is None:
         raise UsageError(f"unsupported temporal kernel {type(model.kernel).__name__}")
@@ -184,7 +184,7 @@ def save_realization(real: Realization, csv_path, *, points_spec=None) -> tuple[
         "model_hash": real.model_hash,
         "tail_bound": truncation_bound(real.model, real.trunc),
         "times": [float(t) for t in real.times],
-        "latent_u": points_to_reals(real.latent_u.coords[None])[0].tolist(),
+        "latent_u": points_to_reals(real.latent_u[None])[0].tolist(),
         "point_count": npts,
         "points_sha256": points_sha256(real.points),
     }

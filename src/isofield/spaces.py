@@ -14,8 +14,15 @@ Laplace-Beltrami eigenvalues. All series expansions use the geometric pair.
 
 Every decision that depends on the family (parameter pairs, dimension
 rule, point layout, inner product, sampling) is one row of the
-family table `_FAMILIES`, which every other function reads. A point set
-is one (K, *ambient_shape) array of unit representatives.
+family table `_FAMILIES`, which every other function reads.
+
+A point is one unit representative of shape ambient_shape(space): a real
+(d+1)-vector on S^d and projR:d (modulo sign there), a complex (d/2+1)-vector
+on projC:d modulo a unit scalar, a (d/4+1, 4) array of quaternion components
+on projH:d modulo a right unit quaternion. Gauges are never canonicalized;
+consumers use gauge-invariant inner products. A point set stacks K points
+into one (K, *ambient_shape) array; every computation takes such arrays, and
+make_point alone returns a Point, which point_array unwraps.
 """
 
 from __future__ import annotations
@@ -76,17 +83,7 @@ class SpaceParams:
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """A single point given by a unit-norm representative in the ambient space.
-
-    Sphere: real unit vector of length d+1. Real projective: the same,
-    modulo sign. Complex projective: complex unit vector of length d/2+1,
-    modulo a unit-complex scalar. Quaternionic projective: array
-    (d/4+1, 4) of quaternion components, modulo a unit-quaternion right
-    scalar. These layouts are the `ambient` and `dtype` of the family
-    table `_FAMILIES`; a point set stacks them into one array (see
-    point_array). Gauge choices are never canonicalized; all consumers go
-    through gauge-invariant inner products.
-    """
+    """What make_point returns: one unit representative (coords) tagged with its space."""
 
     family: SpaceFamily
     d: int
@@ -294,33 +291,52 @@ def _stack(space: SpaceParams, reps) -> np.ndarray:
 
 def _norms(reps: np.ndarray) -> np.ndarray:
     """Euclidean norm of each stacked representative, keeping its axes; inf
-    where the squares overflow, which the callers reject."""
+    where the squares overflow."""
     with np.errstate(over="ignore"):
         return np.sqrt(np.add.reduce(np.abs(reps) ** 2, tuple(range(1, reps.ndim)), keepdims=True))
 
 
 def normalize_points(space: SpaceParams, reps) -> np.ndarray:
-    """Stacked coordinates (K, *ambient_shape), each row scaled to unit norm."""
+    """Stacked coordinates (K, *ambient_shape), each row scaled to unit norm.
+
+    A row whose sum of squares is zero, subnormal (norm below 2**-511) or
+    overflows is first divided by its largest real component, so that every
+    finite nonzero row normalizes; every other row divides by its norm.
+    """
     reps = _stack(space, reps)
     norms = _norms(reps)
-    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
-    if bad.size:
-        raise UsageError(f"point representative {bad[0]} must be nonzero and finite")
+    odd = ~((norms >= 2.0**-511) & (norms < np.inf))
+    if odd.any():
+        axes = tuple(range(1, reps.ndim))
+        big = np.maximum(np.abs(reps.real), np.abs(reps.imag)).max(axes, keepdims=True)
+        bad = np.flatnonzero(odd & ~((big > 0.0) & (big < np.inf)))
+        if bad.size:
+            raise UsageError(f"point representative {bad[0]} must be nonzero and finite")
+        reps = reps / np.where(odd, big, 1.0)
+        norms = _norms(reps)
     return reps / norms
 
 
 def point_array(space: SpaceParams, points) -> np.ndarray:
     """A point set as one (K, *ambient_shape) array of unit representatives.
 
-    Takes such an array, checked but never renormalized, or a sequence of
-    Points of this space, stacked once.
+    Takes such an array, checked but never renormalized, or a sequence of rows
+    or of make_point results of this space, stacked once. This is where points
+    from outside the library are checked.
     """
+    shape = ambient_shape(space)  # GeometryError first for a space without points
     if not isinstance(points, np.ndarray):
-        points = list(points)
-        if points and isinstance(points[0], Point):
-            _check_same_space(space, *points)
-            points = [p.coords for p in points]
-        points = np.array(points) if points else np.empty((0, *ambient_shape(space)))
+        rows = []
+        for p in points:
+            if isinstance(p, Point):
+                if p.family is not space.family or p.d != space.d:
+                    raise UsageError(f"point of {p.family.value}:{p.d} used with space {space.label}")
+                p = p.coords
+            rows.append(p)
+        try:
+            points = np.array(rows) if rows else np.empty((0, *shape))
+        except ValueError:  # rows of differing shapes
+            raise UsageError(f"points of {space.label} must all have shape {shape}") from None
     reps = _stack(space, points)
     unit = np.abs(_norms(reps).ravel() - 1.0) <= _DOT_CLAMP_TOL
     if not unit.all():
@@ -361,17 +377,6 @@ def make_point(space: SpaceParams, coords) -> Point:
     return Point(family=space.family, d=space.d, coords=rep)
 
 
-def _check_same_space(space: SpaceParams, *pts: Point) -> None:
-    _point_family(space)
-    for pt in pts:
-        if not isinstance(pt, Point):
-            raise UsageError(f"expected a Point of {space.label}, got {type(pt).__name__}")
-        if pt.family is not space.family or pt.d != space.d:
-            raise UsageError(
-                f"point of {pt.family.value}:{pt.d} used with space {space.label}"
-            )
-
-
 def _inner(space: SpaceParams, reps: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Clamped family inner product of each stacked representative with u."""
     row = _point_family(space)
@@ -382,36 +387,31 @@ def _inner(space: SpaceParams, reps: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(t, -1.0), 1.0)
 
 
-def cos_distance(space: SpaceParams, x: Point, y: Point) -> float:
-    _check_same_space(space, x)
-    return float(cos_distance_batch(space, y, x.coords[None])[0])
-
-
-def cos_distance_batch(space: SpaceParams, x: Point, reps: np.ndarray) -> np.ndarray:
-    """cos rho(rep, x) for each of a stacked batch of representatives, rounding
-    as cos_distance(space, rep, x) does: t on spheres, cos(2 arccos t) = 2t^2 - 1
-    on projective spaces."""
-    _check_same_space(space, x)
-    t = _inner(space, np.asarray(reps), x.coords)
+def cos_distance_batch(space: SpaceParams, x: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """cos rho(rep, x) for each of a stacked batch of unit representatives and
+    one unit representative x: t on spheres, cos(2 arccos t) = 2t^2 - 1 on
+    projective spaces."""
+    t = _inner(space, np.asarray(reps), x)
     return 2.0 * t * t - 1.0 if _FAMILIES[space.family].projective else t
 
 
-def distance(space: SpaceParams, x: Point, y: Point) -> float:
-    """Geodesic distance in [0, pi].
+def distance(space: SpaceParams, x, y) -> float:
+    """Geodesic distance in [0, pi] between two points, each a unit
+    representative row or a make_point result.
 
     Spheres: arccos of the dot product. Projective spaces:
     2 arccos |<x, y>| with the family's inner product, which puts the
     antipodal manifold exactly at distance pi. Taken from the inner
-    product, not from arccos of cos_distance, which loses precision near 0.
+    product, not from arccos of cos_distance_batch, which loses precision near 0.
     """
-    _check_same_space(space, x, y)
-    t = _inner(space, x.coords[None], y.coords)[0]
+    x, y = point_array(space, [x, y])
+    t = _inner(space, x[None], y)[0]
     return float(2.0 * np.arccos(t) if _FAMILIES[space.family].projective else np.arccos(t))
 
 
 def sample_uniform_batch(space: SpaceParams, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k stacked representatives of independent uniform points, equal to k
-    successive sample_uniform draws.
+    """k stacked representatives of independent uniform points; a batch of k
+    draws the same values as k successive batches of one.
 
     Standard Gaussian vectors in the ambient real coordinates, normalized;
     the induced law on the quotient is invariant under the isometry group,
@@ -426,12 +426,6 @@ def sample_uniform_batch(space: SpaceParams, k: int, rng: np.random.Generator) -
     else:
         g = rng.standard_normal((k, *shape))
     return g / _norms(g)
-
-
-def sample_uniform(space: SpaceParams, rng: np.random.Generator) -> Point:
-    """One uniform point; deterministic given the generator state."""
-    rep = sample_uniform_batch(space, 1, rng)[0]
-    return Point(family=space.family, d=space.d, coords=rep)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .jacobi import jacobi_all, jacobi_at_one, jacobi_eval
+from .jacobi import _check_degree, jacobi_all, jacobi_at_one, jacobi_eval
 from .simulate import Realization, _natural, substream
 from .spaces import (
-    Point,
     SpaceParams,
     a_constant,
-    cos_distance,
     cos_distance_batch,
     dim_eigenspace,
+    point_array,
     sample_uniform_batch,
     sphere_volume,
     weinstein_integer_value,
@@ -82,20 +81,28 @@ def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, se
 
 
-def _uniform_cosines(space: SpaceParams, x1: Point, x2: Point, replicates: int, seed: int):
-    """cos rho(x1, U) and cos rho(x2, U) over uniform U drawn from the seed."""
-    if replicates < 2:
-        raise UsageError("at least 2 replicates are required")
-    reps = sample_uniform_batch(space, replicates, substream(seed))
-    return cos_distance_batch(space, x1, reps), cos_distance_batch(space, x2, reps)
+def _replicates(value, name: str) -> int:
+    """value as an int: UsageError naming it unless it is an integer of at least 2 (not a bool)."""
+    if _natural(value, name) < 2:
+        raise UsageError(f"{name} {value} must be at least 2")
+    return int(value)
+
+
+def _uniform_cosines(space: SpaceParams, x1, x2, replicates, seed: int):
+    """cos rho(x1, x2), then cos rho(x1, U) and cos rho(x2, U) over uniform U drawn
+    from the seed; x1 and x2 are unit representatives or make_point results."""
+    x1, x2 = point_array(space, [x1, x2])
+    reps = sample_uniform_batch(space, _replicates(replicates, "replicates"), substream(seed))
+    c12 = float(cos_distance_batch(space, x2, x1[None])[0])
+    return c12, cos_distance_batch(space, x1, reps), cos_distance_batch(space, x2, reps)
 
 
 def mc_funk_hecke(
     space: SpaceParams,
     i: int,
     j: int,
-    x1: Point,
-    x2: Point,
+    x1,
+    x2,
     replicates: int = 100_000,
     seed: int = 0,
 ) -> MCEstimate:
@@ -105,12 +112,12 @@ def mc_funk_hecke(
     integral of P_i(cos rho(x1, .)) P_j(cos rho(x2, .)) vanishes for
     distinct degrees.
     """
-    c1, c2 = _uniform_cosines(space, x1, x2, replicates, seed)
+    c12, c1, c2 = _uniform_cosines(space, x1, x2, replicates, seed)
     samples = space.volume * jacobi_eval(i, space.geom, c1) * jacobi_eval(j, space.geom, c2)
     value, se = _mean_se(samples)
     if i == j:
         ai = a_constant(space, i)
-        target = space.volume / (ai * ai) * jacobi_eval(i, space.geom, cos_distance(space, x1, x2))
+        target = space.volume / (ai * ai) * jacobi_eval(i, space.geom, c12)
     else:
         target = 0.0
     return MCEstimate(float(value), float(se), replicates, float(target))
@@ -128,8 +135,8 @@ class ZonalCheck:
 def mc_zonal_covariance(
     space: SpaceParams,
     n: int,
-    x1: Point,
-    x2: Point,
+    x1,
+    x2,
     replicates: int = 100_000,
     seed: int = 0,
 ) -> ZonalCheck:
@@ -138,10 +145,11 @@ def mc_zonal_covariance(
     The mean targets 0, the covariance targets P_n(cos rho(x1, x2)), and
     the covariance of degree n at x1 with degree n + 1 at x2 targets 0.
     """
+    n = _check_degree(n)
     if n < 1:
         raise UsageError("the zonal field check needs degree n >= 1")
     k = n + 1
-    c1, c2 = _uniform_cosines(space, x1, x2, replicates, seed)
+    c12, c1, c2 = _uniform_cosines(space, x1, x2, replicates, seed)
     p = jacobi_all(k, space.geom, np.stack([c1, c2]))
     z1 = a_constant(space, n) * p[n, 0]
     z2 = a_constant(space, n) * p[n, 1]
@@ -149,7 +157,7 @@ def mc_zonal_covariance(
     mean_v, mean_se = _mean_se(z1)
     cov_v, cov_se = _mean_se(z1 * z2)  # fields are exactly centred
     cross_v, cross_se = _mean_se(z1 * zk)
-    cov_target = float(jacobi_eval(n, space.geom, cos_distance(space, x1, x2)))
+    cov_target = float(jacobi_eval(n, space.geom, c12))
     return ZonalCheck(
         mean=MCEstimate(float(mean_v), float(mean_se), replicates, 0.0),
         covariance=MCEstimate(float(cov_v), float(cov_se), replicates, cov_target),
@@ -211,7 +219,7 @@ def empirical_cov(
         [values[:, a, i, :, None] * values[:, b, j, None, :] for i, j in pairs], axis=0
     )
     value, se = _mean_se(per_rep)
-    cos_ab = cos_distance_batch(space, Point(space.family, space.d, points[b]), points[a : a + 1])
+    cos_ab = cos_distance_batch(space, points[b], points[a : a + 1])
     rho = 0.0 if a == b else float(np.arccos(np.clip(cos_ab[0], -1, 1)))
     target = eval_cov(first.model, rho, lag, first.trunc)
     return MCEstimate(value, se, len(realizations), target)
@@ -232,10 +240,9 @@ def mc_recover_vn(
     """
     if realization.latent_u is None or realization.latent_v is None:
         raise UsageError("realization lacks latent data; cannot recover coefficients")
-    if replicates_for_integral < 2:
-        raise UsageError("at least 2 abscissae are required")
+    replicates = _replicates(replicates_for_integral, "replicates_for_integral")
     space = realization.space
-    reps = sample_uniform_batch(space, replicates_for_integral, substream(seed))
+    reps = sample_uniform_batch(space, replicates, substream(seed))
     c = cos_distance_batch(space, realization.latent_u, reps)
     p_all = jacobi_all(max(n, realization.trunc), space.geom, c)  # (max(n, trunc)+1, R)
     # Field values at the fresh abscissae, rebuilt from the latent draws.
@@ -247,7 +254,7 @@ def mc_recover_vn(
     value, se = _mean_se(samples)
     targets = realization.latent_v[n] if n <= realization.trunc else np.zeros(value.shape)
     return [
-        MCEstimate(v, e, replicates_for_integral, np.asarray(t, dtype=float))
+        MCEstimate(v, e, replicates, np.asarray(t, dtype=float))
         for v, e, t in zip(value, se, targets)
     ]
 

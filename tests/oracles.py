@@ -289,9 +289,9 @@ def psd_root_per_degree(b) -> np.ndarray:
 def zonal(space, n: int, x, y) -> float:
     """Normalized zonal function R_n(cos rho(x, y)) with the space's geometric pair."""
     from isofield import jacobi_normalized
-    from isofield.spaces import cos_distance
+    from isofield.spaces import cos_distance_batch
 
-    return float(jacobi_normalized(n, space.geom, cos_distance(space, x, y)))
+    return float(jacobi_normalized(n, space.geom, cos_distance_batch(space, y, x[None])[0]))
 
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
@@ -331,18 +331,16 @@ def qrandn_unit(rng, shape=()) -> np.ndarray:
 def regauge(space, x, rng):
     """The same point with a random equivalent representative: a sign on projR, a unit
     complex scalar on projC, a right unit-quaternion factor on projH; spheres unchanged."""
-    from isofield import Point, SpaceFamily
+    from isofield import SpaceFamily
 
     family = space.family
     if family is SpaceFamily.REAL_PROJECTIVE:
-        coords = (1.0 if rng.random() < 0.5 else -1.0) * x.coords
-    elif family is SpaceFamily.COMPLEX_PROJECTIVE:
-        coords = x.coords * np.exp(2j * math.pi * rng.random())
-    elif family is SpaceFamily.QUATERNION_PROJECTIVE:
-        coords = qmul(x.coords, qrandn_unit(rng))
-    else:
-        coords = x.coords
-    return Point(x.family, x.d, coords)
+        return (1.0 if rng.random() < 0.5 else -1.0) * x
+    if family is SpaceFamily.COMPLEX_PROJECTIVE:
+        return x * np.exp(2j * math.pi * rng.random())
+    if family is SpaceFamily.QUATERNION_PROJECTIVE:
+        return qmul(x, qrandn_unit(rng))
+    return x
 
 
 def load_realization_values(csv_path) -> np.ndarray:

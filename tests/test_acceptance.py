@@ -34,7 +34,7 @@ from isofield import (
     parse_space,
     recover_coefficients,
     replicate_seeds,
-    sample_uniform,
+    sample_uniform_batch,
     save_model,
     simulate_spatial,
     simulate_spatiotemporal,
@@ -43,7 +43,7 @@ from isofield import (
     validate_spatiotemporal,
 )
 from isofield.cli import main as cli_main
-from isofield.spaces import cos_distance
+from isofield.spaces import cos_distance_batch
 from tests.oracles import random_psd
 
 S2 = parse_space("sphere:2")
@@ -124,8 +124,7 @@ def test_criterion_3_funk_hecke():
         space = parse_space(label)
         rng = np.random.default_rng(301)
         for pair in range(3):
-            x1 = sample_uniform(space, rng)
-            x2 = sample_uniform(space, rng)
+            x1, x2 = sample_uniform_batch(space, 2, rng)
             for i in range(5):
                 for j in range(5):
                     est = mc_funk_hecke(
@@ -145,8 +144,7 @@ def test_criterion_4_zonal_field():
     for label in SAMPLEABLE:
         space = parse_space(label)
         rng = np.random.default_rng(401)
-        x1 = sample_uniform(space, rng)
-        x2 = sample_uniform(space, rng)
+        x1, x2 = sample_uniform_batch(space, 2, rng)
         for n in (1, 2):
             chk = mc_zonal_covariance(space, n, x1, x2, replicates=100_000, seed=40 + n)
             assert chk.mean.passed, (label, n, "mean", chk.mean.z_score)
@@ -175,11 +173,11 @@ def test_criterion_5_spatial_series_reproduction():
         est = empirical_cov(ensemble, pair, 0.0)
         assert est.passed, (pair, est.z_score)
     # degree-wise terms at two fixed points are mutually uncorrelated
-    xa, xb = points[0], points[3]
+    xa, xb = ensemble[0].points[[0, 3]]
     terms = np.empty((len(ensemble), 3, 2, 2))  # (replicate, degree, point, component)
     for r, real in enumerate(ensemble):
         for point_slot, x in enumerate((xa, xb)):
-            c = cos_distance(S2, x, real.latent_u)
+            c = cos_distance_batch(S2, real.latent_u, x[None])[0]
             for n in range(3):
                 terms[r, n, point_slot] = real.latent_v[n, 0] * jacobi_eval(n, S2.geom, c)
     for i in range(3):

@@ -603,15 +603,24 @@ def _run_cli(argv, address_space=None):
 
 
 def test_overflowing_point_file_exits_two_without_warnings(spatial_model_file, tmp_path):
+    # 1e400 overflows a float as it is read; 1e308,1e308,0 is a finite point whose squares
+    # overflow, which normalizes as 1,1,0 does
     path, _ = spatial_model_file
     pts = tmp_path / "huge.csv"
-    pts.write_text("1e308,1e308,0\n")
+    pts.write_text("1,0,0\n1e400,0,0\n")
     out = tmp_path / "h.csv"
-    code, err = _run_cli(["simulate", "--model", str(path), "--points", str(pts),
-                          "--out", str(out)])
+    argv = ["simulate", "--model", str(path), "--points", str(pts), "--out", str(out)]
+    code, err = _run_cli(argv)
     assert code == 2 and "Warning" not in err
-    assert err == "error: point representative 0 must be nonzero and finite\n"
+    assert err == f"error: point file {str(pts)!r}: line 2 holds a zero or non-finite point\n"
     assert not out.exists()
+    pts.write_text("1e308,1e308,0\n")
+    code, err = _run_cli(argv)
+    assert code == 0 and "Warning" not in err
+    pts.write_text("1,1,0\n")
+    plain = tmp_path / "plain.csv"
+    assert _run_cli([*argv[:-1], str(plain)])[0] == 0
+    assert out.read_bytes() == plain.read_bytes()
 
 
 def test_overflowing_asymmetry_is_reported_without_warnings(tmp_path):
@@ -644,6 +653,12 @@ BOUNDARY_INPUTS = {
     "non_number_in_point_file": (
         EXPONENTIAL_DOC, ["simulate", "--points", "WORDS"],
         "error: point file 'WORDS': line 2 holds a non-number\n"),
+    "zero_row_in_point_file": (
+        EXPONENTIAL_DOC, ["simulate", "--points", "ZERO"],
+        "error: point file 'ZERO': line 4 holds a zero or non-finite point\n"),
+    "non_finite_row_in_point_file": (
+        EXPONENTIAL_DOC, ["simulate", "--points", "NAN"],
+        "error: point file 'NAN': line 2 holds a zero or non-finite point\n"),
 }
 
 
@@ -652,7 +667,8 @@ def test_boundary_inputs_exit_two_naming_the_field(tmp_path, capsys, case):
     doc, argv, message = BOUNDARY_INPUTS[case]
     model = tmp_path / "model.json"
     model.write_text(doc)
-    files = {"RAGGED": "# x,y,z\n1,0,0\n\n0,1\n", "WORDS": "1,0,0\n0,one,0\n"}
+    files = {"RAGGED": "# x,y,z\n1,0,0\n\n0,1\n", "WORDS": "1,0,0\n0,one,0\n",
+             "ZERO": "# x,y,z\n1,0,0\n\n0,0,0\n", "NAN": "1,0,0\n0,nan,1\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
         message = message.replace(name, str(tmp_path / name))
@@ -708,6 +724,20 @@ def test_lag_zero_indefinite_model_fails_validate_as_simulate(tmp_path, capsys, 
     if name == "ma1":  # the lag gate comes first: a real lag on Z is still a usage error
         assert main(["validate", "--model", str(path), "--lags", "0,0.5"]) == 2
         assert capsys.readouterr().err.startswith("error: lag 0.5 is not an integer")
+
+
+@pytest.mark.xfail(strict=True, reason="near PSD_TOL the MA(1) lag-grid Gram refuses a model "
+                   "that the lag-0 analysis accepts; ROADMAP item 2 phase 2 ends this")
+def test_ma1_model_valid_at_lag_zero_passes_validate_as_simulate(tmp_path, capsys):
+    # Sigma_0 has an eigenvalue just inside PSD_TOL, which grows past it in the lag-grid Gram
+    path = tmp_path / "ma1_near.json"
+    path.write_text(json.dumps({
+        "space": "sphere:2", "m": 2,
+        "coeffs": [[[36.88453237252838, 0.0], [0.0, -2.311356849690191e-09]]],
+        "temporal": {"variant": "ma1", "phi": [[1.5, -0.4], [-0.4, 2.9]]}}))
+    argv = ["simulate", "--model", str(path), "--points", "random:3", "--times", "0,1"]
+    assert main([*argv, "--out", str(tmp_path / "run.csv")]) == 0
+    assert main(["validate", "--model", str(path)]) == 0, capsys.readouterr().out
 
 
 @pytest.mark.parametrize("label", ["projR:2000", "sphere:1001"])

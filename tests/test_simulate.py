@@ -25,10 +25,11 @@ from isofield import (
     empirical_cov,
     eval_cov,
     jacobi_eval,
+    make_point,
     mc_funk_hecke,
     parse_space,
     replicate_seeds,
-    sample_uniform,
+    sample_uniform_batch,
     save_realization,
     simulate_spatial,
     simulate_spatiotemporal,
@@ -37,7 +38,7 @@ from isofield import (
     validate_spatiotemporal,
 )
 from isofield.cli import resolve_points
-from isofield.spaces import a_constant, points_sha256, points_to_reals, sample_uniform_batch
+from isofield.spaces import a_constant, points_sha256, points_to_reals
 from isofield.spectral import Violation, factor_coefficients
 from tests.oracles import (
     exponential_path_cholesky,
@@ -53,7 +54,7 @@ S2 = parse_space("sphere:2")
 
 def fixed_points(n=4, seed=100):
     rng = np.random.default_rng(seed)
-    return [sample_uniform(S2, rng) for _ in range(n)]
+    return list(sample_uniform_batch(S2, n, rng))
 
 
 def small_matrix_model(seed=0):
@@ -124,7 +125,7 @@ class TestSimulateSpatial:
         a = simulate_spatial(model, pts, trunc=2, seed=123)
         b = simulate_spatial(model, pts, trunc=2, seed=123)
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.latent_u.coords, b.latent_u.coords)
+        assert np.array_equal(a.latent_u, b.latent_u)
         c = simulate_spatial(model, pts, trunc=2, seed=124)
         assert not np.array_equal(a.values, c.values)
 
@@ -331,7 +332,7 @@ class TestOneSimulationPath:
             b = simulate_spatiotemporal(model, pts, [0.0], seed=seed)
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.latent_v, b.latent_v)
-            assert np.array_equal(a.latent_u.coords, b.latent_u.coords)
+            assert np.array_equal(a.latent_u, b.latent_u)
 
     def test_spatial_model_rejects_other_time_grids(self):
         model = small_matrix_model()
@@ -347,7 +348,7 @@ class TestOneSimulationPath:
         for seed in range(8):
             want = simulate_spatial(spatial, pts, seed=seed)
             got = simulate_spatiotemporal(constant, pts, [0, 1, 2], seed=seed)
-            assert np.array_equal(got.latent_u.coords, want.latent_u.coords)
+            assert np.array_equal(got.latent_u, want.latent_u)
             for i in range(3):
                 assert np.array_equal(got.values[:, i], want.values[:, 0])
                 assert np.array_equal(got.latent_v[:, i], want.latent_v[:, 0])
@@ -505,7 +506,7 @@ class TestPointArrays:
         model = SeriesModel(
             space, 2, [random_psd(rng, 2), random_psd(rng, 2)], VectorMA1(0.3 * np.eye(2))
         )
-        pts = [sample_uniform(space, rng) for _ in range(5)]
+        pts = [make_point(space, r) for r in sample_uniform_batch(space, 5, rng)]
         stacked = np.stack([p.coords for p in pts])
         a = simulate_spatiotemporal(model, pts, [0, 1], seed=6)
         b = simulate_spatiotemporal(model, stacked, [0, 1], seed=6)
@@ -515,7 +516,7 @@ class TestPointArrays:
 
     @pytest.mark.parametrize("defect", ["shape", "flat", "complex", "non-finite", "non-unit"])
     def test_bad_arrays_rejected(self, defect):
-        good = np.stack([p.coords for p in fixed_points(3)])
+        good = np.stack(fixed_points(3))
         bad = {
             "shape": good[:, :2],
             "flat": good.ravel(),
@@ -528,7 +529,8 @@ class TestPointArrays:
 
     def test_point_of_another_space_rejected(self):
         model = small_matrix_model()
-        stray = sample_uniform(parse_space("sphere:3"), np.random.default_rng(46))
+        sphere3 = parse_space("sphere:3")
+        stray = make_point(sphere3, sample_uniform_batch(sphere3, 1, np.random.default_rng(46))[0])
         with pytest.raises(UsageError):
             simulate_spatial(model, fixed_points(2) + [stray], seed=0)
         with pytest.raises(UsageError):
@@ -656,7 +658,7 @@ class TestModelMemo:
             got, want = memo_simulate(model, seed), memo_simulate(memo_model(kernel), seed)
             assert np.array_equal(got.values, want.values)
             assert np.array_equal(got.latent_v, want.latent_v)
-            assert np.array_equal(got.latent_u.coords, want.latent_u.coords)
+            assert np.array_equal(got.latent_u, want.latent_u)
 
     @pytest.mark.parametrize("kernel", sorted(MEMO_KERNELS))
     def test_in_place_coefficient_edit_is_seen(self, kernel):
@@ -736,7 +738,7 @@ def test_substream_registry_streams_are_distinct():
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_library_seed_must_be_a_nonnegative_integer(seed):
     # numpy's ValueError and TypeError named no seed, and True ran as seed 1
-    x = sample_uniform(S2, np.random.default_rng(0))
+    x = sample_uniform_batch(S2, 1, np.random.default_rng(0))[0]
     with pytest.raises(UsageError, match=f"seed {seed} must be a non-negative integer"):
         simulate_spatial(small_matrix_model(), fixed_points(2), seed=seed)
     with pytest.raises(UsageError, match=f"seed {seed} must be a non-negative integer"):

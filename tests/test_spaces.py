@@ -19,7 +19,6 @@ from isofield import (
     make_point,
     make_space,
     parse_space,
-    sample_uniform,
     sample_uniform_batch,
     sphere_volume,
 )
@@ -127,7 +126,7 @@ class TestDistance:
         # the same operations in the same order as the reference, so the same bits
         s = parse_space(label)
         rng = np.random.default_rng(16)
-        base = sample_uniform(s, rng).coords
+        base = sample_uniform_batch(s, 1, rng)[0]
         for reps in (sample_uniform_batch(s, 20_000, rng),
                      rng.standard_normal((5_000, *base.shape))):
             want = qnorm(np.sum(qmul(qconj(reps), base), axis=-2))
@@ -157,7 +156,7 @@ class TestDistance:
         s = parse_space(label)
         rng = np.random.default_rng(11)
         for _ in range(10_000):
-            x, y, z = (sample_uniform(s, rng) for _ in range(3))
+            x, y, z = sample_uniform_batch(s, 3, rng)
             dxy = distance(s, x, y)
             assert dxy == pytest.approx(distance(s, y, x), abs=1e-10)
             assert 0.0 <= dxy <= math.pi
@@ -168,7 +167,7 @@ class TestDistance:
         s = parse_space(label)
         rng = np.random.default_rng(12)
         for _ in range(200):
-            x, y = sample_uniform(s, rng), sample_uniform(s, rng)
+            x, y = sample_uniform_batch(s, 2, rng)
             d0 = distance(s, x, y)
             d1 = distance(s, regauge(s, x, rng), regauge(s, y, rng))
             assert d1 == pytest.approx(d0, abs=1e-12)
@@ -179,9 +178,9 @@ class TestDistance:
         rng = np.random.default_rng(13)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         for _ in range(100):
-            x, y = sample_uniform(s, rng), sample_uniform(s, rng)
-            xt = make_point(s, q @ x.coords)
-            yt = make_point(s, q @ y.coords)
+            x, y = sample_uniform_batch(s, 2, rng)
+            xt = make_point(s, q @ x)
+            yt = make_point(s, q @ y)
             assert distance(s, xt, yt) == pytest.approx(distance(s, x, y), abs=1e-10)
 
     def test_complex_unitary_isometry(self):
@@ -190,9 +189,9 @@ class TestDistance:
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         u, _ = np.linalg.qr(g)
         for _ in range(100):
-            x, y = sample_uniform(s, rng), sample_uniform(s, rng)
-            xt = make_point(s, u @ x.coords)
-            yt = make_point(s, u @ y.coords)
+            x, y = sample_uniform_batch(s, 2, rng)
+            xt = make_point(s, u @ x)
+            yt = make_point(s, u @ y)
             assert distance(s, xt, yt) == pytest.approx(distance(s, x, y), abs=1e-10)
 
     def test_quaternion_isometries(self):
@@ -203,19 +202,19 @@ class TestDistance:
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         w = qrandn_unit(rng, (3,))
         for _ in range(100):
-            x, y = sample_uniform(s, rng), sample_uniform(s, rng)
-            xt = make_point(s, np.tensordot(q, x.coords, axes=(1, 0)))
-            yt = make_point(s, np.tensordot(q, y.coords, axes=(1, 0)))
+            x, y = sample_uniform_batch(s, 2, rng)
+            xt = make_point(s, np.tensordot(q, x, axes=(1, 0)))
+            yt = make_point(s, np.tensordot(q, y, axes=(1, 0)))
             assert distance(s, xt, yt) == pytest.approx(distance(s, x, y), abs=1e-10)
-            xl = make_point(s, qmul(w, x.coords))
-            yl = make_point(s, qmul(w, y.coords))
+            xl = make_point(s, qmul(w, x))
+            yl = make_point(s, qmul(w, y))
             assert distance(s, xl, yl) == pytest.approx(distance(s, x, y), abs=1e-10)
 
     def test_octonionic_plane_unsupported(self):
         s = parse_space("projO:16")
         rng = np.random.default_rng(0)
         with pytest.raises(GeometryError):
-            sample_uniform(s, rng)
+            sample_uniform_batch(s, 1, rng)[0]
         sp2 = parse_space("sphere:2")
         x = make_point(sp2, [0, 0, 1])
         with pytest.raises(GeometryError):
@@ -225,10 +224,12 @@ class TestDistance:
         s2 = parse_space("sphere:2")
         s3 = parse_space("sphere:3")
         rng = np.random.default_rng(1)
-        x2 = sample_uniform(s2, rng)
-        x3 = sample_uniform(s3, rng)
+        x2 = sample_uniform_batch(s2, 1, rng)[0]
+        x3 = sample_uniform_batch(s3, 1, rng)[0]
         with pytest.raises(UsageError):
             distance(s2, x2, x3)
+        with pytest.raises(UsageError, match="point of sphere:3 used with space sphere:2"):
+            distance(s2, x2, make_point(s3, x3))
 
     def test_point_normalization(self):
         s = parse_space("sphere:2")
@@ -239,6 +240,36 @@ class TestDistance:
         with pytest.raises(UsageError):
             make_point(s, [1.0, 0.0])
 
+    @pytest.mark.parametrize("label, coords, want", [
+        ("sphere:2", [1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ("sphere:2", [1e200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ("sphere:2", [3e-170, 4e-170, 0.0], [0.6, 0.8, 0.0]),
+        ("sphere:2", [1e-160, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ("sphere:2", [1e308, -1e308, 0.0], [0.5**0.5, -(0.5**0.5), 0.0]),
+        ("projC:4", [0.0, 1e-200j, 0.0], [0.0, 1j, 0.0]),
+        ("projC:4", [1.5e308 + 1.5e308j, 0.0, 0.0], [0.5**0.5 * (1 + 1j), 0.0, 0.0]),
+    ])
+    def test_finite_nonzero_rows_whose_squares_underflow_or_overflow_normalize(
+            self, label, coords, want):
+        s = parse_space(label)
+        rep = make_point(s, coords).coords
+        assert np.allclose(rep, want, rtol=0.0, atol=1e-15)
+        assert spaces.point_array(s, [rep]).shape == (1, len(want))  # a unit representative
+
+    def test_ordinary_rows_divide_by_their_norm_beside_rescaled_ones(self):
+        s = parse_space("sphere:2")
+        batch = np.array([[3.0, 0.0, 4.0], [1e-200, 0.0, 0.0], [1.0, 2.0, 2.0], [0.1, 0.2, 0.3]])
+        ordinary = batch[[0, 2, 3]]
+        want = ordinary / np.sqrt(np.sum(ordinary**2, axis=1, keepdims=True))
+        assert np.array_equal(spaces.normalize_points(s, batch)[[0, 2, 3]], want)
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.nan, 1.0, 0.0],
+                                     [1e308, np.inf, 0.0], [-0.0, 0.0, 0.0]])
+    def test_zero_and_non_finite_rows_are_refused(self, row):
+        s = parse_space("sphere:2")
+        with pytest.raises(UsageError, match="point representative 1 must be nonzero and finite"):
+            spaces.normalize_points(s, [[1.0, 0.0, 0.0], row, [0.0, 0.0, 0.0]])
+
 
 class TestSampling:
     @pytest.mark.parametrize("label", SAMPLEABLE)
@@ -247,7 +278,7 @@ class TestSampling:
         # exponents; on S^2 this is the classic (1 - cos)/2 distance CDF.
         s = parse_space(label)
         rng = np.random.default_rng(21)
-        base = sample_uniform(s, rng)
+        base = sample_uniform_batch(s, 1, rng)[0]
         reps = sample_uniform_batch(s, 100_000, rng)
         cosr = cos_distance_batch(s, base, reps)
         a, b = s.geom.alpha, s.geom.beta
@@ -259,7 +290,7 @@ class TestSampling:
     def test_zonal_mean_vanishes(self, label, n):
         s = parse_space(label)
         rng = np.random.default_rng(22 + n)
-        base = sample_uniform(s, rng)
+        base = sample_uniform_batch(s, 1, rng)[0]
         reps = sample_uniform_batch(s, 100_000, rng)
         vals = jacobi_normalized(n, s.geom, cos_distance_batch(s, base, reps))
         se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -267,16 +298,16 @@ class TestSampling:
 
     def test_deterministic_given_stream(self):
         s = parse_space("projC:4")
-        a = sample_uniform(s, np.random.default_rng(33))
-        b = sample_uniform(s, np.random.default_rng(33))
-        assert np.array_equal(a.coords, b.coords)
+        a = sample_uniform_batch(s, 1, np.random.default_rng(33))[0]
+        b = sample_uniform_batch(s, 1, np.random.default_rng(33))[0]
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("label", SAMPLEABLE)
     def test_batch_equals_successive_single_draws(self, label):
         s = parse_space(label)
         batch = sample_uniform_batch(s, 7, np.random.default_rng(34))
         rng = np.random.default_rng(34)
-        singles = np.stack([sample_uniform(s, rng).coords for _ in range(7)])
+        singles = np.concatenate([sample_uniform_batch(s, 1, rng) for _ in range(7)])
         assert np.array_equal(batch, singles)
 
 
@@ -285,14 +316,14 @@ class TestZonal:
         rng = np.random.default_rng(31)
         for label in SAMPLEABLE:
             s = parse_space(label)
-            x = sample_uniform(s, rng)
+            x = sample_uniform_batch(s, 1, rng)[0]
             assert zonal(s, 4, x, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_sphere_degree_one_is_cosine(self):
         s = parse_space("sphere:2")
         rng = np.random.default_rng(32)
         for _ in range(50):
-            x, y = sample_uniform(s, rng), sample_uniform(s, rng)
+            x, y = sample_uniform_batch(s, 2, rng)
             assert zonal(s, 1, x, y) == pytest.approx(
                 math.cos(distance(s, x, y)), abs=1e-12
             )
@@ -305,7 +336,7 @@ class TestZonal:
         sphere_pair = JacobiParams((s.d - 2) / 2.0, (s.d - 2) / 2.0)
         rng = np.random.default_rng(33)
         for _ in range(25):
-            x, y = sample_uniform(s, rng), sample_uniform(s, rng)
+            x, y = sample_uniform_batch(s, 2, rng)
             rho = distance(s, x, y)
             lifted = jacobi_normalized(2 * n, sphere_pair, math.cos(rho / 2.0))
             assert zonal(s, n, x, y) == pytest.approx(lifted, rel=1e-10, abs=1e-10)

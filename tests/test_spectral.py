@@ -27,7 +27,7 @@ from isofield import (
     parse_space,
     recover_coefficients,
     replicate_seeds,
-    sample_uniform,
+    sample_uniform_batch,
     simulate_spatial,
     simulate_spatiotemporal,
     truncation_bound,
@@ -806,7 +806,7 @@ class TestScalarPositiveDefiniteness:
         model = scalar_model([1.0, 0.6, 0.3, 0.1])
         assert validate_spatial(model).valid
         rng = np.random.default_rng(14)
-        pts = [sample_uniform(S2, rng) for _ in range(10)]
+        pts = list(sample_uniform_batch(S2, 10, rng))
         from isofield import distance
 
         gram = np.array(
@@ -843,7 +843,7 @@ def _accepts(call, value) -> bool:
 
 _GATE_MODEL = scalar_model([1.0, 0.5, 0.25, 0.125])
 _GATE_POINTS = np.eye(3)
-_X = sample_uniform(S2, np.random.default_rng(5))
+_X = sample_uniform_batch(S2, 1, np.random.default_rng(5))[0]
 _LAG_MODELS = [SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)], kernel) for kernel in (
     SPATIAL, PureSpatial(), SeparableScalar("ar1", 0.5), SeparableScalar("exponential", 1.0),
     VectorMA1([[0.4]]))]

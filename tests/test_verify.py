@@ -6,6 +6,7 @@ import pytest
 
 from isofield import (
     MCEstimate,
+    ParameterError,
     SeriesModel,
     UsageError,
     VectorMA1,
@@ -20,7 +21,7 @@ from isofield import (
     mc_zonal_covariance,
     parse_space,
     replicate_seeds,
-    sample_uniform,
+    sample_uniform_batch,
     simulate_spatial,
     simulate_spatiotemporal,
 )
@@ -61,8 +62,7 @@ class TestMCEstimate:
 class TestFunkHecke:
     def setup_method(self):
         rng = np.random.default_rng(51)
-        self.x1 = sample_uniform(S2, rng)
-        self.x2 = sample_uniform(S2, rng)
+        self.x1, self.x2 = sample_uniform_batch(S2, 2, rng)
 
     def test_distinct_degrees_vanish(self):
         est = mc_funk_hecke(S2, 1, 3, self.x1, self.x2, replicates=40_000, seed=1)
@@ -77,11 +77,11 @@ class TestFunkHecke:
 
     def test_degree_one_orthogonal_points(self):
         x1 = S2 and parse_space("sphere:2")
-        p1 = sample_uniform(S2, np.random.default_rng(3))
+        p1 = sample_uniform_batch(S2, 1, np.random.default_rng(3))[0]
         # construct a point at right angle to p1
         v = np.zeros(3)
-        v[np.argmin(np.abs(p1.coords))] = 1.0
-        v -= (v @ p1.coords) * p1.coords
+        v[np.argmin(np.abs(p1))] = 1.0
+        v -= (v @ p1) * p1
         from isofield import make_point
 
         p2 = make_point(S2, v)
@@ -103,7 +103,7 @@ class TestFunkHecke:
     def test_projective_spaces(self, label):
         space = parse_space(label)
         rng = np.random.default_rng(7)
-        x1, x2 = sample_uniform(space, rng), sample_uniform(space, rng)
+        x1, x2 = sample_uniform_batch(space, 2, rng)
         for i, j in ((0, 1), (2, 2)):
             est = mc_funk_hecke(space, i, j, x1, x2, replicates=40_000, seed=8)
             assert est.passed, (label, i, j, est.z_score)
@@ -112,14 +112,14 @@ class TestFunkHecke:
 class TestZonalCovariance:
     def test_same_point_targets_pn_at_one(self):
         rng = np.random.default_rng(61)
-        x = sample_uniform(S2, rng)
+        x = sample_uniform_batch(S2, 1, rng)[0]
         chk = mc_zonal_covariance(S2, 2, x, x, replicates=50_000, seed=9)
         assert chk.covariance.target == pytest.approx(jacobi_eval(2, S2.geom, 1.0))
         assert chk.covariance.passed and chk.mean.passed and chk.cross.passed
 
     def test_generic_pair(self):
         rng = np.random.default_rng(62)
-        x1, x2 = sample_uniform(S2, rng), sample_uniform(S2, rng)
+        x1, x2 = sample_uniform_batch(S2, 2, rng)
         chk = mc_zonal_covariance(S2, 3, x1, x2, replicates=50_000, seed=10)
         rho = distance(S2, x1, x2)
         assert chk.covariance.target == pytest.approx(jacobi_eval(3, S2.geom, math.cos(rho)))
@@ -129,9 +129,31 @@ class TestZonalCovariance:
 
     def test_preconditions(self):
         rng = np.random.default_rng(63)
-        x = sample_uniform(S2, rng)
+        x = sample_uniform_batch(S2, 1, rng)[0]
         with pytest.raises(UsageError):
             mc_zonal_covariance(S2, 0, x, x)
+
+    def test_integral_float_degree_counts_as_its_integer(self):
+        x1, x2 = sample_uniform_batch(S2, 2, np.random.default_rng(64))
+        a = mc_zonal_covariance(S2, 3.0, x1, x2, replicates=1000, seed=1)
+        b = mc_zonal_covariance(S2, 3, x1, x2, replicates=1000, seed=1)
+        assert (a.covariance.value, a.cross.value) == (b.covariance.value, b.cross.value)
+        with pytest.raises(ParameterError, match="degree must be a nonnegative integer, got 0.5"):
+            mc_zonal_covariance(S2, 0.5, x1, x2, replicates=1000)
+
+
+@pytest.mark.parametrize("count", [2.5, True, 1, -3])
+def test_replicate_counts_are_gated_naming_the_count(count):
+    x1, x2 = sample_uniform_batch(S2, 2, np.random.default_rng(65))
+    real = simulate_spatial(SeriesModel(S2, 1, [np.eye(1)]), [x1], seed=1)
+    calls = [
+        ("replicates", lambda: mc_funk_hecke(S2, 1, 1, x1, x2, replicates=count)),
+        ("replicates", lambda: mc_zonal_covariance(S2, 1, x1, x2, replicates=count)),
+        ("replicates_for_integral", lambda: mc_recover_vn(real, 0, replicates_for_integral=count)),
+    ]
+    for name, call in calls:
+        with pytest.raises(UsageError, match=f"^{name} {count} must be "):
+            call()
 
 
 class TestEmpiricalCov:
@@ -145,7 +167,7 @@ class TestEmpiricalCov:
 
     def test_degree_zero_identity_target(self):
         model = SeriesModel(S2, 2, [np.eye(2)])
-        pts = [sample_uniform(S2, np.random.default_rng(71))]
+        pts = list(sample_uniform_batch(S2, 1, np.random.default_rng(71)))
         ens = self._ensemble(model, pts, None, 3000, 1)
         est = empirical_cov(ens, (0, 0), 0.0)
         assert np.allclose(est.target, np.eye(2))
@@ -156,7 +178,7 @@ class TestEmpiricalCov:
         model = SeriesModel(
             S2, 2, [random_psd(rng, 2), random_psd(rng, 2)], VectorMA1(0.5 * np.eye(2))
         )
-        pts = [sample_uniform(S2, rng), sample_uniform(S2, rng)]
+        pts = list(sample_uniform_batch(S2, 2, rng))
         ens = self._ensemble(model, pts, [0, 1, 2], 4000, 2)
         for lag in (-1.0, 0.0, 1.0, 2.0):
             est = empirical_cov(ens, (0, 1), lag)
@@ -167,7 +189,7 @@ class TestEmpiricalCov:
         model = SeriesModel(
             S2, 2, [random_psd(rng, 2)], VectorMA1(np.array([[0.5, -0.2], [0.3, 0.1]]))
         )
-        pts = [sample_uniform(S2, rng), sample_uniform(S2, rng)]
+        pts = list(sample_uniform_batch(S2, 2, rng))
         ens = self._ensemble(model, pts, [0, 1], 4000, 3)
         plus = empirical_cov(ens, (0, 1), 1.0)
         minus = empirical_cov(ens, (0, 1), -1.0)
@@ -176,7 +198,7 @@ class TestEmpiricalCov:
 
     def test_heterogeneous_rejected(self):
         model = SeriesModel(S2, 1, [np.eye(1)])
-        pts = [sample_uniform(S2, np.random.default_rng(74))]
+        pts = list(sample_uniform_batch(S2, 1, np.random.default_rng(74)))
         a = simulate_spatial(model, pts, seed=1)
         b = simulate_spatial(model, pts, seed=1)  # same seed: not independent
         with pytest.raises(UsageError):
@@ -191,7 +213,7 @@ class TestEmpiricalCov:
     def test_point_pair_outside_points_rejected(self, pair):
         model = SeriesModel(S2, 1, [np.eye(1)])
         rng = np.random.default_rng(76)
-        pts = [sample_uniform(S2, rng), sample_uniform(S2, rng)]
+        pts = list(sample_uniform_batch(S2, 2, rng))
         ens = self._ensemble(model, pts, None, 3, 5)
         with pytest.raises(UsageError, match="point pair"):
             empirical_cov(ens, pair, 0.0)
@@ -206,7 +228,7 @@ class TestEmpiricalCov:
         else:
             model = SeriesModel(S2, 3, sigmas, VectorMA1(0.4 * random_psd(rng, 3)))
             times = [0, 1, 2, 4]
-        pts = [sample_uniform(S2, rng) for _ in range(3)]
+        pts = list(sample_uniform_batch(S2, 3, rng))
         ens = self._ensemble(model, pts, times, 50, 6)
         grid = times or [0]
         for pair in ((0, 1), (2, 2), (1, 0)):
@@ -247,7 +269,7 @@ class TestEmpiricalCov:
 
     def test_unrealizable_lag_rejected(self):
         model = SeriesModel(S2, 1, [np.eye(1)])
-        pts = [sample_uniform(S2, np.random.default_rng(75))]
+        pts = list(sample_uniform_batch(S2, 1, np.random.default_rng(75)))
         ens = self._ensemble(model, pts, None, 3, 4)
         with pytest.raises(UsageError):
             empirical_cov(ens, (0, 0), 1.0)
@@ -262,7 +284,7 @@ class TestRecoverVn:
             [random_psd(rng, 2, 0.6**n) for n in range(3)],
             VectorMA1(0.4 * np.eye(2)),
         )
-        pts = [sample_uniform(S2, rng)]
+        pts = list(sample_uniform_batch(S2, 1, rng))
         real = simulate_spatiotemporal(model, pts, [0, 1], seed=11)
         for n in range(3):
             for est in mc_recover_vn(real, n, replicates_for_integral=30_000, seed=12 + n):
@@ -273,7 +295,7 @@ class TestRecoverVn:
 
     def test_scalar_degree_zero_plain_average(self):
         model = SeriesModel(S2, 1, [np.eye(1)])
-        pts = [sample_uniform(S2, np.random.default_rng(82))]
+        pts = list(sample_uniform_batch(S2, 1, np.random.default_rng(82)))
         real = simulate_spatial(model, pts, seed=13)
         (est,) = mc_recover_vn(real, 0, replicates_for_integral=20_000, seed=14)
         # P_0 == 1 so the estimator is the plain average of the constant field
@@ -284,7 +306,7 @@ class TestRecoverVn:
 
     def test_missing_latent_rejected(self):
         model = SeriesModel(S2, 1, [np.eye(1)])
-        pts = [sample_uniform(S2, np.random.default_rng(83))]
+        pts = list(sample_uniform_batch(S2, 1, np.random.default_rng(83)))
         real = simulate_spatial(model, pts, seed=15)
         real.latent_v = None
         with pytest.raises(UsageError):
@@ -320,7 +342,7 @@ class TestSeedStability:
     def test_verdict_stable_across_seeds(self):
         # 5-sigma checks must not flip between runs with fresh seeds
         rng = np.random.default_rng(91)
-        x1, x2 = sample_uniform(S2, rng), sample_uniform(S2, rng)
+        x1, x2 = sample_uniform_batch(S2, 2, rng)
         for seed in (1, 2, 3):
             est = mc_funk_hecke(S2, 2, 1, x1, x2, replicates=30_000, seed=seed)
             assert est.passed, (seed, est.z_score)
