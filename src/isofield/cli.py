@@ -31,7 +31,7 @@ from .spaces import (
     points_from_reals,
     sample_uniform_batch,
 )
-from .spectral import _eval_cov_lags, angular_power_spectrum, truncation_bound
+from .spectral import angular_power_spectrum, eval_cov, truncation_bound
 from .verify import check_space_identities, mc_funk_hecke, mc_zonal_covariance
 
 DEFAULT_SEED = 0xC0FFEE
@@ -200,7 +200,7 @@ def cmd_eval_cov(args) -> int:
     _require_values("--rho-grid and --lags", len(rhos), len(lags), model.m**2)
     trunc = args.trunc if args.trunc is not None else model.max_degree
     bound = truncation_bound(model, trunc)
-    covs = _eval_cov_lags(model, rhos, lags, trunc).swapaxes(0, 1)
+    covs = eval_cov(model, rhos, lags, trunc).swapaxes(0, 1)
     if args.format == "json":
         rows = [row for r, rho in enumerate(rhos) for lag, cov in zip(lags, covs[r])
                 for row in _entry_rows(cov, rho=float(rho), lag=lag, tail_bound=bound)]

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParameterError
+from .errors import DomainError, NumericError, ParameterError, UsageError
 
 # Arguments may exceed [-1, 1] by rounding of cosine distances; clip inside
 # this band, reject beyond it.
@@ -50,6 +50,13 @@ def _check_degree(n, name: str = "degree") -> int:
     if not math.isfinite(n) or n < 0 or int(n) != n:
         raise ParameterError(f"{name} must be a nonnegative integer, got {n}")
     return int(n)
+
+
+def _natural(value, name: str) -> int:
+    """value as an int: UsageError naming it unless it is a non-negative integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise UsageError(f"{name} {value} must be a non-negative integer")
+    return int(value)
 
 
 def _clamp_x(x):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, modelio
 from .errors import ModelError, NumericError, UsageError
-from .jacobi import jacobi_all
+from .jacobi import _natural, jacobi_all
 from .spaces import (
     SpaceParams,
     a_constant,
@@ -44,13 +44,6 @@ from .spaces import (
 )
 from .spectral import ZERO_LAG, SeriesModel, _require_lag, _resolve_trunc, factor_coefficients
 from .spectral import truncation_bound
-
-
-def _natural(value, name: str) -> int:
-    """value as an int: UsageError naming it unless it is a non-negative integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise UsageError(f"{name} {value} must be a non-negative integer")
-    return int(value)
 
 
 def _words(n: int, count: int = 1) -> bytes:

@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GeometryError, ParameterError, UsageError
-from .jacobi import JacobiParams, _check_degree
+from .jacobi import JacobiParams, _check_degree, _natural
 
 
 class SpaceFamily(Enum):
@@ -419,6 +419,7 @@ def sample_uniform_batch(space: SpaceParams, k: int, rng: np.random.Generator) -
     draws its real parts, then its imaginary parts.
     """
     row = _point_family(space)
+    k = _natural(k, "point count")
     shape = row.ambient(space.d)
     if row.dtype is complex:
         g = rng.standard_normal((k, 2, *shape))

@@ -76,10 +76,11 @@ def _as_coeff_matrices(coeffs, m: int) -> np.ndarray:
 # when n is a slice of degrees (coeffs is the (N+1, m, m) stack), and
 # sample_path(root, an, times, rng) -> the (len(times), m) degree-n path
 # V_n(.) with covariance a_n^2 B_n(t1 - t2), given the read-only root
-# coeffs[n]^(1/2) and strictly increasing times. A kernel is immutable once
-# attached to a model. Each built-in kernel checks its parameters when built
-# and is then valid exactly when its stored matrices are symmetric
-# nonnegative definite, which is what validate_spatial checks.
+# coeffs[n]^(1/2) and strictly increasing times. Kernels receive checked lags
+# (SeriesModel.coeff_at gates them) and check nothing; a gap between two checked
+# times may read inf. A kernel is immutable once attached to a model. Each built-in
+# kernel checks its parameters when built and is then valid exactly when its
+# stored matrices are symmetric nonnegative definite, which validate_spatial checks.
 # --------------------------------------------------------------------------
 
 
@@ -103,7 +104,6 @@ class PureSpatial:
     kind = "pure_spatial"
 
     def coeff_at(self, n, t, coeffs):
-        _require_lag(self.domain, t)
         return coeffs[n]
 
     def sample_path(self, root, an, times, rng):
@@ -142,9 +142,9 @@ class SeparableScalar:
         return INTEGER_LAGS if self.kind == "ar1" else REAL_LAGS
 
     def correlation(self, t) -> float:
-        t = _require_lag(self.domain, t)
+        """r(|t|) for any gap; 0.0 across an infinite one."""
         if self.kind == "ar1":
-            return self.param ** abs(int(round(t)))
+            return math.pow(self.param, abs(t))
         return math.exp(-self.param * abs(t))
 
     def coeff_at(self, n, t, coeffs):
@@ -195,15 +195,13 @@ class VectorMA1:
 
     def coeff_at(self, n, t, coeffs):
         """B_n(t); entries that overflow read inf or nan, which the checks report."""
-        t = _require_lag(self.domain, t)
         sigma = coeffs[n]
-        k = int(round(t))
         with np.errstate(over="ignore", invalid="ignore"):
-            if k == 0:
+            if t == 0:
                 return sigma + self.phi @ sigma @ self.phi.T
-            if k == 1:
+            if t == 1:
                 return self.phi @ sigma
-            if k == -1:
+            if t == -1:
                 return sigma @ self.phi.T
         return np.zeros_like(sigma)
 
@@ -254,8 +252,9 @@ class SeriesModel:
         return self.kernel.domain
 
     def coeff_at(self, n: int | slice, t: float = 0.0) -> np.ndarray:
-        """B_n(t), or the stack of B_n(t) over a slice of degrees."""
-        return self.kernel.coeff_at(n, t, self.coeffs)
+        """B_n(t), or the stack of B_n(t) over a slice of degrees. The one lag gate of
+        every kernel: UsageError unless t is a finite lag of the model's domain."""
+        return self.kernel.coeff_at(n, _require_lag(self.domain, t), self.coeffs)
 
     def validate(self, probe_lags=None) -> ValidityReport:
         """Lag-0 domain: validate_spatial, every probe lag 0; else validate_spatiotemporal."""
@@ -479,23 +478,18 @@ def _resolve_trunc(model, trunc) -> int:
     return trunc
 
 
-def eval_cov(model, rho, t: float = 0.0, trunc: int | None = None) -> np.ndarray:
+def eval_cov(model, rho, t=0.0, trunc: int | None = None) -> np.ndarray:
     """Partial sum of the covariance series through the given degree.
 
     `rho` is one distance or an array of them; the result has shape
-    (*rho.shape, m, m), so (m, m) for a scalar. Spatial models require
-    t = 0. The neglected degrees are bounded by truncation_bound(model, trunc).
-    A divergent series raises ModelError (see require_finite).
-
-    The terms B_n(t) P_n(cos rho) are summed in degree order, which fixes the
-    output bytes; the eval-cov command reads every lag from one Jacobi table.
+    (*rho.shape, m, m) for one lag t, and (len(t), *rho.shape, m, m) for a
+    sequence of lags, all read from one Jacobi table per block of distances.
+    Spatial models require t = 0. The neglected degrees are bounded by
+    truncation_bound(model, trunc). A divergent series raises ModelError (see
+    require_finite). The terms B_n(t) P_n(cos rho) are summed in degree order,
+    which fixes the output bytes.
     """
-    return _eval_cov_lags(model, rho, [t], trunc)[0]
-
-
-def _eval_cov_lags(model, rho, lags, trunc) -> np.ndarray:
-    """eval_cov at each lag, stacked: (len(lags), *rho.shape, m, m); each block of
-    distances has one Jacobi table for every lag."""
+    lags = [t] if np.ndim(t) == 0 else t
     require_finite(model)
     trunc = _resolve_trunc(model, trunc)
     rho = np.asarray(rho, dtype=float)
@@ -516,7 +510,7 @@ def _eval_cov_lags(model, rho, lags, trunc) -> np.ndarray:
             total = (np.add.reduce(terms, axis=0) if terms[0].size > 1
                      else np.add.accumulate(terms, axis=0)[-1])
             np.add(total.T.reshape(-1, model.m, model.m), 0.0, out=out[k, i:i + step])
-    return out.reshape((len(lags),) + rho.shape + (model.m, model.m))
+    return out.reshape(np.shape(t) + rho.shape + (model.m, model.m))
 
 
 def truncation_bound(model, N: int) -> float:

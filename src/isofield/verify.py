@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .jacobi import _check_degree, jacobi_all, jacobi_at_one, jacobi_eval
-from .simulate import Realization, _natural, substream
+from .jacobi import _check_degree, _natural, jacobi_all, jacobi_at_one, jacobi_eval
+from .simulate import Realization, substream
 from .spaces import (
     SpaceParams,
     a_constant,

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isofield import (
     PureSpatial,
@@ -838,3 +842,74 @@ def test_import_does_not_load_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("temporal", [{"variant": "exponential", "theta": 1.5},
+                                      {"variant": "ar1", "phi": -0.6}], ids=["exponential", "ar1"])
+def test_times_whose_gap_overflows_simulate(tmp_path, capsys, temporal):
+    # the gap between -1e308 and 1e308 reads inf; it once exited 2 with "lag inf is not finite"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"space": "sphere:2", "m": 1, "coeffs": [[[1.0]], [[0.5]]],
+                                 "temporal": temporal}))
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--model", str(model), "--points", "random:3",
+                 "--times", "-1e308,1e308", "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "run.meta.json").read_text())["times"] == [-1e308, 1e308]
+    assert np.isfinite(load_realization_values(out)).all()
+
+
+# Boundary harness, lag and time lists: generated --lags and --times values end in a
+# documented exit, never in a traceback or a warning.
+HARNESS_MODELS = {
+    "spatial": {},
+    "pure_spatial": {"temporal": {"variant": "pure_spatial"}},
+    "ar1": {"temporal": {"variant": "ar1", "phi": -0.6}},
+    "exponential": {"temporal": {"variant": "exponential", "theta": 1.5}},
+    "ma1": {"temporal": {"variant": "ma1", "phi": [[0.4]]}},
+}
+DOCUMENTED_PREFIXES = ("error: ", "invalid model: ", "unsupported geometry: ", "usage: ")
+_LIST_TOKENS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "0.5", "-0.0", "-0", "-1e308,1e308"]),
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e308", "-1e308",
+                     "1e400", "5e-324", "-5e-324", "1e-310", "2.2250738585072014e-308",
+                     "abc", "1e", "0x10", "1_0", "--1", "", " "]),
+    st.integers(-2**70, 2**70).map(str),
+    st.floats().map(repr),
+)
+
+
+@pytest.fixture(scope="module")
+def harness_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("harness")
+    for name, extra in HARNESS_MODELS.items():
+        doc = {"space": "sphere:2", "m": 1, "coeffs": [[[1.0]], [[0.5]]], **extra}
+        (folder / f"{name}.json").write_text(json.dumps(doc))
+    return folder
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lag_and_time_lists_end_in_a_documented_exit(harness_dir, data):
+    command = data.draw(st.sampled_from(["validate", "eval-cov", "simulate"]))
+    model = data.draw(st.sampled_from(sorted(HARNESS_MODELS)))
+    text = ",".join(data.draw(st.lists(_LIST_TOKENS, max_size=4)))
+    flag = "--times" if command == "simulate" else "--lags"
+    out, meta = harness_dir / "run.csv", harness_dir / "run.meta.json"
+    out.unlink(missing_ok=True)
+    meta.unlink(missing_ok=True)
+    argv = [command, "--model", str(harness_dir / f"{model}.json"), "--out", str(out),
+            *([f"{flag}={text}"] if data.draw(st.booleans()) else [flag, text]),
+            *{"simulate": ["--points", "random:2"], "eval-cov": ["--rho-grid", "0:3:3"]}.get(
+                command, [])]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(argv)
+    stderr = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, stderr)
+    assert not caught and "Warning" not in stderr and "Traceback" not in stderr, (argv, stderr)
+    if code != 0:
+        assert stderr.startswith(DOCUMENTED_PREFIXES), (argv, stderr)
+    elif command == "simulate":
+        assert out.exists() and meta.exists(), argv

@@ -283,6 +283,21 @@ class TestSimulateSpatioTemporal:
         want = math.exp(-0.7 * 0.8) * eval_cov(model, 0.0, 0.0)[0, 0]
         assert abs(prods.mean() - want) <= 5 * se
 
+    @pytest.mark.parametrize("kernel", [SeparableScalar("exponential", 0.7),
+                                        SeparableScalar("ar1", -0.6)])
+    def test_times_whose_gap_overflows_are_independent_draws(self, kernel):
+        # the gap 1e308 - (-1e308) reads inf, across which r is 0.0 as across the finite
+        # gap 1e308: the second slice is a fresh draw (it once raised "lag inf is not finite")
+        assert kernel.correlation(1e308) == 0.0
+        model = SeriesModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)], kernel)
+        pts = fixed_points(3, seed=16)
+        real = simulate_spatiotemporal(model, pts, [-1e308, 1e308], seed=8)
+        assert real.times == [-1e308, 1e308] and np.isfinite(real.values).all()
+        finite_gap = simulate_spatiotemporal(model, pts, [0.0, 1e308], seed=8)
+        assert np.array_equal(real.values, finite_gap.values)
+        first = simulate_spatiotemporal(model, pts, [-1e308], seed=8)
+        assert np.array_equal(real.values[:, :1], first.values)
+
     def test_ma1_vanishes_at_lag_two(self):
         rng = np.random.default_rng(14)
         phi = 0.5 * rng.standard_normal((2, 2))

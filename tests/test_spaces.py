@@ -310,6 +310,20 @@ class TestSampling:
         singles = np.concatenate([sample_uniform_batch(s, 1, rng) for _ in range(7)])
         assert np.array_equal(batch, singles)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, -1, "3", None])
+    def test_count_that_is_not_a_natural_number_is_named(self, count):
+        # 2.5 and True once escaped as numpy's TypeError, -1 as its ValueError
+        with pytest.raises(UsageError, match=f"^point count {count} must be a non-negative"):
+            sample_uniform_batch(parse_space("sphere:2"), count, np.random.default_rng(35))
+
+    @pytest.mark.parametrize("label", SAMPLEABLE)
+    def test_zero_and_numpy_integer_counts(self, label):
+        s = parse_space(label)
+        empty = sample_uniform_batch(s, 0, np.random.default_rng(36))
+        assert empty.shape == (0, *spaces.ambient_shape(s))
+        assert np.array_equal(sample_uniform_batch(s, np.int64(2), np.random.default_rng(36)),
+                              sample_uniform_batch(s, 2, np.random.default_rng(36)))
+
 
 class TestZonal:
     def test_unit_at_zero_distance(self):

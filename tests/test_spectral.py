@@ -530,6 +530,54 @@ class TestEvalCov:
         with pytest.raises(UsageError, match=f"lag {lag} is not finite"):
             eval_cov(model, 0.3, t=lag)
 
+    @pytest.mark.parametrize("lag", [0.5, math.nan, math.inf])
+    def test_user_kernel_lags_are_gated_by_the_model(self, lag):
+        # LopsidedKernel checks nothing; an integer domain once let all three through
+        model = SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)], LopsidedKernel())
+        with pytest.raises(UsageError, match=f"^lag {lag} is not"):
+            eval_cov(model, 0.3, lag)
+        with pytest.raises(UsageError, match=f"^lag {lag} is not"):
+            model.coeff_at(0, lag)
+
+    @pytest.mark.parametrize("kernel", ["spatial", "pure_spatial", "ar1", "exponential", "ma1"])
+    def test_lag_sequence_stacks_one_scalar_call_per_lag(self, kernel):
+        rng = np.random.default_rng(21)
+        kernels = {"spatial": SPATIAL, "pure_spatial": PureSpatial(),
+                   "ar1": SeparableScalar("ar1", -0.6),
+                   "exponential": SeparableScalar("exponential", 0.7),
+                   "ma1": VectorMA1(0.5 * rng.standard_normal((2, 2)))}
+        model = SeriesModel(S2, 2, [random_psd(rng, 2, 0.5**n) for n in range(5)],
+                            kernels[kernel])
+        lags = [0.0, -0.0] if kernel == "spatial" else [0.0, 2.0, -1.0, 1.0, -0.0, 3.0]
+        grid = np.linspace(0.0, math.pi, 12)
+        for rho in (0.7, np.asarray(1.1), grid, grid.reshape(3, 4)):
+            want = np.stack([eval_cov(model, rho, t) for t in lags])
+            for seq in (lags, tuple(lags), np.array(lags)):
+                got = eval_cov(model, rho, seq)
+                assert got.shape == (len(lags), *np.shape(rho), 2, 2)
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("phi", [-0.999, -0.6, -1e-3, -0.0, 0.0, 0.3, 0.999999])
+    def test_ar1_correlation_bit_equal_to_the_integer_power(self, phi):
+        # the integer power phi ** |t| that r(t) once computed, on lags of every scale
+        rng = np.random.default_rng(62)
+        mags = rng.integers(0, 2**62, 20_000, endpoint=True) >> rng.integers(0, 63, 20_000)
+        lags = [float(t) for t in rng.choice([-1, 1], 20_000) * mags] + [2.0**62, -2.0**62]
+        kernel = SeparableScalar("ar1", phi)
+        got = np.array([kernel.correlation(t) for t in lags])
+        want = np.array([phi ** abs(int(round(t))) for t in lags])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, param", [("ar1", -0.6), ("ar1", 0.0), ("exponential", 0.7)])
+    def test_correlation_across_an_infinite_gap_is_zero(self, kind, param):
+        kernel = SeparableScalar(kind, param)
+        assert kernel.correlation(math.inf) == kernel.correlation(-math.inf) == 0.0
+
+    def test_fractional_power_of_a_negative_ar1_coefficient_raises(self):
+        # a kernel checks no lag, but never returns a complex number
+        with pytest.raises(ValueError):
+            SeparableScalar("ar1", -0.5).correlation(0.5)
+
     def test_trunc_bounds_enforced(self):
         model = scalar_model([1.0, 0.5])
         with pytest.raises(UsageError):
@@ -817,7 +865,7 @@ class TestScalarPositiveDefiniteness:
 
 
 # --------------------------------------------------------------------------
-# Argument gates: each of truncation, degree, lag and seed has one rule, and
+# Argument gates: each of truncation, degree, lag, seed and count has one rule, and
 # every consumer of a gate accepts and rejects the same values through it.
 # --------------------------------------------------------------------------
 
@@ -865,6 +913,9 @@ GATES = {
         lambda v: simulate_spatial(_GATE_MODEL, _GATE_POINTS, seed=v),
         lambda v: mc_funk_hecke(S2, 1, 1, _X, _X, replicates=10, seed=v),
         lambda v: replicate_seeds(v, 3)]]),
+    "count": (_gate_values(-3, 50, st.floats(-3, 50)), [[
+        lambda v: sample_uniform_batch(S2, v, np.random.default_rng(0)),
+        lambda v: replicate_seeds(0, v)]]),
 }
 
 
