@@ -52,19 +52,19 @@ def _check_degree(n, name: str = "degree") -> int:
     return int(n)
 
 
+def _exp(x: float) -> float:
+    """math.exp(x), or inf where the result overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _natural(value, name: str) -> int:
     """value as an int: UsageError naming it unless it is a non-negative integer (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
         raise UsageError(f"{name} {value} must be a non-negative integer")
     return int(value)
-
-
-def _clamp_x(x):
-    x = np.asarray(x, dtype=float)
-    # one reduction; NaN fails the comparison and is rejected too
-    if not (np.abs(x) <= 1.0 + X_CLAMP_TOL).all():
-        raise DomainError("argument is NaN or outside [-1, 1] beyond clamp tolerance")
-    return np.minimum(np.maximum(x, -1.0), 1.0)
 
 
 def jacobi_all(N: int, params: JacobiParams, x) -> np.ndarray:
@@ -75,8 +75,16 @@ def jacobi_all(N: int, params: JacobiParams, x) -> np.ndarray:
     farther out, or NaN, raises DomainError.
     """
     N = _check_degree(N)
+    x = np.asarray(x, dtype=float)
+    # one reduction; NaN fails the comparison and is rejected too
+    if not (np.abs(x) <= 1.0 + X_CLAMP_TOL).all():
+        raise DomainError("argument is NaN or outside [-1, 1] beyond clamp tolerance")
+    return _jacobi_table(N, params, np.minimum(np.maximum(x, -1.0), 1.0))
+
+
+def _jacobi_table(N: int, params: JacobiParams, x: np.ndarray) -> np.ndarray:
+    """jacobi_all's recurrence for a checked degree N and a float array x in [-1, 1]."""
     a, b = params.alpha, params.beta
-    x = _clamp_x(x)
     p = np.empty((N + 1,) + x.shape)
     p[0] = 1.0
     if N >= 1:
@@ -104,12 +112,10 @@ def jacobi_eval(n: int, params: JacobiParams, x):
 
 
 def jacobi_at_one(n: int, params: JacobiParams) -> float:
-    """Value at x = 1: Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1))."""
+    """Value at x = 1: Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)); inf past a float."""
     n = _check_degree(n)
     a = params.alpha
-    return math.exp(
-        math.lgamma(n + a + 1.0) - math.lgamma(n + 1.0) - math.lgamma(a + 1.0)
-    )
+    return _exp(math.lgamma(n + a + 1.0) - math.lgamma(n + 1.0) - math.lgamma(a + 1.0))
 
 
 def jacobi_normalized(n: int, params: JacobiParams, x):
@@ -120,20 +126,20 @@ def jacobi_normalized(n: int, params: JacobiParams, x):
 def jacobi_norm_constant(j: int, params: JacobiParams) -> float:
     """L2 norm squared of P_j against the weight (1-x)^alpha (1+x)^beta.
 
-    2^(a+b+1) / (2j+a+b+1) * Gamma(j+a+1) Gamma(j+b+1) / (j! Gamma(j+a+b+1)).
+    2^(a+b+1) / (2j+a+b+1) * Gamma(j+a+1) Gamma(j+b+1) / (j! Gamma(j+a+b+1)); inf past a float.
     """
     j = _check_degree(j)
     a, b = params.alpha, params.beta
     if j == 0:
         # (a+b+1) Gamma(a+b+1) folded into Gamma(a+b+2): needed when
         # a+b+1 == 0 (unit-circle parameters a = b = -1/2).
-        return math.exp(
+        return _exp(
             (a + b + 1.0) * math.log(2.0)
             + math.lgamma(a + 1.0)
             + math.lgamma(b + 1.0)
             - math.lgamma(a + b + 2.0)
         )
-    return math.exp(
+    return _exp(
         (a + b + 1.0) * math.log(2.0)
         + math.lgamma(j + a + 1.0)
         + math.lgamma(j + b + 1.0)

@@ -11,7 +11,8 @@ converge to the ensemble covariance.
 Randomness is split into named substreams of the master seed, so results do not depend
 on evaluation order and replicates can run in parallel with per-replicate derived seeds.
 substream(seed, *key) is numpy's SeedSequence(seed, spawn_key=key) stream, built from the
-entropy numpy assembles for it (a test pins this). Every stream drawn from a seed:
+entropy numpy assembles for it (a test pins this); simulate_* builds the same streams from
+one checked seed prefix. Every stream drawn from a seed:
 
 - spawn key (0,): the latent point U
 - spawn key (1, n): the degree-n coefficient path V_n
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__, modelio
 from .errors import ModelError, NumericError, UsageError
-from .jacobi import _natural, jacobi_all
+from .jacobi import _jacobi_table, _natural
 from .spaces import (
     SpaceParams,
     a_constant,
@@ -51,12 +52,16 @@ def _words(n: int, count: int = 1) -> bytes:
     return n.to_bytes(4 * max(n.bit_length() + 31 >> 5, count), "little")
 
 
+def _generator(data: bytes) -> np.random.Generator:
+    """The PCG64 stream of the SeedSequence whose entropy words are data."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.frombuffer(data, "<u4"))))
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Named child generator of a master seed: the SeedSequence(seed, spawn_key=key) stream, from
     the entropy numpy assembles: seed words, zero-padded to 4 words if keyed, then key words."""
     data = _words(_natural(seed, "seed"), 4 if key else 1)
-    data += b"".join([_words(_natural(k, "spawn key")) for k in key])
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.frombuffer(data, "<u4"))))
+    return _generator(data + b"".join([_words(_natural(k, "spawn key")) for k in key]))
 
 
 @dataclass
@@ -126,14 +131,17 @@ def simulate_spatiotemporal(
     trunc = _resolve_trunc(model, trunc)
     space = model.space
     points = point_array(space, points)
-    u = sample_uniform_batch(space, 1, substream(seed, 0))[0]
+    # the seed checked once: substream(seed, *key) is _generator(prefix + key words)
+    prefix = _words(_natural(seed, "seed"), 4)
+    u = sample_uniform_batch(space, 1, _generator(prefix + _words(0)))[0]
     sample_path = getattr(model.kernel, "sample_path", None)
     if sample_path is None:
         raise UsageError(f"unsupported temporal kernel {type(model.kernel).__name__}")
     latent_v = np.zeros((trunc + 1, len(times), model.m))
     for n in range(trunc + 1):
-        latent_v[n] = sample_path(roots[n], a_constant(space, n), times, substream(seed, 1, n))
-    pn = jacobi_all(trunc, space.geom, cos_distance_batch(space, u, points))
+        rng = _generator(prefix + _words(1) + _words(n))
+        latent_v[n] = sample_path(roots[n], a_constant(space, n), times, rng)
+    pn = _jacobi_table(trunc, space.geom, cos_distance_batch(space, u, points))
     values = np.einsum("np,ntm->ptm", pn, latent_v)
     if not np.isfinite(values).all():
         raise NumericError("the series produced non-finite field values")

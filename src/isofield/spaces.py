@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GeometryError, ParameterError, UsageError
-from .jacobi import JacobiParams, _check_degree, _natural
+from .jacobi import JacobiParams, _check_degree, _exp, _natural
 
 
 class SpaceFamily(Enum):
@@ -289,11 +289,15 @@ def _stack(space: SpaceParams, reps) -> np.ndarray:
     return reps.astype(row.dtype, copy=False)
 
 
+def _raw_norms(reps: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each stacked representative, keeping its axes."""
+    return np.sqrt(np.add.reduce(np.abs(reps) ** 2, tuple(range(1, reps.ndim)), keepdims=True))
+
+
 def _norms(reps: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each stacked representative, keeping its axes; inf
-    where the squares overflow."""
+    """_raw_norms, inf without a warning where the squares overflow."""
     with np.errstate(over="ignore"):
-        return np.sqrt(np.add.reduce(np.abs(reps) ** 2, tuple(range(1, reps.ndim)), keepdims=True))
+        return _raw_norms(reps)
 
 
 def normalize_points(space: SpaceParams, reps) -> np.ndarray:
@@ -388,9 +392,9 @@ def _inner(space: SpaceParams, reps: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def cos_distance_batch(space: SpaceParams, x: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """cos rho(rep, x) for each of a stacked batch of unit representatives and
-    one unit representative x: t on spheres, cos(2 arccos t) = 2t^2 - 1 on
-    projective spaces."""
+    """cos rho(rep, x), in [-1, 1], for each of a stacked batch of unit representatives
+    and one unit representative x: t on spheres, cos(2 arccos t) = 2t^2 - 1 on
+    projective spaces, t clamped to [-1, 1] or [0, 1]."""
     t = _inner(space, np.asarray(reps), x)
     return 2.0 * t * t - 1.0 if _FAMILIES[space.family].projective else t
 
@@ -426,7 +430,7 @@ def sample_uniform_batch(space: SpaceParams, k: int, rng: np.random.Generator) -
         g = g[:, 0] + 1j * g[:, 1]
     else:
         g = rng.standard_normal((k, *shape))
-    return g / _norms(g)
+    return g / _raw_norms(g)  # Gaussian draws cannot overflow
 
 
 # ---------------------------------------------------------------------------
@@ -437,40 +441,26 @@ def sample_uniform_batch(space: SpaceParams, k: int, rng: np.random.Generator) -
 def a_constant(space: SpaceParams, n: int) -> float:
     """Normalization a_n of the zonal random field at degree n.
 
-    a_n^2 * P_n(1) equals the eigenspace dimension; a_0 = 1 exactly.
+    a_n^2 * P_n(1) equals the eigenspace dimension; a_0 = 1 exactly; inf past a float.
     """
     n = _check_degree(n)
     if n == 0:
         return 1.0
     a, b = space.geom.alpha, space.geom.beta
-    return math.exp(
-        0.5
-        * (
-            math.lgamma(b + 1.0)
-            + math.log(2.0 * n + a + b + 1.0)
-            + math.lgamma(n + a + b + 1.0)
-            - math.lgamma(a + b + 2.0)
-            - math.lgamma(n + b + 1.0)
-        )
-    )
+    return _exp(0.5 * (math.lgamma(b + 1.0) + math.log(2.0 * n + a + b + 1.0)
+                       + math.lgamma(n + a + b + 1.0) - math.lgamma(a + b + 2.0)
+                       - math.lgamma(n + b + 1.0)))
 
 
 def dim_eigenspace(space: SpaceParams, n: int) -> float:
-    """Dimension of the degree-n Laplace eigenspace (a positive integer)."""
+    """Dimension of the degree-n Laplace eigenspace (a positive integer); inf past a float."""
     n = _check_degree(n)
     if n == 0:
         return 1.0
     a, b = space.geom.alpha, space.geom.beta
-    return math.exp(
-        math.log(2.0 * n + a + b + 1.0)
-        + math.lgamma(b + 1.0)
-        + math.lgamma(n + a + b + 1.0)
-        + math.lgamma(n + a + 1.0)
-        - math.lgamma(a + 1.0)
-        - math.lgamma(a + b + 2.0)
-        - math.lgamma(n + 1.0)
-        - math.lgamma(n + b + 1.0)
-    )
+    return _exp(math.log(2.0 * n + a + b + 1.0) + math.lgamma(b + 1.0)
+                + math.lgamma(n + a + b + 1.0) + math.lgamma(n + a + 1.0) - math.lgamma(a + 1.0)
+                - math.lgamma(a + b + 2.0) - math.lgamma(n + 1.0) - math.lgamma(n + b + 1.0))
 
 
 def laplace_eigenvalue(space: SpaceParams, n: int) -> float:

@@ -20,11 +20,12 @@ lag -1, which the brute-force process oracle in the tests pins down.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ModelError, ParameterError, UsageError
+from .errors import DomainError, ModelError, NumericError, ParameterError, UsageError
 from .jacobi import _check_degree, gauss_jacobi, jacobi_all, jacobi_at_one, jacobi_norm_constant
 from .spaces import SpaceParams, dim_eigenspace
 
@@ -92,7 +93,8 @@ def _require_lag(domain: str, t) -> float:
     if domain == INTEGER_LAGS and not t.is_integer():
         raise UsageError(f"lag {t} is not an integer but the model's temporal domain is Z")
     if domain == ZERO_LAG and t != 0.0:
-        raise UsageError("a purely spatial model is evaluated at lag 0 only")
+        raise UsageError(f"lag {t} is not 0, and a purely spatial model is evaluated at lag 0 "
+                         "only")
     return t
 
 
@@ -209,9 +211,10 @@ class VectorMA1:
         """Innovations root @ z at every needed integer time, then the MA(1) sum."""
         needed = sorted({int(t) for t in times} | {int(t) - 1 for t in times})
         z = rng.standard_normal((len(needed), root.shape[0]))  # the draws of one call per time
-        # one product per time: a batched z @ root.T rounds differently
-        eps = {s: root @ z_s for s, z_s in zip(needed, z)}
-        return np.array([an * (eps[int(t)] + self.phi @ eps[int(t) - 1]) for t in times])
+        # stacked matrix-vector products round as one root @ z_s per time; z @ root.T does not
+        eps = np.matmul(root, z[..., None])
+        at = np.array([bisect_left(needed, int(t)) for t in times])  # t - 1 sits just before t
+        return an * (eps[at] + np.matmul(self.phi, eps[at - 1]))[..., 0]
 
 
 # --------------------------------------------------------------------------
@@ -257,13 +260,17 @@ class SeriesModel:
         return self.kernel.coeff_at(n, _require_lag(self.domain, t), self.coeffs)
 
     def validate(self, probe_lags=None) -> ValidityReport:
-        """Lag-0 domain: validate_spatial, every probe lag 0; else validate_spatiotemporal."""
-        if self.domain == ZERO_LAG:
-            for t in [0.0] if probe_lags is None else probe_lags:
-                _require_lag(ZERO_LAG, t)
-            return validate_spatial(self)
-        lags = DEFAULT_PROBE_LAGS if probe_lags is None else probe_lags
-        return validate_spatiotemporal(self, lags)
+        """Lag-0 domain: validate_spatial, every probe lag 0; else validate_spatiotemporal.
+        UsageError on every domain for an empty lag list."""
+        if self.domain != ZERO_LAG:
+            return validate_spatiotemporal(self, DEFAULT_PROBE_LAGS if probe_lags is None
+                                           else probe_lags)
+        lags = [0.0] if probe_lags is None else list(probe_lags)
+        if not lags:
+            raise UsageError("probe_lags must be nonempty")
+        for t in lags:
+            _require_lag(ZERO_LAG, t)
+        return validate_spatial(self)
 
 
 # --------------------------------------------------------------------------
@@ -527,12 +534,15 @@ def truncation_bound(model, N: int) -> float:
 
 def angular_power_spectrum(model: SeriesModel, n: int) -> np.ndarray:
     """Per-eigenspace normalization B_n(0) / dim H_n, for any kernel. A divergent
-    series raises ModelError (see require_finite)."""
+    series raises ModelError (see require_finite), a dim H_n past a float NumericError."""
     require_finite(model)
     n = _check_degree(n)
     if n > model.max_degree:
         raise UsageError(f"degree {n} outside stored range 0..{model.max_degree}")
-    return model.coeff_at(n, 0.0) / dim_eigenspace(model.space, n)
+    dim = dim_eigenspace(model.space, n)
+    if dim == math.inf:
+        raise NumericError(f"degree {n}: the eigenspace dimension of {model.space} overflows")
+    return model.coeff_at(n, 0.0) / dim
 
 
 def recover_coefficients(

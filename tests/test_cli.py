@@ -117,10 +117,18 @@ class TestValidate:
         for argv in (["validate"], ["eval-cov"]):
             assert main(argv + ["--model", str(path), "--lags", "5,7", "--out", "-"]) == 2
             assert capsys.readouterr().err == (
-                "error: a purely spatial model is evaluated at lag 0 only\n")
+                "error: lag 5.0 is not 0, and a purely spatial model is evaluated at lag 0 only\n")
         for lags in ([], ["--lags", "0"], ["--lags=-0.0,0"]):
             assert main(["validate", "--model", str(path), "--out", "-"] + lags) == 0
             assert json.loads(capsys.readouterr().out) == {"valid": True, "violations": []}
+
+    def test_empty_lag_list_exits_two_on_every_domain(self, spatial_model_file,
+                                                      exponential_model_file, capsys):
+        # a spatial model went on to validate_spatial and printed a valid report
+        for path, _ in (spatial_model_file, exponential_model_file):
+            assert main(["validate", "--model", str(path), "--lags=,", "--out", "-"]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: probe_lags must be nonempty\n")
 
     def test_lag_grid_over_the_table_cap_exits_two(self, exponential_model_file, tmp_path,
                                                    capsys):
@@ -913,3 +921,33 @@ def test_lag_and_time_lists_end_in_a_documented_exit(harness_dir, data):
         assert stderr.startswith(DOCUMENTED_PREFIXES), (argv, stderr)
     elif command == "simulate":
         assert out.exists() and meta.exists(), argv
+
+
+def _high_dimension_model(tmp_path, degrees):
+    """An m = 1 model on sphere:1000 with B_n = 1/(n+1)^2: P_n(1) overflows a float from
+    degree 532 on, and the eigenspace dimension from degree 308 on."""
+    path = tmp_path / f"high{degrees}.json"
+    path.write_text(json.dumps({"space": "sphere:1000", "m": 1,
+                                "coeffs": [[[1.0 / (n + 1) ** 2]] for n in range(degrees)]}))
+    return str(path)
+
+
+def test_overflowing_constants_end_in_a_documented_exit(tmp_path, capsys):
+    # math.exp raised OverflowError out of main for all of these
+    divergent = "degree 999 lag spatial: divergent (magnitude inf)"
+    many = _high_dimension_model(tmp_path, 1000)
+    assert main(["validate", "--model", many, "--out", "-"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"valid": False, "violations": [
+        {"degree": 999, "lag": "spatial", "kind": "divergent", "magnitude": math.inf}]}
+    for argv in (["eval-cov", "--rho-grid", "0:3:4"], ["spectrum"],
+                 ["simulate", "--points", "random:3"]):
+        assert main(argv + ["--model", many, "--out", str(tmp_path / "out.csv")]) == 1
+        assert divergent in capsys.readouterr().err
+    fewer = _high_dimension_model(tmp_path, 400)
+    assert main(["spectrum", "--model", fewer, "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: degree 308: the eigenspace dimension of sphere:1000 overflows\n")
+    assert main(["validate", "--model", fewer, "--out", "-"]) == 0

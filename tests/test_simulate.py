@@ -24,6 +24,7 @@ from isofield import (
     distance,
     empirical_cov,
     eval_cov,
+    jacobi_all,
     jacobi_eval,
     make_point,
     mc_funk_hecke,
@@ -38,8 +39,8 @@ from isofield import (
     validate_spatiotemporal,
 )
 from isofield.cli import resolve_points
-from isofield.spaces import a_constant, points_sha256, points_to_reals
-from isofield.spectral import Violation, factor_coefficients
+from isofield.spaces import a_constant, cos_distance_batch, points_sha256, points_to_reals
+from isofield.spectral import SPATIAL, Violation, factor_coefficients
 from tests.oracles import (
     exponential_path_cholesky,
     load_realization_values,
@@ -802,13 +803,44 @@ def test_substream_seed_and_key_must_be_nonnegative_integers(bad):
         substream(0, 1, bad)
 
 
-@pytest.mark.parametrize("times", [(0, 1, 2), (0, 2, 5), (-3, 4)])
+@pytest.mark.parametrize("times", [(0, 1, 2), (0, 2, 5), (-3, 4), (7,), (-3, -1, 0, 4)])
 def test_ma1_sampler_equals_one_draw_per_time(times):
     rng = np.random.default_rng(31)
-    phi = rng.uniform(-0.5, 0.5, (2, 2))
-    kernel = VectorMA1(phi)
-    root = psd_root_per_degree(random_psd(rng, 2))
-    for seed in range(200):
-        got = kernel.sample_path(root, 0.7, list(times), substream(seed, 1, 1))
-        want = ma1_path_per_time(phi, root, 0.7, times, substream(seed, 1, 1))
-        assert np.array_equal(got, want), seed
+    for m in (1, 2, 3):
+        phi = rng.uniform(-0.5, 0.5, (m, m))
+        kernel = VectorMA1(phi)
+        root = psd_root_per_degree(random_psd(rng, m))
+        for seed in range(200):
+            got = kernel.sample_path(root, 0.7, [float(t) for t in times], substream(seed, 1, 1))
+            want = ma1_path_per_time(phi, root, 0.7, times, substream(seed, 1, 1))
+            assert np.array_equal(got, want), (m, seed)
+
+
+PIN_KERNELS = {"spatial": SPATIAL, "pure_spatial": PureSpatial(),
+               "ar1": SeparableScalar("ar1", 0.6), "exponential": SeparableScalar("exponential", 0.8),
+               "ma1": VectorMA1([[0.3, -0.2], [0.1, 0.4]])}
+
+
+@pytest.mark.parametrize("label", ["sphere:2", "projR:3", "projC:4", "projH:8"])
+@pytest.mark.parametrize("kind", list(PIN_KERNELS))
+def test_realization_equals_the_public_stream_reference(kind, label):
+    """Every array of a realization equals its build from the public substream,
+    sample_uniform_batch, sample_path, cos_distance_batch and jacobi_all."""
+    space = parse_space(label)
+    rng = np.random.default_rng(23)
+    model = SeriesModel(space, 2, [random_psd(rng, 2, 0.6**n) for n in range(4)],
+                        PIN_KERNELS[kind])
+    times = [0.0] if kind == "spatial" else [-1.0, 0.0, 2.0, 3.0]
+    points = sample_uniform_batch(space, 5, np.random.default_rng(24))
+    roots = factor_coefficients(model)[1]
+    # 2**100 + 7 fills the four padded seed words, and 2**130 takes five
+    for seed in (0, 2**32, 2**64 - 1, 2**100 + 7, 2**130):
+        real = simulate_spatiotemporal(model, points, times, trunc=3, seed=seed)
+        u = sample_uniform_batch(space, 1, substream(seed, 0))[0]
+        assert np.array_equal(real.latent_u, u)
+        for n in range(4):
+            want = model.kernel.sample_path(roots[n], a_constant(space, n), times,
+                                            substream(seed, 1, n))
+            assert np.array_equal(real.latent_v[n], want), (seed, n)
+        pn = jacobi_all(3, space.geom, cos_distance_batch(space, u, points))
+        assert np.array_equal(real.values, np.einsum("np,ntm->ptm", pn, real.latent_v))

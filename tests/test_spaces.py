@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.special as sps
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isofield import (
     GeometryError,
@@ -23,7 +25,7 @@ from isofield import (
     sphere_volume,
 )
 from isofield import spaces
-from isofield.jacobi import JacobiParams
+from isofield.jacobi import JacobiParams, jacobi_norm_constant
 from isofield.spaces import cos_distance_batch
 from tests.oracles import (
     dim_eigenspace_mp, qconj, qmul, qnorm, qrandn_unit, regauge, zonal,
@@ -325,6 +327,29 @@ class TestSampling:
                               sample_uniform_batch(s, 2, np.random.default_rng(36)))
 
 
+def _antipode(space, x, y):
+    """A representative at distance pi from x: -x on spheres, else y minus its
+    component along x in the family's inner product."""
+    if space.family is SpaceFamily.SPHERE:
+        return -x
+    if space.family is SpaceFamily.QUATERNION_PROJECTIVE:
+        return y - qmul(x, qmul(qconj(x), y).sum(axis=0))
+    return y - x * np.vdot(x, y)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(label=st.sampled_from(SAMPLEABLE), seed=st.integers(0, 2**32),
+       eps=st.floats(1e-17, 1e-3))
+def test_cos_distance_batch_stays_in_the_closed_interval(label, seed, eps):
+    # simulate_* feeds these values to the Jacobi recurrence with no second clamp
+    space = parse_space(label)
+    x, y = sample_uniform_batch(space, 2, np.random.default_rng(seed))
+    reps = spaces.normalize_points(space, [x, -x, x + eps * y, x - eps * x, _antipode(space, x, y),
+                                           _antipode(space, x, y) + eps * x, y])
+    c = cos_distance_batch(space, x, reps)
+    assert c.dtype == float and np.all((-1.0 <= c) & (c <= 1.0)), c
+
+
 class TestZonal:
     def test_unit_at_zero_distance(self):
         rng = np.random.default_rng(31)
@@ -394,6 +419,16 @@ class TestSpectralConstants:
             exact = dim_eigenspace_mp(s.geom.alpha, s.geom.beta, n)
             assert abs(float(exact - round(exact))) < 1e-8
             assert dim_eigenspace(s, n) == pytest.approx(float(exact), rel=1e-11)
+
+    def test_constants_past_a_float_read_inf(self):
+        # math.exp raised OverflowError; values below the overflow are unchanged
+        s = parse_space("sphere:1000")
+        assert dim_eigenspace(s, 307) == pytest.approx(6.478576382553765e307, rel=1e-12)
+        assert dim_eigenspace(s, 308) == math.inf
+        assert jacobi_at_one(512, s.geom) < math.inf == jacobi_at_one(1024, s.geom)
+        assert a_constant(s, 4096) < math.inf == a_constant(s, 16384)
+        wide = JacobiParams(1100.0, 0.0)  # 2^(a+b+1) alone overflows
+        assert jacobi_norm_constant(0, wide) == jacobi_norm_constant(5, wide) == math.inf
 
     def test_laplace_eigenvalues(self):
         s2 = parse_space("sphere:2")

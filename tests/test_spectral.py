@@ -34,7 +34,7 @@ from isofield import (
     validate_spatial,
     validate_spatiotemporal,
 )
-from isofield.errors import ParameterError
+from isofield.errors import NumericError, ParameterError
 from isofield.jacobi import jacobi_at_one
 from isofield.spectral import (
     _CONTRACT_BLOCK, INTEGER_LAGS, REAL_LAGS, SPATIAL, ZERO_LAG, factor_coefficients,
@@ -207,6 +207,15 @@ class TestValidateSpatioTemporal:
         for lags in ([5.0, 7.0], [0.0, 1.0], [math.nan]):
             with pytest.raises(UsageError, match="lag"):
                 bad.validate(lags)
+        with pytest.raises(UsageError, match="^lag 5.0 is not 0, and a purely spatial model"):
+            bad.validate([0.0, 5.0])
+
+    def test_model_validate_rejects_an_empty_lag_list_on_every_domain(self):
+        # the lag-0 domain returned validate_spatial's report for []
+        for model in (SeriesModel(S2, 2, [np.eye(2)]), ma1_model()):
+            for lags in ([], ()):
+                with pytest.raises(UsageError, match="^probe_lags must be nonempty$"):
+                    model.validate(lags)
 
     def test_ar1_coefficient_domain(self):
         with pytest.raises(ParameterError):
@@ -763,6 +772,14 @@ class TestSpectrum:
         assert np.array_equal(angular_power_spectrum(model, 1.0), angular_power_spectrum(model, 1))
         with pytest.raises(ParameterError, match="degree must be a nonnegative integer, got 1.5"):
             angular_power_spectrum(model, 1.5)
+
+    def test_eigenspace_dimension_past_a_float_names_the_degree(self):
+        # B_n / inf read 0; the degree-307 entry is unchanged
+        model = SeriesModel(parse_space("sphere:1000"), 1, [np.eye(1)] * 309)
+        assert angular_power_spectrum(model, 307)[0, 0] == 1.0 / dim_eigenspace(model.space, 307)
+        with pytest.raises(NumericError, match="^degree 308: the eigenspace dimension of "
+                                               "sphere:1000 overflows$"):
+            angular_power_spectrum(model, 308)
 
     def test_ma1_spectrum_reads_lag_zero(self):
         # Sigma_1 = 0.5, Phi = 0.9: B_1(0) = Sigma_1 + Phi Sigma_1 Phi^T = 0.905, not Sigma_1
