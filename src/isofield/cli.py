@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
 import json
 import math
@@ -22,7 +21,8 @@ import numpy as np
 
 from .errors import GeometryError, ModelError, NumericError, UsageError
 from .modelio import _not_utf8, load_model
-from .simulate import save_realization, simulate_spatiotemporal, substream
+from .simulate import _WRITE_CHUNK, _write_rows, save_realization, simulate_spatiotemporal
+from .simulate import substream
 from .spaces import (
     SpaceFamily,
     all_reference_spaces,
@@ -41,7 +41,7 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_GEOMETRY = 3
 MAX_COUNT = 1_000_000  # grid distances, generated points or replicates; more outgrows memory
-MAX_VALUES = 10_000_000  # float64 values (80 MB) one eval-cov table or simulate run may hold
+MAX_VALUES = 10_000_000  # float64s (80 MB) in one eval-cov or simulate run, written in chunks
 
 
 def _parse_lags(text: str) -> list[float]:
@@ -160,16 +160,10 @@ def _output(out_path: str | None):
             yield fh
 
 
-def _emit(doc, fmt: str, out_path: str | None, header=()) -> None:
-    """doc as JSON, or in csv format its rows (dicts) under header."""
+def _emit(doc, out_path: str | None) -> None:
+    """doc as indented JSON with sorted keys."""
     with _output(out_path) as fh:
-        if fmt == "json":
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows([row[h] for h in header] for row in doc)
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _entry_rows(mat, **fields) -> list[dict]:
@@ -186,8 +180,13 @@ def _entry_rows(mat, **fields) -> list[dict]:
 def cmd_validate(args) -> int:
     model = load_model(args.model)
     report = model.validate(None if args.lags is None else _parse_lags(args.lags))
-    doc = report.as_dict() if args.format == "json" else [v.as_dict() for v in report.violations]
-    _emit(doc, args.format, args.out, ["degree", "lag", "kind", "magnitude"])
+    if args.format == "json":
+        _emit(report.as_dict(), args.out)
+    else:
+        with _output(args.out) as fh:
+            _write_rows(fh, ["degree", "lag", "kind", "magnitude"],
+                        [f"{v.degree},{v.lag},{v.kind}" for v in report.violations], [",%r\r\n"],
+                        np.array([v.magnitude for v in report.violations], dtype=float))
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
@@ -201,23 +200,28 @@ def cmd_eval_cov(args) -> int:
     trunc = args.trunc if args.trunc is not None else model.max_degree
     bound = truncation_bound(model, trunc)
     covs = eval_cov(model, rhos, lags, trunc).swapaxes(0, 1)
-    if args.format == "json":
-        rows = [row for r, rho in enumerate(rhos) for lag, cov in zip(lags, covs[r])
-                for row in _entry_rows(cov, rho=float(rho), lag=lag, tail_bound=bound)]
-        _emit(rows, "json", args.out)
-        return EXIT_OK
-    # One %-format per distance over its values, in C order, in csv.writer's dialect (as
-    # save_realization): the distance's repr joined with the row tails shared by all
-    tails = ["", *(f",{lag!r},{i},{j},%r,{bound!r}\r\n"
-                   for lag in lags for i in range(model.m) for j in range(model.m))]
     with _output(args.out) as fh:
-        fh.write("rho,lag,component_i,component_j,value,tail_bound\r\n")
-        for rho, values in zip(rhos.tolist(), covs.reshape(len(rhos), -1).tolist()):
-            fh.write(repr(rho).join(tails) % tuple(values))
+        if args.format == "csv":
+            _write_rows(fh, ["rho", "lag", "component_i", "component_j", "value", "tail_bound"],
+                        rhos.tolist(), [f",{lag!r},{i},{j},%r,{bound!r}\r\n" for lag in lags
+                                           for i in range(model.m) for j in range(model.m)], covs)
+            return EXIT_OK
+        # the JSON list a chunk of distances at a time, each chunk's json.dumps without brackets
+        step = max(1, _WRITE_CHUNK // covs[0].size)
+        for a in range(0, len(rhos), step):
+            rows = [row for r, rho in enumerate(rhos[a:a + step], a)
+                    for lag, cov in zip(lags, covs[r])
+                    for row in _entry_rows(cov, rho=float(rho), lag=lag, tail_bound=bound)]
+            fh.write(",\n" if a else "[\n")
+            fh.write(json.dumps(rows, indent=2, sort_keys=True)[2:-2])
+        fh.write("\n]\n")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
+    if args.out == "-":
+        raise UsageError("--out - would be stdout, but simulate writes a values CSV and a "
+                         ".meta.json sidecar beside it, so --out needs a file path")
     model = load_model(args.model)
     points = resolve_points(model.space, args.points, args.seed)
     times = sorted(_parse_lags(args.times))
@@ -279,7 +283,7 @@ def cmd_check(args) -> int:
             for label, est in (("mean", chk.mean), ("cov", chk.covariance), ("cross", chk.cross)):
                 records.append(_mc_record(space, f"zonal_{label}_{n}", ZONAL_IDENTITY, est))
     all_pass = all(r["pass"] for r in records)
-    _emit({"pass": all_pass, "checks": records}, "json", args.out)
+    _emit({"pass": all_pass, "checks": records}, args.out)
     if not all_pass:
         failed = [r["name"] for r in records if not r["pass"]]
         print(f"failed identities: {', '.join(failed)}", file=sys.stderr)
@@ -288,10 +292,13 @@ def cmd_check(args) -> int:
 
 def cmd_spectrum(args) -> int:
     model = load_model(args.model)
-    rows = []
-    for n in range(model.max_degree + 1):
-        rows += _entry_rows(angular_power_spectrum(model, n), degree=n)
-    _emit(rows, args.format, args.out, ["degree", "component_i", "component_j", "value"])
+    spectra = np.array([angular_power_spectrum(model, n) for n in range(model.max_degree + 1)])
+    if args.format == "json":
+        _emit([row for n, b in enumerate(spectra) for row in _entry_rows(b, degree=n)], args.out)
+        return EXIT_OK
+    with _output(args.out) as fh:
+        _write_rows(fh, ["degree", "component_i", "component_j", "value"], range(len(spectra)),
+                    [f",{i},{j},%r\r\n" for i in range(model.m) for j in range(model.m)], spectra)
     return EXIT_OK
 
 
@@ -303,14 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *flags):
+    def common(p, *flags, out="output path (default stdout)"):
         """--out plus whichever of --model, --seed and --format the command reads."""
         if "model" in flags:
             p.add_argument("--model", required=True, help="model JSON file")
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                            help="master seed (fixed default)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--out", default=None, help=out)
         if "format" in flags:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -328,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_cov)
 
     p = sub.add_parser("simulate", help="draw one realization and write CSV plus sidecar")
-    common(p, "model", "seed")
+    common(p, "model", "seed", out="values CSV path (default realization.csv); the sidecar "
+           "goes beside it as <stem>.meta.json")
     p.add_argument("--points", required=True,
                    help="'random:K', 'fibonacci:K' (sphere:2), or a coordinate CSV file")
     p.add_argument("--times", default="0",

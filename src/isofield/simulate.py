@@ -46,6 +46,8 @@ from .spaces import (
 from .spectral import ZERO_LAG, SeriesModel, _require_lag, _resolve_trunc, factor_coefficients
 from .spectral import truncation_bound
 
+_WRITE_CHUNK = 1 << 14  # values per write of _write_rows (whole leads, at least one)
+
 
 def _words(n: int, count: int = 1) -> bytes:
     """n as little-endian 32-bit words, at least count of them."""
@@ -194,11 +196,17 @@ def save_realization(real: Realization, csv_path, *, points_spec=None) -> tuple[
     else:
         meta["points_spec"] = points_spec
     sidecar = json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n"
-    # One %-format over every value, in C order: %r of a float is its repr.
-    tails = [f",{t!r},{k},%r\r\n" for t in real.times for k in range(m)]
-    rows = "".join([f"{p}{tail}" for p in range(npts) for tail in tails])
-    with open(csv_path, "w", newline="") as fh:  # csv.writer's dialect: CRLF, nothing quoted
-        fh.write("point_index,time,component,value\r\n")
-        fh.write(rows % tuple(real.values.ravel().tolist()))
+    with open(csv_path, "w", newline="") as fh:
+        _write_rows(fh, ["point_index", "time", "component", "value"], range(npts),
+                    [f",{t!r},{k},%r\r\n" for t in real.times for k in range(m)], real.values)
     meta_path.write_text(sidecar)
     return csv_path, meta_path
+
+
+def _write_rows(fh, header, leads, tails, values) -> None:
+    """The CSV header, then per lead a row str(lead) + tail per tail, in csv.writer's dialect."""
+    fh.write(",".join(header) + "\r\n")
+    step = max(1, _WRITE_CHUNK // len(tails))  # leads per write; values[k] fills lead k's %r
+    for k in range(0, len(leads), step):
+        rows = "".join([lead + tail for lead in map(str, leads[k:k + step]) for tail in tails])
+        fh.write(rows % tuple(values[k:k + step].ravel().tolist()))

@@ -6,7 +6,8 @@ moments, eigenspace dimensions from high-precision gamma evaluation,
 moving-average covariances from direct simulation of the process,
 exponential-kernel paths from a Cholesky factor of the time-grid correlation,
 moving-average paths from one normal draw per time,
-values CSVs and eval-cov tables from csv.writer one row at a time,
+values CSVs and the eval-cov, validate and spectrum tables from csv.writer one
+row at a time,
 covariance partial sums from one += per degree, and
 space-time validity reports from one kernel call per (degree, lag).
 Some are the library's own pieces composed the long way: coefficient roots
@@ -203,6 +204,12 @@ def eval_cov_output(rhos, lags, covs, tail_bound, fmt: str) -> str:
             for i in range(cov.shape[-2]) for j in range(cov.shape[-1])]
     if fmt == "json":
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    return csv_table(header, rows)
+
+
+def csv_table(header, rows) -> str:
+    """A CSV table of dict rows as csv.writer renders it: the header, then one
+    writerow per row of the values under the header's keys."""
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(header)

@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -32,8 +33,9 @@ from isofield import (
 )
 import isofield
 from isofield.cli import MAX_COUNT, MAX_VALUES, main, resolve_points
+from isofield.simulate import _WRITE_CHUNK
 from isofield.spaces import points_sha256, points_to_reals
-from tests.oracles import eval_cov_output, load_realization_values, random_psd
+from tests.oracles import csv_table, eval_cov_output, load_realization_values, random_psd
 
 S2 = parse_space("sphere:2")
 
@@ -229,6 +231,43 @@ class TestEvalCovBytes:
             assert ",-0.0," in want or "-0.0" not in lag_text
             assert "\r\n0.0," in want and f"\r\n{math.pi!r}," in want
 
+    @pytest.mark.parametrize("fmt, lag_count", [("csv", 3), ("json", 3),
+                                                ("csv", _WRITE_CHUNK // 4 + 1)])
+    def test_table_over_several_chunks_equals_the_row_rendering(self, fmt, lag_count, tmp_path):
+        # m = 2: with 3 lags, two full chunks of whole distances and one of a single
+        # distance; with _WRITE_CHUNK // 4 + 1 lags, distances of more than a chunk each
+        rng = np.random.default_rng(11)
+        model = SeriesModel(parse_space("projC:4"), 2, [random_psd(rng, 2) for _ in range(3)],
+                            SeparableScalar("exponential", 0.7))
+        path = save_model(model, tmp_path / "model.json")
+        count = max(3, 2 * (_WRITE_CHUNK // (4 * lag_count)) + 1)
+        rhos = np.linspace(0.0, 3.0, count)
+        lags = [0.25 * k - 0.5 for k in range(lag_count)]
+        assert len(rhos) * len(lags) * 4 > 2 * _WRITE_CHUNK
+        want = eval_cov_output(rhos, lags, list(eval_cov(model, rhos, lags)),
+                               truncation_bound(model, model.max_degree), fmt)
+        out = tmp_path / "table"
+        assert main(["eval-cov", "--model", str(path), "--rho-grid", f"0:3:{count}",
+                     f"--lags={','.join(map(repr, lags))}", "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode()
+
+    def test_csv_memory_does_not_grow_with_the_table(self, exponential_model_file, tmp_path):
+        # rows are formatted _WRITE_CHUNK values at a time: the traced peak grows by the
+        # float64 table, its distances and eval_cov's blocks (about 17 B a value here),
+        # where per-distance templates held about 65 B a value
+        path, _ = exponential_model_file
+        peaks = []
+        for count in (5_000, 30_000):
+            tracemalloc.start()
+            try:
+                assert main(["eval-cov", "--model", str(path), "--rho-grid", f"0:3:{count}",
+                             "--lags", "0,1,2,3", "--out", str(tmp_path / "table.csv")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 24 * 4 * 25_000  # three float64s per added value
+
     def test_no_lags_exits_two_naming_the_flag(self, spatial_model_file, tmp_path, capsys):
         # an empty list once wrote the header alone and exited 0, where validate --lags ""
         # and simulate --times "" exit 2
@@ -259,7 +298,99 @@ class TestEvalCovBytes:
         assert np.array_equal(got, np.array(want)[..., 0, 0])
 
 
+TEMPORAL_DOCS = {
+    "spatial": None,
+    "pure_spatial": {"variant": "pure_spatial"},
+    "exponential": {"variant": "exponential", "theta": 1.5},
+    "ar1": {"variant": "ar1", "phi": -0.6},
+    "ma1": {"variant": "ma1", "phi": [[0.3, -0.2], [0.1, 0.5]]},
+}
+PROBE_LAGS = {"spatial": "0", "pure_spatial": "0", "exponential": "-2.5,-0.0,0,0.25,1e-300,3",
+              "ar1": "-2,-1,0,1,2", "ma1": "-2,-1,0,1,3"}
+# asymmetric at degree 0, indefinite at degree 1, and an asymmetry that overflows to inf
+BAD_COEFFS = [[[1.0, 0.3], [0.0, 1.0]], [[1.0, 0.0], [0.0, -0.2]], [[0.5, 0.1], [0.1, 0.4]],
+              [[1.0, 1.5e308], [-1.5e308, 1.0]]]
+
+
+class LagDependentKernel:
+    """A user kernel whose report names numeric lags: B(1) = 0.5 B but B(-1) = 0.25 B
+    (asymmetric), and B(t) = 1e308 B at |t| >= 2 (divergent, magnitude inf)."""
+
+    domain = "integers"
+
+    def coeff_at(self, n, t, coeffs):
+        if t == 0.0:
+            return coeffs[n]
+        if abs(t) == 1.0:
+            return (0.5 if t > 0 else 0.25) * coeffs[n]
+        with np.errstate(over="ignore"):
+            return 1e308 * coeffs[n]
+
+
+class TestTableBytes:
+    """validate --format csv and spectrum write the bytes csv.writer gives for their dict
+    rows (tests/oracles.py::csv_table)."""
+
+    @staticmethod
+    def _model_file(tmp_path, kernel, valid):
+        rng = np.random.default_rng(21)
+        doc = {"space": "sphere:2", "m": 2,
+               "coeffs": [random_psd(rng, 2, 0.7**n).tolist() for n in range(4)]}
+        if not valid:
+            doc["coeffs"] = BAD_COEFFS
+        if TEMPORAL_DOCS[kernel]:
+            doc["temporal"] = TEMPORAL_DOCS[kernel]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("valid", [True, False])
+    @pytest.mark.parametrize("kernel", sorted(TEMPORAL_DOCS))
+    def test_validate_csv(self, kernel, valid, tmp_path, capsys):
+        path = self._model_file(tmp_path, kernel, valid)
+        model = load_model(path)
+        for lag_text in (None, PROBE_LAGS[kernel]):
+            lags = None if lag_text is None else [float(t) for t in lag_text.split(",")]
+            report = model.validate(lags)
+            want = csv_table(["degree", "lag", "kind", "magnitude"],
+                             [v.as_dict() for v in report.violations])
+            argv = ["validate", "--model", str(path), "--format", "csv", "--out", "-"]
+            assert main(argv + ([] if lag_text is None else [f"--lags={lag_text}"])) == (
+                0 if valid else 1)
+            assert capsys.readouterr().out == want
+            assert valid or ",spatial,asymmetric,inf\r\n" in want
+
+    def test_validate_csv_on_numeric_lags(self, tmp_path, capsys, monkeypatch):
+        model = SeriesModel(S2, 2, [[[2.0, 0.5], [0.5, 2.0]], np.eye(2)], LagDependentKernel())
+        monkeypatch.setattr(isofield.cli, "load_model", lambda path: model)
+        want = csv_table(["degree", "lag", "kind", "magnitude"],
+                         [v.as_dict() for v in model.validate([-2, -1, 0, 1, 2]).violations])
+        out = tmp_path / "report.csv"
+        assert main(["validate", "--model", "any.json", "--format", "csv", "--lags=-2,-1,0,1,2",
+                     "--out", str(out)]) == 1
+        assert out.read_bytes() == want.encode()
+        assert "\r\n0,-2.0,divergent,inf\r\n" in want and ",1.0,asymmetric," in want
+
+    @pytest.mark.parametrize("valid", [True, False])
+    @pytest.mark.parametrize("kernel", sorted(TEMPORAL_DOCS))
+    def test_spectrum_csv(self, kernel, valid, tmp_path):
+        path = self._model_file(tmp_path, kernel, valid)
+        model = load_model(path)
+        rows = [dict(degree=n, component_i=i, component_j=j, value=float(b[i, j]))
+                for n in range(model.max_degree + 1) for b in [angular_power_spectrum(model, n)]
+                for i in range(model.m) for j in range(model.m)]
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--model", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == csv_table(
+            ["degree", "component_i", "component_j", "value"], rows).encode()
+
+
 class TestSimulate:
+    def test_help_names_the_default_file(self, capsys):
+        assert main(["simulate", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default realization.csv)" in text and "default stdout" not in text
+
     def test_byte_identical_reruns(self, spatial_model_file, tmp_path):
         path, _ = spatial_model_file
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -671,12 +802,17 @@ BOUNDARY_INPUTS = {
     "non_finite_row_in_point_file": (
         EXPONENTIAL_DOC, ["simulate", "--points", "NAN"],
         "error: point file 'NAN': line 2 holds a zero or non-finite point\n"),
+    "simulate_to_stdout": (
+        EXPONENTIAL_DOC, ["simulate", "--points", "random:3", "--out", "-"],
+        "error: --out - would be stdout, but simulate writes a values CSV and a .meta.json "
+        "sidecar beside it, so --out needs a file path\n"),
 }
 
 
 @pytest.mark.parametrize("case", BOUNDARY_INPUTS)
-def test_boundary_inputs_exit_two_naming_the_field(tmp_path, capsys, case):
+def test_boundary_inputs_exit_two_naming_the_field(tmp_path, capsys, monkeypatch, case):
     doc, argv, message = BOUNDARY_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
     model = tmp_path / "model.json"
     model.write_text(doc)
     files = {"RAGGED": "# x,y,z\n1,0,0\n\n0,1\n", "WORDS": "1,0,0\n0,one,0\n",
@@ -685,10 +821,11 @@ def test_boundary_inputs_exit_two_naming_the_field(tmp_path, capsys, case):
         (tmp_path / name).write_text(text)
         message = message.replace(name, str(tmp_path / name))
     argv = [str(tmp_path / a) if a in files else a for a in argv]
-    out = tmp_path / "out.csv"
-    assert main([*argv, "--model", str(model), "--out", str(out)]) == 2
+    out_flag = [] if "--out" in argv else ["--out", str(tmp_path / "out.csv")]
+    before = set(tmp_path.iterdir())
+    assert main([*argv, "--model", str(model), *out_flag]) == 2
     assert capsys.readouterr().err == message
-    assert not out.exists()
+    assert set(tmp_path.iterdir()) == before  # nothing written, also not to '-' in the cwd
 
 
 @pytest.mark.parametrize("flag", ["--model", "--points"])

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,6 +41,7 @@ from isofield import (
 )
 from isofield.cli import resolve_points
 from isofield.spaces import a_constant, cos_distance_batch, points_sha256, points_to_reals
+from isofield.simulate import _WRITE_CHUNK
 from isofield.spectral import SPATIAL, Violation, factor_coefficients
 from tests.oracles import (
     exponential_path_cholesky,
@@ -607,6 +609,41 @@ class TestRealizationIO:
         csv_path, _ = save_realization(real, tmp_path / "v.csv")
         write_values_csv(tmp_path / "oracle.csv", real.values, real.times)
         assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("long_points", [False, True])
+    def test_table_over_several_chunks_matches_csv_writer_oracle(self, long_points, tmp_path):
+        # two full chunks and a partial one of whole points (6 values each), or points of
+        # _WRITE_CHUNK + 2 values each, one point per chunk
+        model = SeriesModel(S2, 2, [np.eye(2), random_psd(np.random.default_rng(3), 2)],
+                            SeparableScalar("exponential", 0.7))
+        points = sample_uniform_batch(S2, 2 * _WRITE_CHUNK // 6 + 1, np.random.default_rng(4))
+        real = simulate_spatiotemporal(model, points, [-1.0, 0.0, 2.5], seed=5)
+        if long_points:
+            times = [0.25 * k for k in range(_WRITE_CHUNK // 2 + 1)]
+            values = np.random.default_rng(6).standard_normal((3, len(times), 2))
+            real = dataclasses.replace(real, times=times, values=values)
+        assert real.values.size > 2 * _WRITE_CHUNK and real.values.size % _WRITE_CHUNK
+        csv_path, _ = save_realization(real, tmp_path / "v.csv", points_spec="random")
+        write_values_csv(tmp_path / "oracle.csv", real.values, real.times)
+        assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_memory_does_not_grow_with_the_table(self, tmp_path):
+        # rows are formatted _WRITE_CHUNK values at a time: past the first chunk the traced
+        # peak grows by the sidecar's point digest only (about 5 B a value here), where a
+        # whole-table template held about 89 B a value
+        model = SeriesModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)],
+                            SeparableScalar("exponential", 1.0))
+        peaks = []
+        for count in (5_000, 30_000):
+            points = sample_uniform_batch(S2, count, np.random.default_rng(count))
+            real = simulate_spatiotemporal(model, points, [0.0, 1.0], seed=1)
+            tracemalloc.start()
+            try:
+                save_realization(real, tmp_path / "v.csv", points_spec=f"random:{count}")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 24 * 4 * 25_000  # three float64s per added value
 
 
 class WrappingKernel:
