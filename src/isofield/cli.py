@@ -206,14 +206,20 @@ def cmd_eval_cov(args) -> int:
                         rhos.tolist(), [f",{lag!r},{i},{j},%r,{bound!r}\r\n" for lag in lags
                                            for i in range(model.m) for j in range(model.m)], covs)
             return EXIT_OK
-        # the JSON list a chunk of distances at a time, each chunk's json.dumps without brackets
+        # json.dumps(rows, indent=2, sort_keys=True) of every row, written a chunk of distances
+        # at a time from one template per distance, its %s filled with rho and value per row
+        per_rho = ",\n".join([
+            f'  {{\n    "component_i": {i},\n    "component_j": {j},\n    "lag": {json.dumps(lag)},'
+            f'\n    "rho": %s,\n    "tail_bound": {json.dumps(bound)},\n    "value": %s\n  }}'
+            for lag in lags for i in range(model.m) for j in range(model.m)])
         step = max(1, _WRITE_CHUNK // covs[0].size)
         for a in range(0, len(rhos), step):
-            rows = [row for r, rho in enumerate(rhos[a:a + step], a)
-                    for lag, cov in zip(lags, covs[r])
-                    for row in _entry_rows(cov, rho=float(rho), lag=lag, tail_bound=bound)]
-            fh.write(",\n" if a else "[\n")
-            fh.write(json.dumps(rows, indent=2, sort_keys=True)[2:-2])
+            block = covs[a:a + step].reshape(-1, covs[0].size)  # (distances, rows per distance)
+            fields = np.stack([np.broadcast_to(rhos[a:a + step, None], block.shape), block], -1)
+            values = fields.ravel().tolist()  # str(float) is json's repr where finite
+            if not np.isfinite(block).all():
+                values = [json.dumps(v) for v in values]  # NaN, Infinity and -Infinity
+            fh.write((",\n" if a else "[\n") + ",\n".join([per_rho] * len(block)) % tuple(values))
         fh.write("\n]\n")
     return EXIT_OK
 

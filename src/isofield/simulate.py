@@ -43,8 +43,8 @@ from .spaces import (
     points_to_reals,
     sample_uniform_batch,
 )
-from .spectral import ZERO_LAG, SeriesModel, _require_lag, _resolve_trunc, factor_coefficients
-from .spectral import truncation_bound
+from .spectral import ZERO_LAG, SeriesModel, _Grid, _require_lag, _resolve_trunc
+from .spectral import factor_coefficients, truncation_bound
 
 _WRITE_CHUNK = 1 << 14  # values per write of _write_rows (whole leads, at least one)
 
@@ -64,6 +64,17 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     the entropy numpy assembles: seed words, zero-padded to 4 words if keyed, then key words."""
     data = _words(_natural(seed, "seed"), 4 if key else 1)
     return _generator(data + b"".join([_words(_natural(k, "spawn key")) for k in key]))
+
+
+def _degree_streams(model, trunc: int) -> list:
+    """Per degree n of 0..trunc, the key words of its stream (1, n) and a_n: what no seed
+    changes, memoised on the model for its space (by identity) and extended on demand."""
+    memo = model.__dict__.get("_streams")
+    if memo is None or memo[0] is not model.space or len(memo[1]) <= trunc:
+        memo = model.space, [(_words(1) + _words(n), a_constant(model.space, n))
+                             for n in range(trunc + 1)]
+        model._streams = memo
+    return memo[1]
 
 
 @dataclass
@@ -140,9 +151,10 @@ def simulate_spatiotemporal(
     if sample_path is None:
         raise UsageError(f"unsupported temporal kernel {type(model.kernel).__name__}")
     latent_v = np.zeros((trunc + 1, len(times), model.m))
+    grid, degrees = _Grid(times), _degree_streams(model, trunc)
     for n in range(trunc + 1):
-        rng = _generator(prefix + _words(1) + _words(n))
-        latent_v[n] = sample_path(roots[n], a_constant(space, n), times, rng)
+        key, an = degrees[n]
+        latent_v[n] = sample_path(roots[n], an, grid, _generator(prefix + key))
     pn = _jacobi_table(trunc, space.geom, cos_distance_batch(space, u, points))
     values = np.einsum("np,ntm->ptm", pn, latent_v)
     if not np.isfinite(values).all():

@@ -119,7 +119,8 @@ def weinstein_integer_value(alpha: float, beta: float) -> float:
 def _cdot(reps, u):
     """sum_j conj(rep_j) u_j for each stacked representative, as one matmul of
     (1, n) rows, so that every row rounds as a single-pair dot product does."""
-    return np.matmul(np.conj(reps)[..., None, :], u[:, None])[..., 0, 0]
+    reps = np.conj(reps) if reps.dtype.kind == "c" else reps  # conj copies real rows unchanged
+    return np.matmul(reps[..., None, :], u[:, None])[..., 0, 0]
 
 
 def _hdot(reps, u):
@@ -276,9 +277,8 @@ def ambient_shape(space: SpaceParams) -> tuple:
     return _point_family(space).ambient(space.d)
 
 
-def _stack(space: SpaceParams, reps) -> np.ndarray:
-    """reps as a (K, *ambient_shape) array of the family's dtype."""
-    row = _point_family(space)
+def _stack(space: SpaceParams, reps, row: _Family) -> np.ndarray:
+    """reps as a (K, *ambient_shape) array of the family row's dtype."""
     shape = row.ambient(space.d)
     reps = np.asarray(reps)
     if reps.shape[1:] != shape or not np.can_cast(reps.dtype, row.dtype):
@@ -291,7 +291,8 @@ def _stack(space: SpaceParams, reps) -> np.ndarray:
 
 def _raw_norms(reps: np.ndarray) -> np.ndarray:
     """Euclidean norm of each stacked representative, keeping its axes."""
-    return np.sqrt(np.add.reduce(np.abs(reps) ** 2, tuple(range(1, reps.ndim)), keepdims=True))
+    squares = np.abs(reps) ** 2 if reps.dtype.kind == "c" else reps * reps  # same bits if real
+    return np.sqrt(np.add.reduce(squares, tuple(range(1, reps.ndim)), keepdims=True))
 
 
 def _norms(reps: np.ndarray) -> np.ndarray:
@@ -307,7 +308,7 @@ def normalize_points(space: SpaceParams, reps) -> np.ndarray:
     overflows is first divided by its largest real component, so that every
     finite nonzero row normalizes; every other row divides by its norm.
     """
-    reps = _stack(space, reps)
+    reps = _stack(space, reps, _point_family(space))
     norms = _norms(reps)
     odd = ~((norms >= 2.0**-511) & (norms < np.inf))
     if odd.any():
@@ -328,7 +329,8 @@ def point_array(space: SpaceParams, points) -> np.ndarray:
     or of make_point results of this space, stacked once. This is where points
     from outside the library are checked.
     """
-    shape = ambient_shape(space)  # GeometryError first for a space without points
+    row = _point_family(space)  # GeometryError first for a space without points
+    shape = row.ambient(space.d)
     if not isinstance(points, np.ndarray):
         rows = []
         for p in points:
@@ -341,7 +343,7 @@ def point_array(space: SpaceParams, points) -> np.ndarray:
             points = np.array(rows) if rows else np.empty((0, *shape))
         except ValueError:  # rows of differing shapes
             raise UsageError(f"points of {space.label} must all have shape {shape}") from None
-    reps = _stack(space, points)
+    reps = _stack(space, points, row)
     unit = np.abs(_norms(reps).ravel() - 1.0) <= _DOT_CLAMP_TOL
     if not unit.all():
         bad = np.flatnonzero(~unit)[0]
@@ -381,9 +383,8 @@ def make_point(space: SpaceParams, coords) -> Point:
     return Point(family=space.family, d=space.d, coords=rep)
 
 
-def _inner(space: SpaceParams, reps: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _inner(row: _Family, reps: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Clamped family inner product of each stacked representative with u."""
-    row = _point_family(space)
     t = row.dot(reps, u)
     t = np.asarray(np.abs(t) if row.projective else t, dtype=float)
     if (np.abs(t) > 1.0 + _DOT_CLAMP_TOL).any():
@@ -395,8 +396,9 @@ def cos_distance_batch(space: SpaceParams, x: np.ndarray, reps: np.ndarray) -> n
     """cos rho(rep, x), in [-1, 1], for each of a stacked batch of unit representatives
     and one unit representative x: t on spheres, cos(2 arccos t) = 2t^2 - 1 on
     projective spaces, t clamped to [-1, 1] or [0, 1]."""
-    t = _inner(space, np.asarray(reps), x)
-    return 2.0 * t * t - 1.0 if _FAMILIES[space.family].projective else t
+    row = _point_family(space)
+    t = _inner(row, np.asarray(reps), x)
+    return 2.0 * t * t - 1.0 if row.projective else t
 
 
 def distance(space: SpaceParams, x, y) -> float:
@@ -409,8 +411,9 @@ def distance(space: SpaceParams, x, y) -> float:
     product, not from arccos of cos_distance_batch, which loses precision near 0.
     """
     x, y = point_array(space, [x, y])
-    t = _inner(space, x[None], y)[0]
-    return float(2.0 * np.arccos(t) if _FAMILIES[space.family].projective else np.arccos(t))
+    row = _point_family(space)
+    t = _inner(row, x[None], y)[0]
+    return float(2.0 * np.arccos(t) if row.projective else np.arccos(t))
 
 
 def sample_uniform_batch(space: SpaceParams, k: int, rng: np.random.Generator) -> np.ndarray:

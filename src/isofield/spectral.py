@@ -209,12 +209,25 @@ class VectorMA1:
 
     def sample_path(self, root, an, times, rng):
         """Innovations root @ z at every needed integer time, then the MA(1) sum."""
-        needed = sorted({int(t) for t in times} | {int(t) - 1 for t in times})
-        z = rng.standard_normal((len(needed), root.shape[0]))  # the draws of one call per time
+        index = getattr(times, "ma1_index", None)  # derived once per _Grid
+        if index is None:
+            needed = sorted({int(t) for t in times} | {int(t) - 1 for t in times})
+            at = np.array([bisect_left(needed, int(t)) for t in times])  # t - 1 just before t
+            index = len(needed), at, at - 1
+            if isinstance(times, _Grid):
+                times.ma1_index = index
+        count, at, before = index
+        z = rng.standard_normal((count, root.shape[0]))  # the draws of one call per time
         # stacked matrix-vector products round as one root @ z_s per time; z @ root.T does not
         eps = np.matmul(root, z[..., None])
-        at = np.array([bisect_left(needed, int(t)) for t in times])  # t - 1 sits just before t
-        return an * (eps[at] + np.matmul(self.phi, eps[at - 1]))[..., 0]
+        return an * (eps[at] + np.matmul(self.phi, eps[before]))[..., 0]
+
+
+class _Grid(list):
+    """Checked times that hold what a kernel derives from them for as long as they live:
+    simulate_* passes one _Grid to every degree of a realization, then drops it."""
+
+    __slots__ = ("ma1_index",)
 
 
 # --------------------------------------------------------------------------

@@ -173,7 +173,8 @@ def empirical_cov(
     Valid time offsets within each replicate are averaged first (variance
     reduction only); the standard error comes from the replicate count.
     The target is the model covariance at the realizations' truncation.
-    point_pair holds two integer indices into the shared points.
+    point_pair holds two integer indices into the shared points (not bools), and lag
+    is a real number (not text).
     """
     if len(realizations) < 2:
         raise UsageError("at least 2 realizations are required")
@@ -198,13 +199,19 @@ def empirical_cov(
     ):
         raise UsageError("realizations must share model, points, times, and truncation")
     try:
-        a, b = (operator.index(i) for i in point_pair)
+        a, b = (-1 if isinstance(i, bool) else operator.index(i) for i in point_pair)
     except (TypeError, ValueError):
         a = b = -1
     if not (0 <= a < len(points) and 0 <= b < len(points)):
         raise UsageError(
             f"point pair {point_pair!r} must be two integer indices in 0..{len(points) - 1}"
         )
+    try:
+        if isinstance(lag, (str, bytes)):  # float() would read text
+            raise TypeError
+        float(lag)  # a real number, as eval_cov reads it below
+    except (TypeError, ValueError):
+        raise UsageError(f"lag {lag!r} must be a real number") from None
     times = np.asarray(first.times)
     pairs = [
         (i, j)

@@ -5,7 +5,8 @@ values come from the explicit finite sum, integrals from beta-function
 moments, eigenspace dimensions from high-precision gamma evaluation,
 moving-average covariances from direct simulation of the process,
 exponential-kernel paths from a Cholesky factor of the time-grid correlation,
-moving-average paths from one normal draw per time,
+moving-average paths from one normal draw per time, whole realizations from one
+fresh substream and one per-time path per degree,
 values CSVs and the eval-cov, validate and spectrum tables from csv.writer one
 row at a time,
 covariance partial sums from one += per degree, and
@@ -163,6 +164,39 @@ def ma1_path_per_time(phi, root, an: float, times, rng) -> np.ndarray:
     needed = sorted({int(t) for t in times} | {int(t) - 1 for t in times})
     eps = {s: root @ rng.standard_normal(root.shape[0]) for s in needed}
     return np.array([an * (eps[int(t)] + phi @ eps[int(t) - 1]) for t in times])
+
+
+def simulate_reference(model, points, times, trunc: int, seed: int):
+    """(values, latent_v, latent_u) of simulate_spatiotemporal, built the long way: U from
+    substream(seed, 0); per degree n a fresh substream(seed, 1, n), a_constant(space, n) and
+    a per-time path (one draw per needed time for the moving average, the AR(1) and
+    exponential recurrence one gap at a time); then jacobi_all and the einsum contraction.
+    `points` is the (K, *ambient_shape) array and `times` the checked float grid."""
+    from isofield import jacobi_all, sample_uniform_batch, substream
+    from isofield.spaces import a_constant, cos_distance_batch
+    from isofield.spectral import factor_coefficients
+
+    space, kernel, m = model.space, model.kernel, model.m
+    roots = factor_coefficients(model)[1]
+    u = sample_uniform_batch(space, 1, substream(seed, 0))[0]
+    latent_v = np.zeros((trunc + 1, len(times), m))
+    for n in range(trunc + 1):
+        rng, an, root = substream(seed, 1, n), a_constant(space, n), roots[n]
+        if kernel.kind == "ma1":
+            latent_v[n] = ma1_path_per_time(kernel.phi, root, an, times, rng)
+        elif kernel.kind in ("ar1", "exponential"):
+            xi = np.empty((len(times), m))
+            xi[0] = rng.standard_normal(m)
+            for i in range(1, len(times)):
+                gap = abs(times[i] - times[i - 1])
+                rho = (math.pow(kernel.param, gap) if kernel.kind == "ar1"
+                       else math.exp(-kernel.param * gap))
+                xi[i] = rho * xi[i - 1] + np.sqrt(1.0 - rho * rho) * rng.standard_normal(m)
+            latent_v[n] = an * xi @ root.T
+        else:  # constant in time: one draw, repeated
+            latent_v[n] = root @ (an * rng.standard_normal(m))
+    pn = jacobi_all(trunc, space.geom, cos_distance_batch(space, u, points))
+    return np.einsum("np,ntm->ptm", pn, latent_v), latent_v, u
 
 
 def random_psd(rng: np.random.Generator, m: int, scale: float = 1.0) -> np.ndarray:

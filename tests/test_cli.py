@@ -232,7 +232,8 @@ class TestEvalCovBytes:
             assert "\r\n0.0," in want and f"\r\n{math.pi!r}," in want
 
     @pytest.mark.parametrize("fmt, lag_count", [("csv", 3), ("json", 3),
-                                                ("csv", _WRITE_CHUNK // 4 + 1)])
+                                                ("csv", _WRITE_CHUNK // 4 + 1),
+                                                ("json", _WRITE_CHUNK // 4 + 1)])
     def test_table_over_several_chunks_equals_the_row_rendering(self, fmt, lag_count, tmp_path):
         # m = 2: with 3 lags, two full chunks of whole distances and one of a single
         # distance; with _WRITE_CHUNK // 4 + 1 lags, distances of more than a chunk each
@@ -251,6 +252,50 @@ class TestEvalCovBytes:
                      f"--lags={','.join(map(repr, lags))}", "--format", fmt,
                      "--out", str(out)]) == 0
         assert out.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_json_over_three_chunks_with_extreme_lags_and_values(self, m, tmp_path):
+        # two full chunks of whole distances and one of a single distance; negative, tiny and
+        # huge lags; entries from 1e-320 to 1e300 through coefficients scaled D B D
+        rng = np.random.default_rng(12 + m)
+        scale = np.diag([1e-160, 1e150, 1.0][:m])
+        model = SeriesModel(parse_space("projC:4"), m,
+                            [scale @ random_psd(rng, m, 0.5**n) @ scale for n in range(3)],
+                            SeparableScalar("exponential", 0.7))
+        path = save_model(model, tmp_path / "model.json")
+        lags = [-7.5, -5e-324, 0.0, 1e-300, 1e300, 2.5]
+        count = 2 * (_WRITE_CHUNK // (len(lags) * m * m)) + 1
+        rhos = np.linspace(0.0, 3.0, count)
+        want = eval_cov_output(rhos, lags, list(eval_cov(model, rhos, lags)),
+                               truncation_bound(model, model.max_degree), "json")
+        assert "e-3" in want and "e+" in want and '"lag": -5e-324' in want
+        out = tmp_path / "table.json"
+        assert main(["eval-cov", "--model", str(path), "--rho-grid", f"0:3:{count}",
+                     f"--lags={','.join(map(repr, lags))}", "--format", "json",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("trunc", [0, 2])
+    def test_json_writes_non_finite_entries_as_json_does(self, trunc, tmp_path):
+        # eval-cov does not gate its output finite: the symmetric parts of these huge
+        # antisymmetric coefficients are zero, so the lag-0 analysis finds no divergence, but
+        # truncated at degree 0 the tail bound overflows, and at degree 2 the values near
+        # rho = 0 do (in the first of three chunks only)
+        anti = [[0.0, 1e308], [-1e308, 0.0]]
+        model = SeriesModel(S2, 2, [np.eye(2), anti, anti])
+        path = save_model(model, tmp_path / "model.json")
+        count = 2 * (_WRITE_CHUNK // 4) + 1
+        rhos = np.linspace(0.0, 3.0, count)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # eval_cov's overflow warning
+            want = eval_cov_output(rhos, [0.0], [eval_cov(model, rhos, 0.0, trunc)],
+                                   truncation_bound(model, trunc), "json")
+            out = tmp_path / "table.json"
+            assert main(["eval-cov", "--model", str(path), "--rho-grid", f"0:3:{count}",
+                         "--trunc", str(trunc), "--format", "json", "--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode()
+        infinite = '"tail_bound": Infinity' if trunc == 0 else '"value": -Infinity'
+        assert infinite in want and "inf" not in want and "NaN" not in want
 
     def test_csv_memory_does_not_grow_with_the_table(self, exponential_model_file, tmp_path):
         # rows are formatted _WRITE_CHUNK values at a time: the traced peak grows by the

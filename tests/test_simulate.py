@@ -49,6 +49,7 @@ from tests.oracles import (
     ma1_path_per_time,
     psd_root_per_degree,
     random_psd,
+    simulate_reference,
     write_values_csv,
 )
 
@@ -856,6 +857,90 @@ def test_ma1_sampler_equals_one_draw_per_time(times):
 PIN_KERNELS = {"spatial": SPATIAL, "pure_spatial": PureSpatial(),
                "ar1": SeparableScalar("ar1", 0.6), "exponential": SeparableScalar("exponential", 0.8),
                "ma1": VectorMA1([[0.3, -0.2], [0.1, 0.4]])}
+
+
+# irregular grids per lag domain: integer and fractional gaps, negative times, one time
+ORACLE_GRIDS = {"zero": [[0.0]], "integers": [[-3.0, -1.0, 0.0, 4.0, 5.0], [7.0]],
+                "reals": [[-2.5, -1.0, 0.0, 0.75, 4.0, 4.5], [-0.5]]}
+
+
+@pytest.mark.parametrize("label", ["sphere:2", "projR:3", "projC:4", "projH:8"])
+@pytest.mark.parametrize("kind", list(PIN_KERNELS))
+@pytest.mark.parametrize("trunc", [0, 2, 4])
+def test_realization_equals_the_whole_realization_oracle(kind, label, trunc):
+    """values, latent_v and latent_u equal tests/oracles.py::simulate_reference bit for bit."""
+    space = parse_space(label)
+    rng = np.random.default_rng(29)
+    model = SeriesModel(space, 2, [random_psd(rng, 2, 0.6**n) for n in range(5)],
+                        PIN_KERNELS[kind])
+    points = sample_uniform_batch(space, 5, np.random.default_rng(30))
+    for times in ORACLE_GRIDS[model.domain]:
+        for seed in (0, 2**64 - 1, 2**130):
+            real = simulate_spatiotemporal(model, points, times, trunc=trunc, seed=seed)
+            values, latent_v, latent_u = simulate_reference(model, points, times, trunc, seed)
+            assert np.array_equal(real.values, values), (times, seed)
+            assert np.array_equal(real.latent_v, latent_v), (times, seed)
+            assert np.array_equal(real.latent_u, latent_u), (times, seed)
+
+
+class TestSeedIndependentMemo:
+    """The per-degree stream keys and a_n, memoised on the model, and the MA(1) index,
+    derived once per call, follow every change to the model."""
+
+    @staticmethod
+    def assert_equals_oracle(model, trunc=2, seed=4):
+        times = [0.0] if model.domain == "zero" else [-1.0, 0.0, 2.0, 3.0]
+        points = np.array(fixed_points(3))
+        real = simulate_spatiotemporal(model, points, times, trunc=trunc, seed=seed)
+        values, latent_v, latent_u = simulate_reference(model, points, times, trunc, seed)
+        assert np.array_equal(real.values, values)
+        assert np.array_equal(real.latent_v, latent_v)
+        assert np.array_equal(real.latent_u, latent_u)
+
+    @pytest.mark.parametrize("kernel", sorted(set(MEMO_KERNELS) - {"user"}))
+    def test_reassigned_space_is_seen(self, kernel):
+        model = memo_model(kernel)
+        self.assert_equals_oracle(model)
+        model.space = parse_space("projR:2")  # the same ambient shape, other a_n
+        assert a_constant(model.space, 2) != a_constant(S2, 2)
+        self.assert_equals_oracle(model)
+        model.space = parse_space("sphere:2")  # equal to S2, a distinct object
+        self.assert_equals_oracle(model)
+
+    @pytest.mark.parametrize("kernel", sorted(set(MEMO_KERNELS) - {"user"}))
+    def test_tail_and_coefficient_edits_are_seen(self, kernel):
+        model = memo_model(kernel)
+        self.assert_equals_oracle(model)
+        model.tail = TailEnvelope(0.5, 0.5)
+        self.assert_equals_oracle(model)
+        model.coeffs[1] = 3.0 * model.coeffs[1]
+        self.assert_equals_oracle(model)
+        model.coeffs = np.concatenate([model.coeffs, model.coeffs])  # more degrees
+        self.assert_equals_oracle(model, trunc=7)
+        self.assert_equals_oracle(model, trunc=0)
+
+    def test_kernel_swap_is_seen(self):
+        model = memo_model("ar1")
+        for kernel in (VectorMA1([[0.4, 0.1], [-0.2, 0.3]]), SeparableScalar("exponential", 0.9),
+                       VectorMA1([[-0.5, 0.0], [0.2, 0.1]]), PureSpatial()):
+            self.assert_equals_oracle(model)
+            model.kernel = kernel
+        self.assert_equals_oracle(model)
+
+    def test_ma1_index_is_not_kept_after_the_call(self):
+        # 20,000 times two apart: the index alone is 160 KB of int64, and 40,000 innovations
+        model = SeriesModel(S2, 1, [np.eye(1)], VectorMA1([[0.5]]))
+        points, times = np.array(fixed_points(1)), [2.0 * k for k in range(20_000)]
+        simulate_spatiotemporal(model, points, times[:3], seed=0)  # the model's memos
+        tracemalloc.start()
+        try:
+            real = simulate_spatiotemporal(model, points, times, seed=0)
+            assert tracemalloc.get_traced_memory()[1] > 160_000
+            del real
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 16_000
 
 
 @pytest.mark.parametrize("label", ["sphere:2", "projR:3", "projC:4", "projH:8"])

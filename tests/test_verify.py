@@ -219,6 +219,31 @@ class TestEmpiricalCov:
             empirical_cov(ens, pair, 0.0)
         assert empirical_cov(ens, (np.int64(1), 0), 0.0).replicates == 3
 
+    @pytest.mark.parametrize("pair", [(True, False), (0, True), (False, 1), (np.int64(0), True)])
+    def test_point_pair_of_bools_rejected(self, pair):
+        # every other index and count gate rejects bools; operator.index would read 1 and 0
+        pts = list(sample_uniform_batch(S2, 2, np.random.default_rng(78)))
+        ens = self._ensemble(SeriesModel(S2, 1, [np.eye(1)]), pts, None, 3, 9)
+        with pytest.raises(UsageError, match=r"^point pair \(.*\) must be two integer indices"):
+            empirical_cov(ens, pair, 0.0)
+
+    @pytest.mark.parametrize("lag", ["0", b"0", "", None, 1j, [0.0], {}, np.array([0.0, 1.0])])
+    def test_lag_that_is_not_a_real_number_rejected(self, lag):
+        pts = list(sample_uniform_batch(S2, 2, np.random.default_rng(79)))
+        model = SeriesModel(S2, 1, [np.eye(1)], VectorMA1(0.5 * np.eye(1)))
+        ens = self._ensemble(model, pts, [0, 1], 3, 10)
+        with pytest.raises(UsageError, match=r"^lag .* must be a real number$"):
+            empirical_cov(ens, (0, 1), lag)
+
+    @pytest.mark.parametrize("lag", [1, 1.0, np.int64(1), np.float32(1.0), np.array(1.0), True])
+    def test_real_lags_accepted(self, lag):
+        pts = list(sample_uniform_batch(S2, 2, np.random.default_rng(79)))
+        model = SeriesModel(S2, 1, [np.eye(1)], VectorMA1(0.5 * np.eye(1)))
+        ens = self._ensemble(model, pts, [0, 1], 3, 10)
+        want = empirical_cov(ens, (0, 1), 1.0)
+        got = empirical_cov(ens, (0, 1), lag)
+        assert np.array_equal(got.value, want.value) and np.array_equal(got.target, want.target)
+
     @pytest.mark.parametrize("kind", ["spatial", "ma1"])
     def test_stacked_products_equal_per_replicate_loop(self, kind):
         rng = np.random.default_rng(77)
