@@ -216,10 +216,8 @@ def cmd_eval_cov(args) -> int:
         for a in range(0, len(rhos), step):
             block = covs[a:a + step].reshape(-1, covs[0].size)  # (distances, rows per distance)
             fields = np.stack([np.broadcast_to(rhos[a:a + step, None], block.shape), block], -1)
-            values = fields.ravel().tolist()  # str(float) is json's repr where finite
-            if not np.isfinite(block).all():
-                values = [json.dumps(v) for v in values]  # NaN, Infinity and -Infinity
-            fh.write((",\n" if a else "[\n") + ",\n".join([per_rho] * len(block)) % tuple(values))
+            values = tuple(fields.ravel().tolist())  # str(float) is json's repr: all finite
+            fh.write((",\n" if a else "[\n") + ",\n".join([per_rho] * len(block)) % values)
         fh.write("\n]\n")
     return EXIT_OK
 

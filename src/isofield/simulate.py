@@ -36,15 +36,13 @@ from .errors import ModelError, NumericError, UsageError
 from .jacobi import _jacobi_table, _natural
 from .spaces import (
     SpaceParams,
-    a_constant,
     cos_distance_batch,
     point_array,
     points_sha256,
     points_to_reals,
     sample_uniform_batch,
 )
-from .spectral import ZERO_LAG, SeriesModel, _Grid, _require_lag, _resolve_trunc
-from .spectral import factor_coefficients, truncation_bound
+from .spectral import ZERO_LAG, SeriesModel, _require_lag, _resolve_trunc, truncation_bound
 
 _WRITE_CHUNK = 1 << 14  # values per write of _write_rows (whole leads, at least one)
 
@@ -64,17 +62,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     the entropy numpy assembles: seed words, zero-padded to 4 words if keyed, then key words."""
     data = _words(_natural(seed, "seed"), 4 if key else 1)
     return _generator(data + b"".join([_words(_natural(k, "spawn key")) for k in key]))
-
-
-def _degree_streams(model, trunc: int) -> list:
-    """Per degree n of 0..trunc, the key words of its stream (1, n) and a_n: what no seed
-    changes, memoised on the model for its space (by identity) and extended on demand."""
-    memo = model.__dict__.get("_streams")
-    if memo is None or memo[0] is not model.space or len(memo[1]) <= trunc:
-        memo = model.space, [(_words(1) + _words(n), a_constant(model.space, n))
-                             for n in range(trunc + 1)]
-        model._streams = memo
-    return memo[1]
 
 
 @dataclass
@@ -138,7 +125,7 @@ def simulate_spatiotemporal(
         raise UsageError("times must be strictly increasing")
     if model.domain == ZERO_LAG:
         times = [0.0]  # also for -0.0, so the output reads 0.0
-    report, roots = factor_coefficients(model)
+    report, roots = model._lag0
     if not report.valid:
         raise ModelError(f"cannot simulate from an invalid model: {report.summary()}")
     trunc = _resolve_trunc(model, trunc)
@@ -151,10 +138,9 @@ def simulate_spatiotemporal(
     if sample_path is None:
         raise UsageError(f"unsupported temporal kernel {type(model.kernel).__name__}")
     latent_v = np.zeros((trunc + 1, len(times), model.m))
-    grid, degrees = _Grid(times), _degree_streams(model, trunc)
+    an, head = model._an, prefix + _words(1)  # degree n's stream is keyed (1, n)
     for n in range(trunc + 1):
-        key, an = degrees[n]
-        latent_v[n] = sample_path(roots[n], an, grid, _generator(prefix + key))
+        latent_v[n] = sample_path(roots[n], an[n], times, _generator(head + _words(n)))
     pn = _jacobi_table(trunc, space.geom, cos_distance_batch(space, u, points))
     values = np.einsum("np,ntm->ptm", pn, latent_v)
     if not np.isfinite(values).all():

@@ -20,14 +20,14 @@ lag -1, which the brute-force process oracle in the tests pins down.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, ModelError, NumericError, ParameterError, UsageError
 from .jacobi import _check_degree, gauss_jacobi, jacobi_all, jacobi_at_one, jacobi_norm_constant
-from .spaces import SpaceParams, dim_eigenspace
+from .spaces import SpaceParams, a_constant, dim_eigenspace
 
 # Relative floors for symmetry / nonnegative-definiteness under rounding.
 SYMMETRY_TOL = 1e-12
@@ -86,8 +86,13 @@ def _as_coeff_matrices(coeffs, m: int) -> np.ndarray:
 
 
 def _require_lag(domain: str, t) -> float:
-    """t as a float; UsageError unless it is a finite lag of the domain."""
-    t = float(t)
+    """t as a float; UsageError unless it is a real number, not text, and a lag of the domain."""
+    try:
+        if isinstance(t, (str, bytes)):  # float() would read text
+            raise TypeError
+        t = float(t)
+    except (TypeError, ValueError):
+        raise UsageError(f"lag {t!r} must be a real number") from None
     if not math.isfinite(t):
         raise UsageError(f"lag {t} is not finite")
     if domain == INTEGER_LAGS and not t.is_integer():
@@ -189,6 +194,9 @@ class VectorMA1:
             raise ParameterError("moving-average matrix entries must be finite")
         object.__setattr__(self, "phi", phi)
 
+    def __reduce__(self):
+        return type(self), (self.phi,)  # copies and pickles rebuild a read-only phi
+
     def check_m(self, m: int) -> None:
         if self.phi.shape != (m, m):
             raise ParameterError(
@@ -208,26 +216,18 @@ class VectorMA1:
         return np.zeros_like(sigma)
 
     def sample_path(self, root, an, times, rng):
-        """Innovations root @ z at every needed integer time, then the MA(1) sum."""
-        index = getattr(times, "ma1_index", None)  # derived once per _Grid
-        if index is None:
-            needed = sorted({int(t) for t in times} | {int(t) - 1 for t in times})
-            at = np.array([bisect_left(needed, int(t)) for t in times])  # t - 1 just before t
-            index = len(needed), at, at - 1
-            if isinstance(times, _Grid):
-                times.ma1_index = index
-        count, at, before = index
+        """Innovations root @ z at every needed integer time, then the MA(1) sum: t - 1 is
+        needed unless it is the time before, so e(t) is the count-th innovation so far."""
+        at, count, last = [], 0, None
+        for t in map(int, times):  # exact integers: a float t - 1 rounds past 2**53
+            count += 1 if t - 1 == last else 2
+            at.append(count - 1)
+            last = t
+        at = np.array(at)
         z = rng.standard_normal((count, root.shape[0]))  # the draws of one call per time
         # stacked matrix-vector products round as one root @ z_s per time; z @ root.T does not
         eps = np.matmul(root, z[..., None])
-        return an * (eps[at] + np.matmul(self.phi, eps[before]))[..., 0]
-
-
-class _Grid(list):
-    """Checked times that hold what a kernel derives from them for as long as they live:
-    simulate_* passes one _Grid to every degree of a realization, then drops it."""
-
-    __slots__ = ("ma1_index",)
+        return an * (eps[at] + np.matmul(self.phi, eps[at - 1]))[..., 0]
 
 
 # --------------------------------------------------------------------------
@@ -235,7 +235,7 @@ class _Grid(list):
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeriesModel:
     """Jacobi-series covariance model of an m-variate isotropic field, with per-degree
     stationary covariance matrix functions B_n(t) given by the kernel's lag table.
@@ -244,7 +244,9 @@ class SeriesModel:
     and of the innovation covariances Sigma_n for the moving-average kernel.
     The default kernel SPATIAL makes a purely spatial model: the constant B_n,
     at lag 0 only. A kernel may define check_m(m) to reject parameters of the
-    wrong dimension.
+    wrong dimension. A model is a value: frozen, with read-only `coeffs` of its own, so its
+    lag-0 analysis and each a_n are computed at most once per object. dataclasses.replace
+    builds an edited model; pickle and copy rebuild one through the constructor.
     """
 
     space: SpaceParams
@@ -254,10 +256,25 @@ class SeriesModel:
     tail: TailEnvelope | None = None
 
     def __post_init__(self):
-        self.coeffs = _as_coeff_matrices(self.coeffs, self.m)
+        coeffs = _as_coeff_matrices(self.coeffs, self.m)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
         check_m = getattr(self.kernel, "check_m", None)
         if check_m is not None:
             check_m(self.m)
+
+    def __reduce__(self):
+        return type(self), (self.space, self.m, self.coeffs, self.kernel, self.tail)
+
+    @cached_property
+    def _lag0(self) -> tuple[ValidityReport, np.ndarray | None]:
+        """factor_coefficients(self), computed on first use."""
+        return factor_coefficients(self)
+
+    @cached_property
+    def _an(self) -> list[float]:
+        """a_n of every stored degree, computed on first use."""
+        return [a_constant(self.space, n) for n in range(self.max_degree + 1)]
 
     @property
     def max_degree(self) -> int:
@@ -340,7 +357,7 @@ def _weighted_norm_sum(model, norms, first: int) -> float:
 
 def require_finite(model) -> None:
     """ModelError naming every divergent degree of the model's lag-0 report."""
-    bad = [v for v in factor_coefficients(model)[0].violations if v.kind == "divergent"]
+    bad = [v for v in model._lag0[0].violations if v.kind == "divergent"]
     if bad:
         summary = ValidityReport(False, sorted(bad, key=lambda v: v.degree)).summary()
         raise ModelError(f"cannot evaluate an invalid model: {summary}")
@@ -370,14 +387,8 @@ def factor_coefficients(model) -> tuple[ValidityReport, np.ndarray | None]:
     """validate_spatial's report and, for a valid model, the read-only (N+1, m, m)
     roots B_n^(1/2) the simulation draws with, from one stacked eigh of the
     symmetrised stored coefficients. A non-finite coefficient is reported
-    divergent and factored as zero. Memoised on the model, keyed by everything
-    the analysis reads (the coefficient bytes, space, tail and, by identity,
-    the kernel), so an edit or reassignment is seen by the next call."""
-    coeffs = np.asarray(model.coeffs, dtype=float)
-    key = (coeffs.tobytes(), coeffs.shape, model.space, model.tail)
-    memo = model.__dict__.get("_factored")
-    if memo is not None and memo[0] == key and memo[1] is model.kernel:
-        return memo[2], memo[3]
+    divergent and factored as zero. A model holds its own as `_lag0`."""
+    coeffs = model.coeffs
     finite, asym, flagged = _lag_symmetry(coeffs, coeffs)  # the lag-0 probe: B(-0) = B(0)
     safe = np.where(finite[:, None, None], coeffs, 0.0)
     w, v = np.linalg.eigh(_symmetric_part(safe))
@@ -410,14 +421,13 @@ def factor_coefficients(model) -> tuple[ValidityReport, np.ndarray | None]:
     roots = _psd_root(w, v) if report.valid else None
     if roots is not None:
         roots.flags.writeable = False
-    model._factored = (key, model.kernel, report, roots)
     return report, roots
 
 
 def validate_spatial(model: SeriesModel) -> ValidityReport:
     """Check symmetry and nonnegative definiteness of each coefficient,
     finiteness of sum ||B_n|| P_n(1), and the tail envelope."""
-    report = factor_coefficients(model)[0]
+    report = model._lag0[0]
     return ValidityReport(report.valid, list(report.violations))
 
 
@@ -455,7 +465,7 @@ def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
         )
     for t in grid:
         _require_lag(model.domain, t)
-    lag0 = factor_coefficients(model)[0]
+    lag0 = model._lag0[0]
     if not lag0.valid:
         return ValidityReport(False, list(lag0.violations))  # validate_spatial's report
     diffs = [ti - tj for ti in grid for tj in grid]
@@ -506,7 +516,8 @@ def eval_cov(model, rho, t=0.0, trunc: int | None = None) -> np.ndarray:
     sequence of lags, all read from one Jacobi table per block of distances.
     Spatial models require t = 0. The neglected degrees are bounded by
     truncation_bound(model, trunc). A divergent series raises ModelError (see
-    require_finite). The terms B_n(t) P_n(cos rho) are summed in degree order,
+    require_finite), and a sum that is not finite NumericError naming its first
+    distance and lag. The terms B_n(t) P_n(cos rho) are summed in degree order,
     which fixes the output bytes.
     """
     lags = [t] if np.ndim(t) == 0 else t
@@ -523,25 +534,34 @@ def eval_cov(model, rho, t=0.0, trunc: int | None = None) -> np.ndarray:
         # libm cos per distance: np.cos may round differently and shift output bytes
         x = np.array([math.cos(r) for r in block.ravel().tolist()]).reshape(block.shape)
         pn = jacobi_all(trunc, model.space.geom, x).reshape(trunc + 1, 1, -1)
-        for k, terms in enumerate(b * pn for b in bs):  # (degrees, m * m, distances)
-            # Degree order fixes the bytes: reduce adds degree by degree across values but
-            # pairwise within one value, which takes accumulate; + 0.0 gives the +0.0 that a
-            # sum from zeros gives when every term is -0.0.
-            total = (np.add.reduce(terms, axis=0) if terms[0].size > 1
-                     else np.add.accumulate(terms, axis=0)[-1])
-            np.add(total.T.reshape(-1, model.m, model.m), 0.0, out=out[k, i:i + step])
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is named below
+            for k, terms in enumerate(b * pn for b in bs):  # (degrees, m * m, distances)
+                # Degree order fixes the bytes: reduce adds degree by degree across values but
+                # pairwise within one value, which takes accumulate; + 0.0 gives the +0.0 that
+                # a sum from zeros gives when every term is -0.0.
+                total = (np.add.reduce(terms, axis=0) if terms[0].size > 1
+                         else np.add.accumulate(terms, axis=0)[-1])
+                np.add(total.T.reshape(-1, model.m, model.m), 0.0, out=out[k, i:i + step])
+        bad = np.argwhere(~np.isfinite(out[:, i:i + step]).all(axis=(2, 3)).T)  # (distance, lag)
+        if len(bad):
+            j, k = bad[0]
+            raise NumericError(f"the covariance series is not finite at distance "
+                               f"{float(flat[i + j])!r} and lag {float(lags[k])!r}")
     return out.reshape(np.shape(t) + rho.shape + (model.m, model.m))
 
 
 def truncation_bound(model, N: int) -> float:
     """Upper bound sum_{n > N} ||B_n(0)|| P_n(1) on the discarded tail; N may exceed
-    the stored degrees. A divergent series raises ModelError (see require_finite)."""
+    the stored degrees. A divergent series raises ModelError (see require_finite), and a
+    bound that is not finite NumericError."""
     require_finite(model)
     N = _check_degree(N, "truncation degree")
     b0s = model.coeff_at(slice(N + 1, None), 0.0)
     total = _weighted_norm_sum(model, [np.linalg.norm(b0, 2) for b0 in b0s], N + 1)
     if model.tail is not None:
         total += model.tail.tail_sum(max(N, model.max_degree) + 1)
+    if not math.isfinite(total):
+        raise NumericError(f"the tail bound past degree {N} is not finite")
     return total
 
 

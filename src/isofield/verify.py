@@ -28,7 +28,7 @@ from .spaces import (
     sphere_volume,
     weinstein_integer_value,
 )
-from .spectral import eval_cov
+from .spectral import REAL_LAGS, _require_lag, eval_cov
 
 Z_THRESHOLD = 5.0
 
@@ -206,12 +206,7 @@ def empirical_cov(
         raise UsageError(
             f"point pair {point_pair!r} must be two integer indices in 0..{len(points) - 1}"
         )
-    try:
-        if isinstance(lag, (str, bytes)):  # float() would read text
-            raise TypeError
-        float(lag)  # a real number, as eval_cov reads it below
-    except (TypeError, ValueError):
-        raise UsageError(f"lag {lag!r} must be a real number") from None
+    lag = _require_lag(REAL_LAGS, lag)  # realizable on the grid is checked below
     times = np.asarray(first.times)
     pairs = [
         (i, j)

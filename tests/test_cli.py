@@ -275,27 +275,25 @@ class TestEvalCovBytes:
                      "--out", str(out)]) == 0
         assert out.read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("trunc", [0, 2])
-    def test_json_writes_non_finite_entries_as_json_does(self, trunc, tmp_path):
-        # eval-cov does not gate its output finite: the symmetric parts of these huge
-        # antisymmetric coefficients are zero, so the lag-0 analysis finds no divergence, but
-        # truncated at degree 0 the tail bound overflows, and at degree 2 the values near
-        # rho = 0 do (in the first of three chunks only)
+    def test_non_finite_table_or_tail_bound_exits_two(self, trunc, fmt, tmp_path, capsys):
+        # the symmetric parts of these huge antisymmetric coefficients are zero, so the lag-0
+        # analysis finds no divergence, but truncated at degree 0 the tail bound overflows,
+        # and at degree 2 the values near rho = 0 do (in the first of three chunks only);
+        # both once went out as inf or Infinity, after numpy's overflow warning
         anti = [[0.0, 1e308], [-1e308, 0.0]]
-        model = SeriesModel(S2, 2, [np.eye(2), anti, anti])
-        path = save_model(model, tmp_path / "model.json")
+        path = save_model(SeriesModel(S2, 2, [np.eye(2), anti, anti]), tmp_path / "model.json")
         count = 2 * (_WRITE_CHUNK // 4) + 1
-        rhos = np.linspace(0.0, 3.0, count)
+        out = tmp_path / "table"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # eval_cov's overflow warning
-            want = eval_cov_output(rhos, [0.0], [eval_cov(model, rhos, 0.0, trunc)],
-                                   truncation_bound(model, trunc), "json")
-            out = tmp_path / "table.json"
+            warnings.simplefilter("error")
             assert main(["eval-cov", "--model", str(path), "--rho-grid", f"0:3:{count}",
-                         "--trunc", str(trunc), "--format", "json", "--out", str(out)]) == 0
-        assert out.read_bytes() == want.encode()
-        infinite = '"tail_bound": Infinity' if trunc == 0 else '"value": -Infinity'
-        assert infinite in want and "inf" not in want and "NaN" not in want
+                         "--trunc", str(trunc), "--format", fmt, "--out", str(out)]) == 2
+        want = ("the tail bound past degree 0 is not finite" if trunc == 0
+                else "the covariance series is not finite at distance 0.0 and lag 0.0")
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out.exists()
 
     def test_csv_memory_does_not_grow_with_the_table(self, exponential_model_file, tmp_path):
         # rows are formatted _WRITE_CHUNK values at a time: the traced peak grows by the

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -36,11 +38,13 @@ from isofield import (
     simulate_spatial,
     simulate_spatiotemporal,
     substream,
+    truncation_bound,
     validate_spatial,
     validate_spatiotemporal,
 )
 from isofield.cli import resolve_points
 from isofield.spaces import a_constant, cos_distance_batch, points_sha256, points_to_reals
+from isofield import spectral
 from isofield.simulate import _WRITE_CHUNK
 from isofield.spectral import SPATIAL, Violation, factor_coefficients
 from tests.oracles import (
@@ -421,11 +425,8 @@ class TestStackedFactorisation:
                  "exponential": SeparableScalar("exponential", 0.9),
                  "ma1": VectorMA1(0.5 * random_psd(rng, 3))}[kernel]
         times = [0.0] if kernel == "spatial" else [-1.0, 0.0, 2.0]
-        if kernel == "spatial":
-            model = SeriesModel(S2, 3, coeffs)
-            model.kernel = RecordingKernel(model.kernel)
-        else:
-            model = SeriesModel(S2, 3, coeffs, RecordingKernel(inner))
+        model = SeriesModel(S2, 3, coeffs, RecordingKernel(SPATIAL if kernel == "spatial"
+                                                           else inner))
         real = simulate_spatiotemporal(model, fixed_points(3), times, trunc, seed=17)
         degrees = range(real.trunc + 1)
         assert len(model.kernel.roots) == len(degrees)
@@ -703,7 +704,8 @@ def memo_simulate(model, seed):
 
 
 class TestModelMemo:
-    """A model's lag-0 analysis is computed once per model content and reused."""
+    """A model is a value: its lag-0 analysis and each a_n are computed once per model
+    object, and an edited model is a new object, built by dataclasses.replace."""
 
     @pytest.mark.parametrize("kernel", sorted(MEMO_KERNELS))
     def test_repeated_calls_equal_fresh_models(self, kernel):
@@ -716,36 +718,87 @@ class TestModelMemo:
 
     @pytest.mark.parametrize("kernel", sorted(MEMO_KERNELS))
     def test_in_place_coefficient_edit_is_seen(self, kernel):
+        # an in-place edit raises; the edit is seen through a replaced model
         model = memo_model(kernel)
-        memo_simulate(model, 0)
-        model.coeffs[2] = np.diag([1.0, -0.5])
+        want = memo_simulate(model, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            model.coeffs[2] = np.diag([1.0, -0.5])
+        coeffs = model.coeffs.copy()
+        coeffs[2] = np.diag([1.0, -0.5])
+        edited = dataclasses.replace(model, coeffs=coeffs)
         with pytest.raises(ModelError, match="degree 2 lag spatial: indefinite"):
-            memo_simulate(model, 0)
-        assert [v.degree for v in validate_spatial(model).violations] == [2]
+            memo_simulate(edited, 0)
+        fresh = SeriesModel(S2, 2, coeffs, model.kernel)
+        assert validate_spatial(edited).as_dict() == validate_spatial(fresh).as_dict()
+        assert [v.degree for v in validate_spatial(edited).violations] == [2]
+        assert np.array_equal(memo_simulate(model, 0).values, want.values)
 
     @pytest.mark.parametrize("kernel", sorted(MEMO_KERNELS))
     def test_tail_reassignment_is_seen(self, kernel):
         model = memo_model(kernel)
         memo_simulate(model, 0)
-        model.tail = TailEnvelope(1e308, 0.999999)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.tail = TailEnvelope(1e308, 0.999999)
+        edited = dataclasses.replace(model, tail=TailEnvelope(1e308, 0.999999))
         with pytest.raises(ModelError, match="degree 3 lag spatial: divergent"):
-            memo_simulate(model, 0)
-        assert not validate_spatial(model).valid
+            memo_simulate(edited, 0)
+        fresh = SeriesModel(S2, 2, model.coeffs, model.kernel, TailEnvelope(1e308, 0.999999))
+        assert validate_spatial(edited).as_dict() == validate_spatial(fresh).as_dict()
+        assert not validate_spatial(edited).valid
         with pytest.raises(ModelError, match="divergent"):
-            eval_cov(model, 0.5)
+            eval_cov(edited, 0.5)
+        assert model.tail is None and validate_spatial(model).valid
 
     def test_kernel_swap_is_seen(self):
         # each B_n(0) = 2.44 Sigma_n under the moving average, and the sum overflows
         model = SeriesModel(S2, 2, [4e307 * np.eye(2)] * 2, SeparableScalar("ar1", 0.5))
         memo_simulate(model, 0)
         assert validate_spatial(model).valid
-        model.kernel = VectorMA1(1.2 * np.eye(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.kernel = VectorMA1(1.2 * np.eye(2))
+        swapped = dataclasses.replace(model, kernel=VectorMA1(1.2 * np.eye(2)))
         with pytest.raises(ModelError, match="degree 1 lag spatial: divergent"):
-            memo_simulate(model, 0)
-        assert not validate_spatial(model).valid
-        model.kernel = SeparableScalar("exponential", 0.9)
+            memo_simulate(swapped, 0)
+        assert not validate_spatial(swapped).valid
+        assert validate_spatial(model).valid
+        swapped = dataclasses.replace(swapped, kernel=SeparableScalar("exponential", 0.9))
         fresh = SeriesModel(S2, 2, model.coeffs.copy(), SeparableScalar("exponential", 0.9))
-        assert np.array_equal(memo_simulate(model, 1).values, memo_simulate(fresh, 1).values)
+        assert np.array_equal(memo_simulate(swapped, 1).values, memo_simulate(fresh, 1).values)
+
+    def test_fields_coefficients_and_constant_views_are_read_only(self):
+        given = [np.eye(2), 0.5 * np.eye(2)]
+        for kernel in (SPATIAL, PureSpatial(), SeparableScalar("ar1", 0.5)):
+            model = SeriesModel(S2, 2, given, kernel)
+            assert not model.coeffs.flags.writeable
+            assert not any(np.shares_memory(model.coeffs, b) for b in given)
+            for name, value in (("space", parse_space("projR:2")), ("m", 3), ("tail", None),
+                                ("coeffs", given), ("kernel", SPATIAL)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(model, name, value)
+            with pytest.raises(ValueError, match="read-only"):
+                model.coeffs[1, 0, 0] = 2.0
+            if kernel.kind == "pure_spatial":  # coeff_at returns a view of coeffs
+                with pytest.raises(ValueError, match="read-only"):
+                    model.coeff_at(1)[0, 0] = 2.0
+            assert model.coeffs[1, 0, 0] == 0.5 and given[1][0, 0] == 0.5
+
+    def test_analysis_and_a_n_computed_once_per_object(self, monkeypatch):
+        factored, scaled = [], []
+        factor, a_n = spectral.factor_coefficients, spectral.a_constant
+        monkeypatch.setattr(spectral, "factor_coefficients",
+                            lambda model: factored.append(model) or factor(model))
+        monkeypatch.setattr(spectral, "a_constant",
+                            lambda space, n: scaled.append(n) or a_n(space, n))
+        model = memo_model("exponential")
+        for seed in (1, 2, 3):
+            memo_simulate(model, seed)
+            validate_spatial(model)
+            validate_spatiotemporal(model, [0.0, 1.0])
+            eval_cov(model, [0.5, 1.0], [0.0, 0.5])
+            truncation_bound(model, 1)
+        assert factored == [model] and scaled == [0, 1, 2, 3]
+        memo_simulate(dataclasses.replace(model), 1)  # a new object, analysed anew
+        assert len(factored) == 2 and scaled == [0, 1, 2, 3] * 2
 
     def test_returned_report_and_roots_cannot_change_the_memo(self):
         model = memo_model("spatial")
@@ -841,7 +894,11 @@ def test_substream_seed_and_key_must_be_nonnegative_integers(bad):
         substream(0, 1, bad)
 
 
-@pytest.mark.parametrize("times", [(0, 1, 2), (0, 2, 5), (-3, 4), (7,), (-3, -1, 0, 4)])
+# the last five: past 2**53, where a float t - 1 rounds; negative and gapped; one time
+@pytest.mark.parametrize("times", [(0, 1, 2), (0, 2, 5), (-3, 4), (7,), (-3, -1, 0, 4),
+                                   (2.0**53, 2.0**53 + 2), (2.0**54, 2.0**54 + 4),
+                                   (-2.0**53 - 2, -2.0**53, 0, 1, 2.0**53), (-9, -8, -5, -4, 6),
+                                   (-(2.0**60),)])
 def test_ma1_sampler_equals_one_draw_per_time(times):
     rng = np.random.default_rng(31)
     for m in (1, 2, 3):
@@ -884,8 +941,8 @@ def test_realization_equals_the_whole_realization_oracle(kind, label, trunc):
 
 
 class TestSeedIndependentMemo:
-    """The per-degree stream keys and a_n, memoised on the model, and the MA(1) index,
-    derived once per call, follow every change to the model."""
+    """The per-degree a_n and roots, computed once per model object, and the MA(1) index,
+    derived once per call, follow every replaced field of the model."""
 
     @staticmethod
     def assert_equals_oracle(model, trunc=2, seed=4):
@@ -901,21 +958,27 @@ class TestSeedIndependentMemo:
     def test_reassigned_space_is_seen(self, kernel):
         model = memo_model(kernel)
         self.assert_equals_oracle(model)
-        model.space = parse_space("projR:2")  # the same ambient shape, other a_n
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.space = parse_space("projR:2")
+        model = dataclasses.replace(model, space=parse_space("projR:2"))  # other a_n
         assert a_constant(model.space, 2) != a_constant(S2, 2)
         self.assert_equals_oracle(model)
-        model.space = parse_space("sphere:2")  # equal to S2, a distinct object
+        model = dataclasses.replace(model, space=parse_space("sphere:2"))  # equal to S2
         self.assert_equals_oracle(model)
 
     @pytest.mark.parametrize("kernel", sorted(set(MEMO_KERNELS) - {"user"}))
     def test_tail_and_coefficient_edits_are_seen(self, kernel):
         model = memo_model(kernel)
         self.assert_equals_oracle(model)
-        model.tail = TailEnvelope(0.5, 0.5)
+        model = dataclasses.replace(model, tail=TailEnvelope(0.5, 0.5))
         self.assert_equals_oracle(model)
-        model.coeffs[1] = 3.0 * model.coeffs[1]
+        with pytest.raises(ValueError, match="read-only"):
+            model.coeffs[1] *= 3.0
+        coeffs = model.coeffs.copy()
+        coeffs[1] = 3.0 * coeffs[1]
+        model = dataclasses.replace(model, coeffs=coeffs)
         self.assert_equals_oracle(model)
-        model.coeffs = np.concatenate([model.coeffs, model.coeffs])  # more degrees
+        model = dataclasses.replace(model, coeffs=np.concatenate([coeffs, coeffs]))  # more degrees
         self.assert_equals_oracle(model, trunc=7)
         self.assert_equals_oracle(model, trunc=0)
 
@@ -924,14 +987,16 @@ class TestSeedIndependentMemo:
         for kernel in (VectorMA1([[0.4, 0.1], [-0.2, 0.3]]), SeparableScalar("exponential", 0.9),
                        VectorMA1([[-0.5, 0.0], [0.2, 0.1]]), PureSpatial()):
             self.assert_equals_oracle(model)
-            model.kernel = kernel
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                model.kernel = kernel
+            model = dataclasses.replace(model, kernel=kernel)
         self.assert_equals_oracle(model)
 
     def test_ma1_index_is_not_kept_after_the_call(self):
         # 20,000 times two apart: the index alone is 160 KB of int64, and 40,000 innovations
         model = SeriesModel(S2, 1, [np.eye(1)], VectorMA1([[0.5]]))
         points, times = np.array(fixed_points(1)), [2.0 * k for k in range(20_000)]
-        simulate_spatiotemporal(model, points, times[:3], seed=0)  # the model's memos
+        simulate_spatiotemporal(model, points, times[:3], seed=0)  # the model's analysis
         tracemalloc.start()
         try:
             real = simulate_spatiotemporal(model, points, times, seed=0)
@@ -941,6 +1006,38 @@ class TestSeedIndependentMemo:
         finally:
             tracemalloc.stop()
         assert kept < 16_000
+
+
+COPIES = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
+          "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("how", list(COPIES))
+@pytest.mark.parametrize("kind", list(PIN_KERNELS))
+def test_copied_model_is_rebuilt_through_the_constructor(kind, how, monkeypatch):
+    """A pickled or copied model has read-only coefficients and kernel matrix, carries
+    no analysis, and simulates bit-identically to the original."""
+    rng = np.random.default_rng(29)
+    model = SeriesModel(S2, 2, [random_psd(rng, 2, 0.6**n) for n in range(4)],
+                        PIN_KERNELS[kind], TailEnvelope(0.5, 0.5))
+    times = [0.0] if kind == "spatial" else [-1.0, 0.0, 2.0, 3.0]
+    points = np.array(fixed_points(3))
+    want = simulate_spatiotemporal(model, points, times, trunc=3, seed=8)  # analysed
+    factored, factor = [], spectral.factor_coefficients
+    monkeypatch.setattr(spectral, "factor_coefficients",
+                        lambda m: factored.append(m) or factor(m))
+    copied = COPIES[how](model)
+    assert not copied.coeffs.flags.writeable
+    assert not np.shares_memory(copied.coeffs, model.coeffs)
+    assert np.array_equal(copied.coeffs, model.coeffs) and copied.tail == model.tail
+    for kernel in (copied.kernel, COPIES[how](model.kernel)):
+        assert kernel.domain == model.domain
+        assert kind != "ma1" or not kernel.phi.flags.writeable
+    got = simulate_spatiotemporal(copied, points, times, trunc=3, seed=8)
+    assert factored == [copied]
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.latent_v, want.latent_v)
+    assert np.array_equal(got.latent_u, want.latent_u)
 
 
 @pytest.mark.parametrize("label", ["sphere:2", "projR:3", "projC:4", "projH:8"])

@@ -116,15 +116,11 @@ class TestValidateSpatial:
         assert validate_spatial(scalar_model([1.0, 0.5, 0.25])).valid
 
     def test_nonfinite_is_divergent(self):
-        model = scalar_model([1.0])
-        model.coeffs[0] = np.array([[np.inf]])
-        report = validate_spatial(model)
+        report = validate_spatial(scalar_model([np.inf]))
         assert any(v.kind == "divergent" for v in report.violations)
 
     def test_nonfinite_coefficient_reported_once(self):
-        model = scalar_model([1.0, 0.5])
-        model.coeffs[1] = np.array([[np.nan]])
-        report = validate_spatial(model)
+        report = validate_spatial(scalar_model([1.0, np.nan]))
         assert [v.as_dict() for v in report.violations] == [
             {"degree": 1, "lag": "spatial", "kind": "divergent", "magnitude": math.inf}
         ]
@@ -333,19 +329,20 @@ class TestLagTable:
             validate_spatiotemporal(model, lags)
         assert validate_spatiotemporal(model, [0.0, 8e307, -8e307]).valid
 
-    def test_one_coeff_at_call_per_distinct_lag(self):
+    def test_one_coeff_at_call_per_distinct_lag(self, monkeypatch):
         model = SeriesModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)],
                             SeparableScalar("exponential", 1.0))
         calls = []
-        read = model.coeff_at
-        model.coeff_at = lambda n, t=0.0: calls.append((n, t)) or read(n, t)
+        read = SeriesModel.coeff_at
+        monkeypatch.setattr(SeriesModel, "coeff_at",
+                            lambda self, n, t=0.0: calls.append((n, t)) or read(self, n, t))
         validate_spatiotemporal(model, [0.0, 0.5, 1.25])
         # the lag-0 analysis reads B(0), then the table each t_i - t_j, in first-read order
         table_lags = [0.0, -0.5, -1.25, 0.5, -0.75, 1.25, 0.75]
         assert calls == [(slice(None), s) for s in [0.0] + table_lags]
         assert len(set(table_lags)) == len(table_lags)
 
-    def test_grid_over_the_cap_is_rejected_before_the_table(self):
+    def test_grid_over_the_cap_is_rejected_before_the_table(self, monkeypatch):
         # (N+1) m^2 = 549: 131 irregular lags may need 131*130+1 differences of
         # 549 + 32 values, under MAX_LAG_TABLE; 132 lags go just over it
         model = _cov_table_model()
@@ -353,10 +350,10 @@ class TestLagTable:
         class Admitted(Exception):
             pass
 
-        def first_read(n, t=0.0):
+        def first_read(self, n, t=0.0):
             raise Admitted
 
-        model.coeff_at = first_read
+        monkeypatch.setattr(SeriesModel, "coeff_at", first_read)
         lags = [0.0] + np.random.default_rng(3).uniform(-3.0, 3.0, 131).tolist()
         for count in (41, 120, 131):  # up to the most lags the cap admits
             with pytest.raises(Admitted):
@@ -675,6 +672,39 @@ class TestEvalCov:
         assert peak <= 4 * out.nbytes
 
 
+ANTISYMMETRIC = [[0.0, 1e308], [-1e308, 0.0]]  # symmetric part zero: not divergent at lag 0
+
+
+class TestNonFiniteSums:
+    """A finite, non-divergent model whose partial sums overflow: eval_cov and
+    truncation_bound raise NumericError, and no RuntimeWarning escapes."""
+
+    def test_eval_cov_names_the_first_distance_and_lag(self):
+        # exp(-5) B_n keeps every value finite at lag 5; at lag 0 B_1 + B_2 overflows
+        # near rho = 0, where P_1 = P_2 = 1, but not at rho = 3, where they nearly cancel
+        model = SeriesModel(S2, 2, [np.eye(2), ANTISYMMETRIC, ANTISYMMETRIC],
+                            SeparableScalar("exponential", 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(eval_cov(model, [3.0, 0.0, 1e-4], [5.0, 3.0])).all()
+            for rho in ([3.0, 0.0, 1e-4], 0.0):
+                with pytest.raises(NumericError, match=r"^the covariance series is not finite "
+                                   r"at distance 0\.0 and lag 0\.0$"):
+                    eval_cov(model, rho, [5.0, 0.0])
+            with pytest.raises(NumericError, match="at distance 1e-300 and lag -0.01$"):
+                eval_cov(model, [1e-300, 0.0], [5.0, -0.01])
+            assert np.isfinite(eval_cov(model, [0.0, 1e-4], 0.0, trunc=1)).all()
+
+    def test_truncation_bound_that_overflows_raises(self):
+        model = SeriesModel(S2, 2, [np.eye(2), ANTISYMMETRIC, ANTISYMMETRIC])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_spatial(model).violations[0].kind == "asymmetric"
+            with pytest.raises(NumericError, match="^the tail bound past degree 0 is not finite$"):
+                truncation_bound(model, 0)
+            assert truncation_bound(model, 1) == 1e308 and truncation_bound(model, 2) == 0.0
+
+
 class TestEvalCovSymmetrized:
     """C(rho, -t) = C(rho, t)^T: so C(rho, 0) and the symmetrized
     (C(rho, t) + C(rho, -t)) / 2 are symmetric."""
@@ -922,7 +952,8 @@ GATES = {
         lambda v: angular_power_spectrum(_GATE_MODEL, v),
         lambda v: a_constant(S2, v),
         lambda v: dim_eigenspace(S2, v)]]),
-    "lag": (_gate_values(-10**6, 10**6, st.floats()), [[
+    "lag": (st.one_of(_gate_values(-10**6, 10**6, st.floats()),
+                      st.sampled_from(["0.5", b"0", "", None])), [[
         lambda v, model=model: eval_cov(model, 0.5, v),
         lambda v, model=model: simulate_spatiotemporal(model, _GATE_POINTS, [v], seed=0)]
         for model in _LAG_MODELS]),
@@ -944,3 +975,15 @@ def test_consumers_of_a_gate_agree(gate, data):
     value = data.draw(values)
     for group in groups:
         assert len({_accepts(call, value) for call in group}) == 1, value
+
+
+@pytest.mark.parametrize("lag", ["0.5", "0", b"0", "", None, 1j])
+@pytest.mark.parametrize("model", _LAG_MODELS, ids=lambda m: m.kernel.kind + "-" + m.domain)
+def test_lag_that_is_not_a_real_number_is_rejected_by_every_consumer(model, lag):
+    # float() once read text, so "0.5" was the lag 0.5, and None escaped as TypeError
+    for call in (lambda: model.coeff_at(0, lag), lambda: eval_cov(model, 0.5, lag),
+                 lambda: eval_cov(model, 0.5, [0.0, lag]),
+                 lambda: simulate_spatiotemporal(model, _GATE_POINTS, [lag], seed=0),
+                 lambda: simulate_spatiotemporal(model, _GATE_POINTS, ["0", "1.5"], seed=0)):
+        with pytest.raises(UsageError, match=r"^lag .* must be a real number$"):
+            call()
