@@ -45,6 +45,7 @@ from .spaces import (
 from .spectral import ZERO_LAG, SeriesModel, _require_lag, _resolve_trunc, truncation_bound
 
 _WRITE_CHUNK = 1 << 14  # values per write of _write_rows (whole leads, at least one)
+_POINT_BLOCK = 1 << 12  # points per Jacobi table of simulate_* (one more in a last block)
 
 
 def _words(n: int, count: int = 1) -> bytes:
@@ -64,7 +65,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return _generator(data + b"".join([_words(_natural(k, "spawn key")) for k in key]))
 
 
-@dataclass
+@dataclass(eq=False)
 class Realization:
     """Simulated field values plus the latent draws that produced them.
 
@@ -73,7 +74,7 @@ class Realization:
     values has shape (K, len(times), m). latent_v[n, i, :] is
     the degree-n series coefficient at times[i] (the V_n(t) of the series,
     including the a_n and coefficient-matrix factors), so the field at any
-    point x is sum_n latent_v[n, i] * P_n(cos rho(x, latent_u)).
+    point x is sum_n latent_v[n, i] * P_n(cos rho(x, latent_u)). == and hash are by identity.
     """
 
     space: SpaceParams
@@ -117,6 +118,8 @@ def simulate_spatiotemporal(
     strictly increasing and in the model's lag domain, so a purely spatial
     model accepts the time grid [0.0] only. `points` is a (K, *ambient_shape) array of unit
     representatives, or a sequence of such rows or of make_point results of the space.
+    The Jacobi table is built one block of points at a time, so a run holds its values
+    plus a (trunc + 1) x _POINT_BLOCK table, whatever K and trunc.
     """
     times = [_require_lag(model.domain, t) for t in times]
     if not times:
@@ -141,8 +144,15 @@ def simulate_spatiotemporal(
     an, head = model._an, prefix + _words(1)  # degree n's stream is keyed (1, n)
     for n in range(trunc + 1):
         latent_v[n] = sample_path(roots[n], an[n], times, _generator(head + _words(n)))
-    pn = _jacobi_table(trunc, space.geom, cos_distance_batch(space, u, points))
-    values = np.einsum("np,ntm->ptm", pn, latent_v)
+    # one Jacobi table per block of points, passed straight to the contraction so that no two
+    # are alive at once. A point's sum rounds the same in any block of two or more, but a
+    # one-point table contracts as a dot product, so a lone last point joins the block before.
+    count = len(points)
+    values = np.empty((count, len(times), model.m))
+    for k in range(0, max(count - 1, 1), _POINT_BLOCK):
+        block = slice(k, k + _POINT_BLOCK if count - k > _POINT_BLOCK + 1 else count)
+        x = cos_distance_batch(space, u, points[block])
+        np.einsum("np,ntm->ptm", _jacobi_table(trunc, space.geom, x), latent_v, out=values[block])
     if not np.isfinite(values).all():
         raise NumericError("the series produced non-finite field values")
     return Realization(

@@ -85,14 +85,19 @@ def _as_coeff_matrices(coeffs, m: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _require_lag(domain: str, t) -> float:
-    """t as a float; UsageError unless it is a real number, not text, and a lag of the domain."""
+def _real_lag(t) -> float:
+    """t as a float; UsageError unless it is a real number, not text."""
     try:
         if isinstance(t, (str, bytes)):  # float() would read text
             raise TypeError
-        t = float(t)
+        return float(t)
     except (TypeError, ValueError):
         raise UsageError(f"lag {t!r} must be a real number") from None
+
+
+def _require_lag(domain: str, t) -> float:
+    """t as a float; UsageError unless it is a real number, not text, and a lag of the domain."""
+    t = _real_lag(t)
     if not math.isfinite(t):
         raise UsageError(f"lag {t} is not finite")
     if domain == INTEGER_LAGS and not t.is_integer():
@@ -171,14 +176,14 @@ class SeparableScalar:
         return an * xi @ root.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorMA1:
     """Per-degree lag table of Z(t) = e(t) + Phi e(t-1), var e = Sigma_n.
 
     With cov(Z(t1), Z(t2)) = B(t1 - t2):
     B_n(0) = Sigma_n + Phi Sigma_n Phi^T, B_n(1) = Phi Sigma_n,
     B_n(-1) = Sigma_n Phi^T, zero beyond lag one. The stored model
-    coefficients are the innovation covariances Sigma_n.
+    coefficients are the innovation covariances Sigma_n. == and hash are by identity.
     """
 
     phi: np.ndarray = field(repr=False)
@@ -235,7 +240,7 @@ class VectorMA1:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesModel:
     """Jacobi-series covariance model of an m-variate isotropic field, with per-degree
     stationary covariance matrix functions B_n(t) given by the kernel's lag table.
@@ -246,7 +251,8 @@ class SeriesModel:
     at lag 0 only. A kernel may define check_m(m) to reject parameters of the
     wrong dimension. A model is a value: frozen, with read-only `coeffs` of its own, so its
     lag-0 analysis and each a_n are computed at most once per object. dataclasses.replace
-    builds an edited model; pickle and copy rebuild one through the constructor.
+    builds an edited model; pickle and copy rebuild one through the constructor. == and hash
+    are those of the object's identity, as for VectorMA1, Realization and spaces.Point.
     """
 
     space: SpaceParams
@@ -447,7 +453,7 @@ def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
     MAX_LAG_TABLE values is rejected before anything is read. The report lists each
     degree's lag findings in grid order, then its block.
     """
-    lags = [float(t) for t in probe_lags]
+    lags = [_real_lag(t) for t in probe_lags]
     if not lags:
         raise UsageError("probe_lags must be nonempty")
     if not any(t == 0.0 for t in lags):

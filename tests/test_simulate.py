@@ -45,7 +45,7 @@ from isofield import (
 from isofield.cli import resolve_points
 from isofield.spaces import a_constant, cos_distance_batch, points_sha256, points_to_reals
 from isofield import spectral
-from isofield.simulate import _WRITE_CHUNK
+from isofield.simulate import _POINT_BLOCK, _WRITE_CHUNK
 from isofield.spectral import SPATIAL, Violation, factor_coefficients
 from tests.oracles import (
     exponential_path_cholesky,
@@ -925,19 +925,51 @@ ORACLE_GRIDS = {"zero": [[0.0]], "integers": [[-3.0, -1.0, 0.0, 4.0, 5.0], [7.0]
 @pytest.mark.parametrize("kind", list(PIN_KERNELS))
 @pytest.mark.parametrize("trunc", [0, 2, 4])
 def test_realization_equals_the_whole_realization_oracle(kind, label, trunc):
-    """values, latent_v and latent_u equal tests/oracles.py::simulate_reference bit for bit."""
+    """values, latent_v and latent_u equal tests/oracles.py::simulate_reference bit for bit,
+    on 5 points (one block) and on 2 blocks and 1 point (two seams)."""
     space = parse_space(label)
     rng = np.random.default_rng(29)
     model = SeriesModel(space, 2, [random_psd(rng, 2, 0.6**n) for n in range(5)],
                         PIN_KERNELS[kind])
-    points = sample_uniform_batch(space, 5, np.random.default_rng(30))
-    for times in ORACLE_GRIDS[model.domain]:
-        for seed in (0, 2**64 - 1, 2**130):
-            real = simulate_spatiotemporal(model, points, times, trunc=trunc, seed=seed)
-            values, latent_v, latent_u = simulate_reference(model, points, times, trunc, seed)
-            assert np.array_equal(real.values, values), (times, seed)
-            assert np.array_equal(real.latent_v, latent_v), (times, seed)
-            assert np.array_equal(real.latent_u, latent_u), (times, seed)
+    for count in (5, 2 * _POINT_BLOCK + 1):
+        points = sample_uniform_batch(space, count, np.random.default_rng(30))
+        for times in ORACLE_GRIDS[model.domain]:
+            for seed in (0, 2**64 - 1, 2**130):
+                real = simulate_spatiotemporal(model, points, times, trunc=trunc, seed=seed)
+                values, latent_v, latent_u = simulate_reference(model, points, times, trunc,
+                                                                seed)
+                assert np.array_equal(real.values, values), (count, times, seed)
+                assert np.array_equal(real.latent_v, latent_v), (count, times, seed)
+                assert np.array_equal(real.latent_u, latent_u), (count, times, seed)
+
+
+@pytest.mark.parametrize("label", ["sphere:2", "projH:8"])
+@pytest.mark.parametrize("count", [_POINT_BLOCK - 1, _POINT_BLOCK, _POINT_BLOCK + 1,
+                                   _POINT_BLOCK + 2, 2 * _POINT_BLOCK + 1, 3 * _POINT_BLOCK - 3])
+def test_one_value_per_point_keeps_its_bits_at_every_block_seam(label, count):
+    """m = 1 at one time, where a one-point Jacobi table contracts as a dot product and
+    rounds otherwise: values equal the whole-table oracle for every point count."""
+    space = parse_space(label)
+    model = SeriesModel(space, 1, [[[1.0 / (n + 1) ** 3]] for n in range(41)])
+    points = sample_uniform_batch(space, count, np.random.default_rng(count))
+    for seed in (0, 7):
+        values = simulate_spatial(model, points, seed=seed).values
+        assert np.array_equal(values, simulate_reference(model, points, [0.0], 40, seed)[0])
+
+
+def test_jacobi_table_is_held_one_block_of_points_at_a_time():
+    # 201 degrees on 20,000 points: the whole table is 32 MB, one block of it 6.6 MB
+    model = SeriesModel(S2, 1, [[[1.0 / (n + 1) ** 3]] for n in range(201)])
+    points = sample_uniform_batch(S2, 20_000, np.random.default_rng(3))
+    simulate_spatial(model, points[:2], seed=0)  # the model's analysis
+    tracemalloc.start()
+    try:
+        real = simulate_spatial(model, points, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert real.values.shape == (20_000, 1, 1)
+    assert peak < 8_000_000  # one block's table and the 160 KB of values
 
 
 class TestSeedIndependentMemo:
@@ -1038,6 +1070,21 @@ def test_copied_model_is_rebuilt_through_the_constructor(kind, how, monkeypatch)
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.latent_v, want.latent_v)
     assert np.array_equal(got.latent_u, want.latent_u)
+
+
+TWINS = {"model": lambda: SeriesModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)]),
+         "scalar-model": lambda: SeriesModel(S2, 1, [[[1.0]], [[0.5]]]),
+         "ma1": lambda: VectorMA1([[0.3, -0.2], [0.1, 0.4]]),
+         "realization": lambda: simulate_spatial(SeriesModel(S2, 1, [[[1.0]], [[0.5]]]),
+                                                 fixed_points(3), seed=1)}
+
+
+@pytest.mark.parametrize("kind", list(TWINS))
+def test_value_types_compare_and_hash_by_identity(kind):
+    # == compared the array fields, and numpy's truth value of an array raised
+    a, b = TWINS[kind](), TWINS[kind]()
+    assert a == a and a != b and not (a == b)
+    assert {a: "a", b: "b"}[a] == "a" and hash(a) == hash(a)
 
 
 @pytest.mark.parametrize("label", ["sphere:2", "projR:3", "projC:4", "projH:8"])

@@ -980,8 +980,12 @@ def test_consumers_of_a_gate_agree(gate, data):
 @pytest.mark.parametrize("lag", ["0.5", "0", b"0", "", None, 1j])
 @pytest.mark.parametrize("model", _LAG_MODELS, ids=lambda m: m.kernel.kind + "-" + m.domain)
 def test_lag_that_is_not_a_real_number_is_rejected_by_every_consumer(model, lag):
-    # float() once read text, so "0.5" was the lag 0.5, and None escaped as TypeError
+    # float() once read text, so "0.5" was the lag 0.5, and None escaped as TypeError;
+    # validate_spatiotemporal read its probe lags that way too
     for call in (lambda: model.coeff_at(0, lag), lambda: eval_cov(model, 0.5, lag),
+                 lambda: validate_spatiotemporal(model, [lag]),
+                 lambda: validate_spatiotemporal(model, [0.0, lag]),
+                 lambda: model.validate([lag]), lambda: model.validate([0.0, lag]),
                  lambda: eval_cov(model, 0.5, [0.0, lag]),
                  lambda: simulate_spatiotemporal(model, _GATE_POINTS, [lag], seed=0),
                  lambda: simulate_spatiotemporal(model, _GATE_POINTS, ["0", "1.5"], seed=0)):
