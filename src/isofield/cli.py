@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .spaces import (
     points_from_reals,
     sample_uniform_batch,
 )
-from .spectral import angular_power_spectrum, eval_cov, truncation_bound
+from .spectral import _resolve_trunc, angular_power_spectrum, eval_cov, truncation_bound
 from .verify import check_space_identities, mc_funk_hecke, mc_zonal_covariance
 
 DEFAULT_SEED = 0xC0FFEE
@@ -226,12 +227,19 @@ def cmd_simulate(args) -> int:
     if args.out == "-":
         raise UsageError("--out - would be stdout, but simulate writes a values CSV and a "
                          ".meta.json sidecar beside it, so --out needs a file path")
+    text = "realization.csv" if args.out is None else args.out
+    out = Path(text)
+    if not out.name or text.endswith(("/", os.sep)) or out.is_dir():
+        raise UsageError(f"--out {text!r} names a directory or no file name, but simulate "
+                         "writes a values CSV there and a .meta.json sidecar beside it")
     model = load_model(args.model)
-    points = resolve_points(model.space, args.points, args.seed)
     times = sorted(_parse_lags(args.times))
+    # the latent table, (trunc + 1) x times x m, is held whole while the values are formed
+    _require_values("--times and --trunc", _resolve_trunc(model, args.trunc) + 1, len(times),
+                    model.m)
+    points = resolve_points(model.space, args.points, args.seed)
     _require_values("--points and --times", len(points), len(times), model.m)
     real = simulate_spatiotemporal(model, points, times, args.trunc, args.seed)
-    out = Path(args.out if args.out else "realization.csv")
     csv_path, meta_path = save_realization(real, out, points_spec=_points_spec(args.points))
     print(f"wrote {csv_path} and {meta_path}", file=sys.stderr)
     return EXIT_OK
@@ -266,6 +274,9 @@ def cmd_check(args) -> int:
     rep = args.replicates
     if not 2 <= rep <= MAX_COUNT:
         raise UsageError(f"--replicates {rep} must lie in 2..{MAX_COUNT} (the cap)")
+    if args.spaces is not None and not args.spaces.strip():
+        raise UsageError(f"--spaces {args.spaces!r} names no space; leave the flag out for "
+                         "the default list")
     mc_spaces = [parse_space(s) for s in args.spaces.split(",")] if args.spaces else [
         s for s in all_reference_spaces() if s.family is not SpaceFamily.OCTONION_PROJECTIVE
     ]

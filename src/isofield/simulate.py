@@ -111,15 +111,19 @@ def simulate_spatiotemporal(
 ) -> Realization:
     """One realization of the space-time series on a points x times grid.
 
-    Per degree, the model's kernel draws an independent stationary path
-    V_n(.) with cov(V_n(t1), V_n(t2)) = a_n^2 B_n(t1 - t2) from the degree's
-    substream (see the kernels' sample_path); validate_spatial's checks gate
-    the model; non-finite values raise NumericError. Times must be finite,
-    strictly increasing and in the model's lag domain, so a purely spatial
-    model accepts the time grid [0.0] only. `points` is a (K, *ambient_shape) array of unit
-    representatives, or a sequence of such rows or of make_point results of the space.
-    The Jacobi table is built one block of points at a time, so a run holds its values
-    plus a (trunc + 1) x _POINT_BLOCK table, whatever K and trunc.
+    The model's kernel draws every degree's independent stationary path
+    V_n(.) with cov(V_n(t1), V_n(t2)) = a_n^2 B_n(t1 - t2) in one call,
+    kernel.sample_paths(roots, an, times, rngs): roots is the read-only
+    (trunc + 1, m, m) stack of coefficient roots, an the read-only a_n array,
+    and rngs[n] the degree-n substream, keyed (1, n). It returns the
+    (trunc + 1, len(times), m) latent table; another shape raises UsageError.
+    validate_spatial's checks gate the model; non-finite values raise
+    NumericError. Times must be finite, strictly increasing and in the model's
+    lag domain, so a purely spatial model accepts the time grid [0.0] only.
+    `points` is a (K, *ambient_shape) array of unit representatives, or a
+    sequence of such rows or of make_point results of the space. The Jacobi
+    table is built one block of points at a time, so a run holds its values and
+    latent table plus a (trunc + 1) x _POINT_BLOCK table, whatever K and trunc.
     """
     times = [_require_lag(model.domain, t) for t in times]
     if not times:
@@ -137,13 +141,16 @@ def simulate_spatiotemporal(
     # the seed checked once: substream(seed, *key) is _generator(prefix + key words)
     prefix = _words(_natural(seed, "seed"), 4)
     u = sample_uniform_batch(space, 1, _generator(prefix + _words(0)))[0]
-    sample_path = getattr(model.kernel, "sample_path", None)
-    if sample_path is None:
+    sample_paths = getattr(model.kernel, "sample_paths", None)
+    if sample_paths is None:
         raise UsageError(f"unsupported temporal kernel {type(model.kernel).__name__}")
-    latent_v = np.zeros((trunc + 1, len(times), model.m))
-    an, head = model._an, prefix + _words(1)  # degree n's stream is keyed (1, n)
-    for n in range(trunc + 1):
-        latent_v[n] = sample_path(roots[n], an[n], times, _generator(head + _words(n)))
+    head = prefix + _words(1)  # degree n's stream is keyed (1, n)
+    rngs = [_generator(head + _words(n)) for n in range(trunc + 1)]
+    latent_v = sample_paths(roots[:trunc + 1], model._an[:trunc + 1], times, rngs)
+    shape = (trunc + 1, len(times), model.m)
+    if np.shape(latent_v) != shape:
+        raise UsageError(f"{type(model.kernel).__name__}.sample_paths returned shape "
+                         f"{np.shape(latent_v)}, expected {shape}")
     # one Jacobi table per block of points, passed straight to the contraction so that no two
     # are alive at once. A point's sum rounds the same in any block of two or more, but a
     # one-point table contracts as a dot product, so a lone last point joins the block before.

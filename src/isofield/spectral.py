@@ -75,20 +75,38 @@ def _as_coeff_matrices(coeffs, m: int) -> np.ndarray:
 # Temporal kernels. Each kernel exposes `domain`,
 # coeff_at(n, t, coeffs) -> the m x m matrix B_n(t), or the stack of them
 # when n is a slice of degrees (coeffs is the (N+1, m, m) stack), and
-# sample_path(root, an, times, rng) -> the (len(times), m) degree-n path
-# V_n(.) with covariance a_n^2 B_n(t1 - t2), given the read-only root
-# coeffs[n]^(1/2) and strictly increasing times. Kernels receive checked lags
-# (SeriesModel.coeff_at gates them) and check nothing; a gap between two checked
-# times may read inf. A kernel is immutable once attached to a model. Each built-in
-# kernel checks its parameters when built and is then valid exactly when its
-# stored matrices are symmetric nonnegative definite, which validate_spatial checks.
+# sample_paths(roots, an, times, rngs) -> the (N+1, len(times), m) stack of every
+# degree's path: path n is V_n(.) with covariance an[n]^2 B_n(t1 - t2), drawn from
+# rngs[n] alone. roots is the read-only (N+1, m, m) stack of coeffs[n]^(1/2), an the
+# read-only (N+1,) array of a_n, rngs the degree streams in degree order, and times
+# strictly increasing. Kernels receive checked lags (SeriesModel.coeff_at gates
+# them) and check nothing; a gap between two checked times may read inf. A kernel
+# is immutable once attached to a model. Each built-in kernel checks its parameters
+# when built and is then valid exactly when its stored matrices are symmetric
+# nonnegative definite, which validate_spatial checks.
 # --------------------------------------------------------------------------
+
+_PATH_BLOCK = 1 << 14  # innovation values per block of degrees of VectorMA1.sample_paths
+
+
+def _normals(rngs, count: int, m: int) -> np.ndarray:
+    """The (len(rngs), count, m) standard normals, one standard_normal((count, m)) draw per
+    stream: the same numbers as count draws of size m, so a path's draws are time-ordered."""
+    z = np.empty((len(rngs), count, m))
+    for out, rng in zip(z, rngs):
+        rng.standard_normal(out=out)
+    return z
 
 
 def _real_lag(t) -> float:
-    """t as a float; UsageError unless it is a real number, not text."""
+    """t as a float; UsageError unless it is a real number, not text. float() reads str and
+    every other bytes-like object (bytes, bytearray, memoryview, array.array) as text, and
+    numpy text scalars and arrays too, so a lag must define __float__ or __index__ and have
+    no dtype, or a boolean, integer or floating one."""
     try:
-        if isinstance(t, (str, bytes)):  # float() would read text
+        dtype = getattr(t, "dtype", None)
+        if (not (hasattr(type(t), "__float__") or hasattr(type(t), "__index__"))
+                or dtype is not None and np.dtype(dtype).kind not in "biuf"):
             raise TypeError
         return float(t)
     except (TypeError, ValueError):
@@ -118,9 +136,10 @@ class PureSpatial:
     def coeff_at(self, n, t, coeffs):
         return coeffs[n]
 
-    def sample_path(self, root, an, times, rng):
-        w = root @ (an * rng.standard_normal(root.shape[0]))
-        return w[None].repeat(len(times), 0)
+    def sample_paths(self, roots, an, times, rngs):
+        """Per degree one draw root @ (a_n z), repeated at every time."""
+        z = _normals(rngs, 1, roots.shape[-1]).transpose(0, 2, 1)  # (N+1, m, 1)
+        return np.matmul(roots, an[:, None, None] * z).transpose(0, 2, 1).repeat(len(times), 1)
 
 
 SPATIAL = PureSpatial(ZERO_LAG)  # the kernel of a purely spatial model: constant B_n, lag 0 only
@@ -164,16 +183,19 @@ class SeparableScalar:
         with np.errstate(invalid="ignore"):
             return self.correlation(t) * coeffs[n]
 
-    def sample_path(self, root, an, times, rng):
-        """m independent stationary unit-variance Markov paths mixed through root,
-        with the exact transition across each gap (Ornstein-Uhlenbeck for "exponential")."""
-        m = root.shape[0]
-        xi = np.empty((len(times), m))
-        xi[0] = rng.standard_normal(m)
+    def sample_paths(self, roots, an, times, rngs):
+        """Per degree, m independent stationary unit-variance Markov paths mixed through its
+        root, with the exact transition across each gap (Ornstein-Uhlenbeck for
+        "exponential"). One pass over the gaps steps every degree, in place of its normals,
+        and each degree is mixed in place, so the call holds one (N+1, T, m) table."""
+        xi = _normals(rngs, len(times), roots.shape[-1])
         for i in range(1, len(times)):
             rho = self.correlation(times[i] - times[i - 1])
-            xi[i] = rho * xi[i - 1] + np.sqrt(1.0 - rho * rho) * rng.standard_normal(m)
-        return an * xi @ root.T
+            xi[:, i] = rho * xi[:, i - 1] + math.sqrt(1.0 - rho * rho) * xi[:, i]
+        xi *= an[:, None, None]
+        for x, root in zip(xi, roots):
+            x[...] = x @ root.T
+        return xi
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,19 +242,29 @@ class VectorMA1:
                 return sigma @ self.phi.T
         return np.zeros_like(sigma)
 
-    def sample_path(self, root, an, times, rng):
+    def sample_paths(self, roots, an, times, rngs):
         """Innovations root @ z at every needed integer time, then the MA(1) sum: t - 1 is
-        needed unless it is the time before, so e(t) is the count-th innovation so far."""
+        needed unless it is the time before, so e(t) is the count-th innovation so far.
+        The index is found once per call. Degrees are drawn a block at a time, of at most
+        _PATH_BLOCK innovation values or one degree, so the temporaries stay small beside
+        the paths."""
         at, count, last = [], 0, None
         for t in map(int, times):  # exact integers: a float t - 1 rounds past 2**53
             count += 1 if t - 1 == last else 2
             at.append(count - 1)
             last = t
         at = np.array(at)
-        z = rng.standard_normal((count, root.shape[0]))  # the draws of one call per time
-        # stacked matrix-vector products round as one root @ z_s per time; z @ root.T does not
-        eps = np.matmul(root, z[..., None])
-        return an * (eps[at] + np.matmul(self.phi, eps[at - 1]))[..., 0]
+        m = roots.shape[-1]
+        paths = np.empty((len(roots), len(times), m))
+        step = max(1, _PATH_BLOCK // (count * m))
+        for k in range(0, len(roots), step):
+            block = slice(k, k + step)
+            # stacked matrix-vector products round as one root @ z_s per time; z @ root.T does not
+            eps = np.matmul(roots[block, None], _normals(rngs[block], count, m)[..., None])
+            mixed = np.matmul(self.phi, eps[:, at - 1])
+            mixed += eps[:, at]
+            np.multiply(an[block, None, None], mixed[..., 0], out=paths[block])
+        return paths
 
 
 # --------------------------------------------------------------------------
@@ -278,9 +310,11 @@ class SeriesModel:
         return factor_coefficients(self)
 
     @cached_property
-    def _an(self) -> list[float]:
-        """a_n of every stored degree, computed on first use."""
-        return [a_constant(self.space, n) for n in range(self.max_degree + 1)]
+    def _an(self) -> np.ndarray:
+        """The read-only a_n of every stored degree, computed on first use."""
+        an = np.array([a_constant(self.space, n) for n in range(self.max_degree + 1)])
+        an.flags.writeable = False
+        return an
 
     @property
     def max_degree(self) -> int:

@@ -887,8 +887,8 @@ def test_input_that_is_not_utf8_exits_two_naming_the_file_and_byte(tmp_path, cap
     assert not out.exists()
 
 
-# ROADMAP item 2's models: each passes the lag-table probes on some grids, but its stored
-# matrix is indefinite at lag 0, so simulate refuses it and validate must too
+# Models that each pass the lag-table probes on some grids, but whose stored matrix is
+# indefinite at lag 0, so simulate refuses them and validate must too
 LAG_ZERO_INDEFINITE = {
     # Sigma_0 = diag(1, -0.1): B_0(0) = Sigma + Phi Sigma Phi^T = diag(1, 0.9)
     "ma1": ({"space": "sphere:2", "m": 2, "coeffs": [[[1.0, 0.0], [0.0, -0.1]]],
@@ -919,7 +919,7 @@ def test_lag_zero_indefinite_model_fails_validate_as_simulate(tmp_path, capsys, 
 
 
 @pytest.mark.xfail(strict=True, reason="near PSD_TOL the MA(1) lag-grid Gram refuses a model "
-                   "that the lag-0 analysis accepts; ROADMAP item 2 phase 2 ends this")
+                   "that the lag-0 analysis accepts; ROADMAP item 6 ends this")
 def test_ma1_model_valid_at_lag_zero_passes_validate_as_simulate(tmp_path, capsys):
     # Sigma_0 has an eigenvalue just inside PSD_TOL, which grows past it in the lag-grid Gram
     path = tmp_path / "ma1_near.json"
@@ -958,6 +958,61 @@ def test_output_over_the_value_cap_exits_two(tmp_path, command):
                          address_space=3 * 2**30)
     assert code == 2
     assert err == f"error: {request} values, over the cap of {MAX_VALUES}\n"
+    assert not out.exists()
+
+
+def test_latent_table_over_the_value_cap_exits_two(tmp_path, capsys):
+    # 1,001 degrees x 10^4 times x m = 1 is 10,010,000 latent values: refused before the
+    # model is analysed, the points drawn or a path sampled
+    model = SeriesModel(S2, 1, [[[1.0 / (n + 1) ** 3]] for n in range(1001)],
+                        SeparableScalar("exponential", 1.0))
+    path = save_model(model, tmp_path / "deg1000.json")
+    out = tmp_path / "o.csv"
+    argv = ["simulate", "--model", str(path), "--points", "random:1", "--out", str(out),
+            "--times", ",".join(str(0.1 * i) for i in range(10_000))]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == ("error: --times and --trunc ask for 1001 x 10000 x 1 = "
+                                       f"10010000 values, over the cap of {MAX_VALUES}\n")
+    assert peak < 8_000_000  # the argument and the 10^4 parsed times, not the 80 MB table
+    assert not out.exists()
+
+
+def test_latent_table_cap_counts_the_truncation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(isofield.cli, "MAX_VALUES", 30)
+    path = save_model(SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1), 0.25 * np.eye(1)],
+                                  SeparableScalar("ar1", 0.5)), tmp_path / "ar1.json")
+    argv = ["simulate", "--model", str(path), "--points", "random:1", "--out",
+            str(tmp_path / "o.csv")]
+    assert main([*argv, "--times", ",".join(map(str, range(10)))]) == 0  # 3 x 10 x 1
+    capsys.readouterr()
+    assert main([*argv, "--times", ",".join(map(str, range(11)))]) == 2
+    assert capsys.readouterr().err.startswith("error: --times and --trunc ask for 3 x 11 x 1 ")
+    assert main([*argv, "--times", ",".join(map(str, range(11))), "--trunc", "1"]) == 0
+    assert main([*argv, "--times", "0", "--trunc", "3"]) == 2
+    assert "truncation degree 3 exceeds stored maximum degree 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", [".", "", "..", "sub", "sub/", "new/"])
+def test_simulate_out_that_names_no_file_exits_two(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    path = save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["simulate", "--model", str(path), "--points", "random:2", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out!r} names a directory or no file name"), err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_check_with_an_empty_space_list_exits_two(tmp_path, capsys):
+    out = tmp_path / "checks.json"
+    assert main(["check", "--spaces", "", "--replicates", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --spaces '' names no space")
     assert not out.exists()
 
 

@@ -395,22 +395,37 @@ class TestOneSimulationPath:
                 return 0.5 ** abs(t) * coeffs[n]
 
         model = SeriesModel(S2, 1, [np.eye(1)], ScaledKernel())
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="unsupported temporal kernel ScaledKernel"):
+            simulate_spatiotemporal(model, fixed_points(1), [0, 1], seed=0)
+
+        class PerDegreeKernel(ScaledKernel):  # the per-degree hook is not read
+            def sample_path(self, root, an, times, rng):
+                return np.zeros((len(times), root.shape[0]))
+
+        model = SeriesModel(S2, 1, [np.eye(1)], PerDegreeKernel())
+        with pytest.raises(UsageError, match="unsupported temporal kernel PerDegreeKernel"):
             simulate_spatiotemporal(model, fixed_points(1), [0, 1], seed=0)
 
 
+def degree_path(kernel, root, an, times, rng):
+    """The path of one degree: kernel.sample_paths on the one-degree stacks."""
+    return kernel.sample_paths(root[None], np.array([an]), times, [rng])[0]
+
+
 class RecordingKernel:
-    """Wraps a kernel and records the root each degree's path is drawn with."""
+    """Wraps a kernel and records each call's roots, a_n and stream count."""
 
     def __init__(self, inner):
-        self.inner, self.roots = inner, []
+        self.inner, self.roots, self.an, self.streams = inner, [], [], []
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def sample_path(self, root, an, times, rng):
-        self.roots.append(root.copy())
-        return self.inner.sample_path(root, an, times, rng)
+    def sample_paths(self, roots, an, times, rngs):
+        self.roots.append(roots.copy())
+        self.an.append(an.copy())
+        self.streams.append(len(rngs))
+        return self.inner.sample_paths(roots, an, times, rngs)
 
 
 class TestStackedFactorisation:
@@ -429,11 +444,14 @@ class TestStackedFactorisation:
                                                            else inner))
         real = simulate_spatiotemporal(model, fixed_points(3), times, trunc, seed=17)
         degrees = range(real.trunc + 1)
-        assert len(model.kernel.roots) == len(degrees)
+        assert len(model.kernel.roots) == 1  # one hook call draws every degree
+        assert model.kernel.roots[0].shape == (len(degrees), 3, 3)
+        assert model.kernel.streams == [len(degrees)]
         for n in degrees:
             root = psd_root_per_degree(coeffs[n])
-            assert np.array_equal(model.kernel.roots[n], root)
-            want = inner.sample_path(root, a_constant(S2, n), times, substream(17, 1, n))
+            assert np.array_equal(model.kernel.roots[0][n], root)
+            assert model.kernel.an[0][n] == a_constant(S2, n)
+            want = degree_path(inner, root, a_constant(S2, n), times, substream(17, 1, n))
             assert np.array_equal(real.latent_v[n], want)
 
     def test_finite_coefficients_near_overflow(self):
@@ -449,8 +467,8 @@ class TestStackedFactorisation:
 
     def test_non_finite_field_values_raise(self):
         class OverflowingKernel(RecordingKernel):
-            def sample_path(self, root, an, times, rng):
-                return np.full((len(times), root.shape[0]), np.inf)
+            def sample_paths(self, roots, an, times, rngs):
+                return np.full((len(roots), len(times), roots.shape[-1]), np.inf)
 
         model = SeriesModel(S2, 1, [np.eye(1)], OverflowingKernel(PureSpatial()))
         with pytest.raises(NumericError, match="non-finite"):
@@ -465,7 +483,7 @@ class TestMarkovSampler:
         kernel = SeparableScalar("exponential", 0.7)
         root = psd_root_per_degree(random_psd(rng, 3))
         for seed in range(5):
-            got = kernel.sample_path(root, 1.3, times, substream(seed, 1, 2))
+            got = degree_path(kernel, root, 1.3, times, substream(seed, 1, 2))
             want = exponential_path_cholesky(0.7, root, 1.3, times, substream(seed, 1, 2))
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -649,7 +667,7 @@ class TestRealizationIO:
 
 
 class WrappingKernel:
-    """A user-defined kernel: domain, coeff_at and sample_path, and no file form."""
+    """A user-defined kernel: domain, coeff_at and sample_paths, and no file form."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -661,8 +679,8 @@ class WrappingKernel:
     def coeff_at(self, n, t, coeffs):
         return self.inner.coeff_at(n, t, coeffs)
 
-    def sample_path(self, root, an, times, rng):
-        return self.inner.sample_path(root, an, times, rng)
+    def sample_paths(self, roots, an, times, rngs):
+        return self.inner.sample_paths(roots, an, times, rngs)
 
 
 def test_user_defined_kernel_simulates_but_cannot_be_saved(tmp_path):
@@ -806,13 +824,19 @@ class TestModelMemo:
         assert validate_spatial(model).violations == []
 
         class RootWritingKernel(WrappingKernel):
-            def sample_path(self, root, an, times, rng):
-                root *= 2.0
-                return self.inner.sample_path(root, an, times, rng)
+            def sample_paths(self, roots, an, times, rngs):
+                roots *= 2.0
+                return self.inner.sample_paths(roots, an, times, rngs)
 
-        model = SeriesModel(S2, 2, model.coeffs, RootWritingKernel(PureSpatial()))
-        with pytest.raises(ValueError, match="read-only"):
-            memo_simulate(model, 0)
+        class ScaleWritingKernel(WrappingKernel):
+            def sample_paths(self, roots, an, times, rngs):
+                an *= 2.0
+                return self.inner.sample_paths(roots, an, times, rngs)
+
+        for kernel in (RootWritingKernel, ScaleWritingKernel):
+            model = SeriesModel(S2, 2, model.coeffs, kernel(PureSpatial()))
+            with pytest.raises(ValueError, match="read-only"):
+                memo_simulate(model, 0)
 
     def test_ma1_matrix_is_a_read_only_copy(self):
         phi = np.array([[0.4, 0.1], [-0.2, 0.3]])
@@ -906,7 +930,8 @@ def test_ma1_sampler_equals_one_draw_per_time(times):
         kernel = VectorMA1(phi)
         root = psd_root_per_degree(random_psd(rng, m))
         for seed in range(200):
-            got = kernel.sample_path(root, 0.7, [float(t) for t in times], substream(seed, 1, 1))
+            got = degree_path(kernel, root, 0.7, [float(t) for t in times],
+                              substream(seed, 1, 1))
             want = ma1_path_per_time(phi, root, 0.7, times, substream(seed, 1, 1))
             assert np.array_equal(got, want), (m, seed)
 
@@ -955,6 +980,74 @@ def test_one_value_per_point_keeps_its_bits_at_every_block_seam(label, count):
     for seed in (0, 7):
         values = simulate_spatial(model, points, seed=seed).values
         assert np.array_equal(values, simulate_reference(model, points, [0.0], 40, seed)[0])
+
+
+def irregular_grid(domain, rng, count=500):
+    """count increasing times of the lag domain: unit steps, wider gaps and fractions."""
+    if domain == "zero":
+        return [0.0]
+    steps = (rng.choice([1.0, 1.0, 1.0, 2.0, 9.0], count - 1) if domain == "integers"
+             else 0.01 + rng.exponential(0.5, count - 1))
+    return np.cumsum(np.concatenate([[-100.0], steps])).tolist()
+
+
+@pytest.mark.parametrize("kind", list(PIN_KERNELS))
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_one_hook_call_equals_the_whole_realization_oracle_on_long_grids(kind, m, monkeypatch):
+    """Every degree's path from one sample_paths call equals the per-degree, per-time
+    oracle bit for bit on about 500 irregular times; VectorMA1 also one degree a block."""
+    rng = np.random.default_rng(61 + m)
+    kernel = VectorMA1(rng.uniform(-0.5, 0.5, (m, m))) if kind == "ma1" else PIN_KERNELS[kind]
+    model = SeriesModel(S2, m, [random_psd(rng, m, 0.6**n) for n in range(6)], kernel)
+    times = irregular_grid(model.domain, rng)
+    points = sample_uniform_batch(S2, 4, rng)
+    for block in [spectral._PATH_BLOCK] + ([1] if kind == "ma1" else []):
+        monkeypatch.setattr(spectral, "_PATH_BLOCK", block)
+        for seed in (0, 2**64 - 1):
+            real = simulate_spatiotemporal(model, points, times, seed=seed)
+            values, latent_v, latent_u = simulate_reference(model, points, real.times, 5, seed)
+            assert np.array_equal(real.latent_v, latent_v), (block, seed)
+            assert np.array_equal(real.values, values), (block, seed)
+            assert np.array_equal(real.latent_u, latent_u), (block, seed)
+
+
+@pytest.mark.parametrize("kernel", sorted(MEMO_KERNELS))
+def test_simulate_makes_one_hook_call_per_call(kernel):
+    model = memo_model(kernel)
+    recording = dataclasses.replace(model, kernel=RecordingKernel(model.kernel))
+    points = fixed_points(3)
+    got = [memo_simulate(recording, 0), simulate_spatial(recording, points, trunc=3, seed=1)]
+    assert recording.kernel.streams == [3, 4]  # one call each, drawing every degree
+    want = [memo_simulate(model, 0), simulate_spatial(model, points, trunc=3, seed=1)]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.latent_v, b.latent_v) and np.array_equal(a.values, b.values)
+
+
+def test_latent_table_of_another_shape_is_refused():
+    class OneDegreeKernel(WrappingKernel):  # the path of degree 0 only
+        def sample_paths(self, roots, an, times, rngs):
+            return self.inner.sample_paths(roots, an, times, rngs)[:1]
+
+    model = SeriesModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)], OneDegreeKernel(PureSpatial()))
+    with pytest.raises(UsageError, match=r"returned shape \(1, 2, 2\), expected \(2, 2, 2\)"):
+        simulate_spatiotemporal(model, fixed_points(2), [0.0, 1.0], seed=0)
+
+
+@pytest.mark.parametrize("kind", ["ar1", "exponential", "ma1", "pure_spatial"])
+def test_long_grid_paths_hold_about_one_latent_table(kind):
+    # 52 degrees x 20,000 times at one point: the latent table is 8.3 MB
+    kernel = PIN_KERNELS[kind] if kind != "ma1" else VectorMA1([[0.4]])
+    model = SeriesModel(S2, 1, [[[1.0 / (n + 1) ** 3]] for n in range(52)], kernel)
+    times = [float(i) for i in range(20_000)]
+    simulate_spatiotemporal(model, fixed_points(1), times[:2], seed=0)  # the model's analysis
+    tracemalloc.start()
+    try:
+        real = simulate_spatiotemporal(model, fixed_points(1), times, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert real.latent_v.shape == (52, 20_000, 1)
+    assert peak < 1.25 * real.latent_v.nbytes
 
 
 def test_jacobi_table_is_held_one_block_of_points_at_a_time():
@@ -1091,7 +1184,7 @@ def test_value_types_compare_and_hash_by_identity(kind):
 @pytest.mark.parametrize("kind", list(PIN_KERNELS))
 def test_realization_equals_the_public_stream_reference(kind, label):
     """Every array of a realization equals its build from the public substream,
-    sample_uniform_batch, sample_path, cos_distance_batch and jacobi_all."""
+    sample_uniform_batch, one-degree sample_paths calls, cos_distance_batch and jacobi_all."""
     space = parse_space(label)
     rng = np.random.default_rng(23)
     model = SeriesModel(space, 2, [random_psd(rng, 2, 0.6**n) for n in range(4)],
@@ -1105,8 +1198,8 @@ def test_realization_equals_the_public_stream_reference(kind, label):
         u = sample_uniform_batch(space, 1, substream(seed, 0))[0]
         assert np.array_equal(real.latent_u, u)
         for n in range(4):
-            want = model.kernel.sample_path(roots[n], a_constant(space, n), times,
-                                            substream(seed, 1, n))
+            want = degree_path(model.kernel, roots[n], a_constant(space, n), times,
+                               substream(seed, 1, n))
             assert np.array_equal(real.latent_v[n], want), (seed, n)
         pn = jacobi_all(3, space.geom, cos_distance_batch(space, u, points))
         assert np.array_equal(real.values, np.einsum("np,ntm->ptm", pn, real.latent_v))

@@ -1,3 +1,4 @@
+import array
 import itertools
 import math
 import tracemalloc
@@ -21,6 +22,7 @@ from isofield import (
     a_constant,
     angular_power_spectrum,
     dim_eigenspace,
+    empirical_cov,
     eval_cov,
     jacobi_eval,
     mc_funk_hecke,
@@ -989,5 +991,23 @@ def test_lag_that_is_not_a_real_number_is_rejected_by_every_consumer(model, lag)
                  lambda: eval_cov(model, 0.5, [0.0, lag]),
                  lambda: simulate_spatiotemporal(model, _GATE_POINTS, [lag], seed=0),
                  lambda: simulate_spatiotemporal(model, _GATE_POINTS, ["0", "1.5"], seed=0)):
+        with pytest.raises(UsageError, match=r"^lag .* must be a real number$"):
+            call()
+
+
+@pytest.mark.parametrize("lag", [bytearray(b"0"), memoryview(b"1"), array.array("b", b"1"),
+                                 np.bytes_(b"0"), np.array(b"1"), np.array("0"),
+                                 np.array("1", dtype=object), np.complex128(1.0)])
+@pytest.mark.parametrize("model", _LAG_MODELS, ids=lambda m: m.kernel.kind + "-" + m.domain)
+def test_bytes_like_and_numpy_text_lags_are_rejected(model, lag):
+    # float() reads any buffer as text, so bytearray(b"1") was the lag 1.0
+    real = [simulate_spatiotemporal(model, _GATE_POINTS, [0.0], seed=s) for s in (1, 2)]
+    for call in (lambda: model.coeff_at(1, lag), lambda: model.validate([lag]),
+                 lambda: model.validate([bytearray(b"0"), memoryview(b"1")]),
+                 lambda: model.validate([0.0, lag]),
+                 lambda: validate_spatiotemporal(model, [0.0, lag]),
+                 lambda: simulate_spatiotemporal(model, _GATE_POINTS, [lag], seed=0),
+                 lambda: simulate_spatiotemporal(model, _GATE_POINTS, [0.0, lag], seed=0),
+                 lambda: empirical_cov(real, (0, 1), lag)):
         with pytest.raises(UsageError, match=r"^lag .* must be a real number$"):
             call()
