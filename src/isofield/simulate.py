@@ -12,7 +12,12 @@ Randomness is split into named substreams of the master seed, so results do not 
 on evaluation order and replicates can run in parallel with per-replicate derived seeds.
 substream(seed, *key) is numpy's SeedSequence(seed, spawn_key=key) stream, built from the
 entropy numpy assembles for it (a test pins this); simulate_* builds the same streams from
-one checked seed prefix. Every stream drawn from a seed:
+one checked seed prefix. isofield._streams seeds a call's streams in one batch: each keeps
+numpy's SeedSequence of its entropy words, and the four uint64 words PCG64 asks of it,
+generate_state(4, np.uint64), are hashed for every stream of the call in one vectorised
+pass, by the fixed hash numpy's stream-compatibility policy keeps stable. Only that request
+is answered in advance, so states, draws and spawned children equal numpy's. Every stream
+drawn from a seed:
 
 - spawn key (0,): the latent point U
 - spawn key (1, n): the degree-n coefficient path V_n
@@ -42,7 +47,14 @@ from .spaces import (
     points_to_reals,
     sample_uniform_batch,
 )
-from .spectral import ZERO_LAG, SeriesModel, _require_lag, _resolve_trunc, truncation_bound
+from .spectral import (
+    ZERO_LAG,
+    SeriesModel,
+    _lag_list,
+    _require_lag,
+    _resolve_trunc,
+    truncation_bound,
+)
 
 _WRITE_CHUNK = 1 << 14  # values per write of _write_rows (whole leads, at least one)
 _POINT_BLOCK = 1 << 12  # points per Jacobi table of simulate_* (one more in a last block)
@@ -53,16 +65,14 @@ def _words(n: int, count: int = 1) -> bytes:
     return n.to_bytes(4 * max(n.bit_length() + 31 >> 5, count), "little")
 
 
-def _generator(data: bytes) -> np.random.Generator:
-    """The PCG64 stream of the SeedSequence whose entropy words are data."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.frombuffer(data, "<u4"))))
-
-
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Named child generator of a master seed: the SeedSequence(seed, spawn_key=key) stream, from
-    the entropy numpy assembles: seed words, zero-padded to 4 words if keyed, then key words."""
+    the entropy numpy assembles: seed words, zero-padded to 4 words if keyed, then key words.
+    It is the one-stream batch of the builder of every stream simulate_* draws."""
+    from ._streams import _generators  # numpy.random loads on first use
+
     data = _words(_natural(seed, "seed"), 4 if key else 1)
-    return _generator(data + b"".join([_words(_natural(k, "spawn key")) for k in key]))
+    return _generators([data + b"".join([_words(_natural(k, "spawn key")) for k in key])])[0]
 
 
 @dataclass(eq=False)
@@ -123,9 +133,14 @@ def simulate_spatiotemporal(
     `points` is a (K, *ambient_shape) array of unit representatives, or a
     sequence of such rows or of make_point results of the space. The Jacobi
     table is built one block of points at a time, so a run holds its values and
-    latent table plus a (trunc + 1) x _POINT_BLOCK table, whatever K and trunc.
+    latent table plus a (trunc + 1) x _POINT_BLOCK table, whatever K and trunc. A
+    value's last bits are fixed for the point set it was simulated with: a one-point set
+    contracts as a dot product, which may round differently from a block of two or more.
+    Times given as text or bytes (str, bytes, bytearray, a byte memoryview) raise UsageError.
     """
-    times = [_require_lag(model.domain, t) for t in times]
+    from ._streams import _generators  # numpy.random loads on first use
+
+    times = [_require_lag(model.domain, t) for t in _lag_list(times, "times")]
     if not times:
         raise UsageError("at least one time is required")
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -138,14 +153,14 @@ def simulate_spatiotemporal(
     trunc = _resolve_trunc(model, trunc)
     space = model.space
     points = point_array(space, points)
-    # the seed checked once: substream(seed, *key) is _generator(prefix + key words)
+    # the seed checked once: substream(seed, *key) is the stream of prefix + key words
     prefix = _words(_natural(seed, "seed"), 4)
-    u = sample_uniform_batch(space, 1, _generator(prefix + _words(0)))[0]
     sample_paths = getattr(model.kernel, "sample_paths", None)
     if sample_paths is None:
         raise UsageError(f"unsupported temporal kernel {type(model.kernel).__name__}")
-    head = prefix + _words(1)  # degree n's stream is keyed (1, n)
-    rngs = [_generator(head + _words(n)) for n in range(trunc + 1)]
+    head = prefix + _words(1)  # U's stream is keyed (0,), degree n's (1, n): one batch
+    rng_u, *rngs = _generators([prefix + _words(0)] + [head + _words(n) for n in range(trunc + 1)])
+    u = sample_uniform_batch(space, 1, rng_u)[0]
     latent_v = sample_paths(roots[:trunc + 1], model._an[:trunc + 1], times, rngs)
     shape = (trunc + 1, len(times), model.m)
     if np.shape(latent_v) != shape:

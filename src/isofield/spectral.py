@@ -113,6 +113,15 @@ def _real_lag(t) -> float:
         raise UsageError(f"lag {t!r} must be a real number") from None
 
 
+def _lag_list(lags, name: str) -> list:
+    """lags as a list; UsageError naming the argument if it is text or raw bytes (str, bytes,
+    bytearray or a byte-format memoryview), which iterate as characters or byte values."""
+    if isinstance(lags, (str, bytes, bytearray)) or (
+            isinstance(lags, memoryview) and lags.format in ("B", "b", "c")):
+        raise UsageError(f"{name} must be a list of real numbers, not a {type(lags).__name__}")
+    return list(lags)
+
+
 def _require_lag(domain: str, t) -> float:
     """t as a float; UsageError unless it is a real number, not text, and a lag of the domain."""
     t = _real_lag(t)
@@ -335,7 +344,7 @@ class SeriesModel:
         if self.domain != ZERO_LAG:
             return validate_spatiotemporal(self, DEFAULT_PROBE_LAGS if probe_lags is None
                                            else probe_lags)
-        lags = [0.0] if probe_lags is None else list(probe_lags)
+        lags = [0.0] if probe_lags is None else _lag_list(probe_lags, "probe_lags")
         if not lags:
             raise UsageError("probe_lags must be nonempty")
         for t in lags:
@@ -487,7 +496,7 @@ def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
     MAX_LAG_TABLE values is rejected before anything is read. The report lists each
     degree's lag findings in grid order, then its block.
     """
-    lags = [_real_lag(t) for t in probe_lags]
+    lags = [_real_lag(t) for t in _lag_list(probe_lags, "probe_lags")]
     if not lags:
         raise UsageError("probe_lags must be nonempty")
     if not any(t == 0.0 for t in lags):
@@ -558,9 +567,9 @@ def eval_cov(model, rho, t=0.0, trunc: int | None = None) -> np.ndarray:
     truncation_bound(model, trunc). A divergent series raises ModelError (see
     require_finite), and a sum that is not finite NumericError naming its first
     distance and lag. The terms B_n(t) P_n(cos rho) are summed in degree order,
-    which fixes the output bytes.
+    which fixes the output bytes. A t of bytes is refused, not read as byte values.
     """
-    lags = [t] if np.ndim(t) == 0 else t
+    lags = [t] if np.ndim(t) == 0 else _lag_list(t, "t")
     require_finite(model)
     trunc = _resolve_trunc(model, trunc)
     rho = np.asarray(rho, dtype=float)

@@ -1158,6 +1158,76 @@ def test_lag_and_time_lists_end_in_a_documented_exit(harness_dir, data):
         assert out.exists() and meta.exists(), argv
 
 
+# Boundary harness, the other flags: --trunc, --rho-grid, --replicates, --points and --seed at
+# and just past each cap (the harness models have degrees 0 and 1). A count at MAX_COUNT is
+# run against a second cap that stops the run cheaply, so the error names that cap instead.
+_ELEVEN_TIMES = ",".join(map(str, range(11)))  # 11 x MAX_COUNT values, over MAX_VALUES
+FLAG_CASES = {
+    "trunc-at-cap": (["eval-cov", "spatial", "--trunc", "1"], 0, ""),
+    "trunc-past-cap": (["eval-cov", "spatial", "--trunc", "2"], 2,
+                       "error: truncation degree 2 exceeds stored maximum degree 1\n"),
+    "simulate-trunc-at-cap": (["simulate", "exponential", "--points", "random:2", "--times",
+                               "0,1", "--trunc", "1"], 0, ""),
+    "simulate-trunc-past-cap": (["simulate", "spatial", "--points", "random:2", "--trunc", "2"],
+                                2, "error: truncation degree 2 exceeds stored maximum degree 1\n"),
+    "trunc-zero": (["simulate", "spatial", "--points", "random:2", "--trunc", "0"], 0, ""),
+    "trunc-negative": (["eval-cov", "spatial", "--trunc", "-1"], 2,
+                       "error: truncation degree must be a nonnegative integer, got -1\n"),
+    "rho-grid-count-one": (["eval-cov", "spatial", "--rho-grid", "0:1:1"], 0, ""),
+    "rho-grid-count-zero": (["eval-cov", "spatial", "--rho-grid", "0:1:0"], 2,
+                            f"error: grid '0:1:0' needs a count in 1..{MAX_COUNT} (the cap)\n"),
+    "rho-grid-count-at-cap": (["eval-cov", "exponential", "--rho-grid", f"0:1:{MAX_COUNT}",
+                               "--lags", _ELEVEN_TIMES], 2,
+                              f"error: --rho-grid and --lags ask for {MAX_COUNT} x 11 x 1 "),
+    # math.pi, then the next float up
+    "rho-grid-at-pi": (["eval-cov", "spatial", "--rho-grid", "0:3.141592653589793:2"], 0, ""),
+    "rho-grid-past-pi": (["eval-cov", "spatial", "--rho-grid", "0:3.1415926535897936:2"], 2,
+                         "error: bad grid '0:3.1415926535897936:2'; distances must lie in "),
+    "replicates-at-floor": (["check", "--replicates", "2", "--spaces", "sphere:2"], 0, ""),
+    "replicates-at-cap": (["check", "--replicates", str(MAX_COUNT), "--spaces", "sphere:99999999"],
+                          2, "error: dimension 99999999 of sphere exceeds the cap of "),
+    "points-count-one": (["simulate", "spatial", "--points", "random:1"], 0, ""),
+    "fibonacci-count-one": (["simulate", "spatial", "--points", "fibonacci:1"], 0, ""),
+    "points-count-at-cap": (["simulate", "exponential", "--points", f"random:{MAX_COUNT}",
+                             "--times", _ELEVEN_TIMES], 2,
+                            f"error: --points and --times ask for {MAX_COUNT} x 11 x 1 "),
+    "fibonacci-count-at-cap": (["simulate", "exponential", "--points", f"fibonacci:{MAX_COUNT}",
+                                "--times", _ELEVEN_TIMES], 2,
+                               f"error: --points and --times ask for {MAX_COUNT} x 11 x 1 "),
+    "seed-zero": (["simulate", "spatial", "--points", "random:2", "--seed", "0"], 0, ""),
+    "seed-of-4000-bits": (["simulate", "spatial", "--points", "random:2", "--seed",
+                           str(2**4000)], 0, ""),
+    "check-seed-of-4000-bits": (["check", "--replicates", "2", "--spaces", "sphere:2",
+                                 "--seed", str(2**4000)], 0, ""),
+    # int() reads at most 4,300 digits (sys.get_int_max_str_digits), so argparse refuses more
+    "seed-past-the-digit-cap": (["simulate", "spatial", "--points", "random:2", "--seed",
+                                 "1" * 4301], 2, "usage: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_CASES))
+def test_flags_at_and_past_their_caps_end_in_a_documented_exit(harness_dir, case):
+    argv, want_code, want_err = FLAG_CASES[case]
+    command, rest = argv[0], argv[1:]
+    out = harness_dir / ("check.json" if command == "check" else "flags.csv")
+    if command != "check":
+        rest = ["--model", str(harness_dir / f"{rest[0]}.json"), *rest[1:]]
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main([command, *rest, "--out", str(out)])
+    stderr = err.getvalue()
+    assert code == want_code, (case, stderr)
+    assert not caught and "Warning" not in stderr and "Traceback" not in stderr, (case, stderr)
+    if code:
+        assert stderr.startswith(DOCUMENTED_PREFIXES) and stderr.startswith(want_err), stderr
+        assert not out.exists()
+    else:
+        assert out.exists()
+
+
 def _high_dimension_model(tmp_path, degrees):
     """An m = 1 model on sphere:1000 with B_n = 1/(n+1)^2: P_n(1) overflows a float from
     degree 532 on, and the eigenspace dimension from degree 308 on."""

@@ -45,7 +45,9 @@ from isofield import (
 from isofield.cli import resolve_points
 from isofield.spaces import a_constant, cos_distance_batch, points_sha256, points_to_reals
 from isofield import spectral
-from isofield.simulate import _POINT_BLOCK, _WRITE_CHUNK
+from isofield import _streams
+from isofield._streams import _generators, _seed_words
+from isofield.simulate import _POINT_BLOCK, _WRITE_CHUNK, _words
 from isofield.spectral import SPATIAL, Violation, factor_coefficients
 from tests.oracles import (
     exponential_path_cholesky,
@@ -888,14 +890,97 @@ STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 7]
 REGISTRY_KEYS = [(), (0,), (2,), (3,)] + [(1, n) for n in range(101)]
 
 
-def _assert_numpy_stream(seed, key):
-    got = substream(seed, *key)
+def _assert_stream_is_numpys(got, seed, key):
+    """got is np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)) in state,
+    draws, spawned children and every other generate_state request of its seed sequence.
+    The seed sequence is read as bit_generator._seed_seq, which numpy < 1.25 names only so."""
     want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
     assert got.bit_generator.state == want.bit_generator.state, (seed, key)
     assert np.array_equal(got.standard_normal(8), want.standard_normal(8)), (seed, key)
-    # children of its seed sequence are numpy's children too
-    (child,), (want_child,) = (g.bit_generator.seed_seq.spawn(1) for g in (got, want))
-    assert child.generate_state(4).tolist() == want_child.generate_state(4).tolist()
+    seq, want_seq = got.bit_generator._seed_seq, want.bit_generator._seed_seq
+    for request in [(8,), (3, np.uint64), (4, np.uint64), (4, np.uint32)]:
+        state, want_state = seq.generate_state(*request), want_seq.generate_state(*request)
+        assert state.dtype == want_state.dtype, request
+        assert state.tolist() == want_state.tolist(), (seed, key, request)
+    # the children's entropy and spawn_key are numpy's words in another split, as before
+    for child, want_child in zip(seq.spawn(2), want_seq.spawn(2)):
+        assert child.generate_state(8).tolist() == want_child.generate_state(8).tolist()
+        assert np.random.default_rng(child).bit_generator.state == \
+            np.random.default_rng(want_child).bit_generator.state, (seed, key)
+    if hasattr(got, "spawn"):  # Generator.spawn is numpy >= 1.25
+        (child,), (want_child,) = got.spawn(1), want.spawn(1)
+        assert child.bit_generator.state == want_child.bit_generator.state, (seed, key)
+        assert child.integers(2**63, size=4).tolist() == want_child.integers(2**63, size=4).tolist()
+
+
+def _assert_numpy_stream(seed, key):
+    _assert_stream_is_numpys(substream(seed, *key), seed, key)
+
+
+def _entropy(seed, key):
+    """The entropy words numpy assembles for SeedSequence(seed, spawn_key=key), as bytes."""
+    return _words(seed, 4 if key else 1) + b"".join(_words(k) for k in key)
+
+
+# word-count edges of a seed: 1, 2, 3, 4, 5 and 7 words
+STREAM_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**200 + 3]
+_STREAM_KEYS = st.one_of(st.just(()), st.tuples(st.integers(0, 3)),
+                         st.tuples(st.just(1), st.integers(0, 2**70)),
+                         st.tuples(st.integers(0, 2**40), st.integers(2**32, 2**64)))
+
+
+@pytest.mark.parametrize("size", range(1, 71))
+def test_batch_of_streams_is_numpys(size):
+    """A batch of any size from 1 to 70, mixing seeds of every word count and keys past 2**32,
+    builds numpy's streams in order."""
+    pairs = [(STREAM_EDGE_SEEDS[(size + i) % 7], (1, i + 2**32 * (i % 3))) for i in range(size)]
+    pairs[0] = (pairs[0][0], (0,))  # the latent point's key leads a simulate_* batch
+    for got, (seed, key) in zip(_generators([_entropy(*pair) for pair in pairs]), pairs):
+        _assert_stream_is_numpys(got, seed, key)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(st.one_of(st.sampled_from(STREAM_EDGE_SEEDS),
+                                          st.integers(0, 2**256)), _STREAM_KEYS),
+                      min_size=1, max_size=70))
+def test_batch_of_streams_is_numpys_on_generated_seeds_and_keys(pairs):
+    for got, (seed, key) in zip(_generators([_entropy(*pair) for pair in pairs]), pairs):
+        _assert_stream_is_numpys(got, seed, key)
+
+
+def test_stream_seed_words_are_numpys_in_c_order():
+    seqs = [np.random.SeedSequence(seed, spawn_key=(1, 2**33 * n))
+            for n, seed in enumerate(STREAM_EDGE_SEEDS)]
+    words = _seed_words(np.array([seq.pool for seq in seqs]))
+    assert words.dtype == np.uint64 and words.flags.c_contiguous
+    assert words.tolist() == [seq.generate_state(4, np.uint64).tolist() for seq in seqs]
+
+
+def test_stream_contract_check_fails_on_f_order_seed_words(monkeypatch):
+    # PCG64 reads a row's memory as its four words: a row of an F-order array is
+    # not four consecutive words, so the streams built from it are not numpy's
+    seed_words = _streams._seed_words
+    monkeypatch.setattr(_streams, "_seed_words",
+                        lambda pools: np.asfortranarray(seed_words(pools)))
+    pairs = [(7, (0,))] + [(7, (1, n)) for n in range(3)]
+    gens = _generators([_entropy(*pair) for pair in pairs])
+    assert not any(gen.bit_generator.state == np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=key)).bit_generator.state
+        for gen, (seed, key) in zip(gens, pairs))
+    with pytest.raises(AssertionError):
+        _assert_stream_is_numpys(gens[1], *pairs[1])
+
+
+@pytest.mark.parametrize("seed", STREAM_EDGE_SEEDS)
+def test_batch_built_stream_pickles_as_numpys(seed):
+    pairs = [(seed, (0,)), (seed, (1, 0)), (seed, (1, 2**40))]
+    for got, (_, key) in zip(_generators([_entropy(*pair) for pair in pairs]), pairs):
+        got.standard_normal(3)
+        want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        want.standard_normal(3)
+        clone = pickle.loads(pickle.dumps(got))
+        assert clone.bit_generator.state == want.bit_generator.state
+        assert clone.standard_normal(5).tolist() == want.standard_normal(5).tolist()
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)

@@ -1011,3 +1011,30 @@ def test_bytes_like_and_numpy_text_lags_are_rejected(model, lag):
                  lambda: empirical_cov(real, (0, 1), lag)):
         with pytest.raises(UsageError, match=r"^lag .* must be a real number$"):
             call()
+
+
+@pytest.mark.parametrize("lags", [bytearray(b"0"), bytearray(b"\x00\x01"), memoryview(b"\x00\x01"),
+                                  memoryview(b"\x00").cast("c"), b"\x00\x01", "01"])
+@pytest.mark.parametrize("model", _LAG_MODELS, ids=lambda m: m.kernel.kind + "-" + m.domain)
+def test_text_or_bytes_as_the_whole_lag_list_is_rejected_naming_the_argument(model, lags):
+    # bytearray(b"0") as the list was the lag 48, and b"\x00\x01" the lags 0 and 1
+    calls = {"probe_lags": (lambda: model.validate(lags),
+                            lambda: validate_spatiotemporal(model, lags)),
+             "times": (lambda: simulate_spatiotemporal(model, _GATE_POINTS, lags, seed=0),)}
+    if np.ndim(lags):  # a str or bytes t is one lag, refused by the lag gate
+        calls["t"] = (lambda: eval_cov(model, 0.5, lags),)
+    for name, group in calls.items():
+        for call in group:
+            with pytest.raises(UsageError, match=f"^{name} must be a list of real numbers, "
+                                                 f"not a {type(lags).__name__}$"):
+                call()
+
+
+@pytest.mark.parametrize("lags", [[0, 1], (0, 1), np.array([0, 1], dtype=np.uint8),
+                                  np.array([0.0, 1.0]), array.array("d", [0, 1]),
+                                  array.array("B", [0, 1]), memoryview(array.array("d", [0, 1]))])
+def test_numeric_lag_lists_are_accepted(lags):
+    model = _LAG_MODELS[3]  # exponential
+    assert model.validate(lags).valid
+    assert eval_cov(model, 0.5, lags).shape == (2, 1, 1)
+    assert simulate_spatiotemporal(model, _GATE_POINTS, lags, seed=0).times == [0.0, 1.0]
