@@ -70,7 +70,10 @@ def _is_number(v) -> bool:
 
 def _float(v, what: str) -> float:
     _require(_is_number(v), f"{what} must be a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ModelFormatError(f"{what} is an integer too large for a float") from None
 
 
 def _parse_matrix(obj, m: int, what: str) -> np.ndarray:

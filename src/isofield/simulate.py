@@ -10,9 +10,11 @@ converge to the ensemble covariance.
 
 Randomness is split into named substreams of the master seed, so results do not depend
 on evaluation order and replicates can run in parallel with per-replicate derived seeds.
-substream(seed, *key) is numpy's SeedSequence(seed, spawn_key=key) stream, built from the
-entropy numpy assembles for it (a test pins this); simulate_* builds the same streams from
-one checked seed prefix. isofield._streams seeds a call's streams in one batch: each keeps
+substream(seed, *key) draws the stream of numpy's SeedSequence(seed, spawn_key=key): its
+seed sequence is built from the entropy numpy assembles for that one, so pools, states,
+draws and spawned streams are equal (tests pin this), though its entropy and spawn_key
+fields are not numpy's (see substream); simulate_* builds the same streams from one checked
+seed prefix. isofield._streams seeds a call's streams in one batch: each keeps
 numpy's SeedSequence of its entropy words, and the four uint64 words PCG64 asks of it,
 generate_state(4, np.uint64), are hashed for every stream of the call in one vectorised
 pass, by the fixed hash numpy's stream-compatibility policy keeps stable. Only that request
@@ -66,9 +68,15 @@ def _words(n: int, count: int = 1) -> bytes:
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Named child generator of a master seed: the SeedSequence(seed, spawn_key=key) stream, from
-    the entropy numpy assembles: seed words, zero-padded to 4 words if keyed, then key words.
-    It is the one-stream batch of the builder of every stream simulate_* draws."""
+    """Named child generator of a master seed: the stream of numpy's SeedSequence(seed,
+    spawn_key=key). Its seed sequence is built from the entropy numpy assembles for that one
+    (seed words, zero-padded to 4 words if keyed, then key words), so its pool, the generator
+    state, the draws, every generate_state request, and the streams of spawned children and
+    of pickled copies equal numpy's. Its fields do not: entropy holds the assembled words and
+    spawn_key is () (entropy [5 0 0 0 1 2] and spawn_key () for substream(5, 1, 2), where
+    numpy's has 5 and (1, 2)), and its repr names the private subclass _Seeded; a spawned
+    child's fields differ the same way. It is the one-stream batch of the builder of every
+    stream simulate_* draws."""
     from ._streams import _generators  # numpy.random loads on first use
 
     data = _words(_natural(seed, "seed"), 4 if key else 1)

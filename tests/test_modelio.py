@@ -146,9 +146,15 @@ class TestSchemaErrors:
          "coefficient 0 has an integer entry too large for a float"),
         ({"temporal": {"variant": "ma1", "phi": [["-HUGE", 0.0], [0.0, 0.5]]}},
          "ma1 phi has an integer entry too large for a float"),
-        ({"tail": {"c": "HUGE", "r": 0.5}}, "bad tail envelope: "),
-        ({"temporal": {"variant": "ar1", "phi": "HUGE"}}, "bad temporal kernel: "),
-    ], ids=["coeffs", "ma1_phi", "tail", "ar1_phi"])
+        ({"tail": {"c": "HUGE", "r": 0.5}},
+         "bad tail envelope: tail c is an integer too large for a float$"),
+        ({"tail": {"c": 1.0, "r": "-HUGE"}},
+         "bad tail envelope: tail r is an integer too large for a float$"),
+        ({"temporal": {"variant": "ar1", "phi": "HUGE"}},
+         "ar1 phi is an integer too large for a float$"),
+        ({"temporal": {"variant": "exponential", "theta": "HUGE"}},
+         "theta is an integer too large for a float$"),
+    ], ids=["coeffs", "ma1_phi", "tail", "tail_r", "ar1_phi", "theta"])
     def test_integer_too_large_for_a_float_names_the_field(self, tmp_path, fragment, message):
         # JSON integers have no size limit: 10**400 overflowed float() outside any check
         text = json.dumps({**self.base_doc(), **fragment})

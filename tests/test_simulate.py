@@ -989,6 +989,16 @@ def test_substream_is_numpys_spawn_key_stream(seed):
         _assert_numpy_stream(seed, key)
 
 
+def test_substream_seed_sequence_has_numpys_pool_but_not_its_fields():
+    """As the README says: the pool is NumPy's, the entropy, spawn_key and repr are not."""
+    got = substream(5, 1, 2).bit_generator._seed_seq
+    want = np.random.SeedSequence(5, spawn_key=(1, 2))
+    assert got.pool.tolist() == want.pool.tolist()
+    assert (got.entropy.tolist(), got.spawn_key) == ([5, 0, 0, 0, 1, 2], ())
+    assert (want.entropy, want.spawn_key) == (5, (1, 2))
+    assert repr(got).startswith("_Seeded(") and repr(want).startswith("SeedSequence(")
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**160), key=st.sampled_from(REGISTRY_KEYS))
 def test_substream_is_numpys_spawn_key_stream_on_generated_seeds(seed, key):
