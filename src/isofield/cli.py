@@ -125,8 +125,9 @@ def resolve_points(space, spec: str, seed: int) -> np.ndarray:
             raise UsageError("fibonacci point sets are defined on sphere:2 only")
         return normalize_points(space, _fibonacci_sphere(count))
     path = Path(spec)
-    if not path.exists():
-        raise UsageError(f"point file {spec!r} does not exist")
+    if not path.is_file():
+        state = "is not a file" if path.exists() else "does not exist"
+        raise UsageError(f"point file {spec!r} {state}")
     try:
         content = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

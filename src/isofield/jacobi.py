@@ -21,6 +21,7 @@ from .errors import DomainError, NumericError, ParameterError, UsageError
 # Arguments may exceed [-1, 1] by rounding of cosine distances; clip inside
 # this band, reject beyond it.
 X_CLAMP_TOL = 1e-12
+_SERIES_BLOCK = 1 << 12  # abscissae per Jacobi table of _jacobi_series
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,26 @@ def _jacobi_table(N: int, params: JacobiParams, x: np.ndarray) -> np.ndarray:
     for k, (c1, c2, c3, c4) in enumerate(_recurrence(N, a, b), 2):
         p[k] = ((c2 + c3 * x) * p[k - 1] - c4 * p[k - 2]) / c1
     return p
+
+
+def _jacobi_series(N: int, params: JacobiParams, x: np.ndarray, coeffs) -> np.ndarray:
+    """sum_n coeffs[n] P_n(x), n = 0..N, shaped (*x.shape, *coeffs.shape[1:]), for x a 0-d (run on
+    numpy scalars) or 1-d float array in [-1, 1]. One Jacobi table per _SERIES_BLOCK abscissae;
+    each value is added degree by degree onto zeros, so its bits depend on no other abscissa.
+    einsum adds so except into one value, a dot product: there accumulate adds in order, and
+    + 0.0 gives the +0.0 that a sum from zeros gives when every term is -0.0."""
+    terms = np.asarray(coeffs, dtype=float).reshape(N + 1, -1)  # (degrees, values per abscissa)
+    out = np.empty((x.size, terms.shape[1]))
+    for k in range(0, x.size, _SERIES_BLOCK):
+        rows = out[k:k + _SERIES_BLOCK]
+        table = _jacobi_table(N, params, x[k:k + _SERIES_BLOCK] if x.ndim else x[()])
+        if rows.size > 1:
+            np.einsum("np,nk->pk", table.reshape(N + 1, -1), terms, out=rows)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # callers name a non-finite sum
+                rows[0] = np.add.accumulate(table.reshape(-1) * terms[:, 0])[-1] + 0.0
+        del table  # freed before the next block's is built
+    return out.reshape(x.shape + np.shape(coeffs)[1:])
 
 
 @lru_cache(maxsize=64, typed=True)

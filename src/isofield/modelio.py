@@ -118,9 +118,9 @@ def model_from_dict(doc: dict):
     _require(isinstance(m, int) and not isinstance(m, bool) and m >= 1,
              "m must be a positive integer")
     _require(isinstance(doc["coeffs"], list) and doc["coeffs"], "coeffs must be a nonempty array")
-    coeffs = [
-        _parse_matrix(c, m, f"coefficient {n}") for n, c in enumerate(doc["coeffs"])
-    ]
+    coeffs = [_parse_matrix(c, m, f"coefficient {n}") for n, c in enumerate(doc["coeffs"])]
+    for n, c in enumerate(coeffs):  # NaN and 1e400 (read as inf) are numbers JSON admits
+        _require(np.isfinite(c).all(), f"coefficient {n} entries must be finite")
     tail = None
     if doc.get("tail") is not None:
         tobj = doc["tail"]

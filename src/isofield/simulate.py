@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__, modelio
 from .errors import ModelError, NumericError, UsageError
-from .jacobi import _jacobi_table, _natural
+from .jacobi import _jacobi_series, _natural
 from .spaces import (
     SpaceParams,
     cos_distance_batch,
@@ -59,7 +59,6 @@ from .spectral import (
 )
 
 _WRITE_CHUNK = 1 << 14  # values per write of _write_rows (whole leads, at least one)
-_POINT_BLOCK = 1 << 12  # points per Jacobi table of simulate_* (one more in a last block)
 
 
 def _words(n: int, count: int = 1) -> bytes:
@@ -139,11 +138,10 @@ def simulate_spatiotemporal(
     NumericError. Times must be finite, strictly increasing and in the model's
     lag domain, so a purely spatial model accepts the time grid [0.0] only.
     `points` is a (K, *ambient_shape) array of unit representatives, or a
-    sequence of such rows or of make_point results of the space. The Jacobi
-    table is built one block of points at a time, so a run holds its values and
-    latent table plus a (trunc + 1) x _POINT_BLOCK table, whatever K and trunc. A
-    value's last bits are fixed for the point set it was simulated with: a one-point set
-    contracts as a dot product, which may round differently from a block of two or more.
+    sequence of such rows or of make_point results of the space. The series is summed by
+    jacobi._jacobi_series, one block of points at a time and degree by degree, so a run
+    holds its values and latent table plus one block's Jacobi table, whatever K and trunc,
+    and a value's bits do not depend on which other points are simulated with it.
     Times given as text or bytes (str, bytes, bytearray, a byte memoryview) raise UsageError.
     """
     from ._streams import _generators  # numpy.random loads on first use
@@ -174,15 +172,7 @@ def simulate_spatiotemporal(
     if np.shape(latent_v) != shape:
         raise UsageError(f"{type(model.kernel).__name__}.sample_paths returned shape "
                          f"{np.shape(latent_v)}, expected {shape}")
-    # one Jacobi table per block of points, passed straight to the contraction so that no two
-    # are alive at once. A point's sum rounds the same in any block of two or more, but a
-    # one-point table contracts as a dot product, so a lone last point joins the block before.
-    count = len(points)
-    values = np.empty((count, len(times), model.m))
-    for k in range(0, max(count - 1, 1), _POINT_BLOCK):
-        block = slice(k, k + _POINT_BLOCK if count - k > _POINT_BLOCK + 1 else count)
-        x = cos_distance_batch(space, u, points[block])
-        np.einsum("np,ntm->ptm", _jacobi_table(trunc, space.geom, x), latent_v, out=values[block])
+    values = _jacobi_series(trunc, space.geom, cos_distance_batch(space, u, points), latent_v)
     if not np.isfinite(values).all():
         raise NumericError("the series produced non-finite field values")
     return Realization(

@@ -26,7 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ModelError, NumericError, ParameterError, UsageError
-from .jacobi import _check_degree, gauss_jacobi, jacobi_all, jacobi_at_one, jacobi_norm_constant
+from .jacobi import (_check_degree, _jacobi_series, gauss_jacobi, jacobi_all, jacobi_at_one,
+                     jacobi_norm_constant)
 from .spaces import SpaceParams, a_constant, dim_eigenspace
 
 # Relative floors for symmetry / nonnegative-definiteness under rounding.
@@ -39,7 +40,6 @@ INTEGER_LAGS = "integers"
 REAL_LAGS = "reals"
 ZERO_LAG = "zero"  # a purely spatial model: lag 0 only
 DEFAULT_PROBE_LAGS = (-2.0, -1.0, 0.0, 1.0, 2.0)  # SeriesModel.validate's grid for probe_lags=None
-_CONTRACT_BLOCK = 1 << 17  # Jacobi-table values per block of eval_cov's distances (terms: m^2 x)
 
 
 @dataclass(frozen=True)
@@ -566,8 +566,9 @@ def eval_cov(model, rho, t=0.0, trunc: int | None = None) -> np.ndarray:
     Spatial models require t = 0. The neglected degrees are bounded by
     truncation_bound(model, trunc). A divergent series raises ModelError (see
     require_finite), and a sum that is not finite NumericError naming its first
-    distance and lag. The terms B_n(t) P_n(cos rho) are summed in degree order,
-    which fixes the output bytes. A t of bytes is refused, not read as byte values.
+    distance and lag. The terms B_n(t) P_n(cos rho) are added in degree order onto
+    zeros (jacobi._jacobi_series), which fixes the output bytes whatever else is asked
+    for. A t of bytes is refused, not read as byte values.
     """
     lags = [t] if np.ndim(t) == 0 else _lag_list(t, "t")
     require_finite(model)
@@ -575,28 +576,17 @@ def eval_cov(model, rho, t=0.0, trunc: int | None = None) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho)):
         raise DomainError(f"distances must be finite, got {rho[~np.isfinite(rho)]}")
-    bs = [model.coeff_at(slice(trunc + 1), t).reshape(trunc + 1, -1, 1) for t in lags]
-    flat, step = rho.reshape(-1), max(1, _CONTRACT_BLOCK // (trunc + 1))
-    out = np.empty((len(lags), flat.size, model.m, model.m))
-    for i in range(0, flat.size, step):
-        block = flat[i:i + step] if rho.ndim else rho  # 0-d: the recurrence runs on scalars
-        # libm cos per distance: np.cos may round differently and shift output bytes
-        x = np.array([math.cos(r) for r in block.ravel().tolist()]).reshape(block.shape)
-        pn = jacobi_all(trunc, model.space.geom, x).reshape(trunc + 1, 1, -1)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is named below
-            for k, terms in enumerate(b * pn for b in bs):  # (degrees, m * m, distances)
-                # Degree order fixes the bytes: reduce adds degree by degree across values but
-                # pairwise within one value, which takes accumulate; + 0.0 gives the +0.0 that
-                # a sum from zeros gives when every term is -0.0.
-                total = (np.add.reduce(terms, axis=0) if terms[0].size > 1
-                         else np.add.accumulate(terms, axis=0)[-1])
-                np.add(total.T.reshape(-1, model.m, model.m), 0.0, out=out[k, i:i + step])
-        bad = np.argwhere(~np.isfinite(out[:, i:i + step]).all(axis=(2, 3)).T)  # (distance, lag)
-        if len(bad):
-            j, k = bad[0]
-            raise NumericError(f"the covariance series is not finite at distance "
-                               f"{float(flat[i + j])!r} and lag {float(lags[k])!r}")
-    return out.reshape(np.shape(t) + rho.shape + (model.m, model.m))
+    flat = rho.reshape(-1)
+    # libm cos per distance: np.cos may round differently and shift output bytes
+    x = np.fromiter(map(math.cos, flat), float, flat.size).reshape(-1 if rho.ndim else ())
+    bs = np.stack([model.coeff_at(slice(trunc + 1), t) for t in lags], axis=1)
+    out = _jacobi_series(trunc, model.space.geom, x, bs).reshape(flat.size, len(lags), model.m**2)
+    bad = np.argwhere(~np.isfinite(out).all(axis=2))  # (distance, lag)
+    if len(bad):
+        j, k = bad[0]
+        raise NumericError(f"the covariance series is not finite at distance "
+                           f"{float(flat[j])!r} and lag {float(lags[k])!r}")
+    return out.swapaxes(0, 1).reshape(np.shape(t) + rho.shape + (model.m, model.m))
 
 
 def truncation_bound(model, N: int) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .jacobi import _check_degree, _natural, jacobi_all, jacobi_at_one, jacobi_eval
+from .jacobi import _check_degree, _jacobi_series, _natural, jacobi_all, jacobi_at_one, jacobi_eval
 from .simulate import Realization, substream
 from .spaces import (
     SpaceParams,
@@ -246,13 +246,11 @@ def mc_recover_vn(
     space = realization.space
     reps = sample_uniform_batch(space, replicates, substream(seed))
     c = cos_distance_batch(space, realization.latent_u, reps)
-    p_all = jacobi_all(max(n, realization.trunc), space.geom, c)  # (max(n, trunc)+1, R)
     # Field values at the fresh abscissae, rebuilt from the latent draws.
-    z_fresh = np.einsum("kr,ktm->rtm", p_all[: realization.trunc + 1], realization.latent_v)
-    pn = p_all[n]
+    z_fresh = _jacobi_series(realization.trunc, space.geom, c, realization.latent_v)
     an = a_constant(space, n)
     scale = an * an / jacobi_at_one(n, space.geom)
-    samples = scale * pn[:, None, None] * z_fresh  # (R, ntimes, m)
+    samples = scale * jacobi_eval(n, space.geom, c)[:, None, None] * z_fresh  # (R, ntimes, m)
     value, se = _mean_se(samples)
     targets = realization.latent_v[n] if n <= realization.trunc else np.zeros(value.shape)
     return [

@@ -22,7 +22,8 @@ The cases:
 - `check` with its defaults, and on four spaces at 2,000 replicates;
 - named inputs at the documented limits, one for each exit they end in:
   caps, overflow, malformed and extreme model files, spaces, degree counts
-  and point files, on every command that reads them.
+  and point files, on every command that reads them;
+- a one-value realization (one point, one time, m = 1), summed as in a larger set.
 
 Every case runs in a fresh temporary directory with relative paths, so no
 machine path enters the bytes; two worker processes share the cases. A case
@@ -166,11 +167,13 @@ _LIMIT_FILES = {
     "tiny.csv": b"1e-200,0,0\n0,1,0\n",
     "zero.csv": b"# x,y,z\n1,0,0\n\n0,0,0\n",
     "far_ar1.json": _json({**_M1, "temporal": {"variant": "ar1", "phi": -0.6}}),
+    "series41.json": _series("sphere:2", 41, 3),
     "high400.json": _series("sphere:1000", 400, 2),
     "high1000.json": _series("sphere:1000", 1000, 2),
 }
 _LIMIT_CASES = [
     "simulate --model model.json --points fibonacci:200 --out run.csv",
+    "simulate --model series41.json --points random:1 --out one_run.csv",  # one value
     "validate --model exponential.json --lags=-0.3,0,0.25,0.7 --format csv",
     "spectrum --model pure.json",
     "validate --model exponential1.json --lags -.5,0,.5",

@@ -170,7 +170,8 @@ def simulate_reference(model, points, times, trunc: int, seed: int):
     """(values, latent_v, latent_u) of simulate_spatiotemporal, built the long way: U from
     substream(seed, 0); per degree n a fresh substream(seed, 1, n), a_constant(space, n) and
     a per-time path (one draw per needed time for the moving average, the AR(1) and
-    exponential recurrence one gap at a time); then jacobi_all and the einsum contraction.
+    exponential recurrence one gap at a time); then jacobi_all and one += per degree onto
+    zeros, in degree order.
     `points` is the (K, *ambient_shape) array and `times` the checked float grid."""
     from isofield import jacobi_all, sample_uniform_batch, substream
     from isofield.spaces import a_constant, cos_distance_batch
@@ -196,7 +197,10 @@ def simulate_reference(model, points, times, trunc: int, seed: int):
         else:  # constant in time: one draw, repeated
             latent_v[n] = root @ (an * rng.standard_normal(m))
     pn = jacobi_all(trunc, space.geom, cos_distance_batch(space, u, points))
-    return np.einsum("np,ntm->ptm", pn, latent_v), latent_v, u
+    values = np.zeros((len(points), len(times), m))
+    for n in range(trunc + 1):
+        values += pn[n][:, None, None] * latent_v[n]
+    return values, latent_v, u
 
 
 def random_psd(rng: np.random.Generator, m: int, scale: float = 1.0) -> np.ndarray:
@@ -250,6 +254,19 @@ def csv_table(header, rows) -> str:
     for row in rows:
         writer.writerow([row[h] for h in header])
     return out.getvalue()
+
+
+def jacobi_series_per_degree(N: int, params, x, coeffs) -> np.ndarray:
+    """sum_n coeffs[n] P_n(x) over n = 0..N as one += per degree onto zeros, in degree order:
+    the reference for the library's blocked series sum, signed zeros included."""
+    from isofield import jacobi_all
+
+    x, coeffs = np.asarray(x, dtype=float), np.asarray(coeffs, dtype=float)
+    pn = jacobi_all(N, params, x).reshape((N + 1,) + x.shape + (1,) * (coeffs.ndim - 1))
+    out = np.zeros(x.shape + coeffs.shape[1:])
+    for n in range(N + 1):
+        out += pn[n] * coeffs[n]
+    return out
 
 
 def eval_cov_per_degree(model, rho, t: float = 0.0, trunc=None) -> np.ndarray:

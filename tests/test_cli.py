@@ -329,8 +329,8 @@ class TestEvalCovBytes:
         lags = ",".join(repr(0.25 * k) for k in range(-4, 5))
         want = [eval_cov(model, np.linspace(0.0, 3.0, 60), float(t)) for t in lags.split(",")]
         calls = []
-        table = isofield.spectral.jacobi_all
-        monkeypatch.setattr(isofield.spectral, "jacobi_all",
+        table = isofield.jacobi._jacobi_table
+        monkeypatch.setattr(isofield.jacobi, "_jacobi_table",
                             lambda *args: calls.append(args[0]) or table(*args))
         out = tmp_path / "table.csv"
         assert main(["eval-cov", "--model", str(path), "--rho-grid", "0:3:60",
@@ -714,7 +714,8 @@ class TestBoundaries:
 
     @pytest.mark.parametrize("trunc", [[], ["--trunc", "0"]])
     def test_eval_cov_on_non_finite_model_exits_one(self, tmp_path, capsys, trunc):
-        model = SeriesModel(S2, 1, [np.eye(1), np.array([[np.nan]])])
+        # finite in its file, but B_1(0) = Sigma_1 + Phi Sigma_1 Phi^T overflows
+        model = SeriesModel(S2, 1, [np.eye(1), np.array([[1e308]])], VectorMA1([[2.0]]))
         path = save_model(model, tmp_path / "nan.json")
         out = tmp_path / "cov.csv"
         for argv in (["eval-cov"] + trunc, ["spectrum"]):

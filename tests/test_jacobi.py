@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,10 @@ from isofield import (
     jacobi_norm_constant,
     jacobi_normalized,
 )
+from isofield.jacobi import _SERIES_BLOCK, _jacobi_series
 from tests.oracles import (
     jacobi_explicit_sum,
+    jacobi_series_per_degree,
     jacobi_two_row_recurrence,
     shifted_monomial_integral,
     weight_mass,
@@ -121,6 +124,31 @@ class TestAll:
         assert isinstance(jacobi_eval(4, params, 0.3), float)
         with pytest.raises(ParameterError):
             jacobi_all(-1, params, 0.0)
+
+
+class TestSeries:
+    """_jacobi_series, the one sum of simulate, eval_cov and mc_recover_vn."""
+
+    COUNTS = [None, 1, 2, 7, _SERIES_BLOCK - 1, _SERIES_BLOCK + 1, 2 * _SERIES_BLOCK + 1]
+    TAILS = [(), (1,), (2,), (1, 1), (3, 3), (2, 1, 1)]
+
+    @pytest.mark.parametrize("params", GEOM_PAIRS)
+    @pytest.mark.parametrize("N", [0, 1, 5, 40])
+    def test_equals_one_add_per_degree_onto_zeros(self, params, N):
+        """Bit for bit and sign of zero for sign of zero, for a 0-d x (count None), one
+        abscissa, one value, and counts at the block seams."""
+        rng = np.random.default_rng(N)
+        for count, tail in itertools.product(self.COUNTS, self.TAILS):
+            x = rng.uniform(-1.0, 1.0, () if count is None else count)
+            mixed = rng.standard_normal((N + 1,) + tail) * 0.7 ** np.arange(N + 1.0).reshape(
+                (N + 1,) + (1,) * len(tail))
+            mixed[rng.random(mixed.shape) < 0.2] = -0.0
+            for coeffs in (mixed, np.full(mixed.shape, -0.0)):
+                got = _jacobi_series(N, params, x, coeffs)
+                want = jacobi_series_per_degree(N, params, x, coeffs)
+                assert got.shape == want.shape == x.shape + tail
+                assert np.array_equal(got, want) and np.array_equal(
+                    np.signbit(got), np.signbit(want)), (count, tail)
 
 
 class TestHighDegree:

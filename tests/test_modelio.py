@@ -164,6 +164,14 @@ class TestSchemaErrors:
         with pytest.raises(ModelFormatError, match=f"^{message}"):
             load_model(path)
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_coefficient_names_the_coefficient(self, tmp_path, entry):
+        # an in-memory SeriesModel holding one stays a divergent, invalid model
+        path = tmp_path / "nan.json"
+        path.write_text('{"space": "sphere:2", "m": 1, "coeffs": [[[1.0]], [[%s]]]}' % entry)
+        with pytest.raises(ModelFormatError, match="^coefficient 1 entries must be finite$"):
+            load_model(path)
+
     def test_space_above_the_dimension_cap(self, tmp_path):
         doc = self.base_doc()
         doc["space"] = "sphere:99999999"

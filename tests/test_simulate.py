@@ -47,7 +47,8 @@ from isofield.spaces import a_constant, cos_distance_batch, points_sha256, point
 from isofield import spectral
 from isofield import _streams
 from isofield._streams import _generators, _seed_words
-from isofield.simulate import _POINT_BLOCK, _WRITE_CHUNK, _words
+from isofield.jacobi import _SERIES_BLOCK
+from isofield.simulate import _WRITE_CHUNK, _words
 from isofield.spectral import SPATIAL, Violation, factor_coefficients
 from tests.oracles import (
     exponential_path_cholesky,
@@ -1051,7 +1052,7 @@ def test_realization_equals_the_whole_realization_oracle(kind, label, trunc):
     rng = np.random.default_rng(29)
     model = SeriesModel(space, 2, [random_psd(rng, 2, 0.6**n) for n in range(5)],
                         PIN_KERNELS[kind])
-    for count in (5, 2 * _POINT_BLOCK + 1):
+    for count in (5, 2 * _SERIES_BLOCK + 1):
         points = sample_uniform_batch(space, count, np.random.default_rng(30))
         for times in ORACLE_GRIDS[model.domain]:
             for seed in (0, 2**64 - 1, 2**130):
@@ -1064,17 +1065,31 @@ def test_realization_equals_the_whole_realization_oracle(kind, label, trunc):
 
 
 @pytest.mark.parametrize("label", ["sphere:2", "projH:8"])
-@pytest.mark.parametrize("count", [_POINT_BLOCK - 1, _POINT_BLOCK, _POINT_BLOCK + 1,
-                                   _POINT_BLOCK + 2, 2 * _POINT_BLOCK + 1, 3 * _POINT_BLOCK - 3])
+@pytest.mark.parametrize("count", [_SERIES_BLOCK - 1, _SERIES_BLOCK, _SERIES_BLOCK + 1,
+                                   _SERIES_BLOCK + 2, 2 * _SERIES_BLOCK + 1, 3 * _SERIES_BLOCK - 3])
 def test_one_value_per_point_keeps_its_bits_at_every_block_seam(label, count):
-    """m = 1 at one time, where a one-point Jacobi table contracts as a dot product and
-    rounds otherwise: values equal the whole-table oracle for every point count."""
+    """m = 1 at one time, where a one-abscissa block of the series sum holds one value:
+    values equal the per-degree oracle for every point count."""
     space = parse_space(label)
     model = SeriesModel(space, 1, [[[1.0 / (n + 1) ** 3]] for n in range(41)])
     points = sample_uniform_batch(space, count, np.random.default_rng(count))
     for seed in (0, 7):
         values = simulate_spatial(model, points, seed=seed).values
         assert np.array_equal(values, simulate_reference(model, points, [0.0], 40, seed)[0])
+
+
+@pytest.mark.parametrize("label", ["sphere:2", "projR:3", "projC:4", "projH:8"])
+@pytest.mark.parametrize("degrees", [3, 8, 21, 61])
+def test_a_value_keeps_its_bits_whatever_else_is_simulated(label, degrees):
+    """m = 1 at one time: point 0 simulated alone has the bits it has among 9 points."""
+    space = parse_space(label)
+    model = SeriesModel(space, 1, [[[1.0 / (n + 1) ** 3]] for n in range(degrees)])
+    points = sample_uniform_batch(space, 9, np.random.default_rng(degrees))
+    for seed in range(10):
+        alone = simulate_spatial(model, points[:1], seed=seed).values
+        assert alone[0] == simulate_spatial(model, points, seed=seed).values[0], seed
+        assert np.array_equal(alone, simulate_reference(model, points[:1], [0.0], degrees - 1,
+                                                        seed)[0]), seed
 
 
 def irregular_grid(domain, rng, count=500):

@@ -37,10 +37,8 @@ from isofield import (
     validate_spatiotemporal,
 )
 from isofield.errors import NumericError, ParameterError
-from isofield.jacobi import jacobi_at_one
-from isofield.spectral import (
-    _CONTRACT_BLOCK, INTEGER_LAGS, REAL_LAGS, SPATIAL, ZERO_LAG, factor_coefficients,
-)
+from isofield.jacobi import _SERIES_BLOCK, jacobi_at_one
+from isofield.spectral import INTEGER_LAGS, REAL_LAGS, SPATIAL, ZERO_LAG, factor_coefficients
 from tests.oracles import (
     eval_cov_per_degree, ma1_lag_cov_mc, random_psd, validate_spatiotemporal_per_degree,
 )
@@ -655,10 +653,15 @@ class TestEvalCov:
         coeffs = [random_psd(rng, m, 0.85**n) for n in range(61)]
         model = SeriesModel(parse_space("projC:4"), m, coeffs, SeparableScalar("exponential", 1.2))
         # two full blocks and one of a single distance
-        rho = rng.uniform(0.0, math.pi, 2 * (_CONTRACT_BLOCK // 61) + 1)
+        rho = rng.uniform(0.0, math.pi, 2 * _SERIES_BLOCK + 1)
         for t in (0.0, -0.4):
             got, want = eval_cov(model, rho, t), eval_cov_per_degree(model, rho, t)
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_no_distances_give_an_empty_table(self):
+        model = SeriesModel(S2, 2, [np.eye(2), 0.5 * np.eye(2)])
+        assert eval_cov(model, []).shape == (0, 2, 2)
+        assert eval_cov(model, np.zeros((0, 3)), [0.0, 0.0]).shape == (2, 0, 3, 2, 2)
 
     def test_memory_is_a_small_multiple_of_the_output(self):
         # the (N+1)-degree table and terms are held one block of distances at a time
