@@ -100,36 +100,34 @@ def _is_generated(spec: str) -> bool:
     return ":" in spec and not Path(spec).exists()
 
 
-def _points_spec(spec: str):
-    """The sidecar's record of a point-set specifier: a generated spec as typed,
-    or a point file's name and the SHA-256 of its bytes."""
-    if _is_generated(spec):
-        return spec
-    path = Path(spec)
-    return {"file": path.name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
-
-
 def resolve_points(space, spec: str, seed: int) -> np.ndarray:
     """Point-set specifier: 'random:K', 'fibonacci:K', or a coordinate CSV.
 
     Returns the (K, *ambient_shape) array of unit representatives.
     """
+    return _resolve_points(space, spec, seed)[0]
+
+
+def _resolve_points(space, spec: str, seed: int):
+    """resolve_points(space, spec, seed) and the sidecar's record of spec: a generated spec as
+    typed, or a point file's name and the SHA-256 of the bytes that were parsed."""
     if _is_generated(spec):
         kind, _, arg = spec.partition(":")
         if kind not in ("random", "fibonacci"):
             raise UsageError(f"unknown point specifier {spec!r}")
         count = _parse_count("point set", spec, arg)
         if kind == "random":
-            return sample_uniform_batch(space, count, substream(seed, 2))
+            return sample_uniform_batch(space, count, substream(seed, 2)), spec
         if space.family is not SpaceFamily.SPHERE or space.d != 2:
             raise UsageError("fibonacci point sets are defined on sphere:2 only")
-        return normalize_points(space, _fibonacci_sphere(count))
+        return normalize_points(space, _fibonacci_sphere(count)), spec
     path = Path(spec)
     if not path.is_file():
         state = "is not a file" if path.exists() else "does not exist"
         raise UsageError(f"point file {spec!r} {state}")
+    data = path.read_bytes()
     try:
-        content = path.read_text(encoding="utf-8")
+        content = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"point file {spec!r}: {_not_utf8(exc)}") from None
     rows = []
@@ -148,8 +146,8 @@ def resolve_points(space, spec: str, seed: int) -> np.ndarray:
             raise UsageError(f"point file {spec!r}: line {k} holds a zero or non-finite point")
     if not rows:
         raise UsageError(f"no points found in {spec!r}")
-    reals = np.array(rows)
-    return normalize_points(space, points_from_reals(space, reals))
+    record = {"file": path.name, "sha256": hashlib.sha256(data).hexdigest()}
+    return normalize_points(space, points_from_reals(space, np.array(rows))), record
 
 
 @contextlib.contextmanager
@@ -238,10 +236,10 @@ def cmd_simulate(args) -> int:
     # the latent table, (trunc + 1) x times x m, is held whole while the values are formed
     _require_values("--times and --trunc", _resolve_trunc(model, args.trunc) + 1, len(times),
                     model.m)
-    points = resolve_points(model.space, args.points, args.seed)
+    points, points_spec = _resolve_points(model.space, args.points, args.seed)
     _require_values("--points and --times", len(points), len(times), model.m)
     real = simulate_spatiotemporal(model, points, times, args.trunc, args.seed)
-    csv_path, meta_path = save_realization(real, out, points_spec=_points_spec(args.points))
+    csv_path, meta_path = save_realization(real, out, points_spec=points_spec)
     print(f"wrote {csv_path} and {meta_path}", file=sys.stderr)
     return EXIT_OK
 

@@ -22,6 +22,7 @@ from .errors import DomainError, NumericError, ParameterError, UsageError
 # this band, reject beyond it.
 X_CLAMP_TOL = 1e-12
 _SERIES_BLOCK = 1 << 12  # abscissae per Jacobi table of _jacobi_series
+_STIRLING_DEGREE = 10**5  # from this degree on, Gamma ratios come from _log_gamma_ratio
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,26 @@ class QuadratureRule:
     weights: np.ndarray = field(repr=False)
 
 
+def _integral(value) -> bool:
+    """Whether value is a finite whole number, such as 2 or 2.0, and not a bool."""
+    try:
+        return not isinstance(value, (bool, np.bool_)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _check_degree(n, name: str = "degree") -> int:
-    """n as an int; ParameterError naming it unless n is a finite nonnegative integer."""
-    if not math.isfinite(n) or n < 0 or int(n) != n:
+    """n as an int; ParameterError naming it unless n is a nonnegative whole number (not a bool)."""
+    if not _integral(n) or n < 0:
         raise ParameterError(f"{name} must be a nonnegative integer, got {n}")
     return int(n)
+
+
+def _log_gamma_ratio(x: float, d: float) -> float:
+    """log Gamma(x + d) - log Gamma(x) for x >= _STIRLING_DEGREE, where two lgamma values of
+    size x log x would cancel: the difference of their Stirling series, whose next term,
+    O(d / x^4), is below a float's resolution of the result."""
+    return d * math.log(x) + (x + d - 0.5) * math.log1p(d / x) - d - d / (12.0 * x * (x + d))
 
 
 def _exp(x: float) -> float:
@@ -136,6 +152,8 @@ def jacobi_at_one(n: int, params: JacobiParams) -> float:
     """Value at x = 1: Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)); inf past a float."""
     n = _check_degree(n)
     a = params.alpha
+    if n >= _STIRLING_DEGREE:
+        return _exp(_log_gamma_ratio(n + 1.0, a) - math.lgamma(a + 1.0))
     return _exp(math.lgamma(n + a + 1.0) - math.lgamma(n + 1.0) - math.lgamma(a + 1.0))
 
 
@@ -160,6 +178,9 @@ def jacobi_norm_constant(j: int, params: JacobiParams) -> float:
             + math.lgamma(b + 1.0)
             - math.lgamma(a + b + 2.0)
         )
+    if j >= _STIRLING_DEGREE:
+        return _exp((a + b + 1.0) * math.log(2.0) + _log_gamma_ratio(j + 1.0, a)
+                    - _log_gamma_ratio(j + b + 1.0, a)) / (2.0 * j + a + b + 1.0)
     return _exp(
         (a + b + 1.0) * math.log(2.0)
         + math.lgamma(j + a + 1.0)
@@ -177,28 +198,19 @@ def weight_total_mass(params: JacobiParams) -> float:
 def gauss_jacobi(order: int, params: JacobiParams) -> QuadratureRule:
     """Gauss-Jacobi rule by the Golub-Welsch symmetric-tridiagonal eigenvalue method.
 
-    Builds the Jacobi matrix from the monic recurrence coefficients; nodes
-    are its eigenvalues, weights come from the first eigenvector components
-    scaled by the total weight mass. A rule of order K integrates
-    polynomials of degree <= 2K-1 exactly against the weight.
+    The Jacobi matrix is read off the recurrence that evaluates every P_n (_recurrence):
+    x P_{k-1} = (c1/c3) P_k - (c2/c3) P_{k-1} + (c4/c3) P_{k-2}, symmetrized, with row 0
+    from P_1. Nodes are its eigenvalues, weights the squared first eigenvector components
+    scaled by the total weight mass. A rule of order K integrates polynomials of degree
+    <= 2K-1 exactly against the weight.
     """
     order = _check_degree(order, "quadrature order")
     if order < 1:
         raise ParameterError(f"quadrature order must be a positive integer, got {order}")
     a, b = params.alpha, params.beta
-    ab = a + b
-    k = np.arange(order, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        diag = (b * b - a * a) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
-    diag[0] = (b - a) / (ab + 2.0)
-    off = np.zeros(max(order - 1, 0))
-    if order > 1:
-        j = np.arange(2, order, dtype=float)
-        s = 2.0 * j + ab
-        off[1:] = np.sqrt(4.0 * j * (j + a) * (j + b) * (j + ab) / (s * s * (s * s - 1.0)))
-        # j = 1 in cancelled form: (1+a+b) divides out of (s^2 - 1), which
-        # avoids 0/0 when a + b == -1.
-        off[0] = math.sqrt(4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + ab) ** 2 * (3.0 + ab)))
+    c1, c2, c3, c4 = np.reshape(_recurrence(order, a, b), (-1, 4)).T  # steps k = 2..order
+    diag = np.concatenate(([(b - a) / (a + b + 2.0)], -c2 / c3))
+    off = np.sqrt(np.concatenate(([2.0 / (a + b + 2.0)], c1[:-1] / c3[:-1])) * (c4 / c3))
     jacobi_matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     try:
         nodes, vectors = np.linalg.eigh(jacobi_matrix)

@@ -36,7 +36,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import GeometryError, ParameterError, UsageError
-from .jacobi import JacobiParams, _check_degree, _exp, _natural
+from .jacobi import (_STIRLING_DEGREE, JacobiParams, _check_degree, _exp, _integral,
+                     _log_gamma_ratio, _natural)
 
 
 class SpaceFamily(Enum):
@@ -194,9 +195,12 @@ MAX_DIMENSION = 1_000  # larger d overflows volume ratios (projR:2000) or bulk p
 
 
 def make_space(family: SpaceFamily, d: int) -> SpaceParams:
-    """Build the full parameter record for (family, d), d <= MAX_DIMENSION."""
-    if int(d) != d:
-        raise ParameterError(f"dimension must be an integer, got {d}")
+    """Build the full parameter record for (family, d), d <= MAX_DIMENSION. ParameterError
+    unless family is a SpaceFamily and d a whole number (not a bool)."""
+    if not isinstance(family, SpaceFamily):
+        raise ParameterError(f"family must be a SpaceFamily, got {family!r}")
+    if not _integral(d):
+        raise ParameterError(f"dimension must be an integer, got {d!r}")
     d = int(d)
     if d > MAX_DIMENSION:
         raise ParameterError(f"dimension {d} of {family.value} exceeds the cap of {MAX_DIMENSION}")
@@ -450,6 +454,9 @@ def a_constant(space: SpaceParams, n: int) -> float:
     if n == 0:
         return 1.0
     a, b = space.geom.alpha, space.geom.beta
+    if n >= _STIRLING_DEGREE:
+        return _exp(0.5 * (math.lgamma(b + 1.0) + math.log(2.0 * n + a + b + 1.0)
+                           - math.lgamma(a + b + 2.0) + _log_gamma_ratio(n + b + 1.0, a)))
     return _exp(0.5 * (math.lgamma(b + 1.0) + math.log(2.0 * n + a + b + 1.0)
                        + math.lgamma(n + a + b + 1.0) - math.lgamma(a + b + 2.0)
                        - math.lgamma(n + b + 1.0)))
@@ -461,6 +468,10 @@ def dim_eigenspace(space: SpaceParams, n: int) -> float:
     if n == 0:
         return 1.0
     a, b = space.geom.alpha, space.geom.beta
+    if n >= _STIRLING_DEGREE:
+        return _exp(math.log(2.0 * n + a + b + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + 1.0)
+                    - math.lgamma(a + b + 2.0) + _log_gamma_ratio(n + b + 1.0, a)
+                    + _log_gamma_ratio(n + 1.0, a))
     return _exp(math.log(2.0 * n + a + b + 1.0) + math.lgamma(b + 1.0)
                 + math.lgamma(n + a + b + 1.0) + math.lgamma(n + a + 1.0) - math.lgamma(a + 1.0)
                 - math.lgamma(a + b + 2.0) - math.lgamma(n + 1.0) - math.lgamma(n + b + 1.0))

@@ -60,6 +60,13 @@ class TailEnvelope:
         return self.c * self.r ** first_degree / (1.0 - self.r)
 
 
+def _check_m(m) -> int:
+    """m as an int: ParameterError unless it is a positive integer (not a bool or a float)."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ParameterError(f"m must be a positive integer, got {m!r}")
+    return int(m)
+
+
 def _as_coeff_matrices(coeffs, m: int) -> np.ndarray:
     """The (N+1, m, m) float stack of the coefficient matrices."""
     out = [np.asarray(c, dtype=float) for c in coeffs]
@@ -303,6 +310,7 @@ class SeriesModel:
     tail: TailEnvelope | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _check_m(self.m))
         coeffs = _as_coeff_matrices(self.coeffs, self.m)
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
@@ -625,8 +633,12 @@ def recover_coefficients(
     B_n is the weighted Gauss-Jacobi quadrature of cov(arccos x) P_n(x)
     divided by the norm constant of P_n; exact for covariances that are
     degree <= N expansions when order >= N + 1. Output matrices are
-    symmetrized.
+    symmetrized. ParameterError unless m is a positive integer and N and order are whole
+    numbers (not bools).
     """
+    m = _check_m(m)
+    N = _check_degree(N, "max degree")
+    order = _check_degree(order, "quadrature order")
     if order < N + 1:
         raise UsageError(f"quadrature order {order} is too small for max degree {N}")
     rule = gauss_jacobi(order, space.geom)

@@ -763,6 +763,30 @@ class TestBoundaries:
             assert meta["point_count"] == len(points)
             assert meta["points_sha256"] == points_sha256(points)
 
+    def test_sidecar_hashes_the_point_file_bytes_that_were_parsed(self, tmp_path, monkeypatch):
+        # the file was read twice, so a rewrite during the run put the new file's hash beside
+        # points drawn from the old one
+        space = parse_space("projC:4")
+        path = save_model(SeriesModel(space, 1, [np.eye(1), 0.5 * np.eye(1)]),
+                          tmp_path / "c.json")
+        pts = tmp_path / "pts.csv"
+        pts.write_text("1,0,0,0,0,0\n0,0,0.6,0.8,0,0\n")
+        parsed = sha256(pts)
+        simulate = isofield.cli.simulate_spatiotemporal
+
+        def rewriting(*args, **kwargs):
+            pts.write_text("0,1,0,0,0,0\n")
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(isofield.cli, "simulate_spatiotemporal", rewriting)
+        out = tmp_path / "v.csv"
+        assert main(["simulate", "--model", str(path), "--points", str(pts),
+                     "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "v.meta.json").read_text())
+        assert sha256(pts) != parsed
+        assert meta["points_spec"] == {"file": "pts.csv", "sha256": parsed}
+        assert meta["point_count"] == 2
+
     def test_fibonacci_sidecar_v2(self, spatial_model_file, tmp_path):
         path, model = spatial_model_file
         out = tmp_path / "f.csv"

@@ -187,6 +187,30 @@ class TestAtOne:
             )
 
 
+class TestGammaRatiosAtHighDegree:
+    """P_n(1) and ||P_n||^2 within 1e-12 of mpmath from degree 10^5 to 10^15, where the
+    lgamma terms, each of size n log n, cancel."""
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.5, -0.5), (1.0, 0.0), (3.0, 1.0)])
+    @pytest.mark.parametrize("n", [10**k for k in range(5, 16)])
+    def test_matches_mpmath(self, n, alpha, beta):
+        mpmath = pytest.importorskip("mpmath")
+        params = JacobiParams(alpha, beta)
+        with mpmath.workdps(50):
+            a, b, x = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(n)
+            lg = mpmath.loggamma
+            at_one = mpmath.exp(lg(x + a + 1) - lg(x + 1) - lg(a + 1))
+            norm = 2 ** (a + b + 1) / (2 * x + a + b + 1) * mpmath.exp(
+                lg(x + a + 1) + lg(x + b + 1) - lg(x + 1) - lg(x + a + b + 1))
+            for got, want in ((jacobi_at_one(n, params), at_one),
+                              (jacobi_norm_constant(n, params), norm)):
+                assert abs(got - want) <= 1e-12 * want, (got, want)
+
+    def test_projC4_at_one_is_not_one_at_10_16(self):
+        # (n + 1) exactly: lgamma(n + 2) - lgamma(n + 1) cancelled to 0 at this degree
+        assert jacobi_at_one(10**16, JacobiParams(1.0, 0.0)) == pytest.approx(1e16, rel=1e-12)
+
+
 class TestNormalized:
     def test_one_at_one(self):
         for params in GEOM_PAIRS:
@@ -275,12 +299,16 @@ class TestGaussJacobi:
             want = shifted_monomial_integral(p, params.alpha, params.beta)
             assert got == pytest.approx(want, rel=1e-10)
 
-    def test_matches_scipy_roots(self):
-        for params in GEOM_PAIRS:
-            rule = gauss_jacobi(20, params)
-            x, w = sps.roots_jacobi(20, params.alpha, params.beta)
+    @pytest.mark.parametrize("order, weight_rel", [(20, 1e-10), (61, 1e-9), (150, None)])
+    def test_matches_scipy_roots(self, order, weight_rel):
+        # (-1/2, -1/2), where a + b = -1, is the case the closed-form matrix special-cased
+        for params in GEOM_PAIRS + [JacobiParams(-0.5, -0.5)]:
+            rule = gauss_jacobi(order, params)
+            with np.errstate(invalid="ignore"):  # scipy divides 0/0 at a + b = -1
+                x, w = sps.roots_jacobi(order, params.alpha, params.beta)
             assert rule.nodes == pytest.approx(x, abs=1e-12)
-            assert rule.weights == pytest.approx(w, rel=1e-10)
+            if weight_rel is not None:
+                assert rule.weights == pytest.approx(w, rel=weight_rel)
 
     def test_bad_order(self):
         with pytest.raises(ParameterError):
@@ -294,3 +322,21 @@ class TestGaussJacobi:
     def test_integral_float_order(self):
         rule = gauss_jacobi(3.0, JacobiParams(0, 0))
         assert np.array_equal(rule.nodes, gauss_jacobi(3, JacobiParams(0, 0)).nodes)
+
+
+class TestDegreeGate:
+    @pytest.mark.parametrize("n", [True, False, np.True_, np.False_])
+    def test_bools_are_not_degrees(self, n):
+        with pytest.raises(ParameterError, match="degree must be a nonnegative integer"):
+            jacobi_at_one(n, JacobiParams(0, 0))
+        with pytest.raises(ParameterError, match="degree must be a nonnegative integer"):
+            jacobi_all(n, JacobiParams(0, 0), 0.5)
+
+    @pytest.mark.parametrize("n", ["2", None, [2], 2 + 0j])
+    def test_non_numbers_are_parameter_errors(self, n):
+        with pytest.raises(ParameterError, match="degree must be a nonnegative integer"):
+            jacobi_norm_constant(n, JacobiParams(0, 0))
+
+    @pytest.mark.parametrize("n", [2.0, np.float64(2.0), np.int64(2)])
+    def test_whole_numbers_stay_degrees(self, n):
+        assert jacobi_at_one(n, JacobiParams(1, 0)) == jacobi_at_one(2, JacobiParams(1, 0))

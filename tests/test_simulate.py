@@ -161,6 +161,12 @@ class TestSimulateSpatial:
         with pytest.raises(ParameterError, match=f"truncation degree .* got {trunc}"):
             simulate_spatial(small_matrix_model(), fixed_points(2), trunc=trunc, seed=0)
 
+    @pytest.mark.parametrize("trunc", [True, np.True_])
+    def test_bool_trunc_rejected(self, trunc):
+        # True once ran as truncation 1
+        with pytest.raises(ParameterError, match="truncation degree must be a nonnegative"):
+            simulate_spatial(small_matrix_model(), fixed_points(2), trunc=trunc, seed=0)
+
     def test_octonionic_sampling_unsupported(self):
         space = parse_space("projO:16")
         model = SeriesModel(space, 1, [np.eye(1)])

@@ -80,6 +80,19 @@ class TestMakeSpace:
         with pytest.raises(ParameterError):
             make_space(family, bad_d)
 
+    @pytest.mark.parametrize("family", ["sphere", None, 2])
+    def test_family_must_be_a_space_family(self, family):
+        with pytest.raises(ParameterError, match="family must be a SpaceFamily"):
+            make_space(family, 2)
+
+    @pytest.mark.parametrize("d", ["x", "2", True, np.True_, math.nan, math.inf, 2.5, None])
+    def test_dimension_must_be_a_whole_number(self, d):
+        with pytest.raises(ParameterError, match="dimension must be an integer"):
+            make_space(SpaceFamily.SPHERE, d)
+
+    def test_integral_dimension_is_admitted(self):
+        assert make_space(SpaceFamily.SPHERE, 2.0) == make_space(SpaceFamily.SPHERE, np.int64(2))
+
     @pytest.mark.parametrize("label", ["sphere:99999999", "projR:2000", "projC:1002"])
     def test_dimension_above_the_cap_is_rejected(self, label):
         # projR:2000 also overflowed math.exp in the volume ratio
@@ -429,6 +442,43 @@ class TestSpectralConstants:
         assert a_constant(s, 4096) < math.inf == a_constant(s, 16384)
         wide = JacobiParams(1100.0, 0.0)  # 2^(a+b+1) alone overflows
         assert jacobi_norm_constant(0, wide) == jacobi_norm_constant(5, wide) == math.inf
+
+    @pytest.mark.parametrize("label", ["sphere:2", "projR:3", "projC:4", "projH:8"])
+    @pytest.mark.parametrize("n", [10**k for k in range(5, 16)])
+    def test_high_degree_constants_match_mpmath(self, label, n):
+        # the lgamma terms, each of size n log n, cancelled: dim H_n on sphere:2 was off by
+        # 4e-3 relative at n = 10^12
+        mpmath = pytest.importorskip("mpmath")
+        s = parse_space(label)
+        with mpmath.workdps(50):
+            a, b, x = mpmath.mpf(s.geom.alpha), mpmath.mpf(s.geom.beta), mpmath.mpf(n)
+            lg = mpmath.loggamma
+            a_sq = (2 * x + a + b + 1) * mpmath.exp(
+                lg(b + 1) + lg(x + a + b + 1) - lg(a + b + 2) - lg(x + b + 1))
+            dim = a_sq * mpmath.exp(lg(x + a + 1) - lg(x + 1) - lg(a + 1))
+            for got, want in ((a_constant(s, n), mpmath.sqrt(a_sq)),
+                              (dim_eigenspace(s, n), dim)):
+                assert abs(got - want) <= 1e-12 * want, (got, want)
+
+    def test_sphere2_constants_at_10_16(self):
+        s = parse_space("sphere:2")
+        assert dim_eigenspace(s, 10**16) == pytest.approx(2e16 + 1, rel=1e-12)
+        assert a_constant(s, 10**15) ** 2 == pytest.approx(2e15 + 1, rel=1e-12)
+
+    def test_constants_below_the_stirling_degree_keep_their_bits(self):
+        # a_n fixes simulated values, so the lgamma form stays below jacobi._STIRLING_DEGREE
+        s = parse_space("projH:8")
+        a, b, n = s.geom.alpha, s.geom.beta, 1000
+        assert a_constant(s, n) == math.exp(0.5 * (
+            math.lgamma(b + 1.0) + math.log(2.0 * n + a + b + 1.0) + math.lgamma(n + a + b + 1.0)
+            - math.lgamma(a + b + 2.0) - math.lgamma(n + b + 1.0)))
+
+    @pytest.mark.parametrize("n", [True, np.True_])
+    def test_bools_are_not_degrees(self, n):
+        s = parse_space("sphere:2")
+        for constant in (a_constant, dim_eigenspace, laplace_eigenvalue):
+            with pytest.raises(ParameterError, match="degree must be a nonnegative integer"):
+                constant(s, n)
 
     def test_laplace_eigenvalues(self):
         s2 = parse_space("sphere:2")

@@ -156,6 +156,20 @@ class TestValidateSpatial:
             TailEnvelope(-1.0, 0.5)
 
 
+class TestModelArguments:
+    @pytest.mark.parametrize("m, coeffs", [(0, np.zeros((1, 0, 0))), (1.0, [[[1.0]]]),
+                                           (True, [[[1.0]]]), (-1, [[[1.0]]]), ("1", [[[1.0]]])])
+    def test_m_must_be_a_positive_integer(self, m, coeffs):
+        # m = 0 once built and failed in simulate_spatial as numpy's zero-size reduction,
+        # m = 1.0 in eval_cov as a bare TypeError
+        with pytest.raises(ParameterError, match="m must be a positive integer"):
+            SeriesModel(S2, m, coeffs)
+
+    def test_numpy_integer_m_is_stored_as_int(self):
+        model = SeriesModel(S2, np.int64(2), [np.eye(2)])
+        assert type(model.m) is int and model.m == 2
+
+
 class TestValidateSpatioTemporal:
     def test_ma1_family_valid(self):
         report = validate_spatiotemporal(ma1_model(), LAGS)
@@ -865,9 +879,35 @@ class TestRecoverCoefficients:
         with pytest.raises(UsageError):
             recover_coefficients(lambda rho: np.array([[float("nan")]]), S2, 1, 2, 6)
 
+    @pytest.mark.parametrize("N, order", [(8, 9.0), (8.0, 9), (np.int64(8), np.int64(9))])
+    def test_whole_number_arguments_are_used_as_ints(self, N, order):
+        # order 9.0 passed the quadrature gate and then failed np.empty as a bare TypeError
+        got = recover_coefficients(lambda rho: np.eye(1), S2, 1, N=N, order=order)
+        want = recover_coefficients(lambda rho: np.eye(1), S2, 1, N=8, order=9)
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+    @pytest.mark.parametrize("m", [1.0, True, 0, np.True_])
+    def test_m_is_gated_before_the_covariance_is_called(self, m):
+        def cov(rho):
+            raise AssertionError("the covariance was called")
+        with pytest.raises(ParameterError, match="m must be a positive integer"):
+            recover_coefficients(cov, S2, m, N=2, order=3)
+
+    @pytest.mark.parametrize("N, order", [(True, 3), (2, True), (-1, 3), ("2", 3)])
+    def test_bools_and_non_numbers_are_not_degrees(self, N, order):
+        with pytest.raises(ParameterError, match="(max degree|quadrature order) must be"):
+            recover_coefficients(lambda rho: np.eye(1), S2, 1, N=N, order=order)
+
+    def test_cov_table_model_round_trip(self):
+        # projC:4, m = 3, N = 60, order 61: the quadrature reads the evaluation recurrence
+        model = _cov_table_model()
+        got = recover_coefficients(lambda rho: eval_cov(model, rho, 0.0), model.space, 3,
+                                   N=60, order=61)
+        assert np.max(np.abs(got.coeffs - model.coeffs)) <= 1e-12
+
     @pytest.mark.parametrize("order", [math.nan, math.inf, 9.5])
     def test_non_integer_order_is_a_parameter_error(self, order):
-        # nan and inf pass the order >= N + 1 test and reach the quadrature gate
+        # the order is gated as a degree before the order >= N + 1 test, which nan and inf pass
         with pytest.raises(ParameterError, match="quadrature order must be"):
             recover_coefficients(lambda rho: np.eye(1), S2, 1, N=8, order=order)
 
