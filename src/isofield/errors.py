@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument rules that raise them.
+
+Every public call reads each argument through one of these rules once, where it enters;
+private helpers check nothing. The README's table "Argument rules" lists them.
+"""
+
+import math
+
+import numpy as np
 
 
 class IsoFieldError(Exception):
@@ -31,3 +39,89 @@ class NumericError(IsoFieldError, RuntimeError):
 
 class ModelFormatError(IsoFieldError, ValueError):
     """A model or realization document does not match the file schema."""
+
+
+# The argument rules, and the lag domains the lag rules read
+
+INTEGER_LAGS = "integers"
+REAL_LAGS = "reals"
+ZERO_LAG = "zero"  # a purely spatial model: lag 0 only
+
+_INTS = (int, np.integer)  # and not bool, which Python counts as an int
+_WHOLE_NEEDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def _whole(value, name: str, low: int | None = 0) -> int:
+    """The whole-number rule (degrees, truncations, quadrature orders, dimensions): value as an
+    int. ParameterError naming it unless it is an int, a numpy integer or an integral float,
+    never a bool, of at least low (None: no bound)."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if not isinstance(value, _INTS) or isinstance(value, bool) or low is not None and value < low:
+        raise ParameterError(f"{name} must be {_WHOLE_NEEDS[low]}, got {value}")
+    return int(value)
+
+
+def _count(value, name: str, low: int = 0) -> int:
+    """The integer-count rule (seeds, spawn keys, replicate and point counts, point indices):
+    value as an int. UsageError naming it unless it is an int or a numpy integer, not a bool,
+    of at least low."""
+    if not isinstance(value, _INTS) or isinstance(value, bool) or value < low:
+        need = "a non-negative integer" if low == 0 else f"an integer of at least {low}"
+        raise UsageError(f"{name} {value} must be {need}")
+    return int(value)
+
+
+def _check_m(m) -> int:
+    """The rule of m: m as an int. ParameterError unless it is a positive int or numpy integer
+    (not a bool or a float)."""
+    if not isinstance(m, _INTS) or isinstance(m, bool) or m < 1:
+        raise ParameterError(f"m must be a positive integer, got {m!r}")
+    return int(m)
+
+
+def _real(value, name: str) -> float:
+    """The real-number rule: value as a float; UsageError naming it unless it defines __float__
+    or __index__ and has no dtype or a boolean, integer or floating one. float() reads str, every
+    other bytes-like object and numpy text as text, which is not a real number."""
+    try:
+        dtype = getattr(value, "dtype", None)
+        if (not (hasattr(type(value), "__float__") or hasattr(type(value), "__index__"))
+                or dtype is not None and np.dtype(dtype).kind not in "biuf"):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} {value!r} must be a real number") from None
+
+
+def _require_lag(domain: str, t, noun: str = "lag") -> float:
+    """The real-lag rule: t as a float; UsageError unless it is a real number, finite (noun
+    names it if not) and a lag of the domain (_in_domain)."""
+    t = _real(t, "lag")
+    if not math.isfinite(t):
+        raise UsageError(f"{noun} {t} is not finite")
+    return t if domain == REAL_LAGS else _in_domain(domain, t)
+
+
+def _in_domain(domain: str, t: float) -> float:
+    """A finite float t; UsageError unless it is a lag of the domain: an integer on
+    INTEGER_LAGS, 0 on ZERO_LAG."""
+    if domain == INTEGER_LAGS and not t.is_integer():
+        raise UsageError(f"lag {t} is not an integer but the model's temporal domain is Z")
+    if domain == ZERO_LAG and t != 0.0:
+        raise UsageError(f"lag {t} is not 0, and a purely spatial model is evaluated at lag 0 "
+                         "only")
+    return t
+
+
+def _lag_list(lags, name: str, domain: str, noun: str = "lag") -> list[float]:
+    """The lag-list rule: lags as a nonempty list of lags of the domain (_require_lag).
+    UsageError naming the argument if it is empty, or text or raw bytes (str, bytes, bytearray
+    or a byte-format memoryview), which iterate as characters or byte values."""
+    if isinstance(lags, (str, bytes, bytearray)) or (
+            isinstance(lags, memoryview) and lags.format in ("B", "b", "c")):
+        raise UsageError(f"{name} must be a list of real numbers, not a {type(lags).__name__}")
+    lags = list(lags)
+    if not lags:
+        raise UsageError(f"{name} must be nonempty")
+    return [_require_lag(domain, t, noun) for t in lags]

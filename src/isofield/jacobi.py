@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParameterError, UsageError
+from .errors import DomainError, NumericError, ParameterError, _whole
 
 # Arguments may exceed [-1, 1] by rounding of cosine distances; clip inside
 # this band, reject beyond it.
@@ -47,21 +47,6 @@ class QuadratureRule:
     weights: np.ndarray = field(repr=False)
 
 
-def _integral(value) -> bool:
-    """Whether value is a finite whole number, such as 2 or 2.0, and not a bool."""
-    try:
-        return not isinstance(value, (bool, np.bool_)) and int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
-def _check_degree(n, name: str = "degree") -> int:
-    """n as an int; ParameterError naming it unless n is a nonnegative whole number (not a bool)."""
-    if not _integral(n) or n < 0:
-        raise ParameterError(f"{name} must be a nonnegative integer, got {n}")
-    return int(n)
-
-
 def _log_gamma_ratio(x: float, d: float) -> float:
     """log Gamma(x + d) - log Gamma(x) for x >= _STIRLING_DEGREE, where two lgamma values of
     size x log x would cancel: the difference of their Stirling series, whose next term,
@@ -77,13 +62,6 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _natural(value, name: str) -> int:
-    """value as an int: UsageError naming it unless it is a non-negative integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise UsageError(f"{name} {value} must be a non-negative integer")
-    return int(value)
-
-
 def jacobi_all(N: int, params: JacobiParams, x) -> np.ndarray:
     """Every degree 0..N of the Jacobi polynomial at x, shape (N+1, *x.shape).
 
@@ -91,7 +69,7 @@ def jacobi_all(N: int, params: JacobiParams, x) -> np.ndarray:
     P_n(x). Inputs within 1e-12 of the interval are clamped; anything
     farther out, or NaN, raises DomainError.
     """
-    N = _check_degree(N)
+    N = _whole(N, "degree")
     x = np.asarray(x, dtype=float)
     # one reduction; NaN fails the comparison and is rejected too
     if not (np.abs(x) <= 1.0 + X_CLAMP_TOL).all():
@@ -150,7 +128,7 @@ def jacobi_eval(n: int, params: JacobiParams, x):
 
 def jacobi_at_one(n: int, params: JacobiParams) -> float:
     """Value at x = 1: Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)); inf past a float."""
-    n = _check_degree(n)
+    n = _whole(n, "degree")
     a = params.alpha
     if n >= _STIRLING_DEGREE:
         return _exp(_log_gamma_ratio(n + 1.0, a) - math.lgamma(a + 1.0))
@@ -167,7 +145,7 @@ def jacobi_norm_constant(j: int, params: JacobiParams) -> float:
 
     2^(a+b+1) / (2j+a+b+1) * Gamma(j+a+1) Gamma(j+b+1) / (j! Gamma(j+a+b+1)); inf past a float.
     """
-    j = _check_degree(j)
+    j = _whole(j, "degree")
     a, b = params.alpha, params.beta
     if j == 0:
         # (a+b+1) Gamma(a+b+1) folded into Gamma(a+b+2): needed when
@@ -204,9 +182,7 @@ def gauss_jacobi(order: int, params: JacobiParams) -> QuadratureRule:
     scaled by the total weight mass. A rule of order K integrates polynomials of degree
     <= 2K-1 exactly against the weight.
     """
-    order = _check_degree(order, "quadrature order")
-    if order < 1:
-        raise ParameterError(f"quadrature order must be a positive integer, got {order}")
+    order = _whole(order, "quadrature order", 1)
     a, b = params.alpha, params.beta
     c1, c2, c3, c4 = np.reshape(_recurrence(order, a, b), (-1, 4)).T  # steps k = 2..order
     diag = np.concatenate(([(b - a) / (a + b + 2.0)], -c2 / c3))

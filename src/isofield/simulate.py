@@ -39,8 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, modelio
-from .errors import ModelError, NumericError, UsageError
-from .jacobi import _jacobi_series, _natural
+from .errors import ZERO_LAG, ModelError, NumericError, UsageError, _count, _lag_list
+from .jacobi import _jacobi_series
 from .spaces import (
     SpaceParams,
     cos_distance_batch,
@@ -49,14 +49,7 @@ from .spaces import (
     points_to_reals,
     sample_uniform_batch,
 )
-from .spectral import (
-    ZERO_LAG,
-    SeriesModel,
-    _lag_list,
-    _require_lag,
-    _resolve_trunc,
-    truncation_bound,
-)
+from .spectral import SeriesModel, _resolve_trunc, truncation_bound
 
 _WRITE_CHUNK = 1 << 14  # values per write of _write_rows (whole leads, at least one)
 
@@ -78,8 +71,8 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     stream simulate_* draws."""
     from ._streams import _generators  # numpy.random loads on first use
 
-    data = _words(_natural(seed, "seed"), 4 if key else 1)
-    return _generators([data + b"".join([_words(_natural(k, "spawn key")) for k in key])])[0]
+    data = _words(_count(seed, "seed"), 4 if key else 1)
+    return _generators([data + b"".join([_words(_count(k, "spawn key")) for k in key])])[0]
 
 
 @dataclass(eq=False)
@@ -146,9 +139,7 @@ def simulate_spatiotemporal(
     """
     from ._streams import _generators  # numpy.random loads on first use
 
-    times = [_require_lag(model.domain, t) for t in _lag_list(times, "times")]
-    if not times:
-        raise UsageError("at least one time is required")
+    times = _lag_list(times, "times", model.domain)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise UsageError("times must be strictly increasing")
     if model.domain == ZERO_LAG:
@@ -160,7 +151,7 @@ def simulate_spatiotemporal(
     space = model.space
     points = point_array(space, points)
     # the seed checked once: substream(seed, *key) is the stream of prefix + key words
-    prefix = _words(_natural(seed, "seed"), 4)
+    prefix = _words(_count(seed, "seed"), 4)
     sample_paths = getattr(model.kernel, "sample_paths", None)
     if sample_paths is None:
         raise UsageError(f"unsupported temporal kernel {type(model.kernel).__name__}")

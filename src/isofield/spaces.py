@@ -35,9 +35,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GeometryError, ParameterError, UsageError
-from .jacobi import (_STIRLING_DEGREE, JacobiParams, _check_degree, _exp, _integral,
-                     _log_gamma_ratio, _natural)
+from .errors import GeometryError, ParameterError, UsageError, _count, _whole
+from .jacobi import _STIRLING_DEGREE, JacobiParams, _exp, _log_gamma_ratio
 
 
 class SpaceFamily(Enum):
@@ -199,9 +198,7 @@ def make_space(family: SpaceFamily, d: int) -> SpaceParams:
     unless family is a SpaceFamily and d a whole number (not a bool)."""
     if not isinstance(family, SpaceFamily):
         raise ParameterError(f"family must be a SpaceFamily, got {family!r}")
-    if not _integral(d):
-        raise ParameterError(f"dimension must be an integer, got {d!r}")
-    d = int(d)
+    d = _whole(d, "dimension", None)
     if d > MAX_DIMENSION:
         raise ParameterError(f"dimension {d} of {family.value} exceeds the cap of {MAX_DIMENSION}")
     row = _FAMILIES[family]
@@ -430,7 +427,7 @@ def sample_uniform_batch(space: SpaceParams, k: int, rng: np.random.Generator) -
     draws its real parts, then its imaginary parts.
     """
     row = _point_family(space)
-    k = _natural(k, "point count")
+    k = _count(k, "point count")
     shape = row.ambient(space.d)
     if row.dtype is complex:
         g = rng.standard_normal((k, 2, *shape))
@@ -450,7 +447,7 @@ def a_constant(space: SpaceParams, n: int) -> float:
 
     a_n^2 * P_n(1) equals the eigenspace dimension; a_0 = 1 exactly; inf past a float.
     """
-    n = _check_degree(n)
+    n = _whole(n, "degree")
     if n == 0:
         return 1.0
     a, b = space.geom.alpha, space.geom.beta
@@ -464,7 +461,7 @@ def a_constant(space: SpaceParams, n: int) -> float:
 
 def dim_eigenspace(space: SpaceParams, n: int) -> float:
     """Dimension of the degree-n Laplace eigenspace (a positive integer); inf past a float."""
-    n = _check_degree(n)
+    n = _whole(n, "degree")
     if n == 0:
         return 1.0
     a, b = space.geom.alpha, space.geom.beta
@@ -479,7 +476,7 @@ def dim_eigenspace(space: SpaceParams, n: int) -> float:
 
 def laplace_eigenvalue(space: SpaceParams, n: int) -> float:
     """Laplace-Beltrami eigenvalue -eps*n*(eps*n + alpha + beta + 1), Lie convention."""
-    n = _check_degree(n)
+    n = _whole(n, "degree")
     eps = space.epsilon
     return -eps * n * (eps * n + space.lie.alpha + space.lie.beta + 1.0)
 

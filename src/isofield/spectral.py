@@ -25,9 +25,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ModelError, NumericError, ParameterError, UsageError
-from .jacobi import (_check_degree, _jacobi_series, gauss_jacobi, jacobi_all, jacobi_at_one,
-                     jacobi_norm_constant)
+from .errors import (INTEGER_LAGS, REAL_LAGS, ZERO_LAG, DomainError, ModelError, NumericError,
+                     ParameterError, UsageError, _check_m, _in_domain, _lag_list, _require_lag,
+                     _whole)
+from .jacobi import _jacobi_series, gauss_jacobi, jacobi_all, jacobi_at_one, jacobi_norm_constant
 from .spaces import SpaceParams, a_constant, dim_eigenspace
 
 # Relative floors for symmetry / nonnegative-definiteness under rounding.
@@ -36,9 +37,6 @@ PSD_TOL = 1e-10
 
 MAX_LAG_TABLE = 10_000_000  # float64 values (80 MB) validate_spatiotemporal may tabulate
 
-INTEGER_LAGS = "integers"
-REAL_LAGS = "reals"
-ZERO_LAG = "zero"  # a purely spatial model: lag 0 only
 DEFAULT_PROBE_LAGS = (-2.0, -1.0, 0.0, 1.0, 2.0)  # SeriesModel.validate's grid for probe_lags=None
 
 
@@ -60,13 +58,6 @@ class TailEnvelope:
         return self.c * self.r ** first_degree / (1.0 - self.r)
 
 
-def _check_m(m) -> int:
-    """m as an int: ParameterError unless it is a positive integer (not a bool or a float)."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise ParameterError(f"m must be a positive integer, got {m!r}")
-    return int(m)
-
-
 def _as_coeff_matrices(coeffs, m: int) -> np.ndarray:
     """The (N+1, m, m) float stack of the coefficient matrices."""
     out = [np.asarray(c, dtype=float) for c in coeffs]
@@ -86,8 +77,8 @@ def _as_coeff_matrices(coeffs, m: int) -> np.ndarray:
 # degree's path: path n is V_n(.) with covariance an[n]^2 B_n(t1 - t2), drawn from
 # rngs[n] alone. roots is the read-only (N+1, m, m) stack of coeffs[n]^(1/2), an the
 # read-only (N+1,) array of a_n, rngs the degree streams in degree order, and times
-# strictly increasing. Kernels receive checked lags (SeriesModel.coeff_at gates
-# them) and check nothing; a gap between two checked times may read inf. A kernel
+# strictly increasing. Kernels receive lags read through the lag rule (errors._require_lag)
+# and check nothing; a gap between two checked times may read inf. A kernel
 # is immutable once attached to a model. Each built-in kernel checks its parameters
 # when built and is then valid exactly when its stored matrices are symmetric
 # nonnegative definite, which validate_spatial checks.
@@ -103,43 +94,6 @@ def _normals(rngs, count: int, m: int) -> np.ndarray:
     for out, rng in zip(z, rngs):
         rng.standard_normal(out=out)
     return z
-
-
-def _real_lag(t) -> float:
-    """t as a float; UsageError unless it is a real number, not text. float() reads str and
-    every other bytes-like object (bytes, bytearray, memoryview, array.array) as text, and
-    numpy text scalars and arrays too, so a lag must define __float__ or __index__ and have
-    no dtype, or a boolean, integer or floating one."""
-    try:
-        dtype = getattr(t, "dtype", None)
-        if (not (hasattr(type(t), "__float__") or hasattr(type(t), "__index__"))
-                or dtype is not None and np.dtype(dtype).kind not in "biuf"):
-            raise TypeError
-        return float(t)
-    except (TypeError, ValueError):
-        raise UsageError(f"lag {t!r} must be a real number") from None
-
-
-def _lag_list(lags, name: str) -> list:
-    """lags as a list; UsageError naming the argument if it is text or raw bytes (str, bytes,
-    bytearray or a byte-format memoryview), which iterate as characters or byte values."""
-    if isinstance(lags, (str, bytes, bytearray)) or (
-            isinstance(lags, memoryview) and lags.format in ("B", "b", "c")):
-        raise UsageError(f"{name} must be a list of real numbers, not a {type(lags).__name__}")
-    return list(lags)
-
-
-def _require_lag(domain: str, t) -> float:
-    """t as a float; UsageError unless it is a real number, not text, and a lag of the domain."""
-    t = _real_lag(t)
-    if not math.isfinite(t):
-        raise UsageError(f"lag {t} is not finite")
-    if domain == INTEGER_LAGS and not t.is_integer():
-        raise UsageError(f"lag {t} is not an integer but the model's temporal domain is Z")
-    if domain == ZERO_LAG and t != 0.0:
-        raise UsageError(f"lag {t} is not 0, and a purely spatial model is evaluated at lag 0 "
-                         "only")
-    return t
 
 
 @dataclass(frozen=True)
@@ -352,11 +306,8 @@ class SeriesModel:
         if self.domain != ZERO_LAG:
             return validate_spatiotemporal(self, DEFAULT_PROBE_LAGS if probe_lags is None
                                            else probe_lags)
-        lags = [0.0] if probe_lags is None else _lag_list(probe_lags, "probe_lags")
-        if not lags:
-            raise UsageError("probe_lags must be nonempty")
-        for t in lags:
-            _require_lag(ZERO_LAG, t)
+        if probe_lags is not None:
+            _lag_list(probe_lags, "probe_lags", ZERO_LAG)
         return validate_spatial(self)
 
 
@@ -504,14 +455,12 @@ def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
     MAX_LAG_TABLE values is rejected before anything is read. The report lists each
     degree's lag findings in grid order, then its block.
     """
-    lags = [_real_lag(t) for t in _lag_list(probe_lags, "probe_lags")]
-    if not lags:
-        raise UsageError("probe_lags must be nonempty")
-    if not any(t == 0.0 for t in lags):
+    lags = _lag_list(probe_lags, "probe_lags", REAL_LAGS, "probe lag")
+    if 0.0 not in lags:
         raise UsageError("probe_lags must contain 0")
-    if not all(map(math.isfinite, lags)):
-        raise UsageError(f"probe lag {next(t for t in lags if not math.isfinite(t))} is not finite")
     grid = sorted(set(lags))
+    for t in grid:  # the model's domain, in grid order
+        _in_domain(model.domain, t)
     if not math.isfinite(grid[-1] - grid[0]):  # the widest of the differences t_i - t_j
         raise UsageError(f"probe lags {grid[-1]} and {grid[0]} differ by more than a float holds")
     rows, width = len(grid) * (len(grid) - 1) + 1, (model.max_degree + 1) * model.m**2
@@ -520,8 +469,6 @@ def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
             f"a probe grid of {len(grid)} distinct lags may need {rows} lag differences "
             f"of {width} coefficients each, over the cap of {MAX_LAG_TABLE} table values"
         )
-    for t in grid:
-        _require_lag(model.domain, t)
     lag0 = model._lag0[0]
     if not lag0.valid:
         return ValidityReport(False, list(lag0.violations))  # validate_spatial's report
@@ -557,7 +504,7 @@ def _resolve_trunc(model, trunc) -> int:
     """The truncation degree: the stored maximum for None, else a degree no higher."""
     if trunc is None:
         return model.max_degree
-    trunc = _check_degree(trunc, "truncation degree")
+    trunc = _whole(trunc, "truncation degree")
     if trunc > model.max_degree:
         raise UsageError(
             f"truncation degree {trunc} exceeds stored maximum degree {model.max_degree}"
@@ -578,7 +525,7 @@ def eval_cov(model, rho, t=0.0, trunc: int | None = None) -> np.ndarray:
     zeros (jacobi._jacobi_series), which fixes the output bytes whatever else is asked
     for. A t of bytes is refused, not read as byte values.
     """
-    lags = [t] if np.ndim(t) == 0 else _lag_list(t, "t")
+    lags = [_require_lag(model.domain, t)] if np.ndim(t) == 0 else _lag_list(t, "t", model.domain)
     require_finite(model)
     trunc = _resolve_trunc(model, trunc)
     rho = np.asarray(rho, dtype=float)
@@ -587,7 +534,7 @@ def eval_cov(model, rho, t=0.0, trunc: int | None = None) -> np.ndarray:
     flat = rho.reshape(-1)
     # libm cos per distance: np.cos may round differently and shift output bytes
     x = np.fromiter(map(math.cos, flat), float, flat.size).reshape(-1 if rho.ndim else ())
-    bs = np.stack([model.coeff_at(slice(trunc + 1), t) for t in lags], axis=1)
+    bs = np.stack([model.kernel.coeff_at(slice(trunc + 1), t, model.coeffs) for t in lags], axis=1)
     out = _jacobi_series(trunc, model.space.geom, x, bs).reshape(flat.size, len(lags), model.m**2)
     bad = np.argwhere(~np.isfinite(out).all(axis=2))  # (distance, lag)
     if len(bad):
@@ -602,7 +549,7 @@ def truncation_bound(model, N: int) -> float:
     the stored degrees. A divergent series raises ModelError (see require_finite), and a
     bound that is not finite NumericError."""
     require_finite(model)
-    N = _check_degree(N, "truncation degree")
+    N = _whole(N, "truncation degree")
     b0s = model.coeff_at(slice(N + 1, None), 0.0)
     total = _weighted_norm_sum(model, [np.linalg.norm(b0, 2) for b0 in b0s], N + 1)
     if model.tail is not None:
@@ -616,7 +563,7 @@ def angular_power_spectrum(model: SeriesModel, n: int) -> np.ndarray:
     """Per-eigenspace normalization B_n(0) / dim H_n, for any kernel. A divergent
     series raises ModelError (see require_finite), a dim H_n past a float NumericError."""
     require_finite(model)
-    n = _check_degree(n)
+    n = _whole(n, "degree")
     if n > model.max_degree:
         raise UsageError(f"degree {n} outside stored range 0..{model.max_degree}")
     dim = dim_eigenspace(model.space, n)
@@ -637,8 +584,8 @@ def recover_coefficients(
     numbers (not bools).
     """
     m = _check_m(m)
-    N = _check_degree(N, "max degree")
-    order = _check_degree(order, "quadrature order")
+    N = _whole(N, "max degree")
+    order = _whole(order, "quadrature order")
     if order < N + 1:
         raise UsageError(f"quadrature order {order} is too small for max degree {N}")
     rule = gauss_jacobi(order, space.geom)

@@ -10,13 +10,12 @@ through Gauss-Jacobi quadrature instead.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError
-from .jacobi import _check_degree, _jacobi_series, _natural, jacobi_all, jacobi_at_one, jacobi_eval
+from .errors import REAL_LAGS, UsageError, _count, _require_lag, _whole
+from .jacobi import _jacobi_series, jacobi_all, jacobi_at_one, jacobi_eval
 from .simulate import Realization, substream
 from .spaces import (
     SpaceParams,
@@ -28,15 +27,15 @@ from .spaces import (
     sphere_volume,
     weinstein_integer_value,
 )
-from .spectral import REAL_LAGS, _require_lag, eval_cov
+from .spectral import eval_cov
 
 Z_THRESHOLD = 5.0
 
 
 def replicate_seeds(master_seed: int, count: int) -> list[int]:
     """Deterministic per-replicate seeds derived from one master seed."""
-    seq = np.random.SeedSequence(_natural(master_seed, "master seed"))
-    state = seq.generate_state(_natural(count, "replicate count"), np.uint64)
+    seq = np.random.SeedSequence(_count(master_seed, "master seed"))
+    state = seq.generate_state(_count(count, "replicate count"), np.uint64)
     return [int(s) for s in state]
 
 
@@ -81,18 +80,11 @@ def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, se
 
 
-def _replicates(value, name: str) -> int:
-    """value as an int: UsageError naming it unless it is an integer of at least 2 (not a bool)."""
-    if _natural(value, name) < 2:
-        raise UsageError(f"{name} {value} must be at least 2")
-    return int(value)
-
-
 def _uniform_cosines(space: SpaceParams, x1, x2, replicates, seed: int):
     """cos rho(x1, x2), then cos rho(x1, U) and cos rho(x2, U) over uniform U drawn
     from the seed; x1 and x2 are unit representatives or make_point results."""
     x1, x2 = point_array(space, [x1, x2])
-    reps = sample_uniform_batch(space, _replicates(replicates, "replicates"), substream(seed))
+    reps = sample_uniform_batch(space, _count(replicates, "replicates", 2), substream(seed))
     c12 = float(cos_distance_batch(space, x2, x1[None])[0])
     return c12, cos_distance_batch(space, x1, reps), cos_distance_batch(space, x2, reps)
 
@@ -145,7 +137,7 @@ def mc_zonal_covariance(
     The mean targets 0, the covariance targets P_n(cos rho(x1, x2)), and
     the covariance of degree n at x1 with degree n + 1 at x2 targets 0.
     """
-    n = _check_degree(n)
+    n = _whole(n, "degree")
     if n < 1:
         raise UsageError("the zonal field check needs degree n >= 1")
     k = n + 1
@@ -199,10 +191,10 @@ def empirical_cov(
     ):
         raise UsageError("realizations must share model, points, times, and truncation")
     try:
-        a, b = (-1 if isinstance(i, bool) else operator.index(i) for i in point_pair)
-    except (TypeError, ValueError):
-        a = b = -1
-    if not (0 <= a < len(points) and 0 <= b < len(points)):
+        a, b = (_count(i, "point index") for i in point_pair)
+    except (TypeError, ValueError):  # UsageError is a ValueError
+        a = b = len(points)
+    if max(a, b) >= len(points):
         raise UsageError(
             f"point pair {point_pair!r} must be two integer indices in 0..{len(points) - 1}"
         )
@@ -242,7 +234,7 @@ def mc_recover_vn(
     """
     if realization.latent_u is None or realization.latent_v is None:
         raise UsageError("realization lacks latent data; cannot recover coefficients")
-    replicates = _replicates(replicates_for_integral, "replicates_for_integral")
+    replicates = _count(replicates_for_integral, "replicates_for_integral", 2)
     space = realization.space
     reps = sample_uniform_batch(space, replicates, substream(seed))
     c = cos_distance_batch(space, realization.latent_u, reps)
