@@ -5,6 +5,7 @@ private helpers check nothing. The README's table "Argument rules" lists them.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -48,50 +49,60 @@ REAL_LAGS = "reals"
 ZERO_LAG = "zero"  # a purely spatial model: lag 0 only
 
 _INTS = (int, np.integer)  # and not bool, which Python counts as an int
+_FLOAT_MAX = int(sys.float_info.max)
 _WHOLE_NEEDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
 
 
 def _whole(value, name: str, low: int | None = 0) -> int:
     """The whole-number rule (degrees, truncations, quadrature orders, dimensions): value as an
     int. ParameterError naming it unless it is an int, a numpy integer or an integral float,
-    never a bool, of at least low (None: no bound)."""
+    never a bool, of at least low (None: no bound) and at most the largest float."""
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         value = int(value)
-    if not isinstance(value, _INTS) or isinstance(value, bool) or low is not None and value < low:
+    ok = isinstance(value, _INTS) and not isinstance(value, bool)
+    if ok and abs(value) > _FLOAT_MAX:
+        raise ParameterError(f"{name} must fit in a float")
+    if not ok or low is not None and value < low:
         raise ParameterError(f"{name} must be {_WHOLE_NEEDS[low]}, got {value}")
     return int(value)
 
 
-def _count(value, name: str, low: int = 0) -> int:
-    """The integer-count rule (seeds, spawn keys, replicate and point counts, point indices):
+def _count(value, name: str, low: int = 0, high: int | None = sys.maxsize) -> int:
+    """The count rule (seeds, spawn keys, replicate and point counts, point indices):
     value as an int. UsageError naming it unless it is an int or a numpy integer, not a bool,
-    of at least low."""
-    if not isinstance(value, _INTS) or isinstance(value, bool) or value < low:
+    of at least low and at most high (None for seeds and keys, which have no bound)."""
+    ok = isinstance(value, _INTS) and not isinstance(value, bool)
+    if ok and high is not None and value > high:
+        raise UsageError(f"{name} must be at most {high}")
+    if not ok or value < low:
         need = "a non-negative integer" if low == 0 else f"an integer of at least {low}"
         raise UsageError(f"{name} {value} must be {need}")
     return int(value)
 
 
 def _check_m(m) -> int:
-    """The rule of m: m as an int. ParameterError unless it is a positive int or numpy integer
-    (not a bool or a float)."""
-    if not isinstance(m, _INTS) or isinstance(m, bool) or m < 1:
-        raise ParameterError(f"m must be a positive integer, got {m!r}")
+    """The rule of m: m as an int. ParameterError unless it is an int or numpy integer (not a
+    bool or a float) from 1 to sys.maxsize."""
+    if not isinstance(m, _INTS) or isinstance(m, bool) or not 1 <= m <= sys.maxsize:
+        raise ParameterError(f"m must be a positive integer up to sys.maxsize, got {m!r}")
     return int(m)
 
 
-def _real(value, name: str) -> float:
-    """The real-number rule: value as a float; UsageError naming it unless it defines __float__
-    or __index__ and has no dtype or a boolean, integer or floating one. float() reads str, every
+def _real(value, name: str, error: type = UsageError) -> float:
+    """The real-number rule (lags, times, real parameters): value as a float; error naming it
+    unless it defines __float__ or __index__, is no array of one or more dimensions, has no
+    dtype or a boolean, integer or floating one, and fits in a float. float() reads str, every
     other bytes-like object and numpy text as text, which is not a real number."""
     try:
-        dtype = getattr(value, "dtype", None)
-        if (not (hasattr(type(value), "__float__") or hasattr(type(value), "__index__"))
-                or dtype is not None and np.dtype(dtype).kind not in "biuf"):
+        kind = np.dtype(getattr(value, "dtype", float)).kind
+        if (kind not in "biuf" or getattr(value, "ndim", 0)
+                or not (hasattr(type(value), "__float__") or hasattr(type(value), "__index__"))):
             raise TypeError
         return float(value)
+    except OverflowError:
+        raise error(f"{name} must fit in a float") from None
     except (TypeError, ValueError):
-        raise UsageError(f"{name} {value!r} must be a real number") from None
+        raise error(f"{name} {value!r} must be a real number") from None
 
 
 def _require_lag(domain: str, t, noun: str = "lag") -> float:
@@ -116,12 +127,16 @@ def _in_domain(domain: str, t: float) -> float:
 
 def _lag_list(lags, name: str, domain: str, noun: str = "lag") -> list[float]:
     """The lag-list rule: lags as a nonempty list of lags of the domain (_require_lag).
-    UsageError naming the argument if it is empty, or text or raw bytes (str, bytes, bytearray
-    or a byte-format memoryview), which iterate as characters or byte values."""
-    if isinstance(lags, (str, bytes, bytearray)) or (
-            isinstance(lags, memoryview) and lags.format in ("B", "b", "c")):
-        raise UsageError(f"{name} must be a list of real numbers, not a {type(lags).__name__}")
-    lags = list(lags)
+    UsageError naming the argument if it is empty, not iterable, or text or raw bytes (str,
+    bytes, bytearray or a byte-format memoryview), which iterate as characters or byte values."""
+    try:
+        if isinstance(lags, (str, bytes, bytearray)) or (
+                isinstance(lags, memoryview) and lags.format in ("B", "b", "c")):
+            raise TypeError
+        lags = list(lags)
+    except TypeError:
+        kind = type(lags).__name__
+        raise UsageError(f"{name} must be a list of real numbers, not a {kind}") from None
     if not lags:
         raise UsageError(f"{name} must be nonempty")
     return [_require_lag(domain, t, noun) for t in lags]

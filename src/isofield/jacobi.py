@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParameterError, _whole
+from .errors import DomainError, NumericError, ParameterError, _real, _whole
 
 # Arguments may exceed [-1, 1] by rounding of cosine distances; clip inside
 # this band, reject beyond it.
@@ -27,12 +27,14 @@ _STIRLING_DEGREE = 10**5  # from this degree on, Gamma ratios come from _log_gam
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """Exponent pair of the weight (1-x)^alpha (1+x)^beta, both > -1."""
+    """Exponent pair of the weight (1-x)^alpha (1+x)^beta, both > -1: real-number rule."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, ParameterError))
         if not (self.alpha > -1.0 and self.beta > -1.0):
             raise ParameterError(
                 f"Jacobi parameters must exceed -1, got alpha={self.alpha}, beta={self.beta}"
@@ -66,8 +68,8 @@ def jacobi_all(N: int, params: JacobiParams, x) -> np.ndarray:
     """Every degree 0..N of the Jacobi polynomial at x, shape (N+1, *x.shape).
 
     One pass of the three-term recurrence ascending in degree; row n is
-    P_n(x). Inputs within 1e-12 of the interval are clamped; anything
-    farther out, or NaN, raises DomainError.
+    P_n(x). N by the whole-number rule. Inputs within 1e-12 of the interval are
+    clamped; anything farther out, or NaN, raises DomainError.
     """
     N = _whole(N, "degree")
     x = np.asarray(x, dtype=float)
@@ -121,13 +123,14 @@ def _recurrence(N: int, a, b) -> tuple:
 
 def jacobi_eval(n: int, params: JacobiParams, x):
     """Evaluate the degree-n Jacobi polynomial at x (scalar or array):
-    the last row of jacobi_all(n, params, x)."""
+    the last row of jacobi_all(n, params, x), n by the whole-number rule."""
     p = jacobi_all(n, params, x)[-1]
     return float(p) if p.ndim == 0 else p
 
 
 def jacobi_at_one(n: int, params: JacobiParams) -> float:
-    """Value at x = 1: Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)); inf past a float."""
+    """Value at x = 1: Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)); inf past a float.
+    n by the whole-number rule."""
     n = _whole(n, "degree")
     a = params.alpha
     if n >= _STIRLING_DEGREE:
@@ -136,7 +139,7 @@ def jacobi_at_one(n: int, params: JacobiParams) -> float:
 
 
 def jacobi_normalized(n: int, params: JacobiParams, x):
-    """P_n(x) / P_n(1); bounded by 1 in absolute value on [-1, 1]."""
+    """P_n(x) / P_n(1); bounded by 1 in absolute value on [-1, 1]. n by the whole-number rule."""
     return jacobi_eval(n, params, x) / jacobi_at_one(n, params)
 
 
@@ -144,6 +147,7 @@ def jacobi_norm_constant(j: int, params: JacobiParams) -> float:
     """L2 norm squared of P_j against the weight (1-x)^alpha (1+x)^beta.
 
     2^(a+b+1) / (2j+a+b+1) * Gamma(j+a+1) Gamma(j+b+1) / (j! Gamma(j+a+b+1)); inf past a float.
+    j by the whole-number rule.
     """
     j = _whole(j, "degree")
     a, b = params.alpha, params.beta
@@ -180,7 +184,7 @@ def gauss_jacobi(order: int, params: JacobiParams) -> QuadratureRule:
     x P_{k-1} = (c1/c3) P_k - (c2/c3) P_{k-1} + (c4/c3) P_{k-2}, symmetrized, with row 0
     from P_1. Nodes are its eigenvalues, weights the squared first eigenvector components
     scaled by the total weight mass. A rule of order K integrates polynomials of degree
-    <= 2K-1 exactly against the weight.
+    <= 2K-1 exactly against the weight. order by the whole-number rule, from 1.
     """
     order = _whole(order, "quadrature order", 1)
     a, b = params.alpha, params.beta

@@ -68,11 +68,12 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     spawn_key is () (entropy [5 0 0 0 1 2] and spawn_key () for substream(5, 1, 2), where
     numpy's has 5 and (1, 2)), and its repr names the private subclass _Seeded; a spawned
     child's fields differ the same way. It is the one-stream batch of the builder of every
-    stream simulate_* draws."""
+    stream simulate_* draws. seed and keys by the count rule, with no upper bound."""
     from ._streams import _generators  # numpy.random loads on first use
 
-    data = _words(_count(seed, "seed"), 4 if key else 1)
-    return _generators([data + b"".join([_words(_count(k, "spawn key")) for k in key])])[0]
+    data = _words(_count(seed, "seed", high=None), 4 if key else 1)
+    keys = b"".join([_words(_count(k, "spawn key", high=None)) for k in key])
+    return _generators([data + keys])[0]
 
 
 @dataclass(eq=False)
@@ -128,14 +129,14 @@ def simulate_spatiotemporal(
     and rngs[n] the degree-n substream, keyed (1, n). It returns the
     (trunc + 1, len(times), m) latent table; another shape raises UsageError.
     validate_spatial's checks gate the model; non-finite values raise
-    NumericError. Times must be finite, strictly increasing and in the model's
-    lag domain, so a purely spatial model accepts the time grid [0.0] only.
+    NumericError. times, by the lag-list rule of the model's domain, must increase
+    strictly, so a purely spatial model accepts the time grid [0.0] only; trunc by the
+    whole-number rule, seed by the count rule with no upper bound.
     `points` is a (K, *ambient_shape) array of unit representatives, or a
     sequence of such rows or of make_point results of the space. The series is summed by
     jacobi._jacobi_series, one block of points at a time and degree by degree, so a run
     holds its values and latent table plus one block's Jacobi table, whatever K and trunc,
     and a value's bits do not depend on which other points are simulated with it.
-    Times given as text or bytes (str, bytes, bytearray, a byte memoryview) raise UsageError.
     """
     from ._streams import _generators  # numpy.random loads on first use
 
@@ -151,7 +152,7 @@ def simulate_spatiotemporal(
     space = model.space
     points = point_array(space, points)
     # the seed checked once: substream(seed, *key) is the stream of prefix + key words
-    prefix = _words(_count(seed, "seed"), 4)
+    prefix = _words(_count(seed, "seed", high=None), 4)
     sample_paths = getattr(model.kernel, "sample_paths", None)
     if sample_paths is None:
         raise UsageError(f"unsupported temporal kernel {type(model.kernel).__name__}")

@@ -91,7 +91,9 @@ class Point:
 
 
 def sphere_volume(d: int) -> float:
-    """Surface measure of the unit sphere S^d: 2 pi^((d+1)/2) / Gamma((d+1)/2)."""
+    """Surface measure of the unit sphere S^d: 2 pi^((d+1)/2) / Gamma((d+1)/2); the dimension d
+    by the whole-number rule."""
+    d = _whole(d, "dimension")
     return math.exp(
         math.log(2.0) + 0.5 * (d + 1) * math.log(math.pi) - math.lgamma(0.5 * (d + 1))
     )
@@ -195,7 +197,7 @@ MAX_DIMENSION = 1_000  # larger d overflows volume ratios (projR:2000) or bulk p
 
 def make_space(family: SpaceFamily, d: int) -> SpaceParams:
     """Build the full parameter record for (family, d), d <= MAX_DIMENSION. ParameterError
-    unless family is a SpaceFamily and d a whole number (not a bool)."""
+    unless family is a SpaceFamily; d by the whole-number rule, then the family's own."""
     if not isinstance(family, SpaceFamily):
         raise ParameterError(f"family must be a SpaceFamily, got {family!r}")
     d = _whole(d, "dimension", None)
@@ -231,12 +233,13 @@ def make_space(family: SpaceFamily, d: int) -> SpaceParams:
 
 
 def parse_space(label: str) -> SpaceParams:
-    """Parse a 'family:dimension' designation such as 'sphere:2' or 'projC:4'."""
+    """Parse a 'family:dimension' designation such as 'sphere:2' or 'projC:4'; ParameterError
+    for anything else, text or not."""
     try:
         tag, dim = label.split(":")
         family = _FAMILY_TAGS[tag]
         d = int(dim)
-    except (ValueError, KeyError) as exc:
+    except (AttributeError, TypeError, ValueError, KeyError) as exc:  # not text, or not a label
         raise ParameterError(
             f"bad space designation {label!r}; expected one of "
             f"{sorted(_FAMILY_TAGS)} followed by ':<dimension>'"
@@ -424,7 +427,7 @@ def sample_uniform_batch(space: SpaceParams, k: int, rng: np.random.Generator) -
     Standard Gaussian vectors in the ambient real coordinates, normalized;
     the induced law on the quotient is invariant under the isometry group,
     hence is the unique uniform probability measure. Each complex point
-    draws its real parts, then its imaginary parts.
+    draws its real parts, then its imaginary parts. k by the count rule.
     """
     row = _point_family(space)
     k = _count(k, "point count")
@@ -446,6 +449,7 @@ def a_constant(space: SpaceParams, n: int) -> float:
     """Normalization a_n of the zonal random field at degree n.
 
     a_n^2 * P_n(1) equals the eigenspace dimension; a_0 = 1 exactly; inf past a float.
+    n by the whole-number rule.
     """
     n = _whole(n, "degree")
     if n == 0:
@@ -460,7 +464,8 @@ def a_constant(space: SpaceParams, n: int) -> float:
 
 
 def dim_eigenspace(space: SpaceParams, n: int) -> float:
-    """Dimension of the degree-n Laplace eigenspace (a positive integer); inf past a float."""
+    """Dimension of the degree-n Laplace eigenspace (a positive integer); inf past a float.
+    n by the whole-number rule."""
     n = _whole(n, "degree")
     if n == 0:
         return 1.0
@@ -475,7 +480,8 @@ def dim_eigenspace(space: SpaceParams, n: int) -> float:
 
 
 def laplace_eigenvalue(space: SpaceParams, n: int) -> float:
-    """Laplace-Beltrami eigenvalue -eps*n*(eps*n + alpha + beta + 1), Lie convention."""
+    """Laplace-Beltrami eigenvalue -eps*n*(eps*n + alpha + beta + 1), Lie convention; n by the
+    whole-number rule."""
     n = _whole(n, "degree")
     eps = space.epsilon
     return -eps * n * (eps * n + space.lie.alpha + space.lie.beta + 1.0)

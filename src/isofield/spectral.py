@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (INTEGER_LAGS, REAL_LAGS, ZERO_LAG, DomainError, ModelError, NumericError,
-                     ParameterError, UsageError, _check_m, _in_domain, _lag_list, _require_lag,
-                     _whole)
+                     ParameterError, UsageError, _check_m, _in_domain, _lag_list, _real,
+                     _require_lag, _whole)
 from .jacobi import _jacobi_series, gauss_jacobi, jacobi_all, jacobi_at_one, jacobi_norm_constant
 from .spaces import SpaceParams, a_constant, dim_eigenspace
 
@@ -42,12 +42,15 @@ DEFAULT_PROBE_LAGS = (-2.0, -1.0, 0.0, 1.0, 2.0)  # SeriesModel.validate's grid 
 
 @dataclass(frozen=True)
 class TailEnvelope:
-    """Geometric bound c * r^n on ||B_n|| P_n(1) past the stored degrees."""
+    """Geometric bound c * r^n on ||B_n|| P_n(1) past the stored degrees; c and r by the
+    real-number rule."""
 
     c: float
     r: float
 
     def __post_init__(self):
+        object.__setattr__(self, "c", _real(self.c, "envelope scale", ParameterError))
+        object.__setattr__(self, "r", _real(self.r, "envelope ratio", ParameterError))
         if not (self.c >= 0.0 and math.isfinite(self.c)):
             raise ParameterError(f"envelope scale must be finite and >= 0, got {self.c}")
         if not (0.0 < self.r < 1.0):
@@ -121,22 +124,22 @@ class SeparableScalar:
 
     kind "ar1": r(t) = phi^|t| on integer lags, |phi| < 1.
     kind "exponential": r(t) = exp(-theta |t|) on real lags, theta > 0.
+    param by the real-number rule.
     """
 
     kind: str
     param: float
 
     def __post_init__(self):
-        if self.kind == "ar1":
-            if not (-1.0 < self.param < 1.0):
-                raise ParameterError(f"ar1 coefficient must lie in (-1, 1), got {self.param}")
-        elif self.kind == "exponential":
-            if not (0.0 < self.param < math.inf):
-                raise ParameterError(
-                    f"exponential rate must be positive and finite, got {self.param}"
-                )
-        else:
+        if self.kind not in ("ar1", "exponential"):
             raise ParameterError(f"unknown separable kernel kind {self.kind!r}")
+        ar1 = self.kind == "ar1"
+        param = _real(self.param, "ar1 coefficient" if ar1 else "exponential rate", ParameterError)
+        object.__setattr__(self, "param", param)
+        if ar1 and not -1.0 < param < 1.0:
+            raise ParameterError(f"ar1 coefficient must lie in (-1, 1), got {param}")
+        if not ar1 and not 0.0 < param < math.inf:
+            raise ParameterError(f"exponential rate must be positive and finite, got {param}")
 
     @property
     def domain(self) -> str:
@@ -250,8 +253,8 @@ class SeriesModel:
     `coeffs` is the (N+1, m, m) array of B_n for constant and separable kernels
     and of the innovation covariances Sigma_n for the moving-average kernel.
     The default kernel SPATIAL makes a purely spatial model: the constant B_n,
-    at lag 0 only. A kernel may define check_m(m) to reject parameters of the
-    wrong dimension. A model is a value: frozen, with read-only `coeffs` of its own, so its
+    at lag 0 only. m by the rule of m. A kernel may define check_m(m) to reject parameters
+    of the wrong dimension. A model is a value: frozen, with read-only `coeffs` of its own, so its
     lag-0 analysis and each a_n are computed at most once per object. dataclasses.replace
     builds an edited model; pickle and copy rebuild one through the constructor. == and hash
     are those of the object's identity, as for VectorMA1, Realization and spaces.Point.
@@ -296,13 +299,18 @@ class SeriesModel:
         return self.kernel.domain
 
     def coeff_at(self, n: int | slice, t: float = 0.0) -> np.ndarray:
-        """B_n(t), or the stack of B_n(t) over a slice of degrees. The one lag gate of
-        every kernel: UsageError unless t is a finite lag of the model's domain."""
+        """B_n(t), or the stack of B_n(t) over a slice of degrees (passed through as it is).
+        n by the whole-number rule, UsageError outside the stored range 0..N; t by the lag
+        rule of the model's domain."""
+        if not isinstance(n, slice):
+            n = _whole(n, "degree")
+            if n > self.max_degree:
+                raise UsageError(f"degree {n} outside stored range 0..{self.max_degree}")
         return self.kernel.coeff_at(n, _require_lag(self.domain, t), self.coeffs)
 
     def validate(self, probe_lags=None) -> ValidityReport:
-        """Lag-0 domain: validate_spatial, every probe lag 0; else validate_spatiotemporal.
-        UsageError on every domain for an empty lag list."""
+        """Lag-0 domain: validate_spatial, probe_lags by the lag-list rule of lag 0; else
+        validate_spatiotemporal."""
         if self.domain != ZERO_LAG:
             return validate_spatiotemporal(self, DEFAULT_PROBE_LAGS if probe_lags is None
                                            else probe_lags)
@@ -442,8 +450,8 @@ def validate_spatial(model: SeriesModel) -> ValidityReport:
 def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
     """Validity of a space-time model: the lag-0 report, then probes on a finite lag grid.
 
-    The probe lags must hold 0, be finite lags of the model's domain, and differ by
-    finite amounts. A model that fails the lag-0 analysis (validate_spatial, which
+    The probe lags, by the lag-list rule, must hold 0, be lags of the model's domain, and
+    differ by finite amounts. A model that fails the lag-0 analysis (validate_spatial, which
     gates simulation) gets that report unchanged. Otherwise each degree is probed:
     B_n(-t) must equal B_n(t)^T on the probed lags, and the block matrix
     [B_n(t_i - t_j)] over the grid must be nonnegative definite. Passing all probes
@@ -523,9 +531,12 @@ def eval_cov(model, rho, t=0.0, trunc: int | None = None) -> np.ndarray:
     require_finite), and a sum that is not finite NumericError naming its first
     distance and lag. The terms B_n(t) P_n(cos rho) are added in degree order onto
     zeros (jacobi._jacobi_series), which fixes the output bytes whatever else is asked
-    for. A t of bytes is refused, not read as byte values.
+    for. t by the lag rule, or a sequence by the lag-list rule; trunc by the
+    whole-number rule.
     """
-    lags = [_require_lag(model.domain, t)] if np.ndim(t) == 0 else _lag_list(t, "t", model.domain)
+    # one lag (a number, text, bytes or a 0-d array), or a sequence of them
+    one = isinstance(t, (str, bytes)) or not hasattr(t, "__len__") or getattr(t, "ndim", 1) == 0
+    lags = [_require_lag(model.domain, t)] if one else _lag_list(t, "t", model.domain)
     require_finite(model)
     trunc = _resolve_trunc(model, trunc)
     rho = np.asarray(rho, dtype=float)
@@ -541,13 +552,13 @@ def eval_cov(model, rho, t=0.0, trunc: int | None = None) -> np.ndarray:
         j, k = bad[0]
         raise NumericError(f"the covariance series is not finite at distance "
                            f"{float(flat[j])!r} and lag {float(lags[k])!r}")
-    return out.swapaxes(0, 1).reshape(np.shape(t) + rho.shape + (model.m, model.m))
+    return out.swapaxes(0, 1).reshape((() if one else (len(lags),)) + rho.shape + (model.m,) * 2)
 
 
 def truncation_bound(model, N: int) -> float:
-    """Upper bound sum_{n > N} ||B_n(0)|| P_n(1) on the discarded tail; N may exceed
-    the stored degrees. A divergent series raises ModelError (see require_finite), and a
-    bound that is not finite NumericError."""
+    """Upper bound sum_{n > N} ||B_n(0)|| P_n(1) on the discarded tail; N, by the
+    whole-number rule, may exceed the stored degrees. A divergent series raises ModelError
+    (see require_finite), and a bound that is not finite NumericError."""
     require_finite(model)
     N = _whole(N, "truncation degree")
     b0s = model.coeff_at(slice(N + 1, None), 0.0)
@@ -560,16 +571,15 @@ def truncation_bound(model, N: int) -> float:
 
 
 def angular_power_spectrum(model: SeriesModel, n: int) -> np.ndarray:
-    """Per-eigenspace normalization B_n(0) / dim H_n, for any kernel. A divergent
-    series raises ModelError (see require_finite), a dim H_n past a float NumericError."""
+    """Per-eigenspace normalization B_n(0) / dim H_n, for any kernel, n as coeff_at reads it.
+    A divergent series raises ModelError (see require_finite), a dim H_n past a float
+    NumericError."""
     require_finite(model)
-    n = _whole(n, "degree")
-    if n > model.max_degree:
-        raise UsageError(f"degree {n} outside stored range 0..{model.max_degree}")
+    b0 = model.coeff_at(n, 0.0)  # the whole-number rule and the stored range
     dim = dim_eigenspace(model.space, n)
     if dim == math.inf:
         raise NumericError(f"degree {n}: the eigenspace dimension of {model.space} overflows")
-    return model.coeff_at(n, 0.0) / dim
+    return b0 / dim
 
 
 def recover_coefficients(
@@ -580,8 +590,8 @@ def recover_coefficients(
     B_n is the weighted Gauss-Jacobi quadrature of cov(arccos x) P_n(x)
     divided by the norm constant of P_n; exact for covariances that are
     degree <= N expansions when order >= N + 1. Output matrices are
-    symmetrized. ParameterError unless m is a positive integer and N and order are whole
-    numbers (not bools).
+    symmetrized. m by the rule of m, N and order by the whole-number rule, all before cov
+    is called.
     """
     m = _check_m(m)
     N = _whole(N, "max degree")

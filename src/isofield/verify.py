@@ -33,8 +33,9 @@ Z_THRESHOLD = 5.0
 
 
 def replicate_seeds(master_seed: int, count: int) -> list[int]:
-    """Deterministic per-replicate seeds derived from one master seed."""
-    seq = np.random.SeedSequence(_count(master_seed, "master seed"))
+    """Deterministic per-replicate seeds derived from one master seed; both by the count rule,
+    the master seed with no upper bound."""
+    seq = np.random.SeedSequence(_count(master_seed, "master seed", high=None))
     state = seq.generate_state(_count(count, "replicate count"), np.uint64)
     return [int(s) for s in state]
 
@@ -84,7 +85,7 @@ def _uniform_cosines(space: SpaceParams, x1, x2, replicates, seed: int):
     """cos rho(x1, x2), then cos rho(x1, U) and cos rho(x2, U) over uniform U drawn
     from the seed; x1 and x2 are unit representatives or make_point results."""
     x1, x2 = point_array(space, [x1, x2])
-    reps = sample_uniform_batch(space, _count(replicates, "replicates", 2), substream(seed))
+    reps = sample_uniform_batch(space, replicates, substream(seed))
     c12 = float(cos_distance_batch(space, x2, x1[None])[0])
     return c12, cos_distance_batch(space, x1, reps), cos_distance_batch(space, x2, reps)
 
@@ -102,8 +103,11 @@ def mc_funk_hecke(
 
     Target: delta_ij * omega_d / a_i^2 * P_i(cos rho(x1, x2)); the
     integral of P_i(cos rho(x1, .)) P_j(cos rho(x2, .)) vanishes for
-    distinct degrees.
+    distinct degrees. i and j by the whole-number rule, replicates by the count rule from 2,
+    as in mc_zonal_covariance and mc_recover_vn; seeds as substream reads them.
     """
+    i, j = _whole(i, "degree"), _whole(j, "degree")
+    replicates = _count(replicates, "replicates", 2)
     c12, c1, c2 = _uniform_cosines(space, x1, x2, replicates, seed)
     samples = space.volume * jacobi_eval(i, space.geom, c1) * jacobi_eval(j, space.geom, c2)
     value, se = _mean_se(samples)
@@ -135,11 +139,12 @@ def mc_zonal_covariance(
     """Simulate Z_n(x) = a_n P_n(cos rho(x, U)) and check its moments.
 
     The mean targets 0, the covariance targets P_n(cos rho(x1, x2)), and
-    the covariance of degree n at x1 with degree n + 1 at x2 targets 0.
+    the covariance of degree n at x1 with degree n + 1 at x2 targets 0. n from 1.
     """
     n = _whole(n, "degree")
     if n < 1:
         raise UsageError("the zonal field check needs degree n >= 1")
+    replicates = _count(replicates, "replicates", 2)
     k = n + 1
     c12, c1, c2 = _uniform_cosines(space, x1, x2, replicates, seed)
     p = jacobi_all(k, space.geom, np.stack([c1, c2]))
@@ -165,8 +170,8 @@ def empirical_cov(
     Valid time offsets within each replicate are averaged first (variance
     reduction only); the standard error comes from the replicate count.
     The target is the model covariance at the realizations' truncation.
-    point_pair holds two integer indices into the shared points (not bools), and lag
-    is a real number (not text).
+    point_pair holds two indices into the shared points, by the count rule, and lag is
+    read by the lag rule of the real line, then must be realizable on the time grid.
     """
     if len(realizations) < 2:
         raise UsageError("at least 2 realizations are required")
@@ -234,6 +239,7 @@ def mc_recover_vn(
     """
     if realization.latent_u is None or realization.latent_v is None:
         raise UsageError("realization lacks latent data; cannot recover coefficients")
+    n = _whole(n, "degree")
     replicates = _count(replicates_for_integral, "replicates_for_integral", 2)
     space = realization.space
     reps = sample_uniform_batch(space, replicates, substream(seed))
