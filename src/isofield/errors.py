@@ -111,7 +111,7 @@ def _require_lag(domain: str, t, noun: str = "lag") -> float:
     t = _real(t, "lag")
     if not math.isfinite(t):
         raise UsageError(f"{noun} {t} is not finite")
-    return t if domain == REAL_LAGS else _in_domain(domain, t)
+    return _in_domain(domain, t)
 
 
 def _in_domain(domain: str, t: float) -> float:

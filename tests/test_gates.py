@@ -196,7 +196,7 @@ def _outcome(call, value):
         warnings.simplefilter("always")
         try:
             outcome = ("ok", call(value))
-        except Exception as exc:  # noqa: BLE001 - every exception is judged below
+        except Exception as exc:  # every exception is judged by run_table
             outcome = ("error", exc)
     return outcome, [str(w.message) for w in caught]
 
