@@ -52,6 +52,27 @@ _INTS = (int, np.integer)  # and not bool, which Python counts as an int
 _FLOAT_MAX = int(sys.float_info.max)
 _WHOLE_NEEDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
 
+# The size cap: the 8-byte words (1 GiB) that a degree, quadrature order or count may ask one
+# public call to hold in its largest array or table
+MAX_SIZE = 1 << 27
+
+
+def _sized(words: int, name: str) -> None:
+    """The size cap: UsageError naming the argument when the array or table it sizes would
+    hold more than MAX_SIZE words; checked where the argument enters, before it is built."""
+    if words > MAX_SIZE:
+        raise UsageError(f"{name} must be smaller: the call would hold more than the size cap "
+                         f"of {MAX_SIZE} values")
+
+
+def _shown(value, form=str) -> str:
+    """form(value) for a message; Python prints no int past 4,300 digits, so such a value,
+    or a tuple holding one, reads as its type."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
 
 def _whole(value, name: str, low: int | None = 0) -> int:
     """The whole-number rule (degrees, truncations, quadrature orders, dimensions): value as an
@@ -76,7 +97,7 @@ def _count(value, name: str, low: int = 0, high: int | None = sys.maxsize) -> in
         raise UsageError(f"{name} must be at most {high}")
     if not ok or value < low:
         need = "a non-negative integer" if low == 0 else f"an integer of at least {low}"
-        raise UsageError(f"{name} {value} must be {need}")
+        raise UsageError(f"{name} {_shown(value)} must be {need}")
     return int(value)
 
 
@@ -84,7 +105,8 @@ def _check_m(m) -> int:
     """The rule of m: m as an int. ParameterError unless it is an int or numpy integer (not a
     bool or a float) from 1 to sys.maxsize."""
     if not isinstance(m, _INTS) or isinstance(m, bool) or not 1 <= m <= sys.maxsize:
-        raise ParameterError(f"m must be a positive integer up to sys.maxsize, got {m!r}")
+        raise ParameterError(f"m must be a positive integer up to sys.maxsize, got "
+                             f"{_shown(m, repr)}")
     return int(m)
 
 
@@ -93,6 +115,8 @@ def _real(value, name: str, error: type = UsageError) -> float:
     unless it defines __float__ or __index__, is no array of one or more dimensions, has no
     dtype or a boolean, integer or floating one, and fits in a float. float() reads str, every
     other bytes-like object and numpy text as text, which is not a real number."""
+    if type(value) is float:  # the common case, already what the rule returns
+        return value
     try:
         kind = np.dtype(getattr(value, "dtype", float)).kind
         if (kind not in "biuf" or getattr(value, "ndim", 0)
@@ -102,7 +126,7 @@ def _real(value, name: str, error: type = UsageError) -> float:
     except OverflowError:
         raise error(f"{name} must fit in a float") from None
     except (TypeError, ValueError):
-        raise error(f"{name} {value!r} must be a real number") from None
+        raise error(f"{name} {_shown(value, repr)} must be a real number") from None
 
 
 def _require_lag(domain: str, t, noun: str = "lag") -> float:

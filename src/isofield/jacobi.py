@@ -16,13 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParameterError, _real, _whole
+from .errors import DomainError, NumericError, ParameterError, _real, _sized, _whole
 
 # Arguments may exceed [-1, 1] by rounding of cosine distances; clip inside
 # this band, reject beyond it.
 X_CLAMP_TOL = 1e-12
 _SERIES_BLOCK = 1 << 12  # abscissae per Jacobi table of _jacobi_series
 _STIRLING_DEGREE = 10**5  # from this degree on, Gamma ratios come from _log_gamma_ratio
+_STEP_WORDS = 22  # 8-byte words one cached _recurrence step holds: four floats, their tuple
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,13 @@ def jacobi_all(N: int, params: JacobiParams, x) -> np.ndarray:
     """Every degree 0..N of the Jacobi polynomial at x, shape (N+1, *x.shape).
 
     One pass of the three-term recurrence ascending in degree; row n is
-    P_n(x). N by the whole-number rule. Inputs within 1e-12 of the interval are
-    clamped; anything farther out, or NaN, raises DomainError.
+    P_n(x). N by the whole-number rule, and by the size cap on its N + 1 rows of the table
+    and of the recurrence. Inputs within 1e-12 of the interval are clamped; anything farther
+    out, or NaN, raises DomainError.
     """
     N = _whole(N, "degree")
     x = np.asarray(x, dtype=float)
+    _sized((N + 1) * (x.size + _STEP_WORDS), "degree")
     # one reduction; NaN fails the comparison and is rejected too
     if not (np.abs(x) <= 1.0 + X_CLAMP_TOL).all():
         raise DomainError("argument is NaN or outside [-1, 1] beyond clamp tolerance")
@@ -99,6 +102,9 @@ def _jacobi_series(N: int, params: JacobiParams, x: np.ndarray, coeffs) -> np.nd
     + 0.0 gives the +0.0 that a sum from zeros gives when every term is -0.0."""
     terms = np.asarray(coeffs, dtype=float).reshape(N + 1, -1)  # (degrees, values per abscissa)
     out = np.empty((x.size, terms.shape[1]))
+    if x.ndim and 1 < out.size and x.size <= _SERIES_BLOCK:  # one block: its table, one einsum
+        np.einsum("np,nk->pk", _jacobi_table(N, params, x), terms, out=out)
+        return out.reshape(x.shape + np.shape(coeffs)[1:])
     for k in range(0, x.size, _SERIES_BLOCK):
         rows = out[k:k + _SERIES_BLOCK]
         table = _jacobi_table(N, params, x[k:k + _SERIES_BLOCK] if x.ndim else x[()])
@@ -184,9 +190,11 @@ def gauss_jacobi(order: int, params: JacobiParams) -> QuadratureRule:
     x P_{k-1} = (c1/c3) P_k - (c2/c3) P_{k-1} + (c4/c3) P_{k-2}, symmetrized, with row 0
     from P_1. Nodes are its eigenvalues, weights the squared first eigenvector components
     scaled by the total weight mass. A rule of order K integrates polynomials of degree
-    <= 2K-1 exactly against the weight. order by the whole-number rule, from 1.
+    <= 2K-1 exactly against the weight. order by the whole-number rule, from 1, and by the
+    size cap on its order x order matrix and its recurrence.
     """
     order = _whole(order, "quadrature order", 1)
+    _sized(order * (order + _STEP_WORDS), "quadrature order")
     a, b = params.alpha, params.beta
     c1, c2, c3, c4 = np.reshape(_recurrence(order, a, b), (-1, 4)).T  # steps k = 2..order
     diag = np.concatenate(([(b - a) / (a + b + 2.0)], -c2 / c3))

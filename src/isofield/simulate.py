@@ -41,14 +41,8 @@ import numpy as np
 from . import __version__, modelio
 from .errors import ZERO_LAG, ModelError, NumericError, UsageError, _count, _lag_list
 from .jacobi import _jacobi_series
-from .spaces import (
-    SpaceParams,
-    cos_distance_batch,
-    point_array,
-    points_sha256,
-    points_to_reals,
-    sample_uniform_batch,
-)
+from .spaces import (SpaceParams, _cos, _point_family, _points, _sample, points_sha256,
+                     points_to_reals)
 from .spectral import SeriesModel, _resolve_trunc, truncation_bound
 
 _WRITE_CHUNK = 1 << 14  # values per write of _write_rows (whole leads, at least one)
@@ -57,6 +51,14 @@ _WRITE_CHUNK = 1 << 14  # values per write of _write_rows (whole leads, at least
 def _words(n: int, count: int = 1) -> bytes:
     """n as little-endian 32-bit words, at least count of them."""
     return n.to_bytes(4 * max(n.bit_length() + 31 >> 5, count), "little")
+
+
+def _generators(datas) -> list:
+    """_streams._generators, which replaces this name on first use: numpy.random loads then."""
+    global _generators
+    from ._streams import _generators
+
+    return _generators(datas)
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -69,8 +71,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     numpy's has 5 and (1, 2)), and its repr names the private subclass _Seeded; a spawned
     child's fields differ the same way. It is the one-stream batch of the builder of every
     stream simulate_* draws. seed and keys by the count rule, with no upper bound."""
-    from ._streams import _generators  # numpy.random loads on first use
-
     data = _words(_count(seed, "seed", high=None), 4 if key else 1)
     keys = b"".join([_words(_count(k, "spawn key", high=None)) for k in key])
     return _generators([data + keys])[0]
@@ -138,19 +138,19 @@ def simulate_spatiotemporal(
     holds its values and latent table plus one block's Jacobi table, whatever K and trunc,
     and a value's bits do not depend on which other points are simulated with it.
     """
-    from ._streams import _generators  # numpy.random loads on first use
-
-    times = _lag_list(times, "times", model.domain)
+    domain = model.domain
+    times = _lag_list(times, "times", domain)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise UsageError("times must be strictly increasing")
-    if model.domain == ZERO_LAG:
+    if domain == ZERO_LAG:
         times = [0.0]  # also for -0.0, so the output reads 0.0
     report, roots = model._lag0
     if not report.valid:
         raise ModelError(f"cannot simulate from an invalid model: {report.summary()}")
     trunc = _resolve_trunc(model, trunc)
     space = model.space
-    points = point_array(space, points)
+    row = _point_family(space)  # the family row, looked up once for the point set, U and rho
+    points = _points(space, row, points)
     # the seed checked once: substream(seed, *key) is the stream of prefix + key words
     prefix = _words(_count(seed, "seed", high=None), 4)
     sample_paths = getattr(model.kernel, "sample_paths", None)
@@ -158,13 +158,13 @@ def simulate_spatiotemporal(
         raise UsageError(f"unsupported temporal kernel {type(model.kernel).__name__}")
     head = prefix + _words(1)  # U's stream is keyed (0,), degree n's (1, n): one batch
     rng_u, *rngs = _generators([prefix + _words(0)] + [head + _words(n) for n in range(trunc + 1)])
-    u = sample_uniform_batch(space, 1, rng_u)[0]
+    u = _sample(row, space.d, 1, rng_u)[0]
     latent_v = sample_paths(roots[:trunc + 1], model._an[:trunc + 1], times, rngs)
     shape = (trunc + 1, len(times), model.m)
     if np.shape(latent_v) != shape:
         raise UsageError(f"{type(model.kernel).__name__}.sample_paths returned shape "
                          f"{np.shape(latent_v)}, expected {shape}")
-    values = _jacobi_series(trunc, space.geom, cos_distance_batch(space, u, points), latent_v)
+    values = _jacobi_series(trunc, space.geom, _cos(row, u, points), latent_v)
     if not np.isfinite(values).all():
         raise NumericError("the series produced non-finite field values")
     return Realization(

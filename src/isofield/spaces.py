@@ -35,7 +35,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GeometryError, ParameterError, UsageError, _count, _whole
+from .errors import (GeometryError, ParameterError, UsageError, _count, _shown, _sized,
+                     _whole)
 from .jacobi import _STIRLING_DEGREE, JacobiParams, _exp, _log_gamma_ratio
 
 
@@ -241,7 +242,7 @@ def parse_space(label: str) -> SpaceParams:
         d = int(dim)
     except (AttributeError, TypeError, ValueError, KeyError) as exc:  # not text, or not a label
         raise ParameterError(
-            f"bad space designation {label!r}; expected one of "
+            f"bad space designation {_shown(label, repr)}; expected one of "
             f"{sorted(_FAMILY_TAGS)} followed by ':<dimension>'"
         ) from exc
     return make_space(family, d)
@@ -333,8 +334,11 @@ def point_array(space: SpaceParams, points) -> np.ndarray:
     or of make_point results of this space, stacked once. This is where points
     from outside the library are checked.
     """
-    row = _point_family(space)  # GeometryError first for a space without points
-    shape = row.ambient(space.d)
+    return _points(space, _point_family(space), points)  # GeometryError first, without points
+
+
+def _points(space: SpaceParams, row: _Family, points) -> np.ndarray:
+    """point_array for the family row of the space."""
     if not isinstance(points, np.ndarray):
         rows = []
         for p in points:
@@ -344,9 +348,10 @@ def point_array(space: SpaceParams, points) -> np.ndarray:
                 p = p.coords
             rows.append(p)
         try:
-            points = np.array(rows) if rows else np.empty((0, *shape))
+            points = np.array(rows) if rows else np.empty((0, *row.ambient(space.d)))
         except ValueError:  # rows of differing shapes
-            raise UsageError(f"points of {space.label} must all have shape {shape}") from None
+            raise UsageError(f"points of {space.label} must all have shape "
+                             f"{row.ambient(space.d)}") from None
     reps = _stack(space, points, row)
     unit = np.abs(_norms(reps).ravel() - 1.0) <= _DOT_CLAMP_TOL
     if not unit.all():
@@ -371,14 +376,13 @@ def points_sha256(reps: np.ndarray) -> str:
 def points_from_reals(space: SpaceParams, reals) -> np.ndarray:
     """Stacked representatives (not normalized) from points_to_reals rows."""
     row = _point_family(space)
-    shape = row.ambient(space.d)
     reals = np.ascontiguousarray(reals, dtype=float)
-    width = math.prod(shape) * (2 if row.dtype is complex else 1)
+    width = _width(row, space.d)
     if reals.ndim != 2 or reals.shape[1] != width:
         raise UsageError(
             f"{space.label} points need {width} reals per row, got rows of shape {reals.shape[1:]}"
         )
-    return reals.view(row.dtype).reshape(len(reals), *shape)
+    return reals.view(row.dtype).reshape(len(reals), *row.ambient(space.d))
 
 
 def make_point(space: SpaceParams, coords) -> Point:
@@ -400,8 +404,12 @@ def cos_distance_batch(space: SpaceParams, x: np.ndarray, reps: np.ndarray) -> n
     """cos rho(rep, x), in [-1, 1], for each of a stacked batch of unit representatives
     and one unit representative x: t on spheres, cos(2 arccos t) = 2t^2 - 1 on
     projective spaces, t clamped to [-1, 1] or [0, 1]."""
-    row = _point_family(space)
-    t = _inner(row, np.asarray(reps), x)
+    return _cos(_point_family(space), x, np.asarray(reps))
+
+
+def _cos(row: _Family, x: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """cos_distance_batch for the family row of the space and an array reps."""
+    t = _inner(row, reps, x)
     return 2.0 * t * t - 1.0 if row.projective else t
 
 
@@ -414,8 +422,8 @@ def distance(space: SpaceParams, x, y) -> float:
     antipodal manifold exactly at distance pi. Taken from the inner
     product, not from arccos of cos_distance_batch, which loses precision near 0.
     """
-    x, y = point_array(space, [x, y])
     row = _point_family(space)
+    x, y = _points(space, row, [x, y])
     t = _inner(row, x[None], y)[0]
     return float(2.0 * np.arccos(t) if row.projective else np.arccos(t))
 
@@ -427,17 +435,29 @@ def sample_uniform_batch(space: SpaceParams, k: int, rng: np.random.Generator) -
     Standard Gaussian vectors in the ambient real coordinates, normalized;
     the induced law on the quotient is invariant under the isometry group,
     hence is the unique uniform probability measure. Each complex point
-    draws its real parts, then its imaginary parts. k by the count rule.
+    draws its real parts, then its imaginary parts. k by the count rule, then by the size cap
+    on the reals of k points.
     """
     row = _point_family(space)
     k = _count(k, "point count")
-    shape = row.ambient(space.d)
+    _sized(k * _width(row, space.d), "point count")
+    return _sample(row, space.d, k, rng)
+
+
+def _sample(row: _Family, d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """sample_uniform_batch for the family row of a space of dimension d and a checked k."""
+    shape = row.ambient(d)
     if row.dtype is complex:
         g = rng.standard_normal((k, 2, *shape))
         g = g[:, 0] + 1j * g[:, 1]
     else:
         g = rng.standard_normal((k, *shape))
     return g / _raw_norms(g)  # Gaussian draws cannot overflow
+
+
+def _width(row: _Family, d: int) -> int:
+    """The reals of one point of the family row's space of dimension d."""
+    return math.prod(row.ambient(d)) * (2 if row.dtype is complex else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ import numpy as np
 
 from .errors import (INTEGER_LAGS, REAL_LAGS, ZERO_LAG, DomainError, ModelError, NumericError,
                      ParameterError, UsageError, _check_m, _in_domain, _lag_list, _real,
-                     _require_lag, _whole)
-from .jacobi import _jacobi_series, gauss_jacobi, jacobi_all, jacobi_at_one, jacobi_norm_constant
+                     _require_lag, _sized, _whole)
+from .jacobi import (_STEP_WORDS, _jacobi_series, gauss_jacobi, jacobi_all, jacobi_at_one,
+                     jacobi_norm_constant)
 from .spaces import SpaceParams, a_constant, dim_eigenspace
 
 # Relative floors for symmetry / nonnegative-definiteness under rounding.
@@ -218,7 +219,8 @@ class VectorMA1:
     def sample_paths(self, roots, an, times, rngs):
         """Innovations root @ z at every needed integer time, then the MA(1) sum: t - 1 is
         needed unless it is the time before, so e(t) is the count-th innovation so far.
-        The index is found once per call. Degrees are drawn a block at a time, of at most
+        The index is found once per call; on consecutive times it is every innovation, and
+        e(t - 1) and e(t) are read as views. Degrees are drawn a block at a time, of at most
         _PATH_BLOCK innovation values or one degree, so the temporaries stay small beside
         the paths."""
         at, count, last = [], 0, None
@@ -226,7 +228,11 @@ class VectorMA1:
             count += 1 if t - 1 == last else 2
             at.append(count - 1)
             last = t
-        at = np.array(at)
+        if count == len(at) + 1:  # no time skipped: e(t - 1) and e(t) as views
+            prev, now = slice(None, -1), slice(1, None)
+        else:
+            now = np.array(at)
+            prev = now - 1
         m = roots.shape[-1]
         paths = np.empty((len(roots), len(times), m))
         step = max(1, _PATH_BLOCK // (count * m))
@@ -234,8 +240,8 @@ class VectorMA1:
             block = slice(k, k + step)
             # stacked matrix-vector products round as one root @ z_s per time; z @ root.T does not
             eps = np.matmul(roots[block, None], _normals(rngs[block], count, m)[..., None])
-            mixed = np.matmul(self.phi, eps[:, at - 1])
-            mixed += eps[:, at]
+            mixed = np.matmul(self.phi, eps[:, prev])
+            mixed += eps[:, now]
             np.multiply(an[block, None, None], mixed[..., 0], out=paths[block])
         return paths
 
@@ -590,14 +596,16 @@ def recover_coefficients(
     B_n is the weighted Gauss-Jacobi quadrature of cov(arccos x) P_n(x)
     divided by the norm constant of P_n; exact for covariances that are
     degree <= N expansions when order >= N + 1. Output matrices are
-    symmetrized. m by the rule of m, N and order by the whole-number rule, all before cov
-    is called.
+    symmetrized. m by the rule of m, N and order by the whole-number rule, then order and m
+    by the size cap on the quadrature rule's matrix and the (order, m, m) covariance table,
+    all before cov is called.
     """
     m = _check_m(m)
     N = _whole(N, "max degree")
     order = _whole(order, "quadrature order")
     if order < N + 1:
         raise UsageError(f"quadrature order {order} is too small for max degree {N}")
+    _sized(order * max(order + _STEP_WORDS, m * m), "quadrature order and m")
     rule = gauss_jacobi(order, space.geom)
     cov_values = np.empty((order, m, m))
     for k, x in enumerate(rule.nodes):

@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import REAL_LAGS, UsageError, _count, _require_lag, _whole
-from .jacobi import _jacobi_series, jacobi_all, jacobi_at_one, jacobi_eval
+from .errors import REAL_LAGS, UsageError, _count, _require_lag, _shown, _sized, _whole
+from .jacobi import _STEP_WORDS, _jacobi_series, jacobi_all, jacobi_at_one, jacobi_eval
 from .simulate import Realization, substream
 from .spaces import (
     SpaceParams,
+    _point_family,
+    _width,
     a_constant,
     cos_distance_batch,
     dim_eigenspace,
@@ -34,10 +36,11 @@ Z_THRESHOLD = 5.0
 
 def replicate_seeds(master_seed: int, count: int) -> list[int]:
     """Deterministic per-replicate seeds derived from one master seed; both by the count rule,
-    the master seed with no upper bound."""
+    the master seed with no upper bound, the count within the size cap."""
     seq = np.random.SeedSequence(_count(master_seed, "master seed", high=None))
-    state = seq.generate_state(_count(count, "replicate count"), np.uint64)
-    return [int(s) for s in state]
+    count = _count(count, "replicate count")
+    _sized(7 * count, "replicate count")  # a seed's uint64, then its Python int and list slot
+    return [int(s) for s in seq.generate_state(count, np.uint64)]
 
 
 def _z_score(value, std_error, target) -> float:
@@ -81,6 +84,16 @@ def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, se
 
 
+def _replicates(space: SpaceParams, replicates, name: str, degree: int, abscissae: int = 1) -> int:
+    """replicates by the count rule from 2, then by the size cap on their uniform points of the
+    space (named by name) and on the Jacobi table of degree + 1 rows of abscissae values per
+    replicate (named degree)."""
+    replicates = _count(replicates, name, 2)
+    _sized(replicates * _width(_point_family(space), space.d), name)
+    _sized((degree + 1) * (abscissae * replicates + _STEP_WORDS), "degree")
+    return replicates
+
+
 def _uniform_cosines(space: SpaceParams, x1, x2, replicates, seed: int):
     """cos rho(x1, x2), then cos rho(x1, U) and cos rho(x2, U) over uniform U drawn
     from the seed; x1 and x2 are unit representatives or make_point results."""
@@ -104,10 +117,11 @@ def mc_funk_hecke(
     Target: delta_ij * omega_d / a_i^2 * P_i(cos rho(x1, x2)); the
     integral of P_i(cos rho(x1, .)) P_j(cos rho(x2, .)) vanishes for
     distinct degrees. i and j by the whole-number rule, replicates by the count rule from 2,
-    as in mc_zonal_covariance and mc_recover_vn; seeds as substream reads them.
+    then both by the size cap (_replicates), as in mc_zonal_covariance and mc_recover_vn;
+    seeds as substream reads them.
     """
     i, j = _whole(i, "degree"), _whole(j, "degree")
-    replicates = _count(replicates, "replicates", 2)
+    replicates = _replicates(space, replicates, "replicates", max(i, j))
     c12, c1, c2 = _uniform_cosines(space, x1, x2, replicates, seed)
     samples = space.volume * jacobi_eval(i, space.geom, c1) * jacobi_eval(j, space.geom, c2)
     value, se = _mean_se(samples)
@@ -144,8 +158,8 @@ def mc_zonal_covariance(
     n = _whole(n, "degree")
     if n < 1:
         raise UsageError("the zonal field check needs degree n >= 1")
-    replicates = _count(replicates, "replicates", 2)
     k = n + 1
+    replicates = _replicates(space, replicates, "replicates", k, 2)
     c12, c1, c2 = _uniform_cosines(space, x1, x2, replicates, seed)
     p = jacobi_all(k, space.geom, np.stack([c1, c2]))
     z1 = a_constant(space, n) * p[n, 0]
@@ -178,31 +192,29 @@ def empirical_cov(
     first = realizations[0]
     if first.model is None:
         raise UsageError("realizations must carry their model to locate the target")
-    seeds = {r.seed for r in realizations}
-    if len(seeds) != len(realizations):
+    # every realization's fields, read in one pass
+    seeds, point_sets, value_sets, models, grids, truncs = zip(
+        *[(r.seed, r.points, r.values, r.model, r.times, r.trunc) for r in realizations])
+    if len(set(seeds)) != len(realizations):
         raise UsageError("realizations must have distinct seeds")
     space, points = first.space, first.points
     # np.array_equal with the first's points, on stacks no larger than `values` below
     step = max(1, len(realizations) * first.values.nbytes // max(points.nbytes, 1))
-    shared = all(r.points.shape == points.shape for r in realizations) and all(
-        (np.stack([r.points for r in realizations[k : k + step]]) == points).all()
+    shared = [p.shape for p in point_sets].count(points.shape) == len(realizations) and all(
+        (np.array(point_sets[k : k + step]) == points).all()
         for k in range(0, len(realizations), step)
     )
-    if not shared or any(
-        (r.model is not first.model and r.model_hash != first.model_hash)
-        or r.times != first.times
-        or r.trunc != first.trunc
-        for r in realizations[1:]
-    ):
+    if not (shared and all(r.model_hash == first.model_hash
+                           for r, model in zip(realizations, models) if model is not first.model)
+            and grids.count(first.times) == truncs.count(first.trunc) == len(realizations)):
         raise UsageError("realizations must share model, points, times, and truncation")
     try:
         a, b = (_count(i, "point index") for i in point_pair)
     except (TypeError, ValueError):  # UsageError is a ValueError
         a = b = len(points)
     if max(a, b) >= len(points):
-        raise UsageError(
-            f"point pair {point_pair!r} must be two integer indices in 0..{len(points) - 1}"
-        )
+        raise UsageError(f"point pair {_shown(point_pair, repr)} must be two integer indices in "
+                         f"0..{len(points) - 1}")
     lag = _require_lag(REAL_LAGS, lag)  # realizable on the grid is checked below
     times = np.asarray(first.times)
     pairs = [
@@ -213,7 +225,7 @@ def empirical_cov(
     ]
     if not pairs:
         raise UsageError(f"lag {lag} is not realizable on the time grid {first.times}")
-    values = np.stack([r.values for r in realizations])  # (R, P, T, m)
+    values = np.array(value_sets)  # (R, P, T, m)
     per_rep = np.mean(
         [values[:, a, i, :, None] * values[:, b, j, None, :] for i, j in pairs], axis=0
     )
@@ -240,8 +252,10 @@ def mc_recover_vn(
     if realization.latent_u is None or realization.latent_v is None:
         raise UsageError("realization lacks latent data; cannot recover coefficients")
     n = _whole(n, "degree")
-    replicates = _count(replicates_for_integral, "replicates_for_integral", 2)
     space = realization.space
+    replicates = _replicates(space, replicates_for_integral, "replicates_for_integral", n)
+    # the field at the fresh abscissae, and its samples: an (R, times, m) table each
+    _sized(replicates * realization.latent_v[0].size, "replicates_for_integral")
     reps = sample_uniform_batch(space, replicates, substream(seed))
     c = cos_distance_batch(space, realization.latent_u, reps)
     # Field values at the fresh abscissae, rebuilt from the latent draws.

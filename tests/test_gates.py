@@ -28,11 +28,12 @@ import numpy as np
 ADDRESS_SPACE = 3 * 2**30
 
 # the hostile values: bools, 2.0, 2.5, +-1, +-10**400, nan, inf, "2", b"2", None, 1+0j,
-# numpy scalars, 0-d, 1-d and object arrays
+# numpy scalars, 0-d, 1-d and object arrays; 2**62, past any array numpy can allocate, and
+# +-10**5000, past the 4,300 digits Python prints
 HOSTILE = [True, False, np.True_, 2.0, 2.5, 1, -1, 10**400, -10**400, math.nan, math.inf,
            -math.inf, "2", b"2", None, 1 + 0j, np.int64(2), np.float64(2.0), np.float64(2.5),
            np.array(2), np.array(2.5), np.array([2]), np.array(2, dtype=object),
-           np.array([2], dtype=object)]
+           np.array([2], dtype=object), 2**62, 10**5000, -10**5000]
 
 
 # arguments whose documented default is None, which they therefore accept
@@ -201,6 +202,13 @@ def _outcome(call, value):
     return outcome, [str(w.message) for w in caught]
 
 
+def show(value) -> str:
+    """value for a failure line, an int too long to print by its size."""
+    if isinstance(value, int) and value.bit_length() > 1000:
+        return f"<{'-' if value < 0 else ''}int of {value.bit_length()} bits>"
+    return f"{value!r:.40}"
+
+
 def run_table() -> list[str]:
     """One line per call of the table that neither matches its twin nor names its argument."""
     from isofield import IsoFieldError
@@ -210,7 +218,7 @@ def run_table() -> list[str]:
         for value in HOSTILE:
             if value is None and label in NONE_IS_DEFAULT:
                 continue
-            where = f"{label} = {value!r:.40}"
+            where = f"{label} = {show(value)}"
             (kind, got), warned = _outcome(call, value)
             if warned:
                 failures.append(f"{where}: warned {warned[0]!r:.200}")
@@ -225,7 +233,7 @@ def run_table() -> list[str]:
             else:
                 (twin_kind, want), _ = _outcome(call, twin(value))
                 if twin_kind != "ok" or not same(got, want):
-                    failures.append(f"{where}: its twin {twin(value)!r:.40} gave "
+                    failures.append(f"{where}: its twin {show(twin(value))} gave "
                                     f"{'a different result' if twin_kind == 'ok' else want!r}")
     return failures
 

@@ -1043,8 +1043,11 @@ PIN_KERNELS = {"spatial": SPATIAL, "pure_spatial": PureSpatial(),
                "ma1": VectorMA1([[0.3, -0.2], [0.1, 0.4]])}
 
 
-# irregular grids per lag domain: integer and fractional gaps, negative times, one time
-ORACLE_GRIDS = {"zero": [[0.0]], "integers": [[-3.0, -1.0, 0.0, 4.0, 5.0], [7.0]],
+# grids per lag domain: integer and fractional gaps, negative times, one time, and unit steps
+# (VectorMA1 reads consecutive innovations as views)
+ORACLE_GRIDS = {"zero": [[0.0]],
+                "integers": [[-3.0, -1.0, 0.0, 4.0, 5.0], [7.0], [0.0, 1.0, 2.0],
+                             [float(t) for t in range(-4, 12)]],
                 "reals": [[-2.5, -1.0, 0.0, 0.75, 4.0, 4.5], [-0.5]]}
 
 
