@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .errors import DomainError, NumericError, ParameterError, _real, _sized, _w
 X_CLAMP_TOL = 1e-12
 _SERIES_BLOCK = 1 << 12  # abscissae per Jacobi table of _jacobi_series
 _STIRLING_DEGREE = 10**5  # from this degree on, Gamma ratios come from _log_gamma_ratio
-_STEP_WORDS = 22  # 8-byte words one cached _recurrence step holds: four floats, their tuple
+_STEP_WORDS = 22  # 8-byte words one _recurrence step holds: four floats, their tuple
 
 
 @dataclass(frozen=True)
@@ -79,35 +78,37 @@ def jacobi_all(N: int, params: JacobiParams, x) -> np.ndarray:
     # one reduction; NaN fails the comparison and is rejected too
     if not (np.abs(x) <= 1.0 + X_CLAMP_TOL).all():
         raise DomainError("argument is NaN or outside [-1, 1] beyond clamp tolerance")
-    return _jacobi_table(N, params, np.minimum(np.maximum(x, -1.0), 1.0))
+    return _jacobi_table(N, params, np.minimum(np.maximum(x, -1.0), 1.0),
+                         _recurrence(N, params.alpha, params.beta))
 
 
-def _jacobi_table(N: int, params: JacobiParams, x: np.ndarray) -> np.ndarray:
-    """jacobi_all's recurrence for a checked degree N and a float array x in [-1, 1]."""
+def _jacobi_table(N: int, params: JacobiParams, x: np.ndarray, steps) -> np.ndarray:
+    """jacobi_all's table for a checked N and a float array x in [-1, 1], from _recurrence steps."""
     a, b = params.alpha, params.beta
     p = np.empty((N + 1,) + x.shape)
     p[0] = 1.0
     if N >= 1:
         p[1] = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-    for k, (c1, c2, c3, c4) in enumerate(_recurrence(N, a, b), 2):
+    for k, (c1, c2, c3, c4) in zip(range(2, N + 1), steps):
         p[k] = ((c2 + c3 * x) * p[k - 1] - c4 * p[k - 2]) / c1
     return p
 
 
-def _jacobi_series(N: int, params: JacobiParams, x: np.ndarray, coeffs) -> np.ndarray:
+def _jacobi_series(N: int, params: JacobiParams, x: np.ndarray, coeffs, steps) -> np.ndarray:
     """sum_n coeffs[n] P_n(x), n = 0..N, shaped (*x.shape, *coeffs.shape[1:]), for x a 0-d (run on
-    numpy scalars) or 1-d float array in [-1, 1]. One Jacobi table per _SERIES_BLOCK abscissae;
-    each value is added degree by degree onto zeros, so its bits depend on no other abscissa.
-    einsum adds so except into one value, a dot product: there accumulate adds in order, and
-    + 0.0 gives the +0.0 that a sum from zeros gives when every term is -0.0."""
+    numpy scalars) or 1-d float array in [-1, 1], from steps as _jacobi_table reads them. One
+    Jacobi table per _SERIES_BLOCK abscissae; each value is added degree by degree onto zeros,
+    so its bits depend on no other abscissa. einsum adds so except into one value, a dot
+    product: there accumulate adds in order, and + 0.0 gives the +0.0 that a sum from zeros
+    gives when every term is -0.0."""
     terms = np.asarray(coeffs, dtype=float).reshape(N + 1, -1)  # (degrees, values per abscissa)
     out = np.empty((x.size, terms.shape[1]))
     if x.ndim and 1 < out.size and x.size <= _SERIES_BLOCK:  # one block: its table, one einsum
-        np.einsum("np,nk->pk", _jacobi_table(N, params, x), terms, out=out)
+        np.einsum("np,nk->pk", _jacobi_table(N, params, x, steps), terms, out=out)
         return out.reshape(x.shape + np.shape(coeffs)[1:])
     for k in range(0, x.size, _SERIES_BLOCK):
         rows = out[k:k + _SERIES_BLOCK]
-        table = _jacobi_table(N, params, x[k:k + _SERIES_BLOCK] if x.ndim else x[()])
+        table = _jacobi_table(N, params, x[k:k + _SERIES_BLOCK] if x.ndim else x[()], steps)
         if rows.size > 1:
             np.einsum("np,nk->pk", table.reshape(N + 1, -1), terms, out=rows)
         else:
@@ -117,9 +118,8 @@ def _jacobi_series(N: int, params: JacobiParams, x: np.ndarray, coeffs) -> np.nd
     return out.reshape(x.shape + np.shape(coeffs)[1:])
 
 
-@lru_cache(maxsize=64, typed=True)
 def _recurrence(N: int, a, b) -> tuple:
-    """The coefficients (c1, c2, c3, c4) of each recurrence step k = 2..N."""
+    """The coefficients (c1, c2, c3, c4) of each recurrence step k = 2..N, the same for any N."""
     return tuple((2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0),
                   (2.0 * k + a + b - 1.0) * (a * a - b * b),
                   (2.0 * k + a + b - 1.0) * (2.0 * k + a + b) * (2.0 * k + a + b - 2.0),

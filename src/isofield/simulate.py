@@ -164,7 +164,7 @@ def simulate_spatiotemporal(
     if np.shape(latent_v) != shape:
         raise UsageError(f"{type(model.kernel).__name__}.sample_paths returned shape "
                          f"{np.shape(latent_v)}, expected {shape}")
-    values = _jacobi_series(trunc, space.geom, _cos(row, u, points), latent_v)
+    values = _jacobi_series(trunc, space.geom, _cos(row, u, points), latent_v, model._steps)
     if not np.isfinite(values).all():
         raise NumericError("the series produced non-finite field values")
     return Realization(

@@ -20,7 +20,7 @@ lag -1, which the brute-force process oracle in the tests pins down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,8 +28,8 @@ import numpy as np
 from .errors import (INTEGER_LAGS, REAL_LAGS, ZERO_LAG, DomainError, ModelError, NumericError,
                      ParameterError, UsageError, _check_m, _in_domain, _lag_list, _real,
                      _require_lag, _sized, _whole)
-from .jacobi import (_STEP_WORDS, _jacobi_series, gauss_jacobi, jacobi_all, jacobi_at_one,
-                     jacobi_norm_constant)
+from .jacobi import (_STEP_WORDS, _jacobi_series, _recurrence, gauss_jacobi, jacobi_all,
+                     jacobi_at_one, jacobi_norm_constant)
 from .spaces import SpaceParams, a_constant, dim_eigenspace
 
 # Relative floors for symmetry / nonnegative-definiteness under rounding.
@@ -261,9 +261,10 @@ class SeriesModel:
     The default kernel SPATIAL makes a purely spatial model: the constant B_n,
     at lag 0 only. m by the rule of m. A kernel may define check_m(m) to reject parameters
     of the wrong dimension. A model is a value: frozen, with read-only `coeffs` of its own, so its
-    lag-0 analysis and each a_n are computed at most once per object. dataclasses.replace
-    builds an edited model; pickle and copy rebuild one through the constructor. == and hash
-    are those of the object's identity, as for VectorMA1, Realization and spaces.Point.
+    lag-0 analysis, its a_n and its Jacobi recurrence are computed at most once per object.
+    dataclasses.replace builds an edited model; pickle and copy rebuild one through the
+    constructor. == and hash are those of the object's identity, as for VectorMA1, Realization
+    and spaces.Point.
     """
 
     space: SpaceParams
@@ -295,6 +296,11 @@ class SeriesModel:
         an = np.array([a_constant(self.space, n) for n in range(self.max_degree + 1)])
         an.flags.writeable = False
         return an
+
+    @cached_property
+    def _steps(self) -> tuple:
+        """The Jacobi recurrence of the space to the stored degree, computed on first use."""
+        return _recurrence(self.max_degree, self.space.geom.alpha, self.space.geom.beta)
 
     @property
     def max_degree(self) -> int:
@@ -338,12 +344,7 @@ class Violation:
     magnitude: float
 
     def as_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "lag": self.lag,
-            "kind": self.kind,
-            "magnitude": self.magnitude,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -352,7 +353,7 @@ class ValidityReport:
     violations: list[Violation]
 
     def as_dict(self) -> dict:
-        return {"valid": self.valid, "violations": [v.as_dict() for v in self.violations]}
+        return asdict(self)
 
     def summary(self) -> str:
         if self.valid:
@@ -552,7 +553,8 @@ def eval_cov(model, rho, t=0.0, trunc: int | None = None) -> np.ndarray:
     # libm cos per distance: np.cos may round differently and shift output bytes
     x = np.fromiter(map(math.cos, flat), float, flat.size).reshape(-1 if rho.ndim else ())
     bs = np.stack([model.kernel.coeff_at(slice(trunc + 1), t, model.coeffs) for t in lags], axis=1)
-    out = _jacobi_series(trunc, model.space.geom, x, bs).reshape(flat.size, len(lags), model.m**2)
+    out = _jacobi_series(trunc, model.space.geom, x, bs, model._steps).reshape(
+        flat.size, len(lags), model.m**2)
     bad = np.argwhere(~np.isfinite(out).all(axis=2))  # (distance, lag)
     if len(bad):
         j, k = bad[0]

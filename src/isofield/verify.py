@@ -10,12 +10,12 @@ through Gauss-Jacobi quadrature instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import REAL_LAGS, UsageError, _count, _require_lag, _shown, _sized, _whole
-from .jacobi import _STEP_WORDS, _jacobi_series, jacobi_all, jacobi_at_one, jacobi_eval
+from .jacobi import _STEP_WORDS, _jacobi_series, _recurrence, jacobi_all, jacobi_at_one, jacobi_eval
 from .simulate import Realization, substream
 from .spaces import (
     SpaceParams,
@@ -259,7 +259,8 @@ def mc_recover_vn(
     reps = sample_uniform_batch(space, replicates, substream(seed))
     c = cos_distance_batch(space, realization.latent_u, reps)
     # Field values at the fresh abscissae, rebuilt from the latent draws.
-    z_fresh = _jacobi_series(realization.trunc, space.geom, c, realization.latent_v)
+    steps = _recurrence(realization.trunc, space.geom.alpha, space.geom.beta)
+    z_fresh = _jacobi_series(realization.trunc, space.geom, c, realization.latent_v, steps)
     an = a_constant(space, n)
     scale = an * an / jacobi_at_one(n, space.geom)
     samples = scale * jacobi_eval(n, space.geom, c)[:, None, None] * z_fresh  # (R, ntimes, m)
@@ -292,14 +293,7 @@ class IdentityCheck:
         return _rel_err(self.value, self.target) <= self.tolerance
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "identity": self.identity,
-            "target": self.target,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 @dataclass
@@ -315,11 +309,8 @@ class IdentityReport:
         return [c for c in self.checks if not c.passed]
 
     def as_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "pass": self.passed,
-            "checks": [c.as_dict() for c in self.checks],
-        }
+        return {"space": self.space, "pass": self.passed,
+                "checks": [c.as_dict() for c in self.checks]}
 
 
 def _rel_err(value: float, target: float) -> float:

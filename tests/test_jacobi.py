@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from isofield import (
     jacobi_norm_constant,
     jacobi_normalized,
 )
-from isofield.jacobi import _SERIES_BLOCK, _jacobi_series
+from isofield.jacobi import _SERIES_BLOCK, _jacobi_series, _recurrence
 from tests.oracles import (
     jacobi_explicit_sum,
     jacobi_series_per_degree,
@@ -144,11 +145,38 @@ class TestSeries:
                 (N + 1,) + (1,) * len(tail))
             mixed[rng.random(mixed.shape) < 0.2] = -0.0
             for coeffs in (mixed, np.full(mixed.shape, -0.0)):
-                got = _jacobi_series(N, params, x, coeffs)
+                steps = _recurrence(N, params.alpha, params.beta)
+                got = _jacobi_series(N, params, x, coeffs, steps)
                 want = jacobi_series_per_degree(N, params, x, coeffs)
                 assert got.shape == want.shape == x.shape + tail
                 assert np.array_equal(got, want) and np.array_equal(
                     np.signbit(got), np.signbit(want)), (count, tail)
+
+    @pytest.mark.parametrize("params", GEOM_PAIRS)
+    def test_steps_of_a_higher_degree_serve_every_lower_one(self, params):
+        """A model holds one recurrence to its stored degree for every truncation."""
+        steps = _recurrence(40, params.alpha, params.beta)
+        rng = np.random.default_rng(5)
+        for N, count in itertools.product([0, 1, 5, 39, 40], [None, 1, 7]):
+            x = rng.uniform(-1.0, 1.0, () if count is None else count)
+            coeffs = rng.standard_normal((N + 1, 2))
+            want = _jacobi_series(N, params, x, coeffs, _recurrence(N, params.alpha, params.beta))
+            assert np.array_equal(_jacobi_series(N, params, x, coeffs, steps), want), (N, count)
+
+
+class TestRecurrenceRetention:
+    def test_calls_keep_no_recurrence(self):
+        """Each call builds the steps it reads and keeps none of them: three calls of degree
+        2 x 10^4 would otherwise leave about 3.5 MB each behind (35 MB each at 2 x 10^5)."""
+        jacobi_eval(3, JacobiParams(1, 0), 0.5)  # first-use allocations outside the trace
+        tracemalloc.start()
+        try:
+            for n in (20_000, 20_001, 20_002):
+                jacobi_eval(n, JacobiParams(1, 0), 0.5)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
 
 
 class TestHighDegree:

@@ -1251,6 +1251,23 @@ class TestSeedIndependentMemo:
             tracemalloc.stop()
         assert kept < 16_000
 
+    def test_one_recurrence_per_model(self, monkeypatch):
+        """A model builds its Jacobi recurrence once, to its stored degree, and every
+        truncation of 100 replicates and 61 scalar eval_cov calls reads it."""
+        built, build = [], spectral._recurrence
+        monkeypatch.setattr(spectral, "_recurrence",
+                            lambda *args: built.append(args) or build(*args))
+        model = memo_model("spatial")
+        points = np.array(fixed_points(6))
+        for seed in range(100):
+            simulate_spatial(model, points, trunc=seed % 4, seed=seed)
+        for rho in np.linspace(0.0, math.pi, 61):
+            eval_cov(model, float(rho), trunc=2)
+        assert built == [(model.max_degree, 0.0, 0.0)]
+        copied = pickle.loads(pickle.dumps(model))  # a copy carries no recurrence
+        eval_cov(copied, 0.5)
+        assert built == [(3, 0.0, 0.0)] * 2
+
 
 COPIES = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
           "deepcopy": copy.deepcopy}
