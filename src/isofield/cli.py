@@ -95,6 +95,32 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
+def _file(what: str, spec: str) -> Path:
+    """spec as the path of an existing file; UsageError naming what and spec otherwise."""
+    path = Path(spec)
+    if not path.is_file():
+        state = "is not a file" if path.exists() else "does not exist"
+        raise UsageError(f"{what} {spec!r} {state}")
+    return path
+
+
+def _out_file(text: str, writes: str) -> Path:
+    """--out text as a path; UsageError naming it when it names a directory or no file name."""
+    out = Path(text)
+    if not out.name or text.endswith(("/", os.sep)) or out.is_dir():
+        raise UsageError(f"--out {text!r} names a directory or no file name, but {writes}")
+    return out
+
+
+def _load_model(spec: str):
+    """load_model(spec); a --model path that is no file is named with its flag."""
+    try:
+        return load_model(spec)
+    except OSError:
+        _file("--model file", spec)
+        raise
+
+
 def _is_generated(spec: str) -> bool:
     """A 'kind:K' point-set spec rather than the path of an existing point file."""
     return ":" in spec and not Path(spec).exists()
@@ -121,10 +147,7 @@ def _resolve_points(space, spec: str, seed: int):
         if space.family is not SpaceFamily.SPHERE or space.d != 2:
             raise UsageError("fibonacci point sets are defined on sphere:2 only")
         return normalize_points(space, _fibonacci_sphere(count)), spec
-    path = Path(spec)
-    if not path.is_file():
-        state = "is not a file" if path.exists() else "does not exist"
-        raise UsageError(f"point file {spec!r} {state}")
+    path = _file("point file", spec)
     data = path.read_bytes()
     try:
         content = data.decode("utf-8")
@@ -156,7 +179,7 @@ def _output(out_path: str | None):
     if out_path in (None, "-"):
         yield sys.stdout
     else:
-        with open(out_path, "w", newline="") as fh:
+        with open(_out_file(out_path, "the command writes a file there"), "w", newline="") as fh:
             yield fh
 
 
@@ -178,7 +201,7 @@ def _entry_rows(mat, **fields) -> list[dict]:
 
 
 def cmd_validate(args) -> int:
-    model = load_model(args.model)
+    model = _load_model(args.model)
     report = model.validate(None if args.lags is None else _parse_lags(args.lags))
     if args.format == "json":
         _emit(report.as_dict(), args.out)
@@ -191,7 +214,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval_cov(args) -> int:
-    model = load_model(args.model)
+    model = _load_model(args.model)
     rhos = _parse_grid(args.rho_grid)
     lags = _parse_lags(args.lags)
     if not lags:
@@ -226,12 +249,9 @@ def cmd_simulate(args) -> int:
     if args.out == "-":
         raise UsageError("--out - would be stdout, but simulate writes a values CSV and a "
                          ".meta.json sidecar beside it, so --out needs a file path")
-    text = "realization.csv" if args.out is None else args.out
-    out = Path(text)
-    if not out.name or text.endswith(("/", os.sep)) or out.is_dir():
-        raise UsageError(f"--out {text!r} names a directory or no file name, but simulate "
-                         "writes a values CSV there and a .meta.json sidecar beside it")
-    model = load_model(args.model)
+    out = _out_file("realization.csv" if args.out is None else args.out, "simulate writes a "
+                    "values CSV there and a .meta.json sidecar beside it")
+    model = _load_model(args.model)
     times = sorted(_parse_lags(args.times))
     # the latent table, (trunc + 1) x times x m, is held whole while the values are formed
     _require_values("--times and --trunc", _resolve_trunc(model, args.trunc) + 1, len(times),
@@ -305,7 +325,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    model = load_model(args.model)
+    model = _load_model(args.model)
     spectra = np.array([angular_power_spectrum(model, n) for n in range(model.max_degree + 1)])
     if args.format == "json":
         _emit([row for n, b in enumerate(spectra) for row in _entry_rows(b, degree=n)], args.out)

@@ -129,6 +129,23 @@ def _real(value, name: str, error: type = UsageError) -> float:
         raise error(f"{name} {_shown(value, repr)} must be a real number") from None
 
 
+def _reals(value, name: str) -> np.ndarray:
+    """The real-array rule (distances): value as a float array. UsageError naming it unless it is
+    an array or (nested) sequence with a boolean, integer or floating dtype, or a real number
+    or array of them by the real-number rule; DomainError naming it unless every value is
+    finite."""
+    try:
+        reals = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting
+        raise UsageError(f"{name} must be a real number or an array of them") from None
+    if reals.dtype.kind not in "biuf":  # text, bytes, complex, objects: each by _real
+        reals = np.array([_real(v, name) for v in reals.ravel().tolist()]).reshape(reals.shape)
+    reals = np.asarray(reals, dtype=float)
+    if not np.isfinite(reals).all():
+        raise DomainError(f"{name} must be finite distances, got {reals[~np.isfinite(reals)]}")
+    return reals
+
+
 def _require_lag(domain: str, t, noun: str = "lag") -> float:
     """The real-lag rule: t as a float; UsageError unless it is a real number, finite (noun
     names it if not) and a lag of the domain (_in_domain)."""

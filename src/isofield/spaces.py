@@ -288,7 +288,7 @@ def _stack(space: SpaceParams, reps, row: _Family) -> np.ndarray:
     reps = np.asarray(reps)
     if reps.shape[1:] != shape or not np.can_cast(reps.dtype, row.dtype):
         raise UsageError(
-            f"coordinates of shape {reps.shape[1:]} and type {reps.dtype} do not match "
+            f"point coordinates of shape {reps.shape[1:]} and type {reps.dtype} do not match "
             f"{space.label} ambient shape {shape} of type {np.dtype(row.dtype)}"
         )
     return reps.astype(row.dtype, copy=False)
@@ -341,12 +341,17 @@ def _points(space: SpaceParams, row: _Family, points) -> np.ndarray:
     """point_array for the family row of the space."""
     if not isinstance(points, np.ndarray):
         rows = []
-        for p in points:
-            if isinstance(p, Point):
-                if p.family is not space.family or p.d != space.d:
-                    raise UsageError(f"point of {p.family.value}:{p.d} used with space {space.label}")
-                p = p.coords
-            rows.append(p)
+        try:
+            for p in points:
+                if isinstance(p, Point):
+                    if p.family is not space.family or p.d != space.d:
+                        raise UsageError(f"point of {p.family.value}:{p.d} used with space "
+                                         f"{space.label}")
+                    p = p.coords
+                rows.append(p)
+        except TypeError:  # not iterable
+            raise UsageError(f"points must be an array or a sequence of points of {space.label}, "
+                             f"not a {type(points).__name__}") from None
         try:
             points = np.array(rows) if rows else np.empty((0, *row.ambient(space.d)))
         except ValueError:  # rows of differing shapes

@@ -25,9 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (INTEGER_LAGS, REAL_LAGS, ZERO_LAG, DomainError, ModelError, NumericError,
-                     ParameterError, UsageError, _check_m, _in_domain, _lag_list, _real,
-                     _require_lag, _sized, _whole)
+from .errors import (INTEGER_LAGS, REAL_LAGS, ZERO_LAG, ModelError, NumericError, ParameterError,
+                     UsageError, _check_m, _in_domain, _lag_list, _real, _reals, _require_lag,
+                     _sized, _whole)
 from .jacobi import (_STEP_WORDS, _jacobi_series, _recurrence, gauss_jacobi, jacobi_all,
                      jacobi_at_one, jacobi_norm_constant)
 from .spaces import SpaceParams, a_constant, dim_eigenspace
@@ -538,17 +538,15 @@ def eval_cov(model, rho, t=0.0, trunc: int | None = None) -> np.ndarray:
     require_finite), and a sum that is not finite NumericError naming its first
     distance and lag. The terms B_n(t) P_n(cos rho) are added in degree order onto
     zeros (jacobi._jacobi_series), which fixes the output bytes whatever else is asked
-    for. t by the lag rule, or a sequence by the lag-list rule; trunc by the
-    whole-number rule.
+    for. rho by the real-array rule; t by the lag rule, or a sequence by the lag-list rule;
+    trunc by the whole-number rule.
     """
     # one lag (a number, text, bytes or a 0-d array), or a sequence of them
     one = isinstance(t, (str, bytes)) or not hasattr(t, "__len__") or getattr(t, "ndim", 1) == 0
     lags = [_require_lag(model.domain, t)] if one else _lag_list(t, "t", model.domain)
     require_finite(model)
     trunc = _resolve_trunc(model, trunc)
-    rho = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(rho)):
-        raise DomainError(f"distances must be finite, got {rho[~np.isfinite(rho)]}")
+    rho = _reals(rho, "rho")
     flat = rho.reshape(-1)
     # libm cos per distance: np.cos may round differently and shift output bytes
     x = np.fromiter(map(math.cos, flat), float, flat.size).reshape(-1 if rho.ndim else ())

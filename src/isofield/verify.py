@@ -183,10 +183,16 @@ def empirical_cov(
 
     Valid time offsets within each replicate are averaged first (variance
     reduction only); the standard error comes from the replicate count.
-    The target is the model covariance at the realizations' truncation.
-    point_pair holds two indices into the shared points, by the count rule, and lag is
-    read by the lag rule of the real line, then must be realizable on the time grid.
+    The target is the model covariance at the realizations' truncation. realizations is any
+    iterable of at least 2 of them, read once. point_pair holds two indices into the shared
+    points, by the count rule, and lag is read by the lag rule of the real line, then must be
+    realizable on the time grid.
     """
+    try:
+        realizations = list(realizations)
+    except TypeError:
+        raise UsageError(f"realizations must be an iterable of Realization objects, not a "
+                         f"{type(realizations).__name__}") from None
     if len(realizations) < 2:
         raise UsageError("at least 2 realizations are required")
     first = realizations[0]

@@ -22,7 +22,8 @@ The cases:
 - `check` with its defaults, and on four spaces at 2,000 replicates;
 - named inputs at the documented limits, one for each exit they end in:
   caps, overflow, malformed and extreme model files, spaces, degree counts
-  and point files, on every command that reads them;
+  and point files, on every command that reads them; a directory and a
+  missing name as each command's --model, and a directory as its --out;
 - a one-value realization (one point, one time, m = 1), summed as in a larger set.
 
 Every case runs in a fresh temporary directory with relative paths, so no
@@ -261,6 +262,11 @@ def cases() -> list[list[str]]:
              for spaces in ("sphere:1000,projR:1000,projH:1000", "sphere:1001", "projO:16")]
     runs += [["simulate", "--model", "model.json", "--points", name.rstrip("/")]
              for name in _POINT_FILES]
+    runs += [[command, "--model", model, *extra] for model in ("points_dir", "missing.json")
+             for command, extra in MODEL_READERS.items()]
+    runs += [[*argv.split(), "--out", "points_dir"] for argv in (
+        "validate --model model.json", "eval-cov --model model.json", "spectrum --model model.json",
+        "simulate --model model.json --points random:3", "check --spaces sphere:2 --replicates 10")]
     return runs
 
 

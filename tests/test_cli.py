@@ -1034,6 +1034,30 @@ def test_simulate_out_that_names_no_file_exits_two(tmp_path, capsys, monkeypatch
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("out", [".", "", "..", "sub", "sub/", "new/"])
+@pytest.mark.parametrize("command", ["validate", "eval-cov", "spectrum"])
+def test_table_out_that_names_no_file_exits_two(tmp_path, capsys, monkeypatch, command, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    path = save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--model", str(path), "--out", out]) == 2
+    assert capsys.readouterr().err == (f"error: --out {out!r} names a directory or no file "
+                                       "name, but the command writes a file there\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["validate", "eval-cov", "spectrum", "simulate"])
+def test_model_that_is_no_file_exits_two_naming_the_flag(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    extra = ["--points", "random:2", "--out", "run.csv"] if command == "simulate" else []
+    for name, state in (("sub", "is not a file"), ("missing.json", "does not exist")):
+        assert main([command, "--model", name, *extra]) == 2
+        assert capsys.readouterr().err == f"error: --model file {name!r} {state}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
 def test_check_with_an_empty_space_list_exits_two(tmp_path, capsys):
     out = tmp_path / "checks.json"
     assert main(["check", "--spaces", "", "--replicates", "10", "--out", str(out)]) == 2

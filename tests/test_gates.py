@@ -140,6 +140,7 @@ def cases() -> list[tuple[str, tuple[str, ...], object]]:
         ("eval_cov t", lags, lambda v: iso.eval_cov(expo, 0.5, v)),
         ("eval_cov t (a list)", lag, lambda v: iso.eval_cov(ma1, 0.5, [0.0, v])),
         ("eval_cov trunc", ("truncation degree",), lambda v: iso.eval_cov(spatial, 0.5, 0.0, v)),
+        ("eval_cov rho", ("rho",), lambda v: iso.eval_cov(expo, v)),
         ("truncation_bound N", ("truncation degree",), lambda v: iso.truncation_bound(spatial, v)),
         ("angular_power_spectrum n", ("degree",),
          lambda v: iso.angular_power_spectrum(spatial, v)),
@@ -156,6 +157,7 @@ def cases() -> list[tuple[str, tuple[str, ...], object]]:
          lambda v: iso.simulate_spatial(spatial, points, v, seed=1)),
         ("simulate_spatial seed", ("seed",),
          lambda v: iso.simulate_spatial(spatial, points, seed=v)),
+        ("simulate_spatial points", ("point",), lambda v: iso.simulate_spatial(spatial, v, seed=1)),
         ("simulate_spatiotemporal times", lags,
          lambda v: iso.simulate_spatiotemporal(expo, points, v, seed=1)),
         ("simulate_spatiotemporal time", lag,
@@ -188,6 +190,8 @@ def cases() -> list[tuple[str, tuple[str, ...], object]]:
         ("empirical_cov point_pair", ("point pair",),
          lambda v: iso.empirical_cov(ensemble, (v, 0), 0.0)),
         ("empirical_cov lag", lag, lambda v: iso.empirical_cov(ensemble, (0, 1), v)),
+        ("empirical_cov realizations", ("realizations",),
+         lambda v: iso.empirical_cov(v, (0, 0), 0.0)),
     ]
 
 

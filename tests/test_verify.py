@@ -173,6 +173,15 @@ class TestEmpiricalCov:
         assert np.allclose(est.target, np.eye(2))
         assert est.passed
 
+    def test_any_iterable_of_realizations(self):
+        model = SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)])
+        ens = self._ensemble(model, list(sample_uniform_batch(S2, 2, np.random.default_rng(7))),
+                             None, 20, 3)
+        want = empirical_cov(ens, (0, 1))
+        for again in (iter(ens), (r for r in ens), tuple(ens)):
+            got = empirical_cov(again, (0, 1))
+            assert np.array_equal(got.value, want.value) and np.array_equal(got.target, want.target)
+
     def test_ma1_lags(self):
         rng = np.random.default_rng(72)
         model = SeriesModel(
