@@ -130,10 +130,9 @@ def _real(value, name: str, error: type = UsageError) -> float:
 
 
 def _reals(value, name: str) -> np.ndarray:
-    """The real-array rule (distances): value as a float array. UsageError naming it unless it is
-    an array or (nested) sequence with a boolean, integer or floating dtype, or a real number
-    or array of them by the real-number rule; DomainError naming it unless every value is
-    finite."""
+    """The real-array rule (distances): value as a float array. UsageError naming it unless numpy
+    reads it as an array of booleans, integers or floats, or else each of its elements passes the
+    real-number rule; DomainError naming it unless every value is finite."""
     try:
         reals = np.asarray(value)
     except (TypeError, ValueError):  # ragged nesting

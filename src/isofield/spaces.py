@@ -340,18 +340,18 @@ def point_array(space: SpaceParams, points) -> np.ndarray:
 def _points(space: SpaceParams, row: _Family, points) -> np.ndarray:
     """point_array for the family row of the space."""
     if not isinstance(points, np.ndarray):
-        rows = []
         try:
-            for p in points:
-                if isinstance(p, Point):
-                    if p.family is not space.family or p.d != space.d:
-                        raise UsageError(f"point of {p.family.value}:{p.d} used with space "
-                                         f"{space.label}")
-                    p = p.coords
-                rows.append(p)
-        except TypeError:  # not iterable
+            items = iter(points)
+        except TypeError:
             raise UsageError(f"points must be an array or a sequence of points of {space.label}, "
                              f"not a {type(points).__name__}") from None
+        rows = []
+        for p in items:
+            if isinstance(p, Point):
+                if p.family is not space.family or p.d != space.d:
+                    raise UsageError(f"point of {p.family.value}:{p.d} used with space {space.label}")
+                p = p.coords
+            rows.append(p)
         try:
             points = np.array(rows) if rows else np.empty((0, *row.ambient(space.d)))
         except ValueError:  # rows of differing shapes

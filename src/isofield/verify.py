@@ -183,10 +183,10 @@ def empirical_cov(
 
     Valid time offsets within each replicate are averaged first (variance
     reduction only); the standard error comes from the replicate count.
-    The target is the model covariance at the realizations' truncation. realizations is any
-    iterable of at least 2 of them, read once. point_pair holds two indices into the shared
-    points, by the count rule, and lag is read by the lag rule of the real line, then must be
-    realizable on the time grid.
+    The target is the model covariance at the realizations' truncation. realizations may be any
+    iterable of at least 2 Realization objects; it is read once. point_pair holds two indices
+    into the shared points, by the count rule, and lag is read by the lag rule of the real
+    line, then must be realizable on the time grid.
     """
     try:
         realizations = list(realizations)
@@ -315,8 +315,11 @@ class IdentityReport:
         return [c for c in self.checks if not c.passed]
 
     def as_dict(self) -> dict:
-        return {"space": self.space, "pass": self.passed,
-                "checks": [c.as_dict() for c in self.checks]}
+        return {
+            "space": self.space,
+            "pass": self.passed,
+            "checks": [c.as_dict() for c in self.checks],
+        }
 
 
 def _rel_err(value: float, target: float) -> float:
