@@ -105,10 +105,14 @@ def _file(what: str, spec: str) -> Path:
 
 
 def _out_file(text: str, writes: str) -> Path:
-    """--out text as a path; UsageError naming it when it names a directory or no file name."""
+    """--out text as a path; UsageError naming it when it names a directory or no file name, or
+    a file in a folder that is missing or no folder."""
     out = Path(text)
     if not out.name or text.endswith(("/", os.sep)) or out.is_dir():
         raise UsageError(f"--out {text!r} names a directory or no file name, but {writes}")
+    if not out.parent.is_dir():
+        state = "is not a folder" if out.parent.exists() else "does not exist"
+        raise UsageError(f"--out {text!r} is in {str(out.parent)!r}, which {state}, but {writes}")
     return out
 
 

@@ -129,14 +129,30 @@ def _real(value, name: str, error: type = UsageError) -> float:
         raise error(f"{name} {_shown(value, repr)} must be a real number") from None
 
 
+def _raw_bytes(value) -> bool:
+    """value is raw bytes: bytes, a bytearray or a byte-format memoryview, which iterate as byte
+    values and which numpy reads as an array of them."""
+    return isinstance(value, (bytes, bytearray)) or (
+        isinstance(value, memoryview) and value.format in ("B", "b", "c"))
+
+
+def _holds_bytes(value) -> bool:
+    """value is raw bytes, or a list or tuple that holds raw bytes at some depth."""
+    return any(map(_holds_bytes, value)) if isinstance(value, (list, tuple)) else _raw_bytes(value)
+
+
 def _reals(value, name: str) -> np.ndarray:
     """The real-array rule (distances): value as a float array. UsageError naming it unless numpy
     reads it as an array of booleans, integers or floats, or else each of its elements passes the
-    real-number rule; DomainError naming it unless every value is finite."""
+    real-number rule, and it neither is nor holds raw bytes (_raw_bytes); DomainError naming it
+    unless every value is finite."""
     try:
         reals = np.asarray(value)
     except (TypeError, ValueError):  # ragged nesting
         raise UsageError(f"{name} must be a real number or an array of them") from None
+    # numpy reads raw bytes as one-byte integers; nothing else it reads so is walked
+    if reals.dtype.itemsize == 1 and reals.dtype.kind in "ui" and _holds_bytes(value):
+        raise UsageError(f"{name} must be a real number or an array of them, not raw bytes")
     if reals.dtype.kind not in "biuf":  # text, bytes, complex, objects: each by _real
         reals = np.array([_real(v, name) for v in reals.ravel().tolist()]).reshape(reals.shape)
     reals = np.asarray(reals, dtype=float)
@@ -167,11 +183,10 @@ def _in_domain(domain: str, t: float) -> float:
 
 def _lag_list(lags, name: str, domain: str, noun: str = "lag") -> list[float]:
     """The lag-list rule: lags as a nonempty list of lags of the domain (_require_lag).
-    UsageError naming the argument if it is empty, not iterable, or text or raw bytes (str,
-    bytes, bytearray or a byte-format memoryview), which iterate as characters or byte values."""
+    UsageError naming the argument if it is empty, not iterable, or text or raw bytes
+    (_raw_bytes), which iterate as characters or byte values."""
     try:
-        if isinstance(lags, (str, bytes, bytearray)) or (
-                isinstance(lags, memoryview) and lags.format in ("B", "b", "c")):
+        if isinstance(lags, str) or _raw_bytes(lags):
             raise TypeError
         lags = list(lags)
     except TypeError:

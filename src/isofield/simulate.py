@@ -114,7 +114,7 @@ def simulate_spatial(
     Draws U uniform, then per degree an m-vector V_n with covariance
     a_n^2 B_n(0), and emits sum_n V_n P_n(cos rho(x, U)).
     """
-    return simulate_spatiotemporal(model, points, [0.0], trunc, seed)
+    return _simulate(model, points, [0.0], trunc, seed)  # [0.0] passes every domain's rule
 
 
 def simulate_spatiotemporal(
@@ -144,6 +144,12 @@ def simulate_spatiotemporal(
         raise UsageError("times must be strictly increasing")
     if domain == ZERO_LAG:
         times = [0.0]  # also for -0.0, so the output reads 0.0
+    return _simulate(model, points, times, trunc, seed)
+
+
+def _simulate(model: SeriesModel, points, times: list[float], trunc, seed) -> Realization:
+    """simulate_spatiotemporal past its time-grid rule: the model, trunc, points and seed are
+    checked here, once for either entry point."""
     report, roots = model._lag0
     if not report.valid:
         raise ModelError(f"cannot simulate from an invalid model: {report.summary()}")

@@ -286,7 +286,8 @@ def _stack(space: SpaceParams, reps, row: _Family) -> np.ndarray:
     """reps as a (K, *ambient_shape) array of the family row's dtype."""
     shape = row.ambient(space.d)
     reps = np.asarray(reps)
-    if reps.shape[1:] != shape or not np.can_cast(reps.dtype, row.dtype):
+    if reps.shape[1:] != shape or (reps.dtype != row.dtype  # can_cast only when they differ
+                                   and not np.can_cast(reps.dtype, row.dtype)):
         raise UsageError(
             f"point coordinates of shape {reps.shape[1:]} and type {reps.dtype} do not match "
             f"{space.label} ambient shape {shape} of type {np.dtype(row.dtype)}"
@@ -294,16 +295,18 @@ def _stack(space: SpaceParams, reps, row: _Family) -> np.ndarray:
     return reps.astype(row.dtype, copy=False)
 
 
-def _raw_norms(reps: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each stacked representative, keeping its axes."""
+def _raw_norms(reps: np.ndarray, keepdims: bool = True) -> np.ndarray:
+    """Euclidean norm of each stacked representative, keeping its axes unless keepdims is
+    False."""
     squares = np.abs(reps) ** 2 if reps.dtype.kind == "c" else reps * reps  # same bits if real
-    return np.sqrt(np.add.reduce(squares, tuple(range(1, reps.ndim)), keepdims=True))
+    axes = 1 if reps.ndim == 2 else tuple(range(1, reps.ndim))  # an int axis reduces faster
+    return np.sqrt(np.add.reduce(squares, axes, keepdims=keepdims))
 
 
-def _norms(reps: np.ndarray) -> np.ndarray:
+def _norms(reps: np.ndarray, keepdims: bool = True) -> np.ndarray:
     """_raw_norms, inf without a warning where the squares overflow."""
     with np.errstate(over="ignore"):
-        return _raw_norms(reps)
+        return _raw_norms(reps, keepdims)
 
 
 def normalize_points(space: SpaceParams, reps) -> np.ndarray:
@@ -358,7 +361,7 @@ def _points(space: SpaceParams, row: _Family, points) -> np.ndarray:
             raise UsageError(f"points of {space.label} must all have shape "
                              f"{row.ambient(space.d)}") from None
     reps = _stack(space, points, row)
-    unit = np.abs(_norms(reps).ravel() - 1.0) <= _DOT_CLAMP_TOL
+    unit = np.abs(_norms(reps, False) - 1.0) <= _DOT_CLAMP_TOL
     if not unit.all():
         bad = np.flatnonzero(~unit)[0]
         raise UsageError(f"point {bad} is not a finite unit representative of {space.label}")

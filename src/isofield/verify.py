@@ -195,12 +195,14 @@ def empirical_cov(
                          f"{type(realizations).__name__}") from None
     if len(realizations) < 2:
         raise UsageError("at least 2 realizations are required")
+    try:  # every realization's fields, read in one pass
+        seeds, point_sets, value_sets, models, grids, truncs = zip(
+            *[(r.seed, r.points, r.values, r.model, r.times, r.trunc) for r in realizations])
+    except AttributeError as exc:  # caught here, so a success pays no check per item
+        raise UsageError(f"realizations must be Realization objects: {exc}") from None
     first = realizations[0]
     if first.model is None:
         raise UsageError("realizations must carry their model to locate the target")
-    # every realization's fields, read in one pass
-    seeds, point_sets, value_sets, models, grids, truncs = zip(
-        *[(r.seed, r.points, r.values, r.model, r.times, r.trunc) for r in realizations])
     if len(set(seeds)) != len(realizations):
         raise UsageError("realizations must have distinct seeds")
     space, points = first.space, first.points

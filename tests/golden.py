@@ -23,7 +23,8 @@ The cases:
 - named inputs at the documented limits, one for each exit they end in:
   caps, overflow, malformed and extreme model files, spaces, degree counts
   and point files, on every command that reads them; a directory and a
-  missing name as each command's --model, and a directory as its --out;
+  missing name as each command's --model, and as its --out a directory, a file in
+  a missing folder and a file in a file;
 - a one-value realization (one point, one time, m = 1), summed as in a larger set.
 
 Every case runs in a fresh temporary directory with relative paths, so no
@@ -264,9 +265,12 @@ def cases() -> list[list[str]]:
              for name in _POINT_FILES]
     runs += [[command, "--model", model, *extra] for model in ("points_dir", "missing.json")
              for command, extra in MODEL_READERS.items()]
-    runs += [[*argv.split(), "--out", "points_dir"] for argv in (
-        "validate --model model.json", "eval-cov --model model.json", "spectrum --model model.json",
-        "simulate --model model.json --points random:3", "check --spaces sphere:2 --replicates 10")]
+    runs += [[*argv.split(), "--out", out]
+             for out in ("points_dir", "nodir/x.csv", "model.json/x.csv")
+             for argv in ("validate --model model.json", "eval-cov --model model.json",
+                          "spectrum --model model.json",
+                          "simulate --model model.json --points random:3",
+                          "check --spaces sphere:2 --replicates 10")]
     return runs
 
 

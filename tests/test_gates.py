@@ -37,7 +37,8 @@ HOSTILE = [True, False, np.True_, 2.0, 2.5, 1, -1, 10**400, -10**400, math.nan, 
 
 
 # arguments whose documented default is None, which they therefore accept
-NONE_IS_DEFAULT = {"SeriesModel.validate probe_lags", "eval_cov trunc", "simulate_spatial trunc"}
+NONE_IS_DEFAULT = {"SeriesModel.validate probe_lags", "eval_cov trunc", "simulate_spatial trunc",
+                   "simulate_spatiotemporal trunc"}
 
 
 def twin(value):
@@ -141,6 +142,13 @@ def cases() -> list[tuple[str, tuple[str, ...], object]]:
         ("eval_cov t (a list)", lag, lambda v: iso.eval_cov(ma1, 0.5, [0.0, v])),
         ("eval_cov trunc", ("truncation degree",), lambda v: iso.eval_cov(spatial, 0.5, 0.0, v)),
         ("eval_cov rho", ("rho",), lambda v: iso.eval_cov(expo, v)),
+        # raw bytes, which numpy reads as byte values, are no distances
+        ("eval_cov rho (a bytearray)", ("rho",),
+         lambda v: iso.eval_cov(expo, bytearray(show(v), "utf-8"))),
+        ("eval_cov rho (a memoryview)", ("rho",),
+         lambda v: iso.eval_cov(expo, memoryview(show(v).encode()))),
+        ("eval_cov rho (a list of bytearrays)", ("rho",),
+         lambda v: iso.eval_cov(expo, [bytearray(show(v), "utf-8")])),
         ("truncation_bound N", ("truncation degree",), lambda v: iso.truncation_bound(spatial, v)),
         ("angular_power_spectrum n", ("degree",),
          lambda v: iso.angular_power_spectrum(spatial, v)),
@@ -164,6 +172,10 @@ def cases() -> list[tuple[str, tuple[str, ...], object]]:
          lambda v: iso.simulate_spatiotemporal(ma1, points, [v], seed=1)),
         ("simulate_spatiotemporal seed", ("seed",),
          lambda v: iso.simulate_spatiotemporal(ma1, points, [0, 1], seed=v)),
+        ("simulate_spatiotemporal trunc", ("truncation degree",),
+         lambda v: iso.simulate_spatiotemporal(ma1, points, [0, 1], v, seed=1)),
+        ("simulate_spatiotemporal points", ("point",),
+         lambda v: iso.simulate_spatiotemporal(ma1, v, [0, 1], seed=1)),
         # verify
         ("replicate_seeds master_seed", ("master seed",), lambda v: iso.replicate_seeds(v, 3)),
         ("replicate_seeds count", ("replicate count",), lambda v: iso.replicate_seeds(5, v)),
@@ -192,6 +204,8 @@ def cases() -> list[tuple[str, tuple[str, ...], object]]:
         ("empirical_cov lag", lag, lambda v: iso.empirical_cov(ensemble, (0, 1), v)),
         ("empirical_cov realizations", ("realizations",),
          lambda v: iso.empirical_cov(v, (0, 0), 0.0)),
+        ("empirical_cov realizations (items)", ("realizations",),
+         lambda v: iso.empirical_cov([v, v], (0, 0), 0.0)),
     ]
 
 

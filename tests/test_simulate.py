@@ -356,15 +356,27 @@ class TestSimulateSpatioTemporal:
 
 
 class TestOneSimulationPath:
-    def test_spatial_model_on_lag_zero_grid_matches_simulate_spatial(self):
-        model = small_matrix_model()
+    @pytest.mark.parametrize("kernel", [
+        SPATIAL, SeparableScalar("exponential", 0.8), SeparableScalar("ar1", 0.6),
+        VectorMA1([[0.3, -0.2], [0.1, 0.4]])])
+    def test_simulate_spatial_equals_spatiotemporal_on_lag_zero(self, kernel):
+        """Every field, arrays bit for bit: simulate_spatial is simulate_spatiotemporal on the
+        time grid [0.0] for every kernel, point form, truncation and seed."""
+        rng = np.random.default_rng(45)
+        model = SeriesModel(S2, 2, [random_psd(rng, 2, 0.6**n) for n in range(4)], kernel)
         pts = fixed_points(3)
-        for seed in range(4):
-            a = simulate_spatial(model, pts, seed=seed)
-            b = simulate_spatiotemporal(model, pts, [0.0], seed=seed)
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.latent_v, b.latent_v)
-            assert np.array_equal(a.latent_u, b.latent_u)
+        for points in (pts, np.array(pts), [make_point(S2, p) for p in pts]):
+            for trunc in (None, 0, 2):
+                for seed in (0, 7, 2**64 - 1):
+                    a = simulate_spatial(model, points, trunc, seed)
+                    b = simulate_spatiotemporal(model, points, [0.0], trunc, seed)
+                    for f in dataclasses.fields(a):
+                        x, y = getattr(a, f.name), getattr(b, f.name)
+                        if isinstance(x, np.ndarray):
+                            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape,
+                                                                       y.tobytes()), f.name
+                        else:
+                            assert x == y and type(x) is type(y), f.name
 
     def test_spatial_model_rejects_other_time_grids(self):
         model = small_matrix_model()
