@@ -104,16 +104,15 @@ def _file(what: str, spec: str) -> Path:
     return path
 
 
-def _out_file(text: str, writes: str) -> Path:
-    """--out text as a path; UsageError naming it when it names a directory or no file name, or
-    a file in a folder that is missing or no folder."""
+def _out_file(text: str, writes: str) -> None:
+    """UsageError naming --out text when it names a directory or no file name, or a file in a
+    folder that is missing or no folder."""
     out = Path(text)
     if not out.name or text.endswith(("/", os.sep)) or out.is_dir():
         raise UsageError(f"--out {text!r} names a directory or no file name, but {writes}")
     if not out.parent.is_dir():
         state = "is not a folder" if out.parent.exists() else "does not exist"
         raise UsageError(f"--out {text!r} is in {str(out.parent)!r}, which {state}, but {writes}")
-    return out
 
 
 def _load_model(spec: str):
@@ -183,7 +182,7 @@ def _output(out_path: str | None):
     if out_path in (None, "-"):
         yield sys.stdout
     else:
-        with open(_out_file(out_path, "the command writes a file there"), "w", newline="") as fh:
+        with open(out_path, "w", newline="") as fh:
             yield fh
 
 
@@ -193,10 +192,19 @@ def _emit(doc, out_path: str | None) -> None:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _entry_rows(mat, **fields) -> list[dict]:
-    """One output row per matrix entry: fields plus component_i, component_j, value."""
-    return [dict(fields, component_i=i, component_j=j, value=float(mat[i, j]))
-            for i in range(mat.shape[0]) for j in range(mat.shape[1])]
+def _write_json(fh, leads, rows, values) -> None:
+    """json.dumps(table, indent=2, sort_keys=True) of a table of objects, a chunk of leads per
+    write: per lead, each of rows (one object's text, the lead's %s before the value's) filled
+    with lead k and its entry of values[k]. str is json's form of an int and a finite float."""
+    per_lead = ",\n".join(rows)
+    step = max(1, _WRITE_CHUNK // len(rows))  # leads per write, as in _write_rows
+    for k in range(0, len(leads), step):
+        block = values[k:k + step].reshape(-1, len(rows))  # (leads, rows per lead)
+        fields = np.empty(block.shape + (2,), dtype=object)
+        fields[..., 0], fields[..., 1] = np.array(leads[k:k + step], dtype=object)[:, None], block
+        fh.write((",\n" if k else "[\n")
+                 + ",\n".join([per_lead] * len(block)) % tuple(fields.ravel().tolist()))
+    fh.write("\n]\n")
 
 
 # --------------------------------------------------------------------------
@@ -232,29 +240,16 @@ def cmd_eval_cov(args) -> int:
             _write_rows(fh, ["rho", "lag", "component_i", "component_j", "value", "tail_bound"],
                         rhos.tolist(), [f",{lag!r},{i},{j},%r,{bound!r}\r\n" for lag in lags
                                            for i in range(model.m) for j in range(model.m)], covs)
-            return EXIT_OK
-        # json.dumps(rows, indent=2, sort_keys=True) of every row, written a chunk of distances
-        # at a time from one template per distance, its %s filled with rho and value per row
-        per_rho = ",\n".join([
-            f'  {{\n    "component_i": {i},\n    "component_j": {j},\n    "lag": {json.dumps(lag)},'
-            f'\n    "rho": %s,\n    "tail_bound": {json.dumps(bound)},\n    "value": %s\n  }}'
-            for lag in lags for i in range(model.m) for j in range(model.m)])
-        step = max(1, _WRITE_CHUNK // covs[0].size)
-        for a in range(0, len(rhos), step):
-            block = covs[a:a + step].reshape(-1, covs[0].size)  # (distances, rows per distance)
-            fields = np.stack([np.broadcast_to(rhos[a:a + step, None], block.shape), block], -1)
-            values = tuple(fields.ravel().tolist())  # str(float) is json's repr: all finite
-            fh.write((",\n" if a else "[\n") + ",\n".join([per_rho] * len(block)) % values)
-        fh.write("\n]\n")
+        else:
+            _write_json(fh, rhos, [
+                f'  {{\n    "component_i": {i},\n    "component_j": {j},\n    "lag": '
+                f'{json.dumps(lag)},\n    "rho": %s,\n    "tail_bound": {json.dumps(bound)},'
+                f'\n    "value": %s\n  }}'
+                for lag in lags for i in range(model.m) for j in range(model.m)], covs)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    if args.out == "-":
-        raise UsageError("--out - would be stdout, but simulate writes a values CSV and a "
-                         ".meta.json sidecar beside it, so --out needs a file path")
-    out = _out_file("realization.csv" if args.out is None else args.out, "simulate writes a "
-                    "values CSV there and a .meta.json sidecar beside it")
     model = _load_model(args.model)
     times = sorted(_parse_lags(args.times))
     # the latent table, (trunc + 1) x times x m, is held whole while the values are formed
@@ -263,7 +258,7 @@ def cmd_simulate(args) -> int:
     points, points_spec = _resolve_points(model.space, args.points, args.seed)
     _require_values("--points and --times", len(points), len(times), model.m)
     real = simulate_spatiotemporal(model, points, times, args.trunc, args.seed)
-    csv_path, meta_path = save_realization(real, out, points_spec=points_spec)
+    csv_path, meta_path = save_realization(real, args.out, points_spec=points_spec)
     print(f"wrote {csv_path} and {meta_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -278,19 +273,13 @@ ZONAL_IDENTITY = (
 )
 
 
-def _mc_record(space, name: str, identity: str, est) -> dict:
-    """One Monte-Carlo check as a `check` record."""
-    return {
-        "space": space.label,
-        "name": name,
-        "identity": identity,
-        "target": float(np.asarray(est.target)),
-        "estimate": float(np.asarray(est.value)),
-        "std_error": float(np.asarray(est.std_error)),
-        "z": est.z_score,
-        "pass": est.passed,
-        "tolerance": None,
-    }
+def _record(space, name: str, identity: str, target, estimate, passed: bool, *,
+            tolerance=None, std_error=None, z=None) -> dict:
+    """One `check` record: an identity check has a tolerance, a Monte-Carlo one a standard
+    error and a z-score; the fields it lacks are None."""
+    return {"space": space.label, "name": name, "identity": identity, "target": float(target),
+            "estimate": float(estimate), "pass": passed, "tolerance": tolerance,
+            "std_error": None if std_error is None else float(std_error), "z": z}
 
 
 def cmd_check(args) -> int:
@@ -303,23 +292,21 @@ def cmd_check(args) -> int:
     mc_spaces = [parse_space(s) for s in args.spaces.split(",")] if args.spaces else [
         s for s in all_reference_spaces() if s.family is not SpaceFamily.OCTONION_PROJECTIVE
     ]
-    records = []
-    for space in all_reference_spaces():
-        report = check_space_identities(space)
-        for chk in report.checks:
-            rec = chk.as_dict()
-            rec["space"] = space.label
-            rec.update({"estimate": rec.pop("value"), "std_error": None, "z": None})
-            records.append(rec)
+    records = [_record(space, chk.name, chk.identity, chk.target, chk.value, chk.passed,
+                       tolerance=chk.tolerance)
+               for space in all_reference_spaces() for chk in check_space_identities(space).checks]
     for space in mc_spaces:
         x1, x2 = sample_uniform_batch(space, 2, substream(args.seed, 3))
         for i, j in ((0, 0), (1, 1), (2, 1), (1, 3)):
             est = mc_funk_hecke(space, i, j, x1, x2, replicates=rep, seed=args.seed + i * 7 + j)
-            records.append(_mc_record(space, f"funk_hecke_{i}_{j}", FUNK_HECKE_IDENTITY, est))
+            records.append(_record(space, f"funk_hecke_{i}_{j}", FUNK_HECKE_IDENTITY, est.target,
+                                   est.value, est.passed, std_error=est.std_error, z=est.z_score))
         for n in (1, 2):
             chk = mc_zonal_covariance(space, n, x1, x2, replicates=rep, seed=args.seed + 13 * n)
             for label, est in (("mean", chk.mean), ("cov", chk.covariance), ("cross", chk.cross)):
-                records.append(_mc_record(space, f"zonal_{label}_{n}", ZONAL_IDENTITY, est))
+                records.append(_record(space, f"zonal_{label}_{n}", ZONAL_IDENTITY, est.target,
+                                       est.value, est.passed, std_error=est.std_error,
+                                       z=est.z_score))
     all_pass = all(r["pass"] for r in records)
     _emit({"pass": all_pass, "checks": records}, args.out)
     if not all_pass:
@@ -331,10 +318,13 @@ def cmd_check(args) -> int:
 def cmd_spectrum(args) -> int:
     model = _load_model(args.model)
     spectra = np.array([angular_power_spectrum(model, n) for n in range(model.max_degree + 1)])
-    if args.format == "json":
-        _emit([row for n, b in enumerate(spectra) for row in _entry_rows(b, degree=n)], args.out)
-        return EXIT_OK
     with _output(args.out) as fh:
+        if args.format == "json":
+            _write_json(fh, range(len(spectra)), [
+                f'  {{\n    "component_i": {i},\n    "component_j": {j},\n    "degree": %s,'
+                f'\n    "value": %s\n  }}' for i in range(model.m) for j in range(model.m)],
+                spectra)
+            return EXIT_OK
         _write_rows(fh, ["degree", "component_i", "component_j", "value"], range(len(spectra)),
                     [f",{i},{j},%r\r\n" for i in range(model.m) for j in range(model.m)], spectra)
     return EXIT_OK
@@ -380,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", default="0",
                    help="time grid for temporal models (spatial models: 0 only)")
     p.add_argument("--trunc", type=int, default=None)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, out="realization.csv")
 
     p = sub.add_parser("check", help="run the identity suite and Monte-Carlo oracles")
     common(p, "seed")
@@ -428,6 +418,14 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's own message names no flag
             raise UsageError(f"--seed {args.seed} must be a non-negative integer")
+        if args.func is cmd_simulate:
+            if args.out == "-":
+                raise UsageError("--out - would be stdout, but simulate writes a values CSV and "
+                                 "a .meta.json sidecar beside it, so --out needs a file path")
+            _out_file(args.out, "simulate writes a values CSV there and a .meta.json sidecar "
+                      "beside it")
+        elif args.out not in (None, "-"):
+            _out_file(args.out, "the command writes a file there")
         return args.func(args)
     except GeometryError as exc:
         print(f"unsupported geometry: {exc}", file=sys.stderr)

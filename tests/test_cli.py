@@ -555,6 +555,46 @@ class TestSpectrum:
             assert float(r["value"]) == want[int(r["component_i"]), int(r["component_j"])]
 
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_json_over_three_chunks_equals_the_row_rendering(self, m, tmp_path):
+        # two full chunks of whole degrees and one of a single degree; entries from subnormal
+        # to about 1e300 through coefficients scaled D B D
+        rng = np.random.default_rng(31 + m)
+        scale = np.diag([1e-150, 1e150, 1.0][:m])
+        count = 2 * (_WRITE_CHUNK // m**2) + 1
+        path = save_model(SeriesModel(S2, m, [scale @ random_psd(rng, m, (n + 1.0) ** -2) @ scale
+                                              for n in range(count)]), tmp_path / "model.json")
+        model = load_model(path)
+        rows = [dict(degree=n, component_i=i, component_j=j, value=float(b[i, j]))
+                for n in range(count) for b in [angular_power_spectrum(model, n)]
+                for i in range(m) for j in range(m)]
+        want = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        assert "e-3" in want and (m == 1 or "e+" in want)
+        out = tmp_path / "spectrum.json"
+        assert main(["spectrum", "--model", str(path), "--format", "json", "--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode()
+
+    def test_json_memory_does_not_grow_with_the_table(self, tmp_path):
+        # rows are formatted a chunk of degrees at a time: past loading the model, the traced
+        # peak is one chunk's text and fields, where one dict per row and the whole text took
+        # about 1 KB a row
+        for count in (2_001, 8_001):
+            path = save_model(SeriesModel(S2, 3, [(np.eye(3) + 0.05) / (n + 1) ** 2
+                                                  for n in range(count)]), tmp_path / "m.json")
+            argv = ["spectrum", "--model", str(path), "--format", "json",
+                    "--out", str(tmp_path / "spectrum.json")]
+            results, peaks = [], []
+            for call in (lambda: load_model(path), lambda: main(argv)):
+                tracemalloc.start()
+                try:
+                    results.append(call())
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert results[1] == 0
+            assert peaks[1] - peaks[0] < 5_000_000, (count, peaks)
+
+
 class TestParser:
     def test_unknown_command_exits_two(self):
         assert main(["frobnicate"]) == 2
@@ -1045,6 +1085,29 @@ def test_table_out_that_names_no_file_exits_two(tmp_path, capsys, monkeypatch, c
     assert capsys.readouterr().err == (f"error: --out {out!r} names a directory or no file "
                                        "name, but the command writes a file there\n")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["validate", "eval-cov", "spectrum", "check", "simulate"])
+def test_out_in_a_missing_folder_exits_two_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            command):
+    # every command checks --out first: the four that write a table or report once read the
+    # model and computed it, or ran the whole check suite, before they refused
+    monkeypatch.chdir(tmp_path)
+    save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    monkeypatch.setattr(isofield.cli, "load_model", refuse)
+    monkeypatch.setattr(isofield.cli, "check_space_identities", refuse)
+    argv = {"check": ["check"], "simulate": ["simulate", "--points", "random:2"]}.get(
+        command, [command])
+    if command != "check":
+        argv += ["--model", "spatial.json"]
+    assert main([*argv, "--out", "nodir/x"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --out 'nodir/x' is in 'nodir', which does not exist, but ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spatial.json"]
 
 
 @pytest.mark.parametrize("command", ["validate", "eval-cov", "spectrum", "simulate"])
