@@ -163,16 +163,10 @@ def _reals(value, name: str) -> np.ndarray:
 
 def _require_lag(domain: str, t, noun: str = "lag") -> float:
     """The real-lag rule: t as a float; UsageError unless it is a real number, finite (noun
-    names it if not) and a lag of the domain (_in_domain)."""
+    names it if not) and a lag of the domain: an integer on INTEGER_LAGS, 0 on ZERO_LAG."""
     t = _real(t, "lag")
     if not math.isfinite(t):
         raise UsageError(f"{noun} {t} is not finite")
-    return _in_domain(domain, t)
-
-
-def _in_domain(domain: str, t: float) -> float:
-    """A finite float t; UsageError unless it is a lag of the domain: an integer on
-    INTEGER_LAGS, 0 on ZERO_LAG."""
     if domain == INTEGER_LAGS and not t.is_integer():
         raise UsageError(f"lag {t} is not an integer but the model's temporal domain is Z")
     if domain == ZERO_LAG and t != 0.0:

@@ -26,8 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (INTEGER_LAGS, REAL_LAGS, ZERO_LAG, ModelError, NumericError, ParameterError,
-                     UsageError, _check_m, _in_domain, _lag_list, _real, _reals, _require_lag,
-                     _sized, _whole)
+                     UsageError, _check_m, _lag_list, _real, _reals, _require_lag, _sized, _whole)
 from .jacobi import (_STEP_WORDS, _jacobi_series, _recurrence, gauss_jacobi, jacobi_all,
                      jacobi_at_one, jacobi_norm_constant)
 from .spaces import SpaceParams, a_constant, dim_eigenspace
@@ -475,7 +474,7 @@ def validate_spatiotemporal(model: SeriesModel, probe_lags) -> ValidityReport:
         raise UsageError("probe_lags must contain 0")
     grid = sorted(set(lags))
     for t in grid:  # the model's domain, in grid order
-        _in_domain(model.domain, t)
+        _require_lag(model.domain, t, "probe lag")
     if not math.isfinite(grid[-1] - grid[0]):  # the widest of the differences t_i - t_j
         raise UsageError(f"probe lags {grid[-1]} and {grid[0]} differ by more than a float holds")
     rows, width = len(grid) * (len(grid) - 1) + 1, (model.max_degree + 1) * model.m**2
