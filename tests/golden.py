@@ -9,8 +9,11 @@ SHA-256 of stdout, of stderr and of every file the run wrote, and, when the
 exit is not 0, the stderr text itself, so that a moved message reads as a
 diff. An argument longer than 100 characters (a 10^4-time grid) is shown in
 the manifest by its length and digest. The manifest also names the numpy it
-was recorded with: output bytes are promised for one numpy, exit codes for
-every numpy that pyproject.toml admits.
+was recorded with and the OpenBLAS kernel its workers ran under: output bytes
+are promised for one numpy and one kernel, exit codes for every numpy that
+pyproject.toml admits on every CPU. The workers run under BLAS_KERNEL
+(OPENBLAS_CORETYPE), which any CPU with AVX2 and FMA can run, so the bytes
+do not move with a CPU's own choice of kernel (SkylakeX on AVX-512 hosts).
 
 The cases:
 
@@ -48,6 +51,7 @@ import tempfile
 import traceback
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -57,6 +61,7 @@ from isofield.spaces import points_to_reals
 
 MANIFEST = Path(__file__).with_name("golden.json")
 WORKERS = 2
+BLAS_KERNEL = "Haswell"  # OpenBLAS's AVX2 and FMA kernels, which AMD Zen hosts get too
 
 SPACES = ("sphere:1", "sphere:2", "projC:4", "projH:8")
 KERNELS = {
@@ -335,11 +340,22 @@ def _run_shard(argvs: list[list[str]]) -> list[dict]:
             os.chdir(here)
 
 
+def kernel_runs_here() -> bool:
+    """The CPU has AVX2 and FMA, which BLAS_KERNEL needs, as numpy's CPU-feature table reads it."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy before 2.0
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX2") and __cpu_features__.get("FMA3"))
+
+
 def run_cases() -> list[dict]:
-    """The outcome of every case, in case order; the workers take alternate cases."""
+    """The outcome of every case, in case order; the workers take alternate cases and run
+    under BLAS_KERNEL, which OPENBLAS_CORETYPE sets as they start."""
     argvs = cases()
     context = multiprocessing.get_context("spawn")
-    with concurrent.futures.ProcessPoolExecutor(WORKERS, mp_context=context) as pool:
+    with mock.patch.dict(os.environ, OPENBLAS_CORETYPE=BLAS_KERNEL), \
+            concurrent.futures.ProcessPoolExecutor(WORKERS, mp_context=context) as pool:
         shards = list(pool.map(_run_shard, [argvs[k::WORKERS] for k in range(WORKERS)]))
     outcomes = [None] * len(argvs)
     for k, shard in enumerate(shards):
@@ -401,9 +417,14 @@ def record(outcomes: list[dict]) -> None:
     if broken:
         sys.exit("not recorded; these cases broke the exit contract:\n" + "\n".join(broken))
     lines = ",\n".join(json.dumps(o, sort_keys=True) for o in outcomes)
-    MANIFEST.write_text(f'{{"numpy": {json.dumps(np.__version__)}, "cases": [\n{lines}\n]}}\n')
-    print(f"recorded {len(outcomes)} cases for numpy {np.__version__} in {MANIFEST.name}")
+    MANIFEST.write_text(f'{{"numpy": {json.dumps(np.__version__)}, "blas_kernel": '
+                        f'{json.dumps(BLAS_KERNEL)}, "cases": [\n{lines}\n]}}\n')
+    print(f"recorded {len(outcomes)} cases for numpy {np.__version__} and the OpenBLAS kernel "
+          f"{BLAS_KERNEL} in {MANIFEST.name}")
 
 
 if __name__ == "__main__":
+    if not kernel_runs_here():
+        sys.exit(f"not recorded; this CPU lacks AVX2 or FMA, which the OpenBLAS kernel "
+                 f"{BLAS_KERNEL} needs")
     record(run_cases())

@@ -1,7 +1,8 @@
 """The byte contract as tier-1: every case of tests/golden.py against tests/golden.json.
 
 After a deliberate output change, re-record with `PYTHONPATH=src python tests/golden.py`
-and name the entries that moved in CHANGES.md.
+and name the entries that moved in CHANGES.md. The cases run under the OpenBLAS kernel
+golden.BLAS_KERNEL, so a CPU without AVX2 and FMA compares exit codes only.
 """
 
 import re
@@ -47,6 +48,10 @@ def test_output_bytes_match_the_manifest(manifest, outcomes):
     if manifest["numpy"] != np.__version__:
         pytest.skip(f"output bytes are recorded for numpy {manifest['numpy']}; "
                     f"this is numpy {np.__version__}")
+    if not golden.kernel_runs_here():
+        pytest.skip(f"output bytes are recorded under the OpenBLAS kernel "
+                    f"{manifest['blas_kernel']}, which needs AVX2 and FMA; this CPU lacks them")
+    assert manifest["blas_kernel"] == golden.BLAS_KERNEL, "the workers ran under another kernel"
     assert_none(golden.moved(manifest, outcomes, "bytes"))
 
 
