@@ -236,16 +236,16 @@ def cmd_eval_cov(args) -> int:
     bound = truncation_bound(model, trunc)
     covs = eval_cov(model, rhos, lags, trunc).swapaxes(0, 1)
     with _output(args.out) as fh:
-        if args.format == "csv":
-            _write_rows(fh, ["rho", "lag", "component_i", "component_j", "value", "tail_bound"],
-                        rhos.tolist(), [f",{lag!r},{i},{j},%r,{bound!r}\r\n" for lag in lags
-                                           for i in range(model.m) for j in range(model.m)], covs)
-        else:
+        if args.format == "json":
             _write_json(fh, rhos, [
                 f'  {{\n    "component_i": {i},\n    "component_j": {j},\n    "lag": '
                 f'{json.dumps(lag)},\n    "rho": %s,\n    "tail_bound": {json.dumps(bound)},'
                 f'\n    "value": %s\n  }}'
                 for lag in lags for i in range(model.m) for j in range(model.m)], covs)
+            return EXIT_OK
+        _write_rows(fh, ["rho", "lag", "component_i", "component_j", "value", "tail_bound"],
+                    rhos.tolist(), [f",{lag!r},{i},{j},%r,{bound!r}\r\n" for lag in lags
+                                       for i in range(model.m) for j in range(model.m)], covs)
     return EXIT_OK
 
 

@@ -554,7 +554,6 @@ class TestSpectrum:
             want = angular_power_spectrum(load_model(path), int(r["degree"]))
             assert float(r["value"]) == want[int(r["component_i"]), int(r["component_j"])]
 
-
     @pytest.mark.parametrize("m", [1, 3])
     def test_json_over_three_chunks_equals_the_row_rendering(self, m, tmp_path):
         # two full chunks of whole degrees and one of a single degree; entries from subnormal
@@ -1100,10 +1099,9 @@ def test_out_in_a_missing_folder_exits_two_before_any_work(tmp_path, capsys, mon
 
     monkeypatch.setattr(isofield.cli, "load_model", refuse)
     monkeypatch.setattr(isofield.cli, "check_space_identities", refuse)
-    argv = {"check": ["check"], "simulate": ["simulate", "--points", "random:2"]}.get(
-        command, [command])
-    if command != "check":
-        argv += ["--model", "spatial.json"]
+    argv = [command] if command == "check" else [command, "--model", "spatial.json"]
+    if command == "simulate":
+        argv += ["--points", "random:2"]
     assert main([*argv, "--out", "nodir/x"]) == 2
     assert capsys.readouterr().err.startswith(
         "error: --out 'nodir/x' is in 'nodir', which does not exist, but ")

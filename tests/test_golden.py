@@ -51,7 +51,7 @@ def test_output_bytes_match_the_manifest(manifest, outcomes):
     if not golden.kernel_runs_here():
         pytest.skip(f"output bytes are recorded under the OpenBLAS kernel "
                     f"{manifest['blas_kernel']}, which needs AVX2 and FMA; this CPU lacks them")
-    assert manifest["blas_kernel"] == golden.BLAS_KERNEL, "the workers ran under another kernel"
+    assert manifest["blas_kernel"] == golden.BLAS_KERNEL, "recorded under another kernel"
     assert_none(golden.moved(manifest, outcomes, "bytes"))
 
 
