@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GeometryError, ModelError, NumericError, UsageError
 from .modelio import _not_utf8, load_model
-from .simulate import _WRITE_CHUNK, _write_rows, save_realization, simulate_spatiotemporal
+from .simulate import _sidecar_path, _write_table, save_realization, simulate_spatiotemporal
 from .simulate import substream
 from .spaces import (
     SpaceFamily,
@@ -177,12 +177,21 @@ def _resolve_points(space, spec: str, seed: int):
 
 
 @contextlib.contextmanager
+def _out_errors(text: str):
+    """An OSError in the block, which writes the --out file text, as a UsageError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"--out {text!r}: {exc.strerror or exc}") from exc
+
+
+@contextlib.contextmanager
 def _output(out_path: str | None):
     """The text stream to write to: stdout for None or '-', else the file (CRLF kept)."""
     if out_path in (None, "-"):
         yield sys.stdout
     else:
-        with open(out_path, "w", newline="") as fh:
+        with _out_errors(out_path), open(out_path, "w", newline="") as fh:
             yield fh
 
 
@@ -190,21 +199,6 @@ def _emit(doc, out_path: str | None) -> None:
     """doc as indented JSON with sorted keys."""
     with _output(out_path) as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_json(fh, leads, rows, values) -> None:
-    """json.dumps(table, indent=2, sort_keys=True) of a table of objects, a chunk of leads per
-    write: per lead, each of rows (one object's text, the lead's %s before the value's) filled
-    with lead k and its entry of values[k]. str is json's form of an int and a finite float."""
-    per_lead = ",\n".join(rows)
-    step = max(1, _WRITE_CHUNK // len(rows))  # leads per write, as in _write_rows
-    for k in range(0, len(leads), step):
-        block = values[k:k + step].reshape(-1, len(rows))  # (leads, rows per lead)
-        fields = np.empty(block.shape + (2,), dtype=object)
-        fields[..., 0], fields[..., 1] = np.array(leads[k:k + step], dtype=object)[:, None], block
-        fh.write((",\n" if k else "[\n")
-                 + ",\n".join([per_lead] * len(block)) % tuple(fields.ravel().tolist()))
-    fh.write("\n]\n")
 
 
 # --------------------------------------------------------------------------
@@ -219,9 +213,9 @@ def cmd_validate(args) -> int:
         _emit(report.as_dict(), args.out)
     else:
         with _output(args.out) as fh:
-            _write_rows(fh, ["degree", "lag", "kind", "magnitude"],
-                        [f"{v.degree},{v.lag},{v.kind}" for v in report.violations], [",%r\r\n"],
-                        np.array([v.magnitude for v in report.violations], dtype=float))
+            _write_table(fh, "csv", ["degree", "lag", "kind", "magnitude"], [("%r",)],
+                         [f"{v.degree},{v.lag},{v.kind}" for v in report.violations],
+                         np.array([v.magnitude for v in report.violations], dtype=float))
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
@@ -236,16 +230,9 @@ def cmd_eval_cov(args) -> int:
     bound = truncation_bound(model, trunc)
     covs = eval_cov(model, rhos, lags, trunc).swapaxes(0, 1)
     with _output(args.out) as fh:
-        if args.format == "json":
-            _write_json(fh, rhos, [
-                f'  {{\n    "component_i": {i},\n    "component_j": {j},\n    "lag": '
-                f'{json.dumps(lag)},\n    "rho": %s,\n    "tail_bound": {json.dumps(bound)},'
-                f'\n    "value": %s\n  }}'
-                for lag in lags for i in range(model.m) for j in range(model.m)], covs)
-            return EXIT_OK
-        _write_rows(fh, ["rho", "lag", "component_i", "component_j", "value", "tail_bound"],
-                    rhos.tolist(), [f",{lag!r},{i},{j},%r,{bound!r}\r\n" for lag in lags
-                                       for i in range(model.m) for j in range(model.m)], covs)
+        _write_table(fh, args.format, ["rho", "lag", "component_i", "component_j", "value",
+                                       "tail_bound"], [(lag, i, j, "%r", bound) for lag in lags
+                     for i in range(model.m) for j in range(model.m)], rhos, covs)
     return EXIT_OK
 
 
@@ -258,7 +245,8 @@ def cmd_simulate(args) -> int:
     points, points_spec = _resolve_points(model.space, args.points, args.seed)
     _require_values("--points and --times", len(points), len(times), model.m)
     real = simulate_spatiotemporal(model, points, times, args.trunc, args.seed)
-    csv_path, meta_path = save_realization(real, args.out, points_spec=points_spec)
+    with _out_errors(args.out):
+        csv_path, meta_path = save_realization(real, args.out, points_spec=points_spec)
     print(f"wrote {csv_path} and {meta_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -319,14 +307,9 @@ def cmd_spectrum(args) -> int:
     model = _load_model(args.model)
     spectra = np.array([angular_power_spectrum(model, n) for n in range(model.max_degree + 1)])
     with _output(args.out) as fh:
-        if args.format == "json":
-            _write_json(fh, range(len(spectra)), [
-                f'  {{\n    "component_i": {i},\n    "component_j": {j},\n    "degree": %s,'
-                f'\n    "value": %s\n  }}' for i in range(model.m) for j in range(model.m)],
-                spectra)
-            return EXIT_OK
-        _write_rows(fh, ["degree", "component_i", "component_j", "value"], range(len(spectra)),
-                    [f",{i},{j},%r\r\n" for i in range(model.m) for j in range(model.m)], spectra)
+        _write_table(fh, args.format, ["degree", "component_i", "component_j", "value"],
+                     [(i, j, "%r") for i in range(model.m) for j in range(model.m)],
+                     range(len(spectra)), spectra)
     return EXIT_OK
 
 
@@ -424,6 +407,9 @@ def main(argv=None) -> int:
                                  "a .meta.json sidecar beside it, so --out needs a file path")
             _out_file(args.out, "simulate writes a values CSV there and a .meta.json sidecar "
                       "beside it")
+            meta = _sidecar_path(args.out)  # in --out's folder, which passed _out_file
+            if meta.is_dir():
+                raise UsageError(f"--out {args.out!r}: its sidecar {str(meta)!r} is a directory")
         elif args.out not in (None, "-"):
             _out_file(args.out, "the command writes a file there")
         return args.func(args)

@@ -45,7 +45,7 @@ from .spaces import (SpaceParams, _cos, _point_family, _points, _sample, points_
                      points_to_reals)
 from .spectral import SeriesModel, _resolve_trunc, truncation_bound
 
-_WRITE_CHUNK = 1 << 14  # values per write of _write_rows (whole leads, at least one)
+_WRITE_CHUNK = 1 << 14  # values per write of _write_table (whole leads, at least one)
 
 
 def _words(n: int, count: int = 1) -> bytes:
@@ -191,6 +191,11 @@ def _simulate(model: SeriesModel, points, times: list[float], trunc, seed) -> Re
 # --------------------------------------------------------------------------
 
 
+def _sidecar_path(csv_path) -> Path:
+    """The sidecar of a values CSV: <stem>.meta.json beside it."""
+    return Path(csv_path).with_name(Path(csv_path).stem + ".meta.json")
+
+
 def save_realization(real: Realization, csv_path, *, points_spec=None) -> tuple[Path, Path]:
     """Write values as (point_index, time, component, value) rows to csv_path, and the
     sidecar beside it as <stem>.meta.json.
@@ -200,8 +205,7 @@ def save_realization(real: Realization, csv_path, *, points_spec=None) -> tuple[
     configurations produce byte-identical files. A model with no file form
     raises ModelFormatError before anything is written.
     """
-    csv_path = Path(csv_path)
-    meta_path = csv_path.with_name(csv_path.stem + ".meta.json")
+    csv_path, meta_path = Path(csv_path), _sidecar_path(csv_path)
     npts, _, m = real.values.shape
     meta = {
         "format_version": 2,
@@ -223,16 +227,31 @@ def save_realization(real: Realization, csv_path, *, points_spec=None) -> tuple[
         meta["points_spec"] = points_spec
     sidecar = json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n"
     with open(csv_path, "w", newline="") as fh:
-        _write_rows(fh, ["point_index", "time", "component", "value"], range(npts),
-                    [f",{t!r},{k},%r\r\n" for t in real.times for k in range(m)], real.values)
+        _write_table(fh, "csv", ["point_index", "time", "component", "value"],
+                     [(t, k, "%r") for t in real.times for k in range(m)], range(npts), real.values)
     meta_path.write_text(sidecar)
     return csv_path, meta_path
 
 
-def _write_rows(fh, header, leads, tails, values) -> None:
-    """The CSV header, then per lead a row str(lead) + tail per tail, in csv.writer's dialect."""
-    fh.write(",".join(header) + "\r\n")
-    step = max(1, _WRITE_CHUNK // len(tails))  # leads per write; values[k] fills lead k's %r
+def _write_table(fh, fmt: str, columns, cells, leads, values) -> None:
+    """A table of len(cells) rows per lead: csv.writer's rows under the header columns (fmt
+    "csv"), or json.dumps(rows, indent=2, sort_keys=True) + "\n" (fmt "json", rows nonempty).
+    Row r of leads[k] holds str(lead) under columns[0] (a CSV lead may fill several columns)
+    and cells[r], numbers and "%r" for values[k]'s entry, under the rest; str is JSON's form of
+    an int and a finite float. Written _WRITE_CHUNK values (whole leads) at a time."""
+    # parts: one lead's rows, rendered with the lead left out, so that they are lead.join(parts)
+    if fmt == "json":  # json.dumps of the lead's rows, less its "[\n" and "\n]"
+        parts = json.dumps([dict(zip(columns, ["\0", *row])) for row in cells], indent=2,
+                           sort_keys=True)[2:-2].replace('"%r"', "%r").split('"\\u0000"')
+        start, sep, end = "[\n", ",\n", "\n]\n"
+    else:
+        parts = "".join([f"\0,{','.join(map(str, row))}\r\n" for row in cells]).split("\0")
+        start, sep, end = ",".join(columns) + "\r\n", "", ""
+    fh.write(start)
+    step = max(1, _WRITE_CHUNK // len(cells))  # leads per write; values[k] fills lead k's %r
     for k in range(0, len(leads), step):
-        rows = "".join([lead + tail for lead in map(str, leads[k:k + step]) for tail in tails])
-        fh.write(rows % tuple(values[k:k + step].ravel().tolist()))
+        chunk = leads[k:k + step]  # an array's leads become Python numbers a chunk at a time
+        chunk = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+        rows = sep.join([lead.join(parts) for lead in map(str, chunk)])
+        fh.write((sep if k else "") + rows % tuple(values[k:k + step].ravel().tolist()))
+    fh.write(end)

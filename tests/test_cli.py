@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -190,7 +191,7 @@ class TestEvalCov:
 
 
 EVAL_COV_CASES = {
-    # every grid runs from 0 to pi; m = 1
+    # every grid but one_row's runs from 0 to pi; m = 1
     "m1": (SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1), 0.25 * np.eye(1)]),
            f"0:{math.pi}:5", "0", None),
     # m = 3 with a tail bound, -0.0 and negative real lags, truncated to degree 0
@@ -201,6 +202,9 @@ EVAL_COV_CASES = {
     "ma1": (SeriesModel(S2, 2, [random_psd(np.random.default_rng(9), 2)] * 2,
                         VectorMA1([[0.3, -0.2], [0.1, 0.5]])),
             f"0:{math.pi}:3", "-1,0,1,2", None),
+    # a one-row table: one distance, one lag, m = 1
+    "one_row": (SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)],
+                            SeparableScalar("exponential", 1.0)), "1.25:3:1", "0.5", None),
 }
 
 
@@ -229,7 +233,7 @@ class TestEvalCovBytes:
         if fmt == "csv":
             assert want.count("\r\n") == 1 + len(rhos) * len(lags) * model.m**2
             assert ",-0.0," in want or "-0.0" not in lag_text
-            assert "\r\n0.0," in want and f"\r\n{math.pi!r}," in want
+            assert all(f"\r\n{rho!r}," in want for rho in (float(rhos[0]), float(rhos[-1])))
 
     @pytest.mark.parametrize("fmt, lag_count", [("csv", 3), ("json", 3),
                                                 ("csv", _WRITE_CHUNK // 4 + 1),
@@ -1106,6 +1110,69 @@ def test_out_in_a_missing_folder_exits_two_before_any_work(tmp_path, capsys, mon
     assert capsys.readouterr().err.startswith(
         "error: --out 'nodir/x' is in 'nodir', which does not exist, but ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spatial.json"]
+
+
+def test_simulate_sidecar_that_is_a_directory_exits_two_before_any_work(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the values CSV was once simulated and written, and only the sidecar's open failed
+    monkeypatch.chdir(tmp_path)
+    save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+    (tmp_path / "x.meta.json").mkdir()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the sidecar path was checked")
+
+    monkeypatch.setattr(isofield.cli, "load_model", refuse)
+    assert main(["simulate", "--model", "spatial.json", "--points", "random:2",
+                 "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err == ("error: --out 'x.csv': its sidecar 'x.meta.json' is a "
+                                       "directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spatial.json", "x.meta.json"]
+
+
+class FullDisk:
+    """A text stream whose writes fail with ENOSPC after the first two (the header or "[",
+    then the first chunk of rows)."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-cov", "--rho-grid", f"0:3:{_WRITE_CHUNK + 1}"],
+    ["eval-cov", "--rho-grid", f"0:3:{_WRITE_CHUNK + 1}", "--format", "json"],
+    ["simulate", "--points", f"random:{_WRITE_CHUNK + 1}"]])
+def test_a_failed_write_exits_two_naming_out(tmp_path, capsys, monkeypatch, argv):
+    # the errno text alone once named no flag; the partial file may remain
+    path = save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+    write_table = isofield.simulate._write_table
+
+    def full(fh, *args):
+        write_table(FullDisk(fh), *args)
+
+    monkeypatch.setattr(isofield.simulate, "_write_table", full)
+    monkeypatch.setattr(isofield.cli, "_write_table", full)
+    out = str(tmp_path / "out.csv")
+    assert main([*argv, "--model", str(path), "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: --out {out!r}: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_a_failed_sidecar_write_exits_two_naming_out(tmp_path, capsys, monkeypatch):
+    path = save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+
+    def full(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", full)
+    out = str(tmp_path / "run.csv")
+    assert main(["simulate", "--model", str(path), "--points", "random:3", "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: --out {out!r}: {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "eval-cov", "spectrum", "simulate"])
