@@ -41,8 +41,8 @@ import numpy as np
 from . import __version__, modelio
 from .errors import ZERO_LAG, ModelError, NumericError, UsageError, _count, _lag_list
 from .jacobi import _jacobi_series
-from .spaces import (SpaceParams, _cos, _point_family, _points, _sample, points_sha256,
-                     points_to_reals)
+from .spaces import (SpaceParams, _point_family, _sample, cos_distance_batch, point_array,
+                     points_sha256, points_to_reals)
 from .spectral import SeriesModel, _resolve_trunc, truncation_bound
 
 _WRITE_CHUNK = 1 << 14  # values per write of _write_table (whole leads, at least one)
@@ -155,8 +155,7 @@ def _simulate(model: SeriesModel, points, times: list[float], trunc, seed) -> Re
         raise ModelError(f"cannot simulate from an invalid model: {report.summary()}")
     trunc = _resolve_trunc(model, trunc)
     space = model.space
-    row = _point_family(space)  # the family row, looked up once for the point set, U and rho
-    points = _points(space, row, points)
+    points = point_array(space, points)
     # the seed checked once: substream(seed, *key) is the stream of prefix + key words
     prefix = _words(_count(seed, "seed", high=None), 4)
     sample_paths = getattr(model.kernel, "sample_paths", None)
@@ -164,13 +163,14 @@ def _simulate(model: SeriesModel, points, times: list[float], trunc, seed) -> Re
         raise UsageError(f"unsupported temporal kernel {type(model.kernel).__name__}")
     head = prefix + _words(1)  # U's stream is keyed (0,), degree n's (1, n): one batch
     rng_u, *rngs = _generators([prefix + _words(0)] + [head + _words(n) for n in range(trunc + 1)])
-    u = _sample(row, space.d, 1, rng_u)[0]
+    u = _sample(_point_family(space), space.d, 1, rng_u)[0]
     latent_v = sample_paths(roots[:trunc + 1], model._an[:trunc + 1], times, rngs)
     shape = (trunc + 1, len(times), model.m)
     if np.shape(latent_v) != shape:
         raise UsageError(f"{type(model.kernel).__name__}.sample_paths returned shape "
                          f"{np.shape(latent_v)}, expected {shape}")
-    values = _jacobi_series(trunc, space.geom, _cos(row, u, points), latent_v, model._steps)
+    values = _jacobi_series(trunc, space.geom, cos_distance_batch(space, u, points), latent_v,
+                            model._steps)
     if not np.isfinite(values).all():
         raise NumericError("the series produced non-finite field values")
     return Realization(

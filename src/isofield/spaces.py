@@ -263,7 +263,7 @@ def all_reference_spaces() -> list[SpaceParams]:
 # Points: stacked representatives, sampling, distances
 # ---------------------------------------------------------------------------
 
-_DOT_CLAMP_TOL = 1e-12
+_UNIT_TOL = 1e-12  # of a representative's norm: the one unit rule, at point_array
 
 
 def _point_family(space: SpaceParams) -> _Family:
@@ -335,13 +335,9 @@ def point_array(space: SpaceParams, points) -> np.ndarray:
 
     Takes such an array, checked but never renormalized, or a sequence of rows
     or of make_point results of this space, stacked once. This is where points
-    from outside the library are checked.
+    from outside the library are checked: each norm must be within _UNIT_TOL of 1.
     """
-    return _points(space, _point_family(space), points)  # GeometryError first, without points
-
-
-def _points(space: SpaceParams, row: _Family, points) -> np.ndarray:
-    """point_array for the family row of the space."""
+    row = _point_family(space)  # GeometryError first, without points
     if not isinstance(points, np.ndarray):
         try:
             items = iter(points)
@@ -361,7 +357,7 @@ def _points(space: SpaceParams, row: _Family, points) -> np.ndarray:
             raise UsageError(f"points of {space.label} must all have shape "
                              f"{row.ambient(space.d)}") from None
     reps = _stack(space, points, row)
-    unit = np.abs(_norms(reps, False) - 1.0) <= _DOT_CLAMP_TOL
+    unit = np.abs(_norms(reps, False) - 1.0) <= _UNIT_TOL
     if not unit.all():
         bad = np.flatnonzero(~unit)[0]
         raise UsageError(f"point {bad} is not a finite unit representative of {space.label}")
@@ -400,10 +396,11 @@ def make_point(space: SpaceParams, coords) -> Point:
 
 
 def _inner(row: _Family, reps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Clamped family inner product of each stacked representative with u."""
+    """Clamped family inner product of each stacked representative with u. Two rows that
+    point_array accepts reach at most (1 + _UNIT_TOL)**2 plus rounding, within the bound."""
     t = row.dot(reps, u)
     t = np.asarray(np.abs(t) if row.projective else t, dtype=float)
-    if (np.abs(t) > 1.0 + _DOT_CLAMP_TOL).any():
+    if (np.abs(t) > 1.0 + 3.0 * _UNIT_TOL).any():
         raise UsageError("inner product exceeds 1 beyond tolerance; point not normalized?")
     return np.minimum(np.maximum(t, -1.0), 1.0)
 
@@ -412,12 +409,8 @@ def cos_distance_batch(space: SpaceParams, x: np.ndarray, reps: np.ndarray) -> n
     """cos rho(rep, x), in [-1, 1], for each of a stacked batch of unit representatives
     and one unit representative x: t on spheres, cos(2 arccos t) = 2t^2 - 1 on
     projective spaces, t clamped to [-1, 1] or [0, 1]."""
-    return _cos(_point_family(space), x, np.asarray(reps))
-
-
-def _cos(row: _Family, x: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """cos_distance_batch for the family row of the space and an array reps."""
-    t = _inner(row, reps, x)
+    row = _point_family(space)
+    t = _inner(row, np.asarray(reps), x)
     return 2.0 * t * t - 1.0 if row.projective else t
 
 
@@ -430,8 +423,8 @@ def distance(space: SpaceParams, x, y) -> float:
     antipodal manifold exactly at distance pi. Taken from the inner
     product, not from arccos of cos_distance_batch, which loses precision near 0.
     """
+    x, y = point_array(space, [x, y])
     row = _point_family(space)
-    x, y = _points(space, row, [x, y])
     t = _inner(row, x[None], y)[0]
     return float(2.0 * np.arccos(t) if row.projective else np.arccos(t))
 

@@ -27,6 +27,7 @@ from isofield import (
 from isofield import spaces
 from isofield.jacobi import JacobiParams, jacobi_norm_constant
 from isofield.spaces import cos_distance_batch
+from isofield.verify import mc_funk_hecke
 from tests.oracles import (
     dim_eigenspace_mp, qconj, qmul, qnorm, qrandn_unit, regauge, zonal,
 )
@@ -284,6 +285,23 @@ class TestDistance:
         s = parse_space("sphere:2")
         with pytest.raises(UsageError, match="point representative 1 must be nonzero and finite"):
             spaces.normalize_points(s, [[1.0, 0.0, 0.0], row, [0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("label", ["sphere:2", "projC:4", "projH:8"])
+    def test_every_point_the_gate_accepts_has_a_distance(self, label):
+        # a norm of 1 + 0.9e-12 is within point_array's unit tolerance, and the point's inner
+        # product with itself, 1 + 1.8e-12, was once refused as "not normalized?"
+        s = parse_space(label)
+        x = sample_uniform_batch(s, 1, np.random.default_rng(37))[0]
+        x = x * ((1.0 + 0.9e-12) / np.linalg.norm(x))
+        assert np.array_equal(spaces.point_array(s, x[None]), x[None])
+        assert distance(s, x, x) == 0.0
+        assert cos_distance_batch(s, x, x[None]).tolist() == [1.0]
+        assert np.isfinite(mc_funk_hecke(s, 1, 1, x, x, replicates=100).value)
+        for scale in (1.0 + 1e-9, 1.0 - 1e-9):
+            with pytest.raises(UsageError, match="point 0 is not a finite unit representative"):
+                spaces.point_array(s, (scale * x)[None])
+        with pytest.raises(UsageError, match="inner product exceeds 1 beyond tolerance"):
+            cos_distance_batch(s, x, (2.0 * x)[None])
 
 
 class TestSampling:
