@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import GeometryError, ModelError, NumericError, UsageError
 from .modelio import _not_utf8, load_model
-from .simulate import _sidecar_path, _write_table, save_realization, simulate_spatiotemporal
-from .simulate import substream
+from .simulate import (_replacing, _sidecar_path, _write_table, save_realization,
+                       simulate_spatiotemporal, substream)
 from .spaces import (
     SpaceFamily,
     all_reference_spaces,
@@ -178,21 +178,32 @@ def _resolve_points(space, spec: str, seed: int):
 
 @contextlib.contextmanager
 def _out_errors(text: str):
-    """An OSError in the block, which writes the --out file text, as a UsageError naming it."""
+    """An OSError in the block, which writes the --out file text and perhaps simulate's sidecar
+    beside it, as a UsageError naming --out, and the sidecar when that is the file that failed."""
     try:
         yield
     except OSError as exc:
-        raise UsageError(f"--out {text!r}: {exc.strerror or exc}") from exc
+        sidecar = exc.filename is not None and Path(exc.filename) != Path(text)
+        where = f" its sidecar {exc.filename!r}:" if sidecar else ""
+        raise UsageError(f"--out {text!r}:{where} {exc.strerror or exc}") from exc
 
 
 @contextlib.contextmanager
 def _output(out_path: str | None):
-    """The text stream to write to: stdout for None or '-', else the file (CRLF kept)."""
-    if out_path in (None, "-"):
-        yield sys.stdout
-    else:
-        with _out_errors(out_path), open(out_path, "w", newline="") as fh:
+    """The text stream to write to: stdout for None or '-', else the file (CRLF kept), which
+    gets the whole output or keeps its old bytes."""
+    if out_path not in (None, "-"):
+        with _out_errors(out_path), _replacing(out_path) as fh:
             yield fh
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()  # a reader that has gone fails here, not at interpreter exit
+    except BrokenPipeError:
+        # stdout's later flushes, at interpreter exit too, go to devnull (the Python docs'
+        # note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError("stdout was closed before the whole output was written") from None
 
 
 def _emit(doc, out_path: str | None) -> None:

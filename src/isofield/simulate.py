@@ -31,7 +31,9 @@ drawn from a seed:
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -225,12 +227,45 @@ def save_realization(real: Realization, csv_path, *, points_spec=None) -> tuple[
         meta["points"] = points_to_reals(real.points).tolist()
     else:
         meta["points_spec"] = points_spec
-    sidecar = json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n"
-    with open(csv_path, "w", newline="") as fh:
-        _write_table(fh, "csv", ["point_index", "time", "component", "value"],
-                     [(t, k, "%r") for t in real.times for k in range(m)], range(npts), real.values)
-    meta_path.write_text(sidecar)
+    # the sidecar is written first and replaced last, so one on disk describes a whole CSV
+    with _replacing(meta_path) as sidecar:
+        sidecar.write(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+        sidecar.flush()
+        with _replacing(csv_path) as fh:
+            _write_table(fh, "csv", ["point_index", "time", "component", "value"],
+                         [(t, k, "%r") for t in real.times for k in range(m)], range(npts),
+                         real.values)
     return csv_path, meta_path
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text stream (newline="") whose bytes reach path whole or not at all: written to a new
+    sibling of path's target (symlinks followed), which replaces the target after its last
+    byte, or is removed on any failure, leaving the target as it was. An existing target that
+    is not a regular file, such as a device or a FIFO, is written in place, since a replace
+    would swap it for a regular file. An OSError of the stream or of its files names path."""
+    name, sibling = os.fspath(path), None
+    try:
+        if os.path.exists(name) and not os.path.isfile(name):
+            with open(name, "w", newline="") as fh:
+                yield fh
+            return
+        target = Path(name).resolve()
+        sibling = str(target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp"))
+        fh = open(sibling, "x", newline="")  # created as open(..., "w") creates, with the umask
+        try:
+            with fh:
+                yield fh
+            os.replace(sibling, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(sibling)
+            raise
+    except OSError as exc:
+        if exc.filename in (None, sibling):  # not a path that an inner _replacing named
+            exc.filename = name
+        raise
 
 
 def _write_table(fh, fmt: str, columns, cells, leads, values) -> None:

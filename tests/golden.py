@@ -27,7 +27,8 @@ The cases:
   caps, overflow, malformed and extreme model files, spaces, degree counts
   and point files, on every command that reads them; a directory and a
   missing name as each command's --model, and as its --out a directory, a file in
-  a missing folder and a file in a file;
+  a missing folder and a file in a file; simulate's sidecar a directory, and an unknown
+  point specifier;
 - a one-value realization (one point, one time, m = 1), summed as in a larger set.
 
 Every case runs in a fresh temporary directory with relative paths, so no
@@ -177,6 +178,7 @@ _LIMIT_FILES = {
     "series41.json": _series("sphere:2", 41, 3),
     "high400.json": _series("sphere:1000", 400, 2),
     "high1000.json": _series("sphere:1000", 1000, 2),
+    "sidecar_dir.meta.json/": b"",
 }
 _LIMIT_CASES = [
     "simulate --model model.json --points fibonacci:200 --out run.csv",
@@ -211,6 +213,8 @@ _LIMIT_CASES = [
       for model in ("exponential1", "far_ar1")),
     "validate --model high1000.json",
     "spectrum --model high400.json",
+    "simulate --model model.json --points grid:3 --out grid_run.csv",
+    "simulate --model model.json --points random:3 --out sidecar_dir.csv",
 ]
 
 _POINT_FILES = {

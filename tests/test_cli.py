@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import errno
@@ -1149,7 +1150,8 @@ class FullDisk:
     ["eval-cov", "--rho-grid", f"0:3:{_WRITE_CHUNK + 1}", "--format", "json"],
     ["simulate", "--points", f"random:{_WRITE_CHUNK + 1}"]])
 def test_a_failed_write_exits_two_naming_out(tmp_path, capsys, monkeypatch, argv):
-    # the errno text alone once named no flag; the partial file may remain
+    # the errno text alone once named no flag, and the header and first chunk once replaced the
+    # old --out; now the old files keep their bytes and no temporary file is left
     path = save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
     write_table = isofield.simulate._write_table
 
@@ -1159,20 +1161,93 @@ def test_a_failed_write_exits_two_naming_out(tmp_path, capsys, monkeypatch, argv
     monkeypatch.setattr(isofield.simulate, "_write_table", full)
     monkeypatch.setattr(isofield.cli, "_write_table", full)
     out = str(tmp_path / "out.csv")
+    old = {"out.csv": b"old values\r\n", "out.meta.json": b"{}\n"}
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
     assert main([*argv, "--model", str(path), "--out", out]) == 2
     assert capsys.readouterr().err == f"error: --out {out!r}: {os.strerror(errno.ENOSPC)}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+        "spatial.json": path.read_bytes(), **old}
 
 
 def test_a_failed_sidecar_write_exits_two_naming_out(tmp_path, capsys, monkeypatch):
+    # the message once named only the values CSV, which was left with no sidecar beside it
     path = save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+    replacing = isofield.simulate._replacing
 
-    def full(self, *args, **kwargs):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    @contextlib.contextmanager
+    def full(target):
+        with replacing(target) as fh:
+            if str(target).endswith(".meta.json"):
+                fh = FullDisk(fh)
+                fh.writes = 2  # its next write fails
+            yield fh
 
-    monkeypatch.setattr(Path, "write_text", full)
-    out = str(tmp_path / "run.csv")
+    monkeypatch.setattr(isofield.simulate, "_replacing", full)
+    out, meta = str(tmp_path / "run.csv"), str(tmp_path / "run.meta.json")
     assert main(["simulate", "--model", str(path), "--points", "random:3", "--out", out]) == 2
-    assert capsys.readouterr().err == f"error: --out {out!r}: {os.strerror(errno.ENOSPC)}\n"
+    assert capsys.readouterr().err == (f"error: --out {out!r}: its sidecar {meta!r}: "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spatial.json"]
+
+
+def test_a_sidecar_in_a_missing_folder_exits_two_naming_it(tmp_path, capsys, monkeypatch):
+    # x.meta.json, a symlink into a missing folder, once failed after x.csv was written, and
+    # the message named x.csv
+    monkeypatch.chdir(tmp_path)
+    save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+    (tmp_path / "x.meta.json").symlink_to(tmp_path / "missing" / "x.meta.json")
+    assert main(["simulate", "--model", "spatial.json", "--points", "random:2",
+                 "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err == ("error: --out 'x.csv': its sidecar 'x.meta.json': "
+                                       f"{os.strerror(errno.ENOENT)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spatial.json", "x.meta.json"]
+
+
+def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    # symlinks are followed, so the link stays a link and its target gets the new bytes
+    path = save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+    (tmp_path / "real").mkdir()
+    (tmp_path / "real" / "table.csv").write_text("old\n")
+    (tmp_path / "link.csv").symlink_to(tmp_path / "real" / "table.csv")
+    assert main(["eval-cov", "--model", str(path)]) == 0
+    want = capsys.readouterr().out
+    assert main(["eval-cov", "--model", str(path), "--out", str(tmp_path / "link.csv")]) == 0
+    assert (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "real" / "table.csv").read_bytes() == want.encode()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.csv", "real", "spatial.json",
+                                                           "table.csv"]
+
+
+def test_out_that_is_a_fifo_is_written_in_place(tmp_path, capsys):
+    # a replace would swap the FIFO for a regular file, which its reader would never see
+    path = save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+    assert main(["eval-cov", "--model", str(path)]) == 0
+    want = capsys.readouterr().out
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        read = pool.submit(fifo.read_bytes)
+        assert main(["eval-cov", "--model", str(path), "--out", str(fifo)]) == 0
+        assert read.result(timeout=60) == want.encode()
+    assert fifo.is_fifo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spatial.json", "table.fifo"]
+
+
+def test_a_closed_stdout_pipe_exits_two_with_one_line(tmp_path):
+    # a reader that stops early, as head does, once left "error: [Errno 32] Broken pipe"
+    path = save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+    src = str(Path(isofield.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.Popen([sys.executable, "-m", "isofield.cli", "eval-cov", "--model",
+                              str(path), "--rho-grid", "0:3:100000"], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline() == b"rho,lag,component_i,component_j,value,tail_bound\r\n"
+    child.stdout.close()
+    assert child.wait(timeout=120) == 2
+    assert child.stderr.read() == (b"error: stdout was closed before the whole output was "
+                                   b"written\n")
+    child.stderr.close()
 
 
 @pytest.mark.parametrize("command", ["validate", "eval-cov", "spectrum", "simulate"])

@@ -169,6 +169,20 @@ class TestModelArguments:
         model = SeriesModel(S2, np.int64(2), [np.eye(2)])
         assert type(model.m) is int and model.m == 2
 
+    def test_a_model_needs_a_coefficient_matrix(self):
+        with pytest.raises(ParameterError, match="a model needs at least one coefficient matrix"):
+            SeriesModel(S2, 1, [])
+
+    @pytest.mark.parametrize("phi", [np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2, 2))])
+    def test_ma1_phi_must_be_square(self, phi):
+        with pytest.raises(ParameterError, match="moving-average matrix must be square, got"):
+            VectorMA1(phi)
+
+    def test_ma1_phi_must_match_m(self):
+        with pytest.raises(ParameterError,
+                           match=r"moving-average matrix shape \(3, 3\) does not match m=2"):
+            SeriesModel(S2, 2, [np.eye(2)], VectorMA1(0.1 * np.eye(3)))
+
 
 class TestValidateSpatioTemporal:
     def test_ma1_family_valid(self):
@@ -527,6 +541,11 @@ class TestEvalCov:
     def test_spatial_model_requires_zero_lag(self):
         with pytest.raises(UsageError):
             eval_cov(scalar_model([1.0]), 0.3, t=1.0)
+
+    @pytest.mark.parametrize("rho", [[[0.1, 0.2], [0.3]], [0.1, [0.2, 0.3]]])
+    def test_ragged_distances_are_refused(self, rho):
+        with pytest.raises(UsageError, match="rho must be a real number or an array of them$"):
+            eval_cov(scalar_model([1.0, 0.5]), rho)
 
     def test_divergent_series_raises_before_overflow(self):
         # each B_n(0) = 2.44 Sigma_n is finite, but sum ||B_n(0)|| P_n(1) overflows

@@ -173,6 +173,14 @@ class TestEmpiricalCov:
         assert np.allclose(est.target, np.eye(2))
         assert est.passed
 
+    def test_realizations_without_their_model_are_refused(self):
+        model = SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)])
+        points = sample_uniform_batch(S2, 2, np.random.default_rng(74))
+        ens = [dataclasses.replace(simulate_spatial(model, points, seed=s), model=None)
+               for s in (1, 2)]
+        with pytest.raises(UsageError, match="realizations must carry their model"):
+            empirical_cov(ens, (0, 1))
+
     def test_any_iterable_of_realizations(self):
         model = SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)])
         ens = self._ensemble(model, list(sample_uniform_batch(S2, 2, np.random.default_rng(7))),
