@@ -227,7 +227,8 @@ def save_realization(real: Realization, csv_path, *, points_spec=None) -> tuple[
         meta["points"] = points_to_reals(real.points).tolist()
     else:
         meta["points_spec"] = points_spec
-    # the sidecar is written first and replaced last, so one on disk describes a whole CSV
+    # the sidecar is opened and flushed first and replaced last: a failure of either file
+    # leaves both as they were, and a sidecar on disk describes a whole CSV
     with _replacing(meta_path) as sidecar:
         sidecar.write(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
         sidecar.flush()
