@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -22,11 +23,11 @@ import numpy as np
 
 from .errors import GeometryError, ModelError, NumericError, UsageError
 from .modelio import _not_utf8, load_model
-from .simulate import (_replacing, _sidecar_path, _write_table, save_realization,
-                       simulate_spatiotemporal, substream)
+from .simulate import _replacing, _sidecar_path, _simulate_to, _write_table, substream
 from .spaces import (
     SpaceFamily,
     all_reference_spaces,
+    ambient_shape,
     normalize_points,
     parse_space,
     points_from_reals,
@@ -42,7 +43,8 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_GEOMETRY = 3
 MAX_COUNT = 1_000_000  # grid distances, generated points or replicates; more outgrows memory
-MAX_VALUES = 10_000_000  # float64s (80 MB) in one eval-cov or simulate run, written in chunks
+MAX_VALUES = 10_000_000  # values one eval-cov or simulate run writes: eval-cov holds them (80 MB
+# of float64), simulate forms and writes them a block of points at a time
 
 
 def _parse_lags(text: str) -> list[float]:
@@ -86,9 +88,10 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    """Deterministic quasi-uniform golden-angle grid on the 2-sphere."""
-    i = np.arange(count, dtype=float)
+def _fibonacci_sphere(count: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Deterministic quasi-uniform golden-angle grid on the 2-sphere: its points start..stop
+    (all of them by default), each computed from its own index alone."""
+    i = np.arange(start, count if stop is None else stop, dtype=float)
     z = 1.0 - (2.0 * i + 1.0) / count
     r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     theta = i * math.pi * (3.0 - math.sqrt(5.0))
@@ -106,13 +109,31 @@ def _file(what: str, spec: str) -> Path:
 
 def _out_file(text: str, writes: str) -> None:
     """UsageError naming --out text when it names a directory or no file name, or a file in a
-    folder that is missing or no folder."""
+    folder that is missing or no folder, there or where its symlinks lead."""
     out = Path(text)
     if not out.name or text.endswith(("/", os.sep)) or out.is_dir():
         raise UsageError(f"--out {text!r} names a directory or no file name, but {writes}")
     if not out.parent.is_dir():
         state = "is not a folder" if out.parent.exists() else "does not exist"
         raise UsageError(f"--out {text!r} is in {str(out.parent)!r}, which {state}, but {writes}")
+    link = _dangling(out)
+    if link:
+        raise UsageError(f"--out {text!r} {link}, but {writes}")
+
+
+def _dangling(path: Path) -> str | None:
+    """How path, in a folder, is a symlink loop or a symlink that leads into a missing folder
+    or into no folder, where no file can be written; None where a file can be."""
+    try:
+        os.stat(path)
+    except OSError as exc:
+        if exc.errno == errno.ELOOP:
+            return "is a symlink loop"
+    folder = Path(os.path.realpath(path)).parent
+    if folder.is_dir():
+        return None
+    state = "something that is not a folder" if folder.exists() else "a folder that does not exist"
+    return f"is a symlink to {os.readlink(path)!r}, which leads into {state}"
 
 
 def _load_model(spec: str):
@@ -134,22 +155,31 @@ def resolve_points(space, spec: str, seed: int) -> np.ndarray:
 
     Returns the (K, *ambient_shape) array of unit representatives.
     """
-    return _resolve_points(space, spec, seed)[0]
+    count, blocks, _ = _point_source(space, spec, seed)
+    return next(blocks(count))
 
 
-def _resolve_points(space, spec: str, seed: int):
-    """resolve_points(space, spec, seed) and the sidecar's record of spec: a generated spec as
-    typed, or a point file's name and the SHA-256 of the bytes that were parsed."""
+def _point_source(space, spec: str, seed: int):
+    """The points of spec as (K, blocks, record): blocks(size), called once, yields them in
+    arrays of size points (the last one shorter), which together are resolve_points(space,
+    spec, seed); record is the sidecar's record of spec, a generated spec as typed, or a point
+    file's name and the SHA-256 of the bytes that were parsed. Every error of the spec is
+    raised here, before any block."""
     if _is_generated(spec):
         kind, _, arg = spec.partition(":")
         if kind not in ("random", "fibonacci"):
             raise UsageError(f"unknown point specifier {spec!r}")
         count = _parse_count("point set", spec, arg)
-        if kind == "random":
-            return sample_uniform_batch(space, count, substream(seed, 2)), spec
+        if kind == "random":  # a batch of k draws what k batches of one draw
+            rng = substream(seed, 2)
+            ambient_shape(space)  # GeometryError for a family without points
+            return count, lambda size: (sample_uniform_batch(space, min(size, count - k), rng)
+                                        for k in range(0, count, size)), spec
         if space.family is not SpaceFamily.SPHERE or space.d != 2:
             raise UsageError("fibonacci point sets are defined on sphere:2 only")
-        return normalize_points(space, _fibonacci_sphere(count)), spec
+        return count, lambda size: (
+            normalize_points(space, _fibonacci_sphere(count, k, min(k + size, count)))
+            for k in range(0, count, size)), spec
     path = _file("point file", spec)
     data = path.read_bytes()
     try:
@@ -173,7 +203,9 @@ def _resolve_points(space, spec: str, seed: int):
     if not rows:
         raise UsageError(f"no points found in {spec!r}")
     record = {"file": path.name, "sha256": hashlib.sha256(data).hexdigest()}
-    return normalize_points(space, points_from_reals(space, np.array(rows))), record
+    points = normalize_points(space, points_from_reals(space, np.array(rows)))
+    return len(points), lambda size: (points[k:k + size]
+                                      for k in range(0, len(points), size)), record
 
 
 @contextlib.contextmanager
@@ -225,8 +257,8 @@ def cmd_validate(args) -> int:
     else:
         with _output(args.out) as fh:
             _write_table(fh, "csv", ["degree", "lag", "kind", "magnitude"], [("%r",)],
-                         [f"{v.degree},{v.lag},{v.kind}" for v in report.violations],
-                         np.array([v.magnitude for v in report.violations], dtype=float))
+                         [([f"{v.degree},{v.lag},{v.kind}" for v in report.violations],
+                           np.array([v.magnitude for v in report.violations], dtype=float))])
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
@@ -243,7 +275,7 @@ def cmd_eval_cov(args) -> int:
     with _output(args.out) as fh:
         _write_table(fh, args.format, ["rho", "lag", "component_i", "component_j", "value",
                                        "tail_bound"], [(lag, i, j, "%r", bound) for lag in lags
-                     for i in range(model.m) for j in range(model.m)], rhos, covs)
+                     for i in range(model.m) for j in range(model.m)], [(rhos, covs)])
     return EXIT_OK
 
 
@@ -253,11 +285,11 @@ def cmd_simulate(args) -> int:
     # the latent table, (trunc + 1) x times x m, is held whole while the values are formed
     _require_values("--times and --trunc", _resolve_trunc(model, args.trunc) + 1, len(times),
                     model.m)
-    points, points_spec = _resolve_points(model.space, args.points, args.seed)
-    _require_values("--points and --times", len(points), len(times), model.m)
-    real = simulate_spatiotemporal(model, points, times, args.trunc, args.seed)
+    count, blocks, points_spec = _point_source(model.space, args.points, args.seed)
+    _require_values("--points and --times", count, len(times), model.m)
     with _out_errors(args.out):
-        csv_path, meta_path = save_realization(real, args.out, points_spec=points_spec)
+        csv_path, meta_path = _simulate_to(args.out, model, blocks, times, args.trunc,
+                                           args.seed, points_spec)
     print(f"wrote {csv_path} and {meta_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -320,7 +352,7 @@ def cmd_spectrum(args) -> int:
     with _output(args.out) as fh:
         _write_table(fh, args.format, ["degree", "component_i", "component_j", "value"],
                      [(i, j, "%r") for i in range(model.m) for j in range(model.m)],
-                     range(len(spectra)), spectra)
+                     [(range(len(spectra)), spectra)])
     return EXIT_OK
 
 
@@ -419,8 +451,9 @@ def main(argv=None) -> int:
             _out_file(args.out, "simulate writes a values CSV there and a .meta.json sidecar "
                       "beside it")
             meta = _sidecar_path(args.out)  # in --out's folder, which passed _out_file
-            if meta.is_dir():
-                raise UsageError(f"--out {args.out!r}: its sidecar {str(meta)!r} is a directory")
+            link = "is a directory" if meta.is_dir() else _dangling(meta)
+            if link:
+                raise UsageError(f"--out {args.out!r}: its sidecar {str(meta)!r} {link}")
         elif args.out not in (None, "-"):
             _out_file(args.out, "the command writes a file there")
         return args.func(args)

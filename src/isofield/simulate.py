@@ -23,7 +23,8 @@ drawn from a seed:
 
 - spawn key (0,): the latent point U
 - spawn key (1, n): the degree-n coefficient path V_n
-- spawn key (2,): the points of a `random:K` point set (cli.resolve_points)
+- spawn key (2,): the points of a `random:K` point set (cli.resolve_points; the CLI draws
+  them a block at a time from the one stream)
 - spawn key (3,): the two points per space of the `check` command
 - no spawn key: the mc_* and mc_recover_vn estimators of isofield.verify
 - the seed sequence's generate_state(count): verify.replicate_seeds
@@ -32,6 +33,8 @@ drawn from a seed:
 from __future__ import annotations
 
 import contextlib
+import errno
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -42,9 +45,9 @@ import numpy as np
 
 from . import __version__, modelio
 from .errors import ZERO_LAG, ModelError, NumericError, UsageError, _count, _lag_list
-from .jacobi import _jacobi_series
-from .spaces import (SpaceParams, _point_family, _sample, cos_distance_batch, point_array,
-                     points_sha256, points_to_reals)
+from .jacobi import _SERIES_BLOCK, _jacobi_series
+from .spaces import (SpaceParams, _point_bytes, _point_family, _sample, cos_distance_batch,
+                     point_array, points_to_reals)
 from .spectral import SeriesModel, _resolve_trunc, truncation_bound
 
 _WRITE_CHUNK = 1 << 14  # values per write of _write_table (whole leads, at least one)
@@ -140,24 +143,46 @@ def simulate_spatiotemporal(
     holds its values and latent table plus one block's Jacobi table, whatever K and trunc,
     and a value's bits do not depend on which other points are simulated with it.
     """
+    return _simulate(model, points, _time_grid(model, times), trunc, seed)
+
+
+def _time_grid(model: SeriesModel, times) -> list[float]:
+    """times by the lag-list rule of the model's domain, strictly increasing; [0.0] for a
+    purely spatial model."""
     domain = model.domain
     times = _lag_list(times, "times", domain)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise UsageError("times must be strictly increasing")
-    if domain == ZERO_LAG:
-        times = [0.0]  # also for -0.0, so the output reads 0.0
-    return _simulate(model, points, times, trunc, seed)
+    return [0.0] if domain == ZERO_LAG else times  # also for -0.0, so the output reads 0.0
 
 
 def _simulate(model: SeriesModel, points, times: list[float], trunc, seed) -> Realization:
-    """simulate_spatiotemporal past its time-grid rule: the model, trunc, points and seed are
-    checked here, once for either entry point."""
+    """simulate_spatiotemporal past its time-grid rule: the draw, then the field at every
+    point as one block."""
+    trunc, u, latent_v, points = _draw(model, times, trunc, seed, points)
+    return Realization(
+        space=model.space,
+        model=model,
+        points=points,
+        times=times,
+        values=_field(model, trunc, u, latent_v, points),
+        latent_u=u,
+        latent_v=latent_v,
+        trunc=trunc,
+        seed=int(seed),
+    )
+
+
+def _draw(model: SeriesModel, times: list[float], trunc, seed, *points) -> tuple:
+    """(trunc, U, latent table, *points) of a realization on a checked time grid: the model,
+    trunc, the point set if one is given (by point_array) and seed are checked here, in that
+    order, once for every entry point. The field at any block of points follows by _field."""
     report, roots = model._lag0
     if not report.valid:
         raise ModelError(f"cannot simulate from an invalid model: {report.summary()}")
     trunc = _resolve_trunc(model, trunc)
     space = model.space
-    points = point_array(space, points)
+    points = [point_array(space, p) for p in points]
     # the seed checked once: substream(seed, *key) is the stream of prefix + key words
     prefix = _words(_count(seed, "seed", high=None), 4)
     sample_paths = getattr(model.kernel, "sample_paths", None)
@@ -171,21 +196,42 @@ def _simulate(model: SeriesModel, points, times: list[float], trunc, seed) -> Re
     if np.shape(latent_v) != shape:
         raise UsageError(f"{type(model.kernel).__name__}.sample_paths returned shape "
                          f"{np.shape(latent_v)}, expected {shape}")
+    return trunc, u, latent_v, *points
+
+
+def _field(model: SeriesModel, trunc: int, u, latent_v, points) -> np.ndarray:
+    """The (K, len(times), m) values of a _draw at a block of K checked points; NumericError
+    where one is not finite."""
+    space = model.space
     values = _jacobi_series(trunc, space.geom, cos_distance_batch(space, u, points), latent_v,
                             model._steps)
     if not np.isfinite(values).all():
         raise NumericError("the series produced non-finite field values")
-    return Realization(
-        space=space,
-        model=model,
-        points=points,
-        times=times,
-        values=values,
-        latent_u=u,
-        latent_v=latent_v,
-        trunc=trunc,
-        seed=int(seed),
-    )
+    return values
+
+
+def _simulate_to(csv_path, model: SeriesModel, blocks, times, trunc, seed,
+                 points_spec) -> tuple[Path, Path]:
+    """save_realization(simulate_spatiotemporal(model, points, times, trunc, seed), csv_path,
+    points_spec=points_spec), its bytes included, where points are the point arrays that
+    blocks(size) yields one after another, each of at most size points: U and the latent
+    table are drawn once, then each block is gated by point_array, its values formed and
+    checked, and written, so that the run holds one block, not its whole point set or values.
+    A block whose values are not finite raises NumericError, with neither file written."""
+    times = _time_grid(model, times)
+    trunc, u, latent_v = _draw(model, times, trunc, seed)
+    space = model.space
+    meta = _meta(model, modelio.model_hash(model), times, trunc, seed, u)
+    meta["points_spec"] = points_spec
+
+    def field():
+        # points per block: one Jacobi table's _SERIES_BLOCK abscissae at most, and one write's
+        # _WRITE_CHUNK values where a point has fewer than that
+        for points in blocks(max(1, min(_SERIES_BLOCK, _WRITE_CHUNK // (len(times) * model.m)))):
+            points = point_array(space, points)
+            yield points, _field(model, trunc, u, latent_v, points)
+
+    return _save(csv_path, meta, times, model.m, field())
 
 
 # --------------------------------------------------------------------------
@@ -207,35 +253,57 @@ def save_realization(real: Realization, csv_path, *, points_spec=None) -> tuple[
     configurations produce byte-identical files. A model with no file form
     raises ModelFormatError before anything is written.
     """
-    csv_path, meta_path = Path(csv_path), _sidecar_path(csv_path)
-    npts, _, m = real.values.shape
-    meta = {
-        "format_version": 2,
-        "isofield_version": __version__,
-        "space": real.space.label,
-        "m": m,
-        "seed": int(real.seed),
-        "trunc": int(real.trunc),
-        "model_hash": real.model_hash,
-        "tail_bound": truncation_bound(real.model, real.trunc),
-        "times": [float(t) for t in real.times],
-        "latent_u": points_to_reals(real.latent_u[None])[0].tolist(),
-        "point_count": npts,
-        "points_sha256": points_sha256(real.points),
-    }
+    meta = _meta(real.model, real.model_hash, real.times, real.trunc, real.seed, real.latent_u)
     if points_spec is None:
         meta["points"] = points_to_reals(real.points).tolist()
     else:
         meta["points_spec"] = points_spec
-    # the sidecar is opened and flushed first and replaced last: a failure of either file
-    # leaves both as they were, and a sidecar on disk describes a whole CSV
-    with _replacing(meta_path) as sidecar:
-        sidecar.write(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
-        sidecar.flush()
-        with _replacing(csv_path) as fh:
-            _write_table(fh, "csv", ["point_index", "time", "component", "value"],
-                         [(t, k, "%r") for t in real.times for k in range(m)], range(npts),
-                         real.values)
+    return _save(csv_path, meta, real.times, real.values.shape[2],
+                 [(real.points, real.values)])
+
+
+def _meta(model: SeriesModel, model_hash: str, times, trunc: int, seed, u) -> dict:
+    """The sidecar's fields but the point set's."""
+    return {
+        "format_version": 2,
+        "isofield_version": __version__,
+        "space": model.space.label,
+        "m": model.m,
+        "seed": int(seed),
+        "trunc": int(trunc),
+        "model_hash": model_hash,
+        "tail_bound": truncation_bound(model, trunc),
+        "times": [float(t) for t in times],
+        "latent_u": points_to_reals(u[None])[0].tolist(),
+    }
+
+
+def _save(csv_path, meta: dict, times, m: int, blocks) -> tuple[Path, Path]:
+    """The values CSV of blocks, (points, values) pairs, at csv_path, and the sidecar meta,
+    completed by the point count and points_sha256, beside it. The sidecar is opened first
+    and replaced last, and written once the last block is: a failure of either file, or of a
+    block, leaves both as they were, and a sidecar on disk describes a whole CSV."""
+    csv_path, meta_path = Path(csv_path), _sidecar_path(csv_path)
+    digest, count = hashlib.sha256(), 0
+
+    def rows():
+        nonlocal count
+        for points, values in blocks:
+            digest.update(_point_bytes(points))
+            yield range(count, count + len(values)), values
+            count += len(values)
+
+    with _replacing(meta_path) as sidecar, _replacing(csv_path) as fh:
+        _write_table(fh, "csv", ["point_index", "time", "component", "value"],
+                     [(t, k, "%r") for t in times for k in range(m)], rows())
+        meta.update(point_count=count, points_sha256=digest.hexdigest())
+        try:
+            sidecar.write(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+            sidecar.flush()
+        except OSError as exc:  # named here, or the CSV's _replacing around it would claim it
+            if exc.filename is None:
+                exc.filename = os.fspath(meta_path)
+            raise
     return csv_path, meta_path
 
 
@@ -252,7 +320,10 @@ def _replacing(path):
             with open(name, "w", newline="") as fh:
                 yield fh
             return
-        target = Path(name).resolve()
+        try:
+            target = Path(name).resolve()
+        except RuntimeError:  # a symlink loop, which pathlib reports so before Python 3.13
+            raise OSError(errno.ELOOP, os.strerror(errno.ELOOP)) from None
         sibling = str(target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp"))
         fh = open(sibling, "x", newline="")  # created as open(..., "w") creates, with the umask
         try:
@@ -269,12 +340,14 @@ def _replacing(path):
         raise
 
 
-def _write_table(fh, fmt: str, columns, cells, leads, values) -> None:
+def _write_table(fh, fmt: str, columns, cells, blocks) -> None:
     """A table of len(cells) rows per lead: csv.writer's rows under the header columns (fmt
     "csv"), or json.dumps(rows, indent=2, sort_keys=True) + "\n" (fmt "json", rows nonempty).
-    Row r of leads[k] holds str(lead) under columns[0] (a CSV lead may fill several columns)
-    and cells[r], numbers and "%r" for values[k]'s entry, under the rest; str is JSON's form of
-    an int and a finite float. Written _WRITE_CHUNK values (whole leads) at a time."""
+    blocks are (leads, values) pairs, whose leads follow one another in the table. Row r of
+    leads[k] holds str(lead) under columns[0] (a CSV lead may fill several columns) and
+    cells[r], numbers and "%r" for values[k]'s entry, under the rest; str is JSON's form of an
+    int and a finite float. Written _WRITE_CHUNK values (whole leads, within a block) at a
+    time."""
     # parts: one lead's rows, rendered with the lead left out, so that they are lead.join(parts)
     if fmt == "json":  # json.dumps of the lead's rows, less its "[\n" and "\n]"
         parts = json.dumps([dict(zip(columns, ["\0", *row])) for row in cells], indent=2,
@@ -285,9 +358,12 @@ def _write_table(fh, fmt: str, columns, cells, leads, values) -> None:
         start, sep, end = ",".join(columns) + "\r\n", "", ""
     fh.write(start)
     step = max(1, _WRITE_CHUNK // len(cells))  # leads per write; values[k] fills lead k's %r
-    for k in range(0, len(leads), step):
-        chunk = leads[k:k + step]  # an array's leads become Python numbers a chunk at a time
-        chunk = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
-        rows = sep.join([lead.join(parts) for lead in map(str, chunk)])
-        fh.write((sep if k else "") + rows % tuple(values[k:k + step].ravel().tolist()))
+    before = ""  # sep, before every chunk but the first
+    for leads, values in blocks:
+        for k in range(0, len(leads), step):
+            chunk = leads[k:k + step]  # an array's leads become Python numbers a chunk at a time
+            chunk = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+            rows = sep.join([lead.join(parts) for lead in map(str, chunk)])
+            fh.write(before + rows % tuple(values[k:k + step].ravel().tolist()))
+            before = sep
     fh.write(end)

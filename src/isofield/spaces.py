@@ -374,7 +374,13 @@ def points_to_reals(reps: np.ndarray) -> np.ndarray:
 def points_sha256(reps: np.ndarray) -> str:
     """SHA-256 of points_to_reals(reps) as little-endian float64 in C order:
     the sidecar's fingerprint of a point set."""
-    return hashlib.sha256(points_to_reals(reps).astype("<f8").tobytes()).hexdigest()
+    return hashlib.sha256(_point_bytes(reps)).hexdigest()
+
+
+def _point_bytes(reps: np.ndarray) -> np.ndarray:
+    """The bytes points_sha256 hashes, as a C-ordered array; those of a point set are those of
+    its blocks one after another."""
+    return points_to_reals(reps).astype("<f8", copy=False)
 
 
 def points_from_reals(space: SpaceParams, reals) -> np.ndarray:

@@ -27,8 +27,8 @@ The cases:
   caps, overflow, malformed and extreme model files, spaces, degree counts
   and point files, on every command that reads them; a directory and a
   missing name as each command's --model, and as its --out a directory, a file in
-  a missing folder and a file in a file; simulate's sidecar a directory, and an unknown
-  point specifier;
+  a missing folder and a file in a file; simulate's sidecar a directory or a symlink into a
+  missing folder, an eval-cov --out such a symlink, and an unknown point specifier;
 - a one-value realization (one point, one time, m = 1), summed as in a larger set.
 
 Every case runs in a fresh temporary directory with relative paths, so no
@@ -215,7 +215,12 @@ _LIMIT_CASES = [
     "spectrum --model high400.json",
     "simulate --model model.json --points grid:3 --out grid_run.csv",
     "simulate --model model.json --points random:3 --out sidecar_dir.csv",
+    "simulate --model model.json --points random:3 --out dangling.csv",
+    "eval-cov --model model.json --out dangling_table.csv",
 ]
+# symlinks into a missing folder, by name: an output there is refused before any work
+_LINKS = {"dangling.meta.json": "missing/dangling.meta.json",
+          "dangling_table.csv": "missing/dangling_table.csv"}
 
 _POINT_FILES = {
     "points_ragged.csv": b"1,0,0\n0,1,0,0\n",
@@ -337,6 +342,8 @@ def _run_shard(argvs: list[list[str]]) -> list[dict]:
                 (folder / file).mkdir()
             else:
                 (folder / file).write_bytes(data)
+        for link, target in _LINKS.items():
+            (folder / link).symlink_to(target)
         os.chdir(folder)
         try:
             return [_run(folder, argv) for argv in argvs]

@@ -29,13 +29,17 @@ from isofield import (
     load_model,
     parse_space,
     recover_coefficients,
+    sample_uniform_batch,
     save_model,
+    substream,
     truncation_bound,
 )
 import isofield
-from isofield.cli import MAX_COUNT, MAX_VALUES, main, resolve_points
+from isofield.cli import (MAX_COUNT, MAX_VALUES, _fibonacci_sphere, _point_source, main,
+                          resolve_points)
+from isofield.jacobi import _SERIES_BLOCK
 from isofield.simulate import _WRITE_CHUNK
-from isofield.spaces import points_sha256, points_to_reals
+from isofield.spaces import normalize_points, points_sha256, points_to_reals
 from tests.oracles import csv_table, eval_cov_output, load_realization_values, random_psd
 
 S2 = parse_space("sphere:2")
@@ -463,6 +467,53 @@ class TestSimulate:
         assert values.shape == (500, 1, 1)
         assert np.all(np.isfinite(values))
 
+    @pytest.mark.parametrize("label", ["sphere:1", "sphere:2", "projR:3", "projC:4", "projH:8"])
+    def test_random_points_in_uneven_blocks_are_one_batch(self, label):
+        # simulate draws random:K a block at a time; the blocks must be the one batch that
+        # resolve_points draws, whatever their size, the last one shorter
+        space = parse_space(label)
+        want = sample_uniform_batch(space, 23, substream(7, 2))
+        assert np.array_equal(resolve_points(space, "random:23", 7), want)
+        for size in (1, 3, 5, 22, 23, 64):
+            count, blocks, record = _point_source(space, "random:23", 7)
+            got = list(blocks(size))
+            assert (count, record) == (23, "random:23")
+            assert [len(b) for b in got] == [min(size, 23 - k) for k in range(0, 23, size)]
+            assert np.array_equal(np.concatenate(got), want), size
+
+    @pytest.mark.parametrize("spec", ["random:3001", "fibonacci:3001", "points.csv"])
+    def test_streamed_simulate_writes_what_the_whole_realization_saves(self, tmp_path, spec):
+        # 3 times x m = 3 is 9 values a point, so 1,820-point blocks: the CSV and the sidecar
+        # of the blocks must be those of the whole realization, byte for byte
+        model = SeriesModel(S2, 3, [random_psd(np.random.default_rng(n), 3) for n in range(4)],
+                            SeparableScalar("ar1", 0.5))
+        path = save_model(model, tmp_path / "ar1.json")
+        if spec == "points.csv":
+            rows = points_to_reals(sample_uniform_batch(S2, 3001, np.random.default_rng(8)))
+            (tmp_path / spec).write_text("".join(",".join(map(repr, r)) + "\n"
+                                                 for r in rows.tolist()))
+            spec = str(tmp_path / spec)
+        assert main(["simulate", "--model", str(path), "--points", spec, "--times", "0,1,3",
+                     "--seed", "6", "--out", str(tmp_path / "cli.csv")]) == 0
+        points = resolve_points(S2, spec, 6)
+        real = isofield.simulate_spatiotemporal(model, points, [0.0, 1.0, 3.0], seed=6)
+        meta = json.loads((tmp_path / "cli.meta.json").read_text())
+        isofield.save_realization(real, tmp_path / "lib.csv", points_spec=meta["points_spec"])
+        for suffix in (".csv", ".meta.json"):
+            assert ((tmp_path / f"cli{suffix}").read_bytes()
+                    == (tmp_path / f"lib{suffix}").read_bytes()), suffix
+
+    def test_fibonacci_blocks_are_bit_equal_to_the_whole_grid(self):
+        whole = _fibonacci_sphere(1001)
+        for size in (1, 7, 500, 1000, 1001):
+            parts = [_fibonacci_sphere(1001, k, min(k + size, 1001)) for k in range(0, 1001, size)]
+            assert np.array_equal(np.concatenate(parts), whole), size
+            _, blocks, _ = _point_source(S2, "fibonacci:1001", 0)
+            assert np.array_equal(np.concatenate(list(blocks(size))),
+                                  resolve_points(S2, "fibonacci:1001", 0)), size
+        assert np.array_equal(resolve_points(S2, "fibonacci:1001", 0),
+                              normalize_points(S2, whole))
+
     def test_octonionic_simulation_exits_three(self, tmp_path):
         model = SeriesModel(parse_space("projO:16"), 1, [np.eye(1)])
         path = save_model(model, tmp_path / "oct.json")
@@ -815,13 +866,13 @@ class TestBoundaries:
         pts = tmp_path / "pts.csv"
         pts.write_text("1,0,0,0,0,0\n0,0,0.6,0.8,0,0\n")
         parsed = sha256(pts)
-        simulate = isofield.cli.simulate_spatiotemporal
+        simulate = isofield.cli._simulate_to
 
         def rewriting(*args, **kwargs):
             pts.write_text("0,1,0,0,0,0\n")
             return simulate(*args, **kwargs)
 
-        monkeypatch.setattr(isofield.cli, "simulate_spatiotemporal", rewriting)
+        monkeypatch.setattr(isofield.cli, "_simulate_to", rewriting)
         out = tmp_path / "v.csv"
         assert main(["simulate", "--model", str(path), "--points", str(pts),
                      "--out", str(out)]) == 0
@@ -1192,15 +1243,126 @@ def test_a_failed_sidecar_write_exits_two_naming_out(tmp_path, capsys, monkeypat
 
 def test_a_sidecar_in_a_missing_folder_exits_two_naming_it(tmp_path, capsys, monkeypatch):
     # x.meta.json, a symlink into a missing folder, once failed after x.csv was written, and
-    # the message named x.csv
+    # the message named x.csv; then it was named, but only once the field was simulated
     monkeypatch.chdir(tmp_path)
     save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
-    (tmp_path / "x.meta.json").symlink_to(tmp_path / "missing" / "x.meta.json")
+    (tmp_path / "x.meta.json").symlink_to(Path("missing") / "x.meta.json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the sidecar path was checked")
+
+    monkeypatch.setattr(isofield.cli, "load_model", refuse)
     assert main(["simulate", "--model", "spatial.json", "--points", "random:2",
                  "--out", "x.csv"]) == 2
-    assert capsys.readouterr().err == ("error: --out 'x.csv': its sidecar 'x.meta.json': "
-                                       f"{os.strerror(errno.ENOENT)}\n")
+    assert capsys.readouterr().err == (
+        "error: --out 'x.csv': its sidecar 'x.meta.json' is a symlink to "
+        "'missing/x.meta.json', which leads into a folder that does not exist\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spatial.json", "x.meta.json"]
+
+
+@pytest.mark.parametrize("target, leads", [
+    ("missing/out.csv", "a folder that does not exist"),
+    ("spatial.json/out.csv", "something that is not a folder")])
+@pytest.mark.parametrize("command", ["validate", "eval-cov", "spectrum", "check", "simulate"])
+def test_out_that_is_a_symlink_into_no_folder_exits_two_before_any_work(
+        tmp_path, capsys, monkeypatch, command, target, leads):
+    # eval-cov once computed its whole table before the open of such a --out failed
+    monkeypatch.chdir(tmp_path)
+    save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+    (tmp_path / "out.csv").symlink_to(target)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    monkeypatch.setattr(isofield.cli, "load_model", refuse)
+    monkeypatch.setattr(isofield.cli, "check_space_identities", refuse)
+    argv = [command] if command == "check" else [command, "--model", "spatial.json"]
+    if command == "simulate":
+        argv += ["--points", "random:2"]
+    assert main([*argv, "--out", "out.csv"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: --out 'out.csv' is a symlink to {target!r}, which leads into {leads}, but ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "spatial.json"]
+
+
+@pytest.mark.parametrize("name", ["out.csv", "out.meta.json"])
+def test_out_or_sidecar_that_is_a_symlink_loop_exits_two_before_any_work(tmp_path, capsys,
+                                                                       monkeypatch, name):
+    # a loop once escaped from the replace as pathlib's RuntimeError, after the work was done
+    monkeypatch.chdir(tmp_path)
+    save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+    (tmp_path / name).symlink_to(name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    monkeypatch.setattr(isofield.cli, "load_model", refuse)
+    assert main(["simulate", "--model", "spatial.json", "--points", "random:2",
+                 "--out", "out.csv"]) == 2
+    sidecar = "" if name == "out.csv" else f": its sidecar {name!r}"
+    assert capsys.readouterr().err.startswith(f"error: --out 'out.csv'{sidecar} is a symlink "
+                                              "loop")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name, "spatial.json"]
+    if name == "out.csv":
+        assert main(["eval-cov", "--model", "spatial.json", "--out", "out.csv"]) == 2
+        assert capsys.readouterr().err == ("error: --out 'out.csv' is a symlink loop, but the "
+                                           "command writes a file there\n")
+
+
+def test_a_symlink_into_a_folder_is_written_through(tmp_path, capsys, monkeypatch):
+    # a dangling symlink whose folder exists is no error: the file is made where it leads
+    monkeypatch.chdir(tmp_path)
+    save_model(SeriesModel(S2, 1, [np.eye(1)]), tmp_path / "spatial.json")
+    (tmp_path / "real").mkdir()
+    for name in ("x.csv", "x.meta.json"):
+        (tmp_path / name).symlink_to(Path("real") / name)
+    assert main(["simulate", "--model", "spatial.json", "--points", "random:2",
+                 "--out", "x.csv"]) == 0
+    assert sorted(p.name for p in (tmp_path / "real").iterdir()) == ["x.csv", "x.meta.json"]
+    assert json.loads((tmp_path / "x.meta.json").read_text())["point_count"] == 2
+
+
+def test_a_non_finite_late_block_exits_two_keeping_the_old_files(tmp_path, capsys, monkeypatch):
+    # the field is formed and written one block of points at a time: a block that fails after
+    # earlier blocks were written must leave --out and its sidecar as they were
+    path = save_model(SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)]), tmp_path / "spatial.json")
+    series, calls = isofield.simulate._jacobi_series, []
+
+    def third_block_non_finite(*args):
+        calls.append(args[2].size)
+        values = series(*args)
+        return values * np.nan if len(calls) == 3 else values
+
+    monkeypatch.setattr(isofield.simulate, "_jacobi_series", third_block_non_finite)
+    old = {"out.csv": b"old values\r\n", "out.meta.json": b"{}\n"}
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
+    out = str(tmp_path / "out.csv")
+    assert main(["simulate", "--model", str(path), "--points", "random:20000",
+                 "--out", out]) == 2
+    assert capsys.readouterr().err == "error: the series produced non-finite field values\n"
+    assert calls == [_SERIES_BLOCK] * 3  # the blocks before the third were written
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+        "spatial.json": path.read_bytes(), **old}
+
+
+@pytest.mark.parametrize("kind", ["random", "fibonacci"])
+def test_simulate_memory_does_not_grow_with_the_point_count(tmp_path, kind):
+    # one block of points is held at a time: the whole run once held its points, their
+    # values and a copy of the points for their digest, about 40 B a point here
+    path = save_model(SeriesModel(S2, 1, [np.eye(1), 0.5 * np.eye(1)]), tmp_path / "spatial.json")
+    main(["simulate", "--model", str(path), "--points", f"{kind}:2", "--out",
+          str(tmp_path / "warm.csv")])  # first-use allocations outside the trace
+    peaks = []
+    for count in (3 * _SERIES_BLOCK, 30 * _SERIES_BLOCK):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--model", str(path), "--points", f"{kind}:{count}",
+                         "--out", str(tmp_path / "big.csv")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64_000, peaks  # 27 more blocks, against 4.4 MB whole
 
 
 def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):

@@ -17,6 +17,7 @@ from isofield import (
     jacobi_norm_constant,
     jacobi_normalized,
 )
+from isofield import jacobi
 from isofield.jacobi import _SERIES_BLOCK, _jacobi_series, _recurrence
 from tests.oracles import (
     jacobi_explicit_sum,
@@ -162,6 +163,36 @@ class TestSeries:
             coeffs = rng.standard_normal((N + 1, 2))
             want = _jacobi_series(N, params, x, coeffs, _recurrence(N, params.alpha, params.beta))
             assert np.array_equal(_jacobi_series(N, params, x, coeffs, steps), want), (N, count)
+
+
+    @pytest.mark.parametrize("params", GEOM_PAIRS[:2])
+    def test_a_table_bounded_by_words_keeps_every_bit(self, params, monkeypatch):
+        """Where degrees x abscissae would pass _SERIES_WORDS, a table holds fewer abscissae:
+        5 here, at 41 degrees, so the counts cross several seams of the word bound."""
+        monkeypatch.setattr(jacobi, "_SERIES_WORDS", 43 * 5 + 42)
+        rng = np.random.default_rng(11)
+        steps = _recurrence(40, params.alpha, params.beta)
+        for count, tail in itertools.product([1, 4, 5, 6, 11, 23], [(), (1,), (2, 3)]):
+            x = rng.uniform(-1.0, 1.0, count)
+            coeffs = rng.standard_normal((41,) + tail)
+            got = _jacobi_series(40, params, x, coeffs, steps)
+            assert np.array_equal(got, jacobi_series_per_degree(40, params, x, coeffs)), count
+
+    def test_a_table_holds_at_most_series_words(self):
+        """1,001 degrees at 20,000 abscissae: a table of _SERIES_BLOCK abscissae would hold
+        33 MB, one bounded by _SERIES_WORDS holds 8 MiB, and still over 1,000 abscissae."""
+        params = JacobiParams(0.0, 0.0)
+        steps = _recurrence(1000, 0.0, 0.0)
+        x = np.random.default_rng(12).uniform(-1.0, 1.0, 20_000)
+        coeffs = np.ones((1001, 1))
+        tracemalloc.start()
+        try:
+            out = _jacobi_series(1000, params, x, coeffs, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (20_000, 1)
+        assert 8 * 1003 * 1000 < peak < 8 * jacobi._SERIES_WORDS + 1_000_000
 
 
 class TestRecurrenceRetention:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -667,6 +668,16 @@ class TestRealizationIO:
         csv_path, _ = save_realization(real, tmp_path / "v.csv", points_spec="random")
         write_values_csv(tmp_path / "oracle.csv", real.values, real.times)
         assert csv_path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["v.csv", "v.meta.json"])
+    def test_a_symlink_loop_raises_an_oserror_naming_it(self, tmp_path, name):
+        # a loop once escaped as pathlib's RuntimeError
+        real = simulate_spatial(SeriesModel(S2, 1, [np.eye(1)]), fixed_points(2))
+        (tmp_path / name).symlink_to(name)
+        with pytest.raises(OSError) as info:
+            save_realization(real, tmp_path / "v.csv")
+        assert (info.value.errno, info.value.filename) == (errno.ELOOP, str(tmp_path / name))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
     def test_memory_does_not_grow_with_the_table(self, tmp_path):
         # rows are formatted _WRITE_CHUNK values at a time: past the first chunk the traced

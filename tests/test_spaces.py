@@ -343,6 +343,15 @@ class TestSampling:
         singles = np.concatenate([sample_uniform_batch(s, 1, rng) for _ in range(7)])
         assert np.array_equal(batch, singles)
 
+    @pytest.mark.parametrize("label", ["sphere:1", *SAMPLEABLE, "projR:6"])
+    def test_batch_equals_uneven_batches(self, label):
+        # simulate draws random:K a block at a time from one stream, the last block shorter
+        s = parse_space(label)
+        batch = sample_uniform_batch(s, 19, np.random.default_rng(37))
+        rng = np.random.default_rng(37)
+        blocks = np.concatenate([sample_uniform_batch(s, k, rng) for k in (1, 4, 0, 2, 9, 3)])
+        assert np.array_equal(batch, blocks)
+
     @pytest.mark.parametrize("count", [2.5, 3.0, True, -1, "3", None])
     def test_count_that_is_not_a_natural_number_is_named(self, count):
         # 2.5 and True once escaped as numpy's TypeError, -1 as its ValueError
