@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, ModelError, NumericError, UsageError
+from .errors import GeometryError, ModelError, NumericError, UsageError, _count
 from .modelio import _not_utf8, load_model
 from .simulate import _replacing, _sidecar_path, _simulate_to, _write_table, substream
 from .spaces import (
@@ -160,9 +160,9 @@ def resolve_points(space, spec: str, seed: int) -> np.ndarray:
 
 
 def _point_source(space, spec: str, seed: int):
-    """The points of spec as (K, blocks, record): blocks(size), called once, yields them in
-    arrays of size points (the last one shorter), which together are resolve_points(space,
-    spec, seed); record is the sidecar's record of spec, a generated spec as typed, or a point
+    """The points of spec as (K, blocks, record): blocks(size) yields them in arrays of size
+    points (the last one shorter), which together are resolve_points(space, spec, seed);
+    record is the sidecar's record of spec, a generated spec as typed, or a point
     file's name and the SHA-256 of the bytes that were parsed. Every error of the spec is
     raised here, before any block."""
     if _is_generated(spec):
@@ -171,10 +171,15 @@ def _point_source(space, spec: str, seed: int):
             raise UsageError(f"unknown point specifier {spec!r}")
         count = _parse_count("point set", spec, arg)
         if kind == "random":  # a batch of k draws what k batches of one draw
-            rng = substream(seed, 2)
+            _count(seed, "seed", high=None)  # substream's seed rule, checked before any block
             ambient_shape(space)  # GeometryError for a family without points
-            return count, lambda size: (sample_uniform_batch(space, min(size, count - k), rng)
-                                        for k in range(0, count, size)), spec
+
+            def draws(size):  # a stream of its own per call, so every call yields the same
+                rng = substream(seed, 2)
+                for k in range(0, count, size):
+                    yield sample_uniform_batch(space, min(size, count - k), rng)
+
+            return count, draws, spec
         if space.family is not SpaceFamily.SPHERE or space.d != 2:
             raise UsageError("fibonacci point sets are defined on sphere:2 only")
         return count, lambda size: (

@@ -21,7 +21,8 @@ from .errors import DomainError, NumericError, ParameterError, _real, _sized, _w
 # this band, reject beyond it.
 X_CLAMP_TOL = 1e-12
 _SERIES_BLOCK = 1 << 12  # abscissae per Jacobi table of _jacobi_series, at most
-_SERIES_WORDS = _SERIES_BLOCK << 8  # and words (degrees x abscissae) per table: 8 MiB
+_SERIES_WORDS = _SERIES_BLOCK << 8  # and words (degrees x abscissae) per table, 8 MiB,
+_SERIES_FLOOR = _SERIES_BLOCK >> 2  # unless that leaves fewer abscissae than this
 _STIRLING_DEGREE = 10**5  # from this degree on, Gamma ratios come from _log_gamma_ratio
 _STEP_WORDS = 22  # 8-byte words one _recurrence step holds: four floats, their tuple
 
@@ -90,23 +91,8 @@ def _jacobi_table(N: int, params: JacobiParams, x: np.ndarray, steps) -> np.ndar
     p[0] = 1.0
     if N >= 1:
         p[1] = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-    # step k is ((c2 + c3 x) p[k-1] - c4 p[k-2]) / c1, its operations in that order: on numpy
-    # scalars or a few abscissae as expressions, which cost less than ufunc calls with out=;
-    # on more, written into two scratch rows so that no step allocates
-    if x.size < 64:
-        for k, (c1, c2, c3, c4) in zip(range(2, N + 1), steps):
-            p[k] = ((c2 + c3 * x) * p[k - 1] - c4 * p[k - 2]) / c1
-    elif N >= 2:
-        rows, x = p.reshape(N + 1, -1), x.reshape(-1)
-        t, u = np.empty((2, x.size))
-        mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-        for k, (c1, c2, c3, c4) in zip(range(2, N + 1), steps):
-            mul(x, c3, t)
-            add(t, c2, t)
-            mul(t, rows[k - 1], t)
-            mul(rows[k - 2], c4, u)
-            sub(t, u, t)
-            div(t, c1, rows[k])
+    for k, (c1, c2, c3, c4) in zip(range(2, N + 1), steps):
+        p[k] = ((c2 + c3 * x) * p[k - 1] - c4 * p[k - 2]) / c1
     return p
 
 
@@ -114,16 +100,18 @@ def _jacobi_series(N: int, params: JacobiParams, x: np.ndarray, coeffs, steps) -
     """sum_n coeffs[n] P_n(x), n = 0..N, shaped (*x.shape, *coeffs.shape[1:]), for x a 0-d (run on
     numpy scalars) or 1-d float array in [-1, 1], from steps as _jacobi_table reads them. One
     Jacobi table per block of _SERIES_BLOCK abscissae, or fewer so that it holds at most
-    _SERIES_WORDS words; each value is added degree by degree onto zeros, so its bits depend on
-    no other abscissa. einsum adds so except into one value, a dot product: there accumulate
-    adds in order, and + 0.0 gives the +0.0 that a sum from zeros gives when every term is
-    -0.0."""
+    _SERIES_WORDS words, but never fewer than _SERIES_FLOOR: a recurrence step costs about as
+    much in its fixed part as in its work on 1,000 abscissae, so smaller tables would trade
+    ever more time for memory at high degrees. Each value is added degree by degree onto
+    zeros, so its bits depend on no other abscissa. einsum adds so except into one value, a
+    dot product: there accumulate adds in order, and + 0.0 gives the +0.0 that a sum from
+    zeros gives when every term is -0.0."""
     terms = np.asarray(coeffs, dtype=float).reshape(N + 1, -1)  # (degrees, values per abscissa)
     out = np.empty((x.size, terms.shape[1]))
-    if x.ndim and 1 < out.size and x.size <= _SERIES_BLOCK and x.size * (N + 3) <= _SERIES_WORDS:
+    if x.ndim and 1 < out.size and x.size <= _SERIES_FLOOR:  # one block: its table, one einsum
         np.einsum("np,nk->pk", _jacobi_table(N, params, x, steps), terms, out=out)
         return out.reshape(x.shape + np.shape(coeffs)[1:])
-    block = max(1, min(_SERIES_BLOCK, _SERIES_WORDS // (N + 3)))  # _jacobi_table's rows
+    block = max(_SERIES_FLOOR, min(_SERIES_BLOCK, _SERIES_WORDS // (N + 1)))  # table columns
     for k in range(0, x.size, block):
         rows = out[k:k + block]
         table = _jacobi_table(N, params, x[k:k + block] if x.ndim else x[()], steps)

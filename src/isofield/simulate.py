@@ -51,6 +51,7 @@ from .spaces import (SpaceParams, _point_bytes, _point_family, _sample, cos_dist
 from .spectral import SeriesModel, _resolve_trunc, truncation_bound
 
 _WRITE_CHUNK = 1 << 14  # values per write of _write_table (whole leads, at least one)
+_BLOCKS = object()  # _draw's point set when the points come later, block by block
 
 
 def _words(n: int, count: int = 1) -> bytes:
@@ -173,16 +174,18 @@ def _simulate(model: SeriesModel, points, times: list[float], trunc, seed) -> Re
     )
 
 
-def _draw(model: SeriesModel, times: list[float], trunc, seed, *points) -> tuple:
-    """(trunc, U, latent table, *points) of a realization on a checked time grid: the model,
-    trunc, the point set if one is given (by point_array) and seed are checked here, in that
-    order, once for every entry point. The field at any block of points follows by _field."""
+def _draw(model: SeriesModel, times: list[float], trunc, seed, points=_BLOCKS) -> tuple:
+    """(trunc, U, latent table, points) of a realization on a checked time grid: the model,
+    trunc, the point set unless it is _BLOCKS (by point_array) and seed are checked here, in
+    that order, once for every entry point. The field at any block of points follows by
+    _field."""
     report, roots = model._lag0
     if not report.valid:
         raise ModelError(f"cannot simulate from an invalid model: {report.summary()}")
     trunc = _resolve_trunc(model, trunc)
     space = model.space
-    points = [point_array(space, p) for p in points]
+    if points is not _BLOCKS:
+        points = point_array(space, points)
     # the seed checked once: substream(seed, *key) is the stream of prefix + key words
     prefix = _words(_count(seed, "seed", high=None), 4)
     sample_paths = getattr(model.kernel, "sample_paths", None)
@@ -196,7 +199,7 @@ def _draw(model: SeriesModel, times: list[float], trunc, seed, *points) -> tuple
     if np.shape(latent_v) != shape:
         raise UsageError(f"{type(model.kernel).__name__}.sample_paths returned shape "
                          f"{np.shape(latent_v)}, expected {shape}")
-    return trunc, u, latent_v, *points
+    return trunc, u, latent_v, points
 
 
 def _field(model: SeriesModel, trunc: int, u, latent_v, points) -> np.ndarray:
@@ -219,7 +222,7 @@ def _simulate_to(csv_path, model: SeriesModel, blocks, times, trunc, seed,
     checked, and written, so that the run holds one block, not its whole point set or values.
     A block whose values are not finite raises NumericError, with neither file written."""
     times = _time_grid(model, times)
-    trunc, u, latent_v = _draw(model, times, trunc, seed)
+    trunc, u, latent_v, _ = _draw(model, times, trunc, seed)
     space = model.space
     meta = _meta(model, modelio.model_hash(model), times, trunc, seed, u)
     meta["points_spec"] = points_spec

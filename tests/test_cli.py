@@ -470,14 +470,15 @@ class TestSimulate:
     @pytest.mark.parametrize("label", ["sphere:1", "sphere:2", "projR:3", "projC:4", "projH:8"])
     def test_random_points_in_uneven_blocks_are_one_batch(self, label):
         # simulate draws random:K a block at a time; the blocks must be the one batch that
-        # resolve_points draws, whatever their size, the last one shorter
+        # resolve_points draws, whatever their size, the last one shorter, and every call of
+        # one source's blocks draws them anew
         space = parse_space(label)
         want = sample_uniform_batch(space, 23, substream(7, 2))
         assert np.array_equal(resolve_points(space, "random:23", 7), want)
-        for size in (1, 3, 5, 22, 23, 64):
-            count, blocks, record = _point_source(space, "random:23", 7)
+        count, blocks, record = _point_source(space, "random:23", 7)
+        assert (count, record) == (23, "random:23")
+        for size in (1, 3, 5, 22, 23, 64, 5):
             got = list(blocks(size))
-            assert (count, record) == (23, "random:23")
             assert [len(b) for b in got] == [min(size, 23 - k) for k in range(0, 23, size)]
             assert np.array_equal(np.concatenate(got), want), size
 

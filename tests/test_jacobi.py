@@ -168,8 +168,10 @@ class TestSeries:
     @pytest.mark.parametrize("params", GEOM_PAIRS[:2])
     def test_a_table_bounded_by_words_keeps_every_bit(self, params, monkeypatch):
         """Where degrees x abscissae would pass _SERIES_WORDS, a table holds fewer abscissae:
-        5 here, at 41 degrees, so the counts cross several seams of the word bound."""
-        monkeypatch.setattr(jacobi, "_SERIES_WORDS", 43 * 5 + 42)
+        5 here, at 41 degrees and with no floor, so the counts cross several seams of the word
+        bound."""
+        monkeypatch.setattr(jacobi, "_SERIES_WORDS", 41 * 5 + 40)
+        monkeypatch.setattr(jacobi, "_SERIES_FLOOR", 1)
         rng = np.random.default_rng(11)
         steps = _recurrence(40, params.alpha, params.beta)
         for count, tail in itertools.product([1, 4, 5, 6, 11, 23], [(), (1,), (2, 3)]):
@@ -193,6 +195,18 @@ class TestSeries:
             tracemalloc.stop()
         assert out.shape == (20_000, 1)
         assert 8 * 1003 * 1000 < peak < 8 * jacobi._SERIES_WORDS + 1_000_000
+
+    def test_the_word_bound_yields_to_the_floor(self, monkeypatch):
+        """At 5,001 degrees _SERIES_WORDS alone would leave 209 abscissae per table, and so five
+        times the recurrence steps; a table keeps _SERIES_FLOOR of them."""
+        sizes, table = [], jacobi._jacobi_table
+        monkeypatch.setattr(jacobi, "_jacobi_table",
+                            lambda N, params, x, steps: sizes.append(x.size) or table(N, params,
+                                                                                      x, steps))
+        x = np.random.default_rng(13).uniform(-1.0, 1.0, 2 * jacobi._SERIES_FLOOR + 7)
+        _jacobi_series(5000, JacobiParams(0.0, 0.0), x, np.ones((5001, 1)),
+                       _recurrence(5000, 0.0, 0.0))
+        assert sizes == [jacobi._SERIES_FLOOR, jacobi._SERIES_FLOOR, 7]
 
 
 class TestRecurrenceRetention:
