@@ -37,7 +37,6 @@ from isofield import (
 import isofield
 from isofield.cli import (MAX_COUNT, MAX_VALUES, _fibonacci_sphere, _point_source, main,
                           resolve_points)
-from isofield.jacobi import _SERIES_BLOCK
 from isofield.simulate import _WRITE_CHUNK
 from isofield.spaces import normalize_points, points_sha256, points_to_reals
 from tests.oracles import csv_table, eval_cov_output, load_realization_values, random_psd
@@ -1339,10 +1338,10 @@ def test_a_non_finite_late_block_exits_two_keeping_the_old_files(tmp_path, capsy
     for name, data in old.items():
         (tmp_path / name).write_bytes(data)
     out = str(tmp_path / "out.csv")
-    assert main(["simulate", "--model", str(path), "--points", "random:20000",
+    assert main(["simulate", "--model", str(path), "--points", f"random:{2 * _WRITE_CHUNK + 9}",
                  "--out", out]) == 2
     assert capsys.readouterr().err == "error: the series produced non-finite field values\n"
-    assert calls == [_SERIES_BLOCK] * 3  # the blocks before the third were written
+    assert calls == [_WRITE_CHUNK, _WRITE_CHUNK, 9]  # the blocks before the third were written
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
         "spatial.json": path.read_bytes(), **old}
 
@@ -1355,7 +1354,7 @@ def test_simulate_memory_does_not_grow_with_the_point_count(tmp_path, kind):
     main(["simulate", "--model", str(path), "--points", f"{kind}:2", "--out",
           str(tmp_path / "warm.csv")])  # first-use allocations outside the trace
     peaks = []
-    for count in (3 * _SERIES_BLOCK, 30 * _SERIES_BLOCK):
+    for count in (2 * _WRITE_CHUNK, 12 * _WRITE_CHUNK):
         tracemalloc.start()
         try:
             assert main(["simulate", "--model", str(path), "--points", f"{kind}:{count}",
@@ -1363,7 +1362,9 @@ def test_simulate_memory_does_not_grow_with_the_point_count(tmp_path, kind):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 64_000, peaks  # 27 more blocks, against 4.4 MB whole
+    # 10 more blocks, against 7.9 MB whole; about 60 KB of growth is the later blocks' point
+    # indices, one digit longer in each of a block's rows, its texts and its format
+    assert peaks[1] - peaks[0] < 128_000, peaks
 
 
 def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
