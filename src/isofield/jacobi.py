@@ -22,7 +22,7 @@ from .errors import DomainError, NumericError, ParameterError, _real, _sized, _w
 X_CLAMP_TOL = 1e-12
 _SERIES_BLOCK = 1 << 12  # abscissae per Jacobi table of _jacobi_series, at most
 _SERIES_WORDS = _SERIES_BLOCK << 8  # and words (degrees x abscissae) per table, 8 MiB,
-_SERIES_FLOOR = _SERIES_BLOCK >> 2  # unless that leaves fewer abscissae than this
+_SERIES_FLOOR = _SERIES_BLOCK >> 1  # unless that leaves fewer abscissae than this
 _STIRLING_DEGREE = 10**5  # from this degree on, Gamma ratios come from _log_gamma_ratio
 _STEP_WORDS = 22  # 8-byte words one _recurrence step holds: four floats, their tuple
 

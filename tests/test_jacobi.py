@@ -181,20 +181,20 @@ class TestSeries:
             assert np.array_equal(got, jacobi_series_per_degree(40, params, x, coeffs)), count
 
     def test_a_table_holds_at_most_series_words(self):
-        """1,001 degrees at 20,000 abscissae: a table of _SERIES_BLOCK abscissae would hold
-        33 MB, one bounded by _SERIES_WORDS holds 8 MiB, and still over 1,000 abscissae."""
+        """401 degrees at 20,000 abscissae: a table of _SERIES_BLOCK abscissae would hold
+        13 MB, one bounded by _SERIES_WORDS holds 8 MiB, and still over 2,600 abscissae."""
         params = JacobiParams(0.0, 0.0)
-        steps = _recurrence(1000, 0.0, 0.0)
+        steps = _recurrence(400, 0.0, 0.0)
         x = np.random.default_rng(12).uniform(-1.0, 1.0, 20_000)
-        coeffs = np.ones((1001, 1))
+        coeffs = np.ones((401, 1))
         tracemalloc.start()
         try:
-            out = _jacobi_series(1000, params, x, coeffs, steps)
+            out = _jacobi_series(400, params, x, coeffs, steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out.shape == (20_000, 1)
-        assert 8 * 1003 * 1000 < peak < 8 * jacobi._SERIES_WORDS + 1_000_000
+        assert 8 * 401 * 2600 < peak < 8 * jacobi._SERIES_WORDS + 1_000_000
 
     def test_the_word_bound_yields_to_the_floor(self, monkeypatch):
         """At 5,001 degrees _SERIES_WORDS alone would leave 209 abscissae per table, and so five
